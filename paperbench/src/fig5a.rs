@@ -19,6 +19,7 @@ use plateau_core::variance::{variance_scan, VarianceConfig, VariancePoint};
 use plateau_grad::{Adjoint, GradientEngine, ParameterShift};
 use plateau_rng::{derive_seed, rngs::StdRng, Rng, SeedableRng};
 
+use crate::calib::{Paired, Shape};
 use crate::layers::{self, Counters};
 use crate::trace::Tracer;
 use crate::{reference, setup_median, stats, Ctx, Report, SETUPS};
@@ -27,6 +28,20 @@ pub const QUBITS: usize = 10;
 pub const ALT_QUBITS: usize = 4;
 pub const LAYERS: usize = 50;
 pub const CIRCUITS: usize = 200;
+
+/// Reference runs: members spread over the cores, like a cell's.
+const MAIN_REF: Shape = Shape {
+    qubits: QUBITS,
+    layers: LAYERS,
+    members: 40,
+    parallel: true,
+};
+const ALT_REF: Shape = Shape {
+    qubits: ALT_QUBITS,
+    layers: LAYERS,
+    members: CIRCUITS,
+    parallel: true,
+};
 
 /// The cell configuration `variance_scan` receives.
 pub fn config(q: usize, seed: u64, n_circuits: usize) -> VarianceConfig {
@@ -47,8 +62,8 @@ pub fn cell(q: usize, seed: u64, strategy: InitStrategy) -> VariancePoint {
 }
 
 struct Timed {
-    main_ms: Vec<f64>,
-    alt_ms: Vec<f64>,
+    main: Paired,
+    alt: Paired,
     /// `(pass seed, strategy, q = 10 gradients)` of the last pass.
     last: Vec<(u64, InitStrategy, Vec<f64>)>,
 }
@@ -57,8 +72,8 @@ struct Timed {
 /// strategy in turn, a fresh pass seed per pass.
 fn timed_cells(ctx: &Ctx, tr: &Tracer, seconds: f64, salt: u64) -> Timed {
     let mut t = Timed {
-        main_ms: Vec::new(),
-        alt_ms: Vec::new(),
+        main: Paired::new(MAIN_REF),
+        alt: Paired::new(ALT_REF),
         last: Vec::new(),
     };
     let start = Instant::now();
@@ -70,19 +85,19 @@ fn timed_cells(ctx: &Ctx, tr: &Tracer, seconds: f64, salt: u64) -> Timed {
             }
             let op = (pass * 6 + k as u64) * 2;
             let s = tr.open("fig5a.cell", None, op);
-            let t0 = Instant::now();
-            let grads = tr.span("core.variance_scan", s.as_ref(), op, |_| {
-                cell(QUBITS, pass_seed, strategy).gradients
+            let grads = t.main.op(|| {
+                tr.span("core.variance_scan", s.as_ref(), op, |_| {
+                    cell(QUBITS, pass_seed, strategy).gradients
+                })
             });
-            t.main_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             tr.close(s);
 
             let s = tr.open("fig5a.cell_alt", None, op + 1);
-            let t0 = Instant::now();
-            tr.span("core.variance_scan", s.as_ref(), op + 1, |_| {
-                cell(ALT_QUBITS, pass_seed, strategy)
+            t.alt.op(|| {
+                tr.span("core.variance_scan", s.as_ref(), op + 1, |_| {
+                    cell(ALT_QUBITS, pass_seed, strategy)
+                })
             });
-            t.alt_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             tr.close(s);
 
             t.last.retain(|(_, s, _)| *s != strategy);
@@ -173,16 +188,20 @@ pub fn run(ctx: &Ctx) -> Report {
 
     if !ctx.traced() {
         let timed = timed_cells(ctx, &ctx.tracer, ctx.seconds, 0);
-        report.ops((timed.main_ms.len() + timed.alt_ms.len()) as u64, 0);
-        let samples_per_s =
-            (timed.main_ms.len() * CIRCUITS) as f64 / (stats::sum(&timed.main_ms) / 1e3);
-        report.set("main_p50_ms", stats::median(&timed.main_ms));
-        report.set("alt_p50_ms", stats::median(&timed.alt_ms));
-        report.set("throughput_per_s", samples_per_s);
+        let main = report.set_rel("main_rel", "fig5a q=10 cell", &timed.main);
+        report.set_rel("alt_rel", "fig5a q=4 cell", &timed.alt);
+        let main_ms = timed.main.ms();
+        report.ops((main.len() + timed.alt.ms().len()) as u64, 0);
+        report.set(
+            "throughput_rel",
+            (main.len() * CIRCUITS) as f64 / stats::sum(&main),
+        );
         report.set("peak_rss_mb", crate::host::peak_rss_mb());
-        report.show_tail("fig5a q=10 cell", &timed.main_ms);
-        report.show_tail("fig5a q=4 cell", &timed.alt_ms);
-        report.show("fig5a.samples_per_s", samples_per_s, "1/s");
+        report.show(
+            "fig5a.samples_per_s",
+            (main_ms.len() * CIRCUITS) as f64 / (stats::sum(&main_ms) / 1e3),
+            "1/s",
+        );
         check(ctx, &timed, &mut report);
         return report;
     }
@@ -192,16 +211,16 @@ pub fn run(ctx: &Ctx) -> Report {
     let plain = timed_cells(ctx, &Tracer::new(false), ctx.seconds / 2.0, 1);
     let counters = Counters::start();
     let traced = timed_cells(ctx, &ctx.tracer, ctx.seconds / 2.0, 2);
-    let ops = traced.main_ms.len() + traced.alt_ms.len();
+    let ops = traced.main.ms().len() + traced.alt.ms().len();
     counters.finish(
         &mut report,
         ops as f64,
         &ctx.tracer.durations("core.variance_scan"),
     );
-    report.ops((plain.main_ms.len() + ops) as u64, 0);
+    report.ops((plain.main.ms().len() + ops) as u64, 0);
     report.set(
         "obs.trace_overhead_frac",
-        stats::median(&traced.main_ms) / stats::median(&plain.main_ms) - 1.0,
+        stats::median(&traced.main.ratios()) / stats::median(&plain.main.ratios()) - 1.0,
     );
 
     // Member-level probes on a sample of the last pass's members.

@@ -14,6 +14,7 @@
 //! `--print-reference` recomputes the recorded correctness references.
 //! See `paperbench/README.md` for what each workload and metric means.
 
+mod calib;
 mod fig5a;
 mod host;
 mod layers;
@@ -37,10 +38,12 @@ static ALLOC: plateau_obs::alloc::CountingAllocator = plateau_obs::alloc::Counti
 
 /// End-to-end metrics: `(name, unit)`. Every workload reports all of them;
 /// what "main" and "alt" operation mean per workload is in the README.
+/// Times are relative: each operation's wall time over that of the
+/// benchmark's own reference run timed around it ([`calib`]).
 pub const E2E: &[(&str, &str)] = &[
-    ("main_p50_ms", "ms"),
-    ("alt_p50_ms", "ms"),
-    ("throughput_per_s", "1/s"),
+    ("main_rel", "ratio"),
+    ("alt_rel", "ratio"),
+    ("throughput_rel", "1/ref"),
     ("setup_s", "s"),
     ("peak_rss_mb", "MB"),
 ];
@@ -134,6 +137,26 @@ impl Report {
             "ms",
         );
         self.show(&format!("{label} p{:.1}", 100.0 * q), tail, "ms");
+    }
+
+    /// Sets `metric` to the median of `p`'s relative times and prints, for people, the operations' wall-time median and
+    /// tail, the reference runs' median and the median relative time.
+    /// Returns the relative times.
+    pub fn set_rel(&mut self, metric: &'static str, label: &str, p: &calib::Paired) -> Vec<f64> {
+        let rel = p.ratios();
+        self.show_tail(label, &p.ms());
+        self.show(
+            &format!("{label} reference run p50 (n={})", p.refs_ms().len()),
+            stats::median(p.refs_ms()),
+            "ms",
+        );
+        self.show(
+            &format!("{label} relative p50"),
+            stats::median(&rel),
+            "ratio",
+        );
+        self.set(metric, stats::median(&rel));
+        rel
     }
 }
 

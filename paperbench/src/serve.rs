@@ -4,19 +4,22 @@
 //! Requests are `/simulate` and `/gradient` (mostly adjoint, some
 //! parameter-shift on small circuits) on 4–10-qubit hardware-efficient
 //! circuits built with the paper's ansatz builders, as op-list JSON and as
-//! QASM. About 80% repeat a circuit from a pool of 16 (the LRU holds 32);
-//! about 20% carry a circuit never sent before, so parse, build, fusion
-//! compile and eviction run beside cache hits.
+//! QASM. 80% repeat a circuit from a pool of 16 (the LRU holds 32); 20%
+//! carry a circuit never sent before, so parse, build, fusion compile and
+//! eviction run beside cache hits. Requests are dealt from a shuffled
+//! deck, so every seed sends the same mix in a different order.
 //!
 //! Each server instance runs three phases: open loop at [`LOW_RPS`] (main
 //! op) and [`HIGH_RPS`] (alt op), each request timed from its scheduled
-//! send time; then closed loop with [`DEPTH`] requests in flight per
-//! connection, for capacity. After each instance every response body is
+//! send time; then closed loop with [`DEPTH`] requests in flight on
+//! [`CAPACITY_CONNECTIONS`] connection, for capacity. After each instance every response body is
 //! compared byte for byte with `handlers::execute` on the same request.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::rc::Rc;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -31,6 +34,7 @@ use plateau_serve::{
 
 use plateau_obs::MetricsSnapshot;
 
+use crate::calib::{Echo, Paired};
 use crate::layers::{self, Counters};
 use crate::trace::Tracer;
 use crate::{stats, Ctx, Report};
@@ -44,7 +48,8 @@ pub const HIGH_RPS: f64 = 1200.0;
 const MAX_CAPACITY_RPS: f64 = 8000.0;
 const POOL: usize = 16;
 const PARAM_SETS: usize = 8;
-const HOT_SHARE: f64 = 0.8;
+/// New circuits per deck: one for every four pool requests (20%).
+const FRESH_PER_DECK: usize = POOL * PARAM_SETS / 4;
 
 /// One distinct request: path, body, and the bytes put on the wire.
 struct Body {
@@ -79,6 +84,10 @@ struct Mix {
     rng: StdRng,
     /// New circuits made so far (picks each one's shape and form).
     fresh: usize,
+    /// The rest of the current deck: a pool body, or `None` for a new
+    /// circuit. Each deck holds every pool body once and
+    /// [`FRESH_PER_DECK`] new circuits, shuffled.
+    deck: Vec<Option<usize>>,
 }
 
 /// Circuit shapes `(qubits, layers, Eq. 3 training ansatz)`, taken in turn
@@ -206,6 +215,7 @@ impl Mix {
             pool,
             rng,
             fresh: 0,
+            deck: Vec::new(),
         }
     }
 
@@ -216,11 +226,19 @@ impl Mix {
             .collect()
     }
 
-    /// The next request: a pool body (80%) or a new circuit (20%).
+    /// The next request: a pool body (80%) or a new circuit (20%), dealt
+    /// from the deck.
     fn next(&mut self, tr: &Tracer, op: u64) -> usize {
-        if self.rng.gen::<f64>() < HOT_SHARE {
-            let j = self.rng.gen_range(0..POOL);
-            return self.pool[j][self.rng.gen_range(0..PARAM_SETS)];
+        if self.deck.is_empty() {
+            self.deck = self.pool.iter().flatten().map(|&b| Some(b)).collect();
+            self.deck.extend(std::iter::repeat_n(None, FRESH_PER_DECK));
+            for i in (1..self.deck.len()).rev() {
+                let j = self.rng.gen_range(0..i + 1);
+                self.deck.swap(i, j);
+            }
+        }
+        if let Some(b) = self.deck.pop().expect("deck refilled") {
+            return b;
         }
         let u = self.fresh;
         self.fresh += 1;
@@ -528,23 +546,35 @@ fn check(all: &[Body], phases: &[&Phase], report: &mut Report) {
 }
 
 fn set_up(ctx: &Ctx, instance: u64, tr: &Tracer) -> (Live, Mix) {
-    let mix = Mix::new(ctx.seed, instance, tr);
+    let mut mix = Mix::new(ctx.seed, instance, tr);
     let mut live = Live::start();
-    // Warm-up: every pool body once, closed-loop, so the pool is cached.
+    // Warm-up: every pool body once, closed-loop, so the pool is cached;
+    // then the mix open-loop, so the first timed chunk meets warm threads.
     for &b in mix.pool.iter().flatten() {
         roundtrip(&mut live.conns[0], &mix.bodies[b]).expect("warm-up request");
     }
+    let seq = mix.sequence(LOW_RPS * WARM_UP_SECONDS, tr, 0);
+    phase(&mut live, &mix.bodies, seq, LOW_RPS);
     (live, mix)
 }
 
+/// Length of the untimed open-loop warm-up of every instance.
+const WARM_UP_SECONDS: f64 = 0.5;
 /// Share of `--seconds` spent in each of the three phases.
 const PHASE_SHARE: f64 = 0.25;
+/// Each phase runs as this many chunks, each between two reference runs.
+const CHUNKS: usize = 3;
 /// Requests each connection keeps in flight in the capacity phase.
 const DEPTH: usize = 1;
+/// Connections the capacity phase uses. With one request in flight on one
+/// connection, the client and the server's threads take turns instead of
+/// contending for the two cores.
+const CAPACITY_CONNECTIONS: usize = 1;
 
-/// Closed-loop capacity: each connection keeps [`DEPTH`] requests in
-/// flight for `seconds` (one thread per connection, writing and reading);
-/// returns the phase and the responses completed per second.
+/// Closed-loop capacity: each of [`CAPACITY_CONNECTIONS`] connections
+/// keeps [`DEPTH`] requests in flight for `seconds` (one thread per
+/// connection, writing and reading); returns the phase and the responses
+/// completed per second.
 fn capacity(live: &mut Live, all: &[Body], bodies: Vec<usize>, seconds: f64) -> (Phase, f64) {
     let start = Instant::now();
     let end = start + Duration::from_secs_f64(seconds);
@@ -552,6 +582,7 @@ fn capacity(live: &mut Live, all: &[Body], bodies: Vec<usize>, seconds: f64) -> 
         let handles: Vec<_> = live
             .conns
             .iter_mut()
+            .take(CAPACITY_CONNECTIONS)
             .enumerate()
             .map(|(c, conn)| {
                 let bodies = &bodies;
@@ -570,7 +601,7 @@ fn capacity(live: &mut Live, all: &[Body], bodies: Vec<usize>, seconds: f64) -> 
                                 return out;
                             }
                             inflight.push_back((next, Instant::now()));
-                            next += 2;
+                            next += CAPACITY_CONNECTIONS;
                         }
                         if inflight.is_empty() || Instant::now() >= deadline {
                             return out;
@@ -632,27 +663,74 @@ fn capacity(live: &mut Live, all: &[Body], bodies: Vec<usize>, seconds: f64) -> 
     (phase, in_window as f64 / seconds)
 }
 
-/// The three phases of one run.
+/// The three phases of one instance, chunk by chunk.
 struct Measured {
-    low: Phase,
-    high: Phase,
-    saturated: Phase,
-    capacity_rps: f64,
+    low: Vec<Phase>,
+    high: Vec<Phase>,
+    saturated: Vec<Phase>,
 }
 
-fn measure(live: &mut Live, mix: &mut Mix, seconds: f64, tr: &Tracer) -> Measured {
-    let secs = seconds * PHASE_SHARE;
-    let seq = mix.sequence(LOW_RPS * secs, tr, 0);
-    let low = phase(live, &mix.bodies, seq, LOW_RPS);
-    let seq = mix.sequence(HIGH_RPS * secs, tr, 0);
-    let high = phase(live, &mix.bodies, seq, HIGH_RPS);
-    let seq = mix.sequence(MAX_CAPACITY_RPS * secs, tr, 0);
-    let (saturated, capacity_rps) = capacity(live, &mix.bodies, seq, secs);
+/// Messages per echo reference run.
+const ECHO_MESSAGES: usize = 100;
+
+/// Each phase's requests between two reference runs: latencies at the two
+/// rates, against echo round trips paced at the same rate, and the time
+/// per response at capacity, against back-to-back round trips.
+struct Timed {
+    low: Paired,
+    high: Paired,
+    capacity: Paired,
+}
+
+impl Timed {
+    fn new() -> Timed {
+        let echo = Rc::new(RefCell::new(Echo::start().expect("loopback echo")));
+        let paced = |rate: f64| {
+            let echo = Rc::clone(&echo);
+            let gap = Duration::from_secs_f64(1.0 / rate);
+            Paired::with(move || echo.borrow_mut().round_trip_ms(ECHO_MESSAGES, gap))
+        };
+        Timed {
+            low: paced(LOW_RPS),
+            high: paced(HIGH_RPS),
+            capacity: Paired::with(move || {
+                echo.borrow_mut()
+                    .round_trip_ms(3 * ECHO_MESSAGES, Duration::ZERO)
+            }),
+        }
+    }
+}
+
+fn measure(live: &mut Live, mix: &mut Mix, seconds: f64, t: &mut Timed) -> Measured {
+    let quiet = Tracer::new(false);
+    let secs = seconds * PHASE_SHARE / CHUNKS as f64;
+    let mut open_loop = |paired: &mut Paired, mix: &mut Mix, rate: f64| {
+        let seq = mix.sequence(rate * secs, &quiet, 0);
+        paired.group(|| {
+            let p = phase(live, &mix.bodies, seq, rate);
+            let ms = p.latencies_ms();
+            (p, ms)
+        })
+    };
+    let low = (0..CHUNKS)
+        .map(|_| open_loop(&mut t.low, mix, LOW_RPS))
+        .collect();
+    let high = (0..CHUNKS)
+        .map(|_| open_loop(&mut t.high, mix, HIGH_RPS))
+        .collect();
+    let saturated = (0..CHUNKS)
+        .map(|_| {
+            let seq = mix.sequence(MAX_CAPACITY_RPS * secs, &quiet, 0);
+            t.capacity.group(|| {
+                let (p, rps) = capacity(live, &mix.bodies, seq, secs);
+                (p, vec![1e3 / rps])
+            })
+        })
+        .collect();
     Measured {
         low,
         high,
         saturated,
-        capacity_rps,
     }
 }
 
@@ -668,30 +746,37 @@ pub fn run(ctx: &Ctx) -> Report {
     let quiet = Tracer::new(false);
 
     if !ctx.traced() {
-        let (mut ll, mut hl, mut caps, mut setups, mut lags) =
-            (vec![], vec![], vec![], vec![], vec![]);
+        let mut t = Timed::new();
+        let (mut setups, mut lags) = (vec![], vec![]);
         for instance in 0..INSTANCES {
             let t0 = Instant::now();
             let (mut live, mut mix) = set_up(ctx, instance, &quiet);
             setups.push(t0.elapsed().as_secs_f64());
-            let m = measure(&mut live, &mut mix, ctx.seconds / INSTANCES as f64, &quiet);
+            let m = measure(&mut live, &mut mix, ctx.seconds / INSTANCES as f64, &mut t);
             drop(live);
-            ll.extend(m.low.latencies_ms());
-            hl.extend(m.high.latencies_ms());
-            lags.extend(m.low.lag_ms());
-            lags.extend(m.high.lag_ms());
-            caps.push(m.capacity_rps);
-            check(&mix.bodies, &[&m.low, &m.high, &m.saturated], &mut report);
+            let phases: Vec<&Phase> = m.low.iter().chain(&m.high).chain(&m.saturated).collect();
+            lags.extend(m.low.iter().chain(&m.high).flat_map(Phase::lag_ms));
+            check(&mix.bodies, &phases, &mut report);
         }
-        let capacity = stats::median(&caps);
         report.set("setup_s", stats::median(&setups));
-        report.set("main_p50_ms", stats::median(&ll));
-        report.set("alt_p50_ms", stats::median(&hl));
-        report.set("throughput_per_s", capacity);
+        report.set_rel(
+            "main_rel",
+            &format!("serve latency at {LOW_RPS} rps"),
+            &t.low,
+        );
+        report.set_rel(
+            "alt_rel",
+            &format!("serve latency at {HIGH_RPS} rps"),
+            &t.high,
+        );
+        let per_response = report.set_rel("throughput_rel", "serve time per response", &t.capacity);
+        report.set("throughput_rel", 1.0 / stats::median(&per_response));
         report.set("peak_rss_mb", crate::host::peak_rss_mb());
-        report.show_tail(&format!("serve latency at {LOW_RPS} rps"), &ll);
-        report.show_tail(&format!("serve latency at {HIGH_RPS} rps"), &hl);
-        report.show("serve.capacity_rps", capacity, "1/s");
+        report.show(
+            "serve.capacity_rps",
+            1e3 / stats::median(&t.capacity.ms()),
+            "1/s",
+        );
         report.show(
             "serve.generator_lag_ms p99",
             stats::quantile(&lags, 0.99),

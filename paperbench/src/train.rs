@@ -26,6 +26,7 @@ use plateau_grad::{Adjoint, BatchExecutor, GradientEngine, ParameterShift};
 use plateau_rng::{derive_seed, rngs::StdRng, SeedableRng};
 use plateau_sim::{Circuit, Observable, SimError};
 
+use crate::calib::{Paired, Shape};
 use crate::layers::{self, Counters};
 use crate::trace::Tracer;
 use crate::{reference, setup_median, stats, Ctx, Report, SETUPS};
@@ -35,17 +36,52 @@ pub const LAYERS: usize = 5;
 pub const ITERATIONS: usize = 50;
 pub const LR: f64 = 0.1;
 
-/// Delegates to an engine and stamps the start and end of every call.
+/// Reference runs, one between every two iterations: a parameter-shift
+/// step forks over the cores, an adjoint step is serial.
+const SHIFT_REF: Shape = Shape {
+    qubits: QUBITS,
+    layers: LAYERS,
+    members: 40,
+    parallel: true,
+};
+const ADJOINT_REF: Shape = Shape {
+    qubits: QUBITS,
+    layers: LAYERS,
+    members: 4,
+    parallel: false,
+};
+
+/// One gradient call: the previous iteration's end, the index of the
+/// reference run made before this call (if any), and the call's start and
+/// end.
+struct Call {
+    previous_end: Instant,
+    reference: Option<usize>,
+    start: Instant,
+    end: Instant,
+}
+
+/// Delegates to an engine and stamps every call. With `paired`, a
+/// reference run goes between one iteration's end and the next call's
+/// start, outside every iteration.
 struct Clocked<'a> {
     inner: &'a dyn GradientEngine,
-    calls: RefCell<Vec<(Instant, Instant)>>,
+    calls: RefCell<Vec<Call>>,
+    paired: Option<RefCell<&'a mut Paired>>,
 }
 
 impl GradientEngine for Clocked<'_> {
     fn gradient(&self, c: &Circuit, p: &[f64], o: &Observable) -> Result<Vec<f64>, SimError> {
-        let t0 = Instant::now();
+        let previous_end = Instant::now();
+        let reference = self.paired.as_ref().map(|p| p.borrow_mut().reference());
+        let start = Instant::now();
         let g = self.inner.gradient(c, p, o);
-        self.calls.borrow_mut().push((t0, Instant::now()));
+        self.calls.borrow_mut().push(Call {
+            previous_end,
+            reference,
+            start,
+            end: Instant::now(),
+        });
         g
     }
 }
@@ -57,16 +93,20 @@ struct Run {
     iterations: Vec<(Instant, Instant, Instant)>,
 }
 
+/// Trains for `iterations` steps. With `paired`, every iteration runs
+/// between two reference runs and is recorded there.
 fn train_run(
     a: &Ansatz,
     obs: &Observable,
     theta0: Vec<f64>,
     engine: &dyn GradientEngine,
     iterations: usize,
+    mut paired: Option<&mut Paired>,
 ) -> Run {
     let clocked = Clocked {
         inner: engine,
         calls: RefCell::new(Vec::with_capacity(iterations)),
+        paired: paired.as_deref_mut().map(RefCell::new),
     };
     let mut adam = Adam::new(LR).expect("valid lr");
     let history =
@@ -74,11 +114,20 @@ fn train_run(
             .expect("training run");
     let end = Instant::now();
     let calls = clocked.calls.into_inner();
-    let iterations = calls
+    let iterations: Vec<_> = calls
         .iter()
         .enumerate()
-        .map(|(k, &(s, g))| (s, g, calls.get(k + 1).map_or(end, |c| c.0)))
+        .map(|(k, c)| {
+            let next = calls.get(k + 1).map_or(end, |n| n.previous_end);
+            (c.start, c.end, next)
+        })
         .collect();
+    if let Some(paired) = paired {
+        paired.reference();
+        for (c, ms) in calls.iter().zip(ms(&iterations)) {
+            paired.record(c.reference.expect("paired calls run a reference"), ms);
+        }
+    }
     Run {
         history,
         iterations,
@@ -104,15 +153,15 @@ pub fn theta0(a: &Ansatz, seed: u64, pass: u64, k: usize) -> Vec<f64> {
 pub fn reference_loss(seed: u64, k: usize) -> f64 {
     let a = training_ansatz(QUBITS, LAYERS).expect("ansatz");
     let obs = CostKind::Global.observable(QUBITS);
-    train_run(&a, &obs, theta0(&a, seed, 0, k), &Adjoint, ITERATIONS)
+    train_run(&a, &obs, theta0(&a, seed, 0, k), &Adjoint, ITERATIONS, None)
         .history
         .final_loss()
 }
 
+/// Iteration times, each iteration between two reference runs.
 struct Timed {
-    shift_ms: Vec<f64>,
-    adjoint_ms: Vec<f64>,
-    wall_s: f64,
+    shift: Paired,
+    adjoint: Paired,
     pairs: usize,
 }
 
@@ -124,9 +173,8 @@ fn timed_pairs(ctx: &Ctx, tr: &Tracer, seconds: f64, salt: u64, report: &mut Rep
     let a = training_ansatz(QUBITS, LAYERS).expect("ansatz");
     let obs = CostKind::Global.observable(QUBITS);
     let mut t = Timed {
-        shift_ms: Vec::new(),
-        adjoint_ms: Vec::new(),
-        wall_s: 0.0,
+        shift: Paired::new(SHIFT_REF),
+        adjoint: Paired::new(ADJOINT_REF),
         pairs: 0,
     };
     let start = Instant::now();
@@ -134,14 +182,25 @@ fn timed_pairs(ctx: &Ctx, tr: &Tracer, seconds: f64, salt: u64, report: &mut Rep
     for pass in 0.. {
         for k in 0..InitStrategy::PAPER_SET.len() {
             if start.elapsed().as_secs_f64() >= seconds {
-                t.wall_s = start.elapsed().as_secs_f64();
                 return t;
             }
             let theta = theta0(&a, ctx.seed, derive_seed(salt, pass, 0, 0), k);
-            let adj = train_run(&a, &obs, theta.clone(), &Adjoint, ITERATIONS);
-            let ps = train_run(&a, &obs, theta, &ParameterShift, ITERATIONS);
-            t.adjoint_ms.extend(ms(&adj.iterations));
-            t.shift_ms.extend(ms(&ps.iterations));
+            let adj = train_run(
+                &a,
+                &obs,
+                theta.clone(),
+                &Adjoint,
+                ITERATIONS,
+                Some(&mut t.adjoint),
+            );
+            let ps = train_run(
+                &a,
+                &obs,
+                theta,
+                &ParameterShift,
+                ITERATIONS,
+                Some(&mut t.shift),
+            );
             t.pairs += 1;
             for (name, run) in [("train.adjoint_step", &adj), ("train.shift_step", &ps)] {
                 for &(s, g, e) in &run.iterations {
@@ -201,7 +260,7 @@ fn set_up(ctx: &Ctx) {
     let a = training_ansatz(QUBITS, LAYERS).expect("ansatz");
     let obs = CostKind::Global.observable(QUBITS);
     for engine in [&Adjoint as &dyn GradientEngine, &ParameterShift] {
-        train_run(&a, &obs, theta0(&a, ctx.seed, u64::MAX, 0), engine, 2);
+        train_run(&a, &obs, theta0(&a, ctx.seed, u64::MAX, 0), engine, 2, None);
     }
 }
 
@@ -212,14 +271,13 @@ pub fn run(ctx: &Ctx) -> Report {
 
     if !ctx.traced() {
         let t = timed_pairs(ctx, &ctx.tracer, ctx.seconds, 0, &mut report);
-        report.ops((t.shift_ms.len() + t.adjoint_ms.len()) as u64, 0);
-        report.set("main_p50_ms", stats::median(&t.shift_ms));
-        report.set("alt_p50_ms", stats::median(&t.adjoint_ms));
-        report.show_tail("train.shift_step", &t.shift_ms);
-        report.show_tail("train.adjoint_step", &t.adjoint_ms);
+        let shift = report.set_rel("main_rel", "train.shift_step", &t.shift);
+        let adjoint = report.set_rel("alt_rel", "train.adjoint_step", &t.adjoint);
+        let n = shift.len() + adjoint.len();
+        report.ops(n as u64, 0);
         report.set(
-            "throughput_per_s",
-            (t.shift_ms.len() + t.adjoint_ms.len()) as f64 / t.wall_s,
+            "throughput_rel",
+            n as f64 / (stats::sum(&shift) + stats::sum(&adjoint)),
         );
         report.set("peak_rss_mb", crate::host::peak_rss_mb());
         report.show("train pairs (strategy runs)", t.pairs as f64, "count");
@@ -230,7 +288,7 @@ pub fn run(ctx: &Ctx) -> Report {
     let plain = timed_pairs(ctx, &Tracer::new(false), ctx.seconds / 2.0, 1, &mut report);
     let counters = Counters::start();
     let traced = timed_pairs(ctx, &ctx.tracer, ctx.seconds / 2.0, 2, &mut report);
-    let iterations = (traced.shift_ms.len() + traced.adjoint_ms.len()) as f64;
+    let iterations = (traced.shift.ms().len() + traced.adjoint.ms().len()) as f64;
     // Parameter-shift gradients are the phase's fork-joins.
     let shift_grads = ctx
         .tracer
@@ -240,12 +298,12 @@ pub fn run(ctx: &Ctx) -> Report {
         .children_durations("train.adjoint_step", "grad.gradient");
     counters.finish(&mut report, iterations, &shift_grads);
     report.ops(
-        (plain.shift_ms.len() + plain.adjoint_ms.len()) as u64 + iterations as u64,
+        (plain.shift.ms().len() + plain.adjoint.ms().len()) as u64 + iterations as u64,
         0,
     );
     report.set(
         "obs.trace_overhead_frac",
-        stats::median(&traced.shift_ms) / stats::median(&plain.shift_ms) - 1.0,
+        stats::median(&traced.shift.ratios()) / stats::median(&plain.shift.ratios()) - 1.0,
     );
     report.set("grad.shift_us", stats::median(&shift_grads) / 1e3);
     report.set("grad.adjoint_us", stats::median(&adjoint_grads) / 1e3);

@@ -17,6 +17,7 @@ use plateau_grad::{Adjoint, GradientEngine, ParameterShift};
 use plateau_rng::{derive_seed, rngs::StdRng, Rng, SeedableRng};
 use plateau_sim::Observable;
 
+use crate::calib::{Paired, Shape};
 use crate::layers::{self, Counters};
 use crate::trace::Tracer;
 use crate::{setup_median, stats, Ctx, Report, SETUPS};
@@ -25,6 +26,14 @@ pub const QUBITS: [usize; 2] = [18, 20];
 pub const LAYERS: usize = 5;
 /// Gradient sizes in the order one cycle runs them.
 const CYCLE: [usize; 3] = [0, 0, 1];
+/// Reference run for both widths: 16 qubits, two 1 MB states per member
+/// and one member per core, so beyond L2 like the gradients.
+const REF: Shape = Shape {
+    qubits: 16,
+    layers: LAYERS,
+    members: 2,
+    parallel: true,
+};
 
 struct Inputs {
     ansatz: [Ansatz; 2],
@@ -55,8 +64,7 @@ struct Last {
 }
 
 struct Timed {
-    ms: [Vec<f64>; 2],
-    wall_s: f64,
+    paired: [Paired; 2],
     last: Vec<Last>,
 }
 
@@ -69,8 +77,7 @@ fn timed_gradients(
     probes: &mut layers::Probes,
 ) -> Timed {
     let mut t = Timed {
-        ms: [Vec::new(), Vec::new()],
-        wall_s: 0.0,
+        paired: [Paired::new(REF), Paired::new(REF)],
         last: Vec::new(),
     };
     let start = Instant::now();
@@ -80,15 +87,15 @@ fn timed_gradients(
         let a = &inp.ansatz[size];
         let p = params(a, ctx.seed, salt, i);
         let op = salt * 1_000_000 + i;
-        let t0 = Instant::now();
-        let grad = probes.alloc_of(|| {
-            tr.span("grad.adjoint.gradient", None, op, |_| {
-                Adjoint
-                    .gradient(&a.circuit, &p, &inp.obs[size])
-                    .expect("adjoint gradient")
+        let grad = t.paired[size].op(|| {
+            probes.alloc_of(|| {
+                tr.span("grad.adjoint.gradient", None, op, |_| {
+                    Adjoint
+                        .gradient(&a.circuit, &p, &inp.obs[size])
+                        .expect("adjoint gradient")
+                })
             })
         });
-        t.ms[size].push(t0.elapsed().as_secs_f64() * 1e3);
         t.last.retain(|l| l.size != size);
         t.last.push(Last {
             size,
@@ -97,7 +104,6 @@ fn timed_gradients(
         });
         i += 1;
     }
-    t.wall_s = start.elapsed().as_secs_f64();
     t
 }
 
@@ -138,14 +144,14 @@ pub fn run(ctx: &Ctx) -> Report {
 
     if !ctx.traced() {
         let t = timed_gradients(ctx, &ctx.tracer, &inp, ctx.seconds, 0, &mut probes);
-        report.ops((t.ms[0].len() + t.ms[1].len()) as u64, 0);
-        report.set("main_p50_ms", stats::median(&t.ms[0]));
-        report.set("alt_p50_ms", stats::median(&t.ms[1]));
-        report.show_tail("wide.gradient q=18", &t.ms[0]);
-        report.show_tail("wide.gradient q=20", &t.ms[1]);
+        let [q18, q20] = &t.paired;
+        let q18 = report.set_rel("main_rel", "wide.gradient q=18", q18);
+        let q20 = report.set_rel("alt_rel", "wide.gradient q=20", q20);
+        let n = q18.len() + q20.len();
+        report.ops(n as u64, 0);
         report.set(
-            "throughput_per_s",
-            (t.ms[0].len() + t.ms[1].len()) as f64 / t.wall_s,
+            "throughput_rel",
+            n as f64 / (stats::sum(&q18) + stats::sum(&q20)),
         );
         report.set("peak_rss_mb", crate::host::peak_rss_mb());
         check(ctx, &inp, &t, &mut report);
@@ -162,7 +168,7 @@ pub fn run(ctx: &Ctx) -> Report {
     );
     let counters = Counters::start();
     let traced = timed_gradients(ctx, &ctx.tracer, &inp, ctx.seconds / 2.0, 2, &mut probes);
-    let n = (traced.ms[0].len() + traced.ms[1].len()) as f64;
+    let n = (traced.paired[0].ms().len() + traced.paired[1].ms().len()) as f64;
     // Every kernel forks inside `sim::parallel`: the gradient calls are the
     // walls that contain the fork-joins.
     counters.finish(
@@ -170,12 +176,18 @@ pub fn run(ctx: &Ctx) -> Report {
         n,
         &ctx.tracer.durations("grad.adjoint.gradient"),
     );
-    report.ops((plain.ms[0].len() + plain.ms[1].len()) as u64 + n as u64, 0);
+    report.ops(
+        (plain.paired[0].ms().len() + plain.paired[1].ms().len()) as u64 + n as u64,
+        0,
+    );
     report.set(
         "obs.trace_overhead_frac",
-        stats::median(&traced.ms[0]) / stats::median(&plain.ms[0]) - 1.0,
+        stats::median(&traced.paired[0].ratios()) / stats::median(&plain.paired[0].ratios()) - 1.0,
     );
-    report.set("grad.adjoint_us", stats::median(&traced.ms[0]) * 1e3);
+    report.set(
+        "grad.adjoint_us",
+        stats::median(&traced.paired[0].ms()) * 1e3,
+    );
 
     let tr = &ctx.tracer;
     for (size, &q) in QUBITS.iter().enumerate() {
