@@ -173,12 +173,15 @@ impl Ctx {
     }
 }
 
-/// Set-ups per run; `setup_s` is their median.
+/// Set-ups timed on each side of a batch workload's timed part.
 pub const SETUPS: usize = 5;
 
-/// Runs `f` `n` times and returns the last result with the median of the
-/// wall times in seconds — how `setup_s` is measured.
-pub fn setup_median<T>(n: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+/// Runs the set-up `f` `n` times and returns the last result with the
+/// wall times in seconds. Batch workloads time [`SETUPS`] set-ups before
+/// the timed part and as many after it, and report the median of all as
+/// `setup_s`: the shared host's speed changes within seconds, and set-ups
+/// taken at both ends of the run keep one slow spell from deciding it.
+pub fn time_setups<T>(n: usize, mut f: impl FnMut() -> T) -> (T, Vec<f64>) {
     let mut times = Vec::with_capacity(n);
     let mut last = None;
     for _ in 0..n {
@@ -187,7 +190,7 @@ pub fn setup_median<T>(n: usize, mut f: impl FnMut() -> T) -> (T, f64) {
         last = Some(f());
         times.push(t.elapsed().as_secs_f64());
     }
-    (last.expect("n >= 1"), stats::median(&times))
+    (last.expect("n >= 1"), times)
 }
 
 struct Args {

@@ -29,7 +29,7 @@ use plateau_sim::{Circuit, Observable, SimError};
 use crate::calib::{Paired, Shape};
 use crate::layers::{self, Counters};
 use crate::trace::Tracer;
-use crate::{reference, setup_median, stats, Ctx, Report, SETUPS};
+use crate::{reference, stats, time_setups, Ctx, Report, SETUPS};
 
 pub const QUBITS: usize = 10;
 pub const LAYERS: usize = 5;
@@ -266,8 +266,7 @@ fn set_up(ctx: &Ctx) {
 
 pub fn run(ctx: &Ctx) -> Report {
     let mut report = Report::default();
-    let ((), setup_s) = setup_median(SETUPS, || set_up(ctx));
-    report.set("setup_s", setup_s);
+    let ((), mut setups) = time_setups(SETUPS, || set_up(ctx));
 
     if !ctx.traced() {
         let t = timed_pairs(ctx, &ctx.tracer, ctx.seconds, 0, &mut report);
@@ -280,6 +279,8 @@ pub fn run(ctx: &Ctx) -> Report {
             n as f64 / (stats::sum(&shift) + stats::sum(&adjoint)),
         );
         report.set("peak_rss_mb", crate::host::peak_rss_mb());
+        setups.extend(time_setups(SETUPS, || set_up(ctx)).1);
+        report.set("setup_s", stats::median(&setups));
         report.show("train pairs (strategy runs)", t.pairs as f64, "count");
         check(ctx, &mut report);
         return report;

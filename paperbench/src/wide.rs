@@ -20,7 +20,7 @@ use plateau_sim::Observable;
 use crate::calib::{Paired, Shape};
 use crate::layers::{self, Counters};
 use crate::trace::Tracer;
-use crate::{setup_median, stats, Ctx, Report, SETUPS};
+use crate::{stats, time_setups, Ctx, Report, SETUPS};
 
 pub const QUBITS: [usize; 2] = [18, 20];
 pub const LAYERS: usize = 5;
@@ -133,13 +133,13 @@ fn check(ctx: &Ctx, inp: &Inputs, t: &Timed, report: &mut Report) {
 
 pub fn run(ctx: &Ctx) -> Report {
     let mut report = Report::default();
-    let (inp, setup_s) = setup_median(SETUPS, || {
+    let set_up = || {
         let inp = inputs();
         let p = params(&inp.ansatz[0], ctx.seed, u64::MAX, 0);
         std::hint::black_box(inp.ansatz[0].circuit.run(&p).expect("warm-up run"));
         inp
-    });
-    report.set("setup_s", setup_s);
+    };
+    let (inp, mut setups) = time_setups(SETUPS, set_up);
     let mut probes = layers::Probes::default();
 
     if !ctx.traced() {
@@ -154,6 +154,8 @@ pub fn run(ctx: &Ctx) -> Report {
             n as f64 / (stats::sum(&q18) + stats::sum(&q20)),
         );
         report.set("peak_rss_mb", crate::host::peak_rss_mb());
+        setups.extend(time_setups(SETUPS, set_up).1);
+        report.set("setup_s", stats::median(&setups));
         check(ctx, &inp, &t, &mut report);
         return report;
     }
