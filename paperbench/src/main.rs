@@ -139,10 +139,10 @@ impl Report {
         self.show(&format!("{label} p{:.1}", 100.0 * q), tail, "ms");
     }
 
-    /// Sets `metric` to the median of `p`'s relative times and prints, for people, the operations' wall-time median and
-    /// tail, the reference runs' median and the median relative time.
-    /// Returns the relative times.
-    pub fn set_rel(&mut self, metric: &'static str, label: &str, p: &calib::Paired) -> Vec<f64> {
+    /// Prints, for people, the wall-time median and tail of `p`'s
+    /// operations, the reference runs' median and the median relative
+    /// time; returns the relative times.
+    pub fn show_rel(&self, label: &str, p: &calib::Paired) -> Vec<f64> {
         let rel = p.ratios();
         self.show_tail(label, &p.ms());
         self.show(
@@ -155,6 +155,12 @@ impl Report {
             stats::median(&rel),
             "ratio",
         );
+        rel
+    }
+
+    /// [`Report::show_rel`], and sets `metric` to the median relative time.
+    pub fn set_rel(&mut self, metric: &'static str, label: &str, p: &calib::Paired) -> Vec<f64> {
+        let rel = self.show_rel(label, p);
         self.set(metric, stats::median(&rel));
         rel
     }

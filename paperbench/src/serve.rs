@@ -12,8 +12,9 @@
 //! Each server instance runs three phases: open loop at [`LOW_RPS`] (main
 //! op) and [`HIGH_RPS`] (alt op), each request timed from its scheduled
 //! send time; then closed loop with [`DEPTH`] requests in flight on
-//! [`CAPACITY_CONNECTIONS`] connection, for capacity. After each instance every response body is
-//! compared byte for byte with `handlers::execute` on the same request.
+//! [`CAPACITY_CONNECTIONS`] connection, for capacity. After each instance
+//! every response body is compared byte for byte with `handlers::execute`
+//! on the same request.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -769,7 +770,7 @@ pub fn run(ctx: &Ctx) -> Report {
             &format!("serve latency at {HIGH_RPS} rps"),
             &t.high,
         );
-        let per_response = report.set_rel("throughput_rel", "serve time per response", &t.capacity);
+        let per_response = report.show_rel("serve time per response", &t.capacity);
         report.set("throughput_rel", 1.0 / stats::median(&per_response));
         report.set("peak_rss_mb", crate::host::peak_rss_mb());
         report.show(
