@@ -564,7 +564,7 @@ const WARM_UP_SECONDS: f64 = 0.5;
 /// Share of `--seconds` spent in each of the three phases.
 const PHASE_SHARE: f64 = 0.25;
 /// Each phase runs as this many chunks, each between two reference runs.
-const CHUNKS: usize = 4;
+const CHUNKS: usize = 3;
 /// Requests each connection keeps in flight in the capacity phase.
 const DEPTH: usize = 1;
 /// Connections the capacity phase uses. With one request in flight on one
