@@ -13,6 +13,7 @@
 //! | `qasm-roundtrip` | emit→parse→re-simulate, plus emit fixed-point | `1e-12` |
 //! | `adjoint-vs-shift` | two exact gradient algorithms | `1e-8` |
 //! | `adjoint-vs-finite-diff` | exact vs `O(ε²)` central differences | `5e-6` |
+//! | `adjoint-partial-vs-gradient` | the adjoint's shortened single-parameter sweep vs its full-gradient entry | exact (`0`, bitwise) |
 //! | `fused-vs-raw` | gate-fusion compiler output vs the gate-by-gate run | `1e-10` |
 //! | `batched-vs-per-circuit` | `expectation_many` through the batched executor's scratch pool vs one `expectation` per set | exact (`0`) |
 //! | `mutated-vs-serial` | deliberately broken kernel (self-test only) | `1e-9` |
@@ -51,6 +52,10 @@ pub enum EnginePair {
     AdjointVsShift,
     /// Adjoint vs central finite-difference gradients.
     AdjointVsFiniteDiff,
+    /// Every adjoint single-parameter partial (a backward sweep that ends
+    /// at the parameter's gate) vs the matching entry of the full adjoint
+    /// gradient.
+    AdjointPartialVsGradient,
     /// The gate-fusion compiler's segment execution vs the gate-by-gate
     /// run of the same circuit.
     FusedVsRaw,
@@ -75,7 +80,7 @@ pub enum EnginePair {
 impl EnginePair {
     /// The pairs a normal fuzz run schedules (everything except the
     /// self-test mutant).
-    pub const ALL: [EnginePair; 10] = [
+    pub const ALL: [EnginePair; 11] = [
         EnginePair::SerialVsParallel,
         EnginePair::StateVsUnitary,
         EnginePair::StateVsDensity,
@@ -83,6 +88,7 @@ impl EnginePair {
         EnginePair::QasmRoundTrip,
         EnginePair::AdjointVsShift,
         EnginePair::AdjointVsFiniteDiff,
+        EnginePair::AdjointPartialVsGradient,
         EnginePair::FusedVsRaw,
         EnginePair::BatchedVsPerCircuit,
         EnginePair::ServeCodec,
@@ -98,6 +104,7 @@ impl EnginePair {
             EnginePair::QasmRoundTrip => "qasm-roundtrip",
             EnginePair::AdjointVsShift => "adjoint-vs-shift",
             EnginePair::AdjointVsFiniteDiff => "adjoint-vs-finite-diff",
+            EnginePair::AdjointPartialVsGradient => "adjoint-partial-vs-gradient",
             EnginePair::FusedVsRaw => "fused-vs-raw",
             EnginePair::BatchedVsPerCircuit => "batched-vs-per-circuit",
             EnginePair::ServeCodec => "serve-codec",
@@ -116,6 +123,7 @@ impl EnginePair {
             EnginePair::QasmRoundTrip,
             EnginePair::AdjointVsShift,
             EnginePair::AdjointVsFiniteDiff,
+            EnginePair::AdjointPartialVsGradient,
             EnginePair::FusedVsRaw,
             EnginePair::BatchedVsPerCircuit,
             EnginePair::ServeCodec,
@@ -144,11 +152,14 @@ impl EnginePair {
     /// serial-vs-parallel its budget is `1e-10` rather than zero. The
     /// batched executor runs the *same* evaluator arithmetic per set as
     /// the one-at-a-time path (only the statevector's home differs), so
-    /// its contract is bitwise and its budget zero.
+    /// its contract is bitwise and its budget zero. So is an adjoint
+    /// partial's: it replays the full gradient's recurrence over the same
+    /// ops in the same order, only ending earlier.
     pub fn tolerance(self) -> f64 {
         match self {
             EnginePair::SerialVsParallel => 0.0,
             EnginePair::BatchedVsPerCircuit => 0.0,
+            EnginePair::AdjointPartialVsGradient => 0.0,
             // The wire codec transports the op list verbatim, so the
             // rebuilt circuit replays byte-identical arithmetic; and the
             // canonical-form fixed point is a string equality, so there
@@ -182,9 +193,9 @@ impl EnginePair {
             EnginePair::StateVsUnitary | EnginePair::StateVsDensity => {
                 case.n_qubits <= SMALL_ORACLE_QUBITS
             }
-            EnginePair::AdjointVsShift | EnginePair::AdjointVsFiniteDiff => {
-                case.free_param_count() > 0
-            }
+            EnginePair::AdjointVsShift
+            | EnginePair::AdjointVsFiniteDiff
+            | EnginePair::AdjointPartialVsGradient => case.free_param_count() > 0,
         }
     }
 }
@@ -390,6 +401,27 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 pair,
                 delta,
                 format!("adjoint and finite-difference gradients diverged (max delta {delta:e})"),
+            )
+        }
+        EnginePair::AdjointPartialVsGradient => {
+            let obs = engine_try!(pair, "observable build", case.observable());
+            let g = engine_try!(pair, "adjoint gradient", Adjoint.gradient(&circuit, &params, &obs));
+            let mut delta = 0.0f64;
+            for (i, gi) in g.iter().enumerate() {
+                let p = engine_try!(
+                    pair,
+                    "adjoint partial",
+                    Adjoint.partial(&circuit, &params, &obs, i)
+                );
+                if p.to_bits() != gi.to_bits() {
+                    // Bitwise contract: even −0 vs +0 is a divergence.
+                    delta = delta.max((p - gi).abs().max(f64::MIN_POSITIVE));
+                }
+            }
+            verdict(
+                pair,
+                delta,
+                format!("adjoint partials diverged from their gradient entries (max delta {delta:e})"),
             )
         }
         EnginePair::FusedVsRaw => {
@@ -808,6 +840,7 @@ mod tests {
         };
         assert!(!EnginePair::AdjointVsShift.applies(&case));
         assert!(!EnginePair::AdjointVsFiniteDiff.applies(&case));
+        assert!(!EnginePair::AdjointPartialVsGradient.applies(&case));
         assert!(EnginePair::SerialVsParallel.applies(&case));
     }
 }

@@ -213,6 +213,7 @@ mod tests {
             "state-vs-density",
             "adjoint-vs-shift",
             "adjoint-vs-finite-diff",
+            "adjoint-partial-vs-gradient",
         ] {
             let c = report.stats[pair].comparisons;
             assert!(c > 0 && c <= 50, "{pair}: {c}");

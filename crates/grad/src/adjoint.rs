@@ -13,12 +13,21 @@
 //! `λ_k = (U_{k+1} ⋯ U_N)† H |ψ⟩`, both maintained incrementally while
 //! walking the op list backwards.
 //!
+//! The backward sweep ends at the earliest op it differentiates: nothing
+//! before that op reaches a tangent. A single partial `∂E/∂θ_i` whose
+//! earliest owning op is `k` of `N` therefore costs one forward pass plus
+//! `N − k` backward steps — for the paper's `θ_last`, only the tail of the
+//! last layer. [`Adjoint`]'s `gradient` and `partial` share one recurrence
+//! per representation (`gradient_raw` over ops, `gradient_fused` over
+//! fused segments), so a partial is bit-identical to the matching entry of
+//! the full gradient.
+//!
 //! This engine powers the paper's variance analysis at scale
 //! (200 circuits × 6 initializations × 5 qubit counts × deep circuits).
 
-use crate::engine::GradientEngine;
+use crate::engine::{check_index, Evaluator, GradientEngine};
 use plateau_linalg::C64;
-use plateau_sim::{Circuit, Observable, SimError, State};
+use plateau_sim::{Circuit, Observable, Op, SimError, State};
 
 /// The adjoint-differentiation gradient engine.
 ///
@@ -39,6 +48,41 @@ use plateau_sim::{Circuit, Observable, SimError, State};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Adjoint;
 
+/// The parameters one backward sweep differentiates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wrt {
+    /// Every parameter: the sweep returns the full gradient.
+    All,
+    /// Only `θ_i`: the sweep returns `[∂E/∂θ_i]`.
+    One(usize),
+}
+
+impl Wrt {
+    /// Length of the sweep's output for a circuit with `n_params`
+    /// parameters.
+    fn len(self, n_params: usize) -> usize {
+        match self {
+            Wrt::All => n_params,
+            Wrt::One(_) => 1,
+        }
+    }
+
+    /// The output slot parameter `index` accumulates into, or `None` when
+    /// this sweep does not differentiate it.
+    fn slot(self, index: usize) -> Option<usize> {
+        match self {
+            Wrt::All => Some(index),
+            Wrt::One(i) => (i == index).then_some(0),
+        }
+    }
+
+    /// The output slot `op`'s parameter accumulates into, or `None` when
+    /// `op` owns no parameter this sweep differentiates.
+    fn slot_of(self, op: &Op) -> Option<usize> {
+        op.free_param().and_then(|i| self.slot(i))
+    }
+}
+
 fn inner_re(a: &State, b: &State) -> f64 {
     let mut acc = C64::ZERO;
     for (x, y) in a.amplitudes().iter().zip(b.amplitudes().iter()) {
@@ -47,76 +91,123 @@ fn inner_re(a: &State, b: &State) -> f64 {
     acc.re
 }
 
+/// The sweep's one tangent buffer `μ`, refilled in place from `φ` (and
+/// cloned from it on first use) — one allocation per sweep however many
+/// parameters it differentiates.
+fn refill<'a>(spare: &'a mut Option<State>, phi: &State) -> &'a mut State {
+    match spare {
+        Some(mu) => mu.copy_from(phi),
+        None => *spare = Some(phi.clone()),
+    }
+    spare.as_mut().expect("filled above")
+}
+
 /// The same adjoint recurrence over fused segments: for a segment
 /// `S = U_k ⋯ U_1` the derivative with respect to a parameter owned by
 /// `U_j` is `U_k ⋯ U_{j+1} (∂U_j) U_{j-1} ⋯ U_1` — the merged-matrix
 /// product with the derivative block substituted at `j`, which
 /// [`plateau_sim::Segment::apply_derivative`] computes in one fused
-/// application against the segment-input state.
+/// application against the segment-input state. The sweep ends at the
+/// earliest segment holding an op it differentiates.
 pub(crate) fn gradient_fused(
     compiled: &plateau_sim::CompiledCircuit,
     params: &[f64],
     obs: &Observable,
+    wrt: Wrt,
 ) -> Result<Vec<f64>, SimError> {
+    let mut grad = vec![0.0; wrt.len(compiled.n_params())];
+    let segments = compiled.segments();
+    let Some(stop) = segments
+        .iter()
+        .position(|seg| seg.ops().iter().any(|op| wrt.slot_of(op).is_some()))
+    else {
+        return Ok(grad);
+    };
     // Forward pass: φ = U|0⟩ through the fused kernels.
     let mut phi = compiled.run(params)?;
     // λ = H|ψ⟩ (generally unnormalized).
     let mut lambda = State::from_amplitudes_unnormalized(obs.apply_raw(&phi)?)?;
 
-    let mut grad = vec![0.0; compiled.n_params()];
-    for seg in compiled.segments().iter().rev() {
+    let mut spare = None;
+    for (s, seg) in segments.iter().enumerate().skip(stop).rev() {
         // φ ← S† φ (now the state entering the segment).
         seg.apply_inverse(&mut phi, params)?;
-        for (op_pos, idx) in seg.free_params() {
-            // μ = (∂S/∂θ) φ.
-            let mut mu = phi.clone();
-            seg.apply_derivative(&mut mu, op_pos, params)?;
-            grad[idx] += 2.0 * inner_re(&lambda, &mu);
+        let mut owned = seg
+            .free_params()
+            .into_iter()
+            .filter_map(|(op_pos, i)| wrt.slot(i).map(|slot| (op_pos, slot)))
+            .peekable();
+        while let Some((op_pos, slot)) = owned.next() {
+            // μ = (∂S/∂θ) φ, built in φ itself for the sweep's last
+            // tangent (nothing reads φ after it).
+            let last = s == stop && owned.peek().is_none();
+            let mu = if last { &mut phi } else { refill(&mut spare, &phi) };
+            seg.apply_derivative(mu, op_pos, params)?;
+            grad[slot] += 2.0 * inner_re(&lambda, mu);
         }
-        // λ ← S† λ.
-        seg.apply_inverse(&mut lambda, params)?;
+        if s > stop {
+            // λ ← S† λ.
+            seg.apply_inverse(&mut lambda, params)?;
+        }
     }
     Ok(grad)
 }
 
-/// Counter/gauge accounting for one adjoint gradient evaluation —
-/// emitted identically by [`Adjoint::gradient`] and the batched
-/// executor's per-member adjoint path, so the two routes stay
-/// indistinguishable in the metrics.
-pub(crate) fn record_gradient_metrics(n_qubits: usize) {
+/// Validation and counter/gauge accounting shared by every adjoint entry
+/// point ([`Adjoint::gradient`], [`Adjoint`]'s `partial`, the compiled
+/// and batched paths), so the routes stay indistinguishable in the
+/// metrics. Callers have checked the parameter count.
+pub(crate) fn begin_gradient(n_qubits: usize, obs: &Observable) -> Result<(), SimError> {
+    if obs.n_qubits() != n_qubits {
+        return Err(SimError::ObservableMismatch {
+            observable_qubits: obs.n_qubits(),
+            state_qubits: n_qubits,
+        });
+    }
     plateau_obs::counter!("grad.gradients.adjoint").inc();
     // One forward run plus one backward sweep, regardless of the
     // parameter count — the whole point of the adjoint method.
     plateau_obs::counter!("grad.executions.adjoint").add(2);
-    // Working set: φ, λ, and the per-parameter tangent μ — three
+    // Working set: φ, λ, and the reused tangent μ — at most three
     // statevectors of 2^n complex amplitudes.
     plateau_obs::gauge!("grad.scratch.bytes").set((3usize << n_qubits) as f64 * 16.0);
+    Ok(())
 }
 
-/// The raw gate-by-gate adjoint recurrence. Callers have validated the
-/// parameter vector and the observable width and emitted the counters.
+/// The raw gate-by-gate adjoint recurrence, ending at the earliest op
+/// that owns a parameter in `wrt`. Callers have validated the parameter
+/// vector and the observable width and emitted the counters.
 pub(crate) fn gradient_raw(
     circuit: &Circuit,
     params: &[f64],
     obs: &Observable,
+    wrt: Wrt,
 ) -> Result<Vec<f64>, SimError> {
+    let mut grad = vec![0.0; wrt.len(circuit.n_params())];
+    let ops = circuit.ops();
+    let Some(stop) = ops.iter().position(|op| wrt.slot_of(op).is_some()) else {
+        return Ok(grad);
+    };
     // Forward pass: φ = U|0⟩.
     let mut phi = circuit.run(params)?;
     // λ = H|ψ⟩ (generally unnormalized).
     let mut lambda = State::from_amplitudes_unnormalized(obs.apply_raw(&phi)?)?;
 
-    let mut grad = vec![0.0; circuit.n_params()];
-    for op in circuit.ops().iter().rev() {
+    let mut spare = None;
+    for (k, op) in ops.iter().enumerate().skip(stop).rev() {
         // φ ← U_k† φ (now the state before op k).
         op.apply_inverse(&mut phi, params)?;
-        if let Some(idx) = op.free_param() {
-            // μ = (∂U_k/∂θ) φ.
-            let mut mu = phi.clone();
-            op.apply_derivative(&mut mu, params)?;
-            grad[idx] += 2.0 * inner_re(&lambda, &mu);
+        if let Some(slot) = wrt.slot_of(op) {
+            // μ = (∂U_k/∂θ) φ, built in φ itself at the stop op (nothing
+            // reads φ after it).
+            let mu = if k == stop { &mut phi } else { refill(&mut spare, &phi) };
+            op.apply_derivative(mu, params)?;
+            grad[slot] += 2.0 * inner_re(&lambda, mu);
         }
-        // λ ← U_k† λ.
-        op.apply_inverse(&mut lambda, params)?;
+        if k > stop {
+            // λ ← U_k† λ.
+            op.apply_inverse(&mut lambda, params)?;
+        }
     }
     Ok(grad)
 }
@@ -152,14 +243,8 @@ pub fn adjoint_gradient_compiled(
     obs: &Observable,
 ) -> Result<Vec<f64>, SimError> {
     compiled.check_params(params)?;
-    if obs.n_qubits() != compiled.n_qubits() {
-        return Err(SimError::ObservableMismatch {
-            observable_qubits: obs.n_qubits(),
-            state_qubits: compiled.n_qubits(),
-        });
-    }
-    record_gradient_metrics(compiled.n_qubits());
-    gradient_fused(compiled, params, obs)
+    begin_gradient(compiled.n_qubits(), obs)?;
+    gradient_fused(compiled, params, obs, Wrt::All)
 }
 
 impl GradientEngine for Adjoint {
@@ -169,27 +254,27 @@ impl GradientEngine for Adjoint {
         params: &[f64],
         obs: &Observable,
     ) -> Result<Vec<f64>, SimError> {
-        circuit.check_params(params)?;
-        if obs.n_qubits() != circuit.n_qubits() {
-            return Err(SimError::ObservableMismatch {
-                observable_qubits: obs.n_qubits(),
-                state_qubits: circuit.n_qubits(),
-            });
-        }
-        record_gradient_metrics(circuit.n_qubits());
-
         // The backward sweep applies every gate twice (once to φ, once to
-        // λ), so fusion pays double here: when the knob is on, both sweeps
-        // walk the compiled segment list instead of the raw op list.
-        if plateau_sim::fuse_enabled() {
-            return gradient_fused(&plateau_sim::compile(circuit), params, obs);
-        }
-        gradient_raw(circuit, params, obs)
+        // λ), so fusion pays double here: when the knob is on, the
+        // evaluator walks the compiled segment list instead of the raw
+        // op list.
+        Evaluator::new(circuit).adjoint(params, obs, Wrt::All)
     }
 
-    // `partial` keeps the default whole-gradient implementation: a single
-    // backward sweep already yields every parameter, so there is no cheaper
-    // single-parameter path.
+    /// One forward pass plus the backward sweep from the last op down to
+    /// the earliest op owning `θ_index` — bit-identical to
+    /// `gradient(..)[index]`, and the same counter accounting as one
+    /// gradient.
+    fn partial(
+        &self,
+        circuit: &Circuit,
+        params: &[f64],
+        obs: &Observable,
+        index: usize,
+    ) -> Result<f64, SimError> {
+        check_index(circuit, index)?;
+        Ok(Evaluator::new(circuit).adjoint(params, obs, Wrt::One(index))?[0])
+    }
 }
 
 #[cfg(test)]
@@ -325,7 +410,7 @@ mod tests {
         assert!(compiled.gates_out() < compiled.gates_in());
         for obs in [Observable::global_cost(4), Observable::local_cost(4)] {
             let raw = Adjoint.gradient(&c, &params, &obs).unwrap();
-            let fused = super::gradient_fused(&compiled, &params, &obs).unwrap();
+            let fused = gradient_fused(&compiled, &params, &obs, Wrt::All).unwrap();
             for (r, f) in raw.iter().zip(fused.iter()) {
                 assert!((r - f).abs() < 1e-12, "{obs}: {r} vs {f}");
             }
@@ -343,8 +428,7 @@ mod tests {
         let params = pseudo_angles(c.n_params(), 0.41);
         let obs = Observable::global_cost(3);
         let raw = Adjoint.gradient(&c, &params, &obs).unwrap();
-        let fused =
-            super::gradient_fused(&plateau_sim::compile(&c), &params, &obs).unwrap();
+        let fused = gradient_fused(&plateau_sim::compile(&c), &params, &obs, Wrt::All).unwrap();
         for (r, f) in raw.iter().zip(fused.iter()) {
             assert!((r - f).abs() < 1e-10, "{r} vs {f}");
         }
@@ -400,5 +484,153 @@ mod tests {
             &Observable::global_cost(5)
         )
         .is_err());
+    }
+
+    /// A random circuit mixing every parameterized op kind with fixed
+    /// gates (√X takes the `inverse_matrix` path) and bound rotations,
+    /// plus parameters and one of three observables.
+    #[derive(Debug)]
+    struct PartialCase {
+        circuit: Circuit,
+        params: Vec<f64>,
+        obs: Observable,
+    }
+
+    fn gen_partial_case(rng: &mut plateau_rng::StdRng) -> PartialCase {
+        use plateau_rng::Rng;
+        use plateau_sim::{FixedGate, Pauli, TwoQubitRotationGate};
+        const ROT: [RotationGate; 4] =
+            [RotationGate::Rx, RotationGate::Ry, RotationGate::Rz, RotationGate::Phase];
+        const TWO: [TwoQubitRotationGate; 3] =
+            [TwoQubitRotationGate::Rxx, TwoQubitRotationGate::Ryy, TwoQubitRotationGate::Rzz];
+        const ONE: [FixedGate; 4] = [FixedGate::H, FixedGate::Sx, FixedGate::T, FixedGate::S];
+        const PAIR: [FixedGate; 2] = [FixedGate::Cz, FixedGate::Cx];
+        let n = rng.gen_range(2..6usize);
+        let mut c = Circuit::new(n).unwrap();
+        for _ in 0..rng.gen_range(1..25usize) {
+            let a = rng.gen_range(0..n);
+            let b = (a + rng.gen_range(1..n)) % n;
+            let rot = ROT[rng.gen_range(0..ROT.len())];
+            match rng.gen_range(0..6u32) {
+                0 | 1 => c.push_rotation(rot, a),
+                2 => c.push_controlled_rotation(rot, a, b),
+                3 => c.push_two_qubit_rotation(TWO[rng.gen_range(0..TWO.len())], a, b),
+                4 => c.push_rotation_const(rot, a, rng.gen_range(-3.2..3.2)),
+                _ if rng.gen_range(0..2u32) == 0 => {
+                    c.push_fixed(ONE[rng.gen_range(0..ONE.len())], &[a])
+                }
+                _ => c.push_fixed(PAIR[rng.gen_range(0..PAIR.len())], &[a, b]),
+            }
+            .unwrap();
+        }
+        let params = (0..c.n_params()).map(|_| rng.gen_range(-3.2..3.2)).collect();
+        let obs = match rng.gen_range(0..3u32) {
+            0 => Observable::global_cost(n),
+            1 => Observable::local_cost(n),
+            _ => {
+                const PAULIS: [Pauli; 4] = [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z];
+                let terms = (0..rng.gen_range(1..4usize))
+                    .map(|_| {
+                        let string = (0..n).map(|_| PAULIS[rng.gen_range(0..4usize)]).collect();
+                        (rng.gen_range(-1.0..1.0), PauliString::new(string).unwrap())
+                    })
+                    .collect();
+                Observable::pauli_sum(terms).unwrap()
+            }
+        };
+        PartialCase { circuit: c, params, obs }
+    }
+
+    /// `Wrt::One(i)`'s sweep must reproduce entry `i` of `Wrt::All`'s to
+    /// the bit.
+    fn check_partials(
+        what: &str,
+        n_params: usize,
+        sweep: impl Fn(Wrt) -> Result<Vec<f64>, SimError>,
+    ) -> Result<(), String> {
+        let full = sweep(Wrt::All).map_err(|e| format!("{what} gradient: {e}"))?;
+        if full.len() != n_params {
+            return Err(format!("{what}: gradient has {} entries, not {n_params}", full.len()));
+        }
+        for (i, g) in full.iter().enumerate() {
+            let one = sweep(Wrt::One(i)).map_err(|e| format!("{what} partial {i}: {e}"))?;
+            if one.len() != 1 || one[0].to_bits() != g.to_bits() {
+                return Err(format!("{what}: partial {i} = {one:?}, gradient entry {g}"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn partial_is_bit_identical_to_the_gradient_entry() {
+        // Thousands of state allocations: hold the obs lock so the
+        // counter-pinning tests in this binary never see them.
+        let _guard = plateau_obs::test_lock();
+        let cases = plateau_rng::check::cases(64);
+        plateau_rng::check::forall(0xad70_1a57, cases, gen_partial_case, |case| {
+            let PartialCase { circuit, params, obs } = case;
+            let p = circuit.n_params();
+            // Both recurrences, driven directly (no global knob) so this
+            // test cannot race other tests in the binary.
+            check_partials("raw", p, |wrt| super::gradient_raw(circuit, params, obs, wrt))?;
+            let compiled = plateau_sim::compile(circuit);
+            check_partials("fused", p, |wrt| {
+                super::gradient_fused(&compiled, params, obs, wrt)
+            })?;
+            // And the public engine entry points.
+            let full = Adjoint.gradient(circuit, params, obs).map_err(|e| e.to_string())?;
+            for (i, g) in full.iter().enumerate() {
+                let one = Adjoint.partial(circuit, params, obs, i).map_err(|e| e.to_string())?;
+                if one.to_bits() != g.to_bits() {
+                    return Err(format!("Adjoint.partial({i}) = {one}, gradient entry {g}"));
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn partial_errors_match_the_gradient_projection() {
+        /// The trait's default `partial`: project the full gradient.
+        struct Projected;
+        impl GradientEngine for Projected {
+            fn gradient(
+                &self,
+                circuit: &Circuit,
+                params: &[f64],
+                obs: &Observable,
+            ) -> Result<Vec<f64>, SimError> {
+                Adjoint.gradient(circuit, params, obs)
+            }
+        }
+        let mut c = Circuit::new(2).unwrap();
+        c.rx(0).unwrap().cz(0, 1).unwrap().ry(1).unwrap();
+        let obs = Observable::global_cost(2);
+        let wide = Observable::global_cost(3);
+        for (params, obs, index) in [
+            (&[0.3, -0.2][..], &obs, 2), // index out of range
+            (&[0.3][..], &obs, 0),       // wrong parameter count
+            (&[0.3, -0.2][..], &wide, 1), // observable width mismatch
+            (&[0.3, -0.2][..], &obs, 1), // valid
+        ] {
+            assert_eq!(
+                Adjoint.partial(&c, params, obs, index),
+                Projected.partial(&c, params, obs, index)
+            );
+        }
+        assert_eq!(
+            Adjoint.partial(&c, &[0.3, -0.2], &obs, 2),
+            Err(SimError::ParamOutOfRange { index: 2, n_params: 2 })
+        );
+        let bare = Circuit::new(1).unwrap();
+        let obs1 = Observable::global_cost(1);
+        assert_eq!(
+            Adjoint.partial_last(&bare, &[], &obs1),
+            Err(SimError::ParamOutOfRange { index: 0, n_params: 0 })
+        );
+        assert_eq!(
+            Adjoint.partial_last(&bare, &[], &obs1),
+            Projected.partial_last(&bare, &[], &obs1)
+        );
     }
 }

@@ -36,6 +36,7 @@
 //! workers; smaller batches run on the caller's thread against the
 //! executor's own scratch. Callers never re-derive the predicate.
 
+use crate::adjoint::Wrt;
 use crate::engine::{Evaluator, MIN_PAR_EVALS};
 use plateau_obs::{counter, gauge, histogram};
 use plateau_sim::{Circuit, Observable, SimError, State};
@@ -270,6 +271,42 @@ impl<'c> BatchExecutor<'c> {
         param_sets: &[Vec<f64>],
         obs: &Observable,
     ) -> Result<Vec<Vec<f64>>, SimError> {
+        self.adjoint_many(param_sets, obs, Wrt::All)
+    }
+
+    /// Adjoint partial `∂E/∂θ_last` for every parameter set, in input
+    /// order — the variance scan's quantity, one ensemble at a time. Each
+    /// member is bit-identical to [`crate::Adjoint`]'s `partial_last`: the
+    /// backward sweep ends at `θ_last`'s gate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::ParamOutOfRange`] when the circuit has no free
+    /// parameters, plus [`Self::adjoint_gradient_many`]'s conditions.
+    pub fn partial_last_many_adjoint(
+        &mut self,
+        param_sets: &[Vec<f64>],
+        obs: &Observable,
+    ) -> Result<Vec<f64>, SimError> {
+        let n = self.n_params();
+        if n == 0 {
+            return Err(SimError::ParamOutOfRange { index: 0, n_params: 0 });
+        }
+        Ok(self
+            .adjoint_many(param_sets, obs, Wrt::One(n - 1))?
+            .into_iter()
+            .map(|g| g[0])
+            .collect())
+    }
+
+    /// One adjoint sweep over the parameters in `wrt` per parameter set,
+    /// in input order.
+    fn adjoint_many(
+        &mut self,
+        param_sets: &[Vec<f64>],
+        obs: &Observable,
+        wrt: Wrt,
+    ) -> Result<Vec<Vec<f64>>, SimError> {
         self.check_sets(param_sets)?;
         let n_jobs = param_sets.len();
         if n_jobs == 0 {
@@ -288,36 +325,13 @@ impl<'c> BatchExecutor<'c> {
         if workers <= 1 {
             param_sets
                 .iter()
-                .map(|set| ev.adjoint_gradient(set, obs))
+                .map(|set| ev.adjoint(set, obs, wrt))
                 .collect()
         } else {
-            plateau_par::par_map_indexed(n_jobs, |j| ev.adjoint_gradient(&param_sets[j], obs))
+            plateau_par::par_map_indexed(n_jobs, |j| ev.adjoint(&param_sets[j], obs, wrt))
                 .into_iter()
                 .collect()
         }
-    }
-
-    /// Adjoint partial `∂E/∂θ_last` for every parameter set, in input
-    /// order — the variance scan's quantity, one ensemble at a time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ParamOutOfRange`] when the circuit has no free
-    /// parameters, plus [`Self::adjoint_gradient_many`]'s conditions.
-    pub fn partial_last_many_adjoint(
-        &mut self,
-        param_sets: &[Vec<f64>],
-        obs: &Observable,
-    ) -> Result<Vec<f64>, SimError> {
-        let n = self.n_params();
-        if n == 0 {
-            return Err(SimError::ParamOutOfRange { index: 0, n_params: 0 });
-        }
-        Ok(self
-            .adjoint_gradient_many(param_sets, obs)?
-            .into_iter()
-            .map(|g| g[n - 1])
-            .collect())
     }
 
     /// Parameter-shift partial `∂E/∂θ_last` for every parameter set, in

@@ -55,30 +55,25 @@ impl<'c> Evaluator<'c> {
         obs.expectation(state)
     }
 
-    /// One full adjoint gradient through whichever representation this
-    /// evaluator holds — the same computation (and the same counter
-    /// accounting) as [`crate::Adjoint::gradient`], minus the per-call
-    /// compile when fusion is on.
-    pub(crate) fn adjoint_gradient(
+    /// One adjoint sweep over the parameters in `wrt`, through whichever
+    /// representation this evaluator holds — the same computation (and
+    /// the same counter accounting) as [`crate::Adjoint`]'s `gradient`
+    /// and `partial`, minus the per-call compile when fusion is on.
+    pub(crate) fn adjoint(
         &self,
         params: &[f64],
         obs: &Observable,
+        wrt: crate::adjoint::Wrt,
     ) -> Result<Vec<f64>, SimError> {
-        if obs.n_qubits() != self.n_qubits() {
-            return Err(SimError::ObservableMismatch {
-                observable_qubits: obs.n_qubits(),
-                state_qubits: self.n_qubits(),
-            });
-        }
-        crate::adjoint::record_gradient_metrics(self.n_qubits());
         match self {
-            Evaluator::Raw(circuit) => {
-                circuit.check_params(params)?;
-                crate::adjoint::gradient_raw(circuit, params, obs)
-            }
+            Evaluator::Raw(circuit) => circuit.check_params(params)?,
+            Evaluator::Fused(compiled) => compiled.check_params(params)?,
+        }
+        crate::adjoint::begin_gradient(self.n_qubits(), obs)?;
+        match self {
+            Evaluator::Raw(circuit) => crate::adjoint::gradient_raw(circuit, params, obs, wrt),
             Evaluator::Fused(compiled) => {
-                compiled.check_params(params)?;
-                crate::adjoint::gradient_fused(compiled, params, obs)
+                crate::adjoint::gradient_fused(compiled, params, obs, wrt)
             }
         }
     }
@@ -169,13 +164,24 @@ pub fn expectation_many(
     crate::batch::BatchExecutor::new(circuit).expectation_many(param_sets, obs)
 }
 
+/// Rejects a parameter index past the end of `circuit`'s parameters.
+pub(crate) fn check_index(circuit: &Circuit, index: usize) -> Result<(), SimError> {
+    if index >= circuit.n_params() {
+        return Err(SimError::ParamOutOfRange {
+            index,
+            n_params: circuit.n_params(),
+        });
+    }
+    Ok(())
+}
+
 /// A strategy for computing `∂E/∂θ` of a parameterized circuit against a
 /// Hermitian observable.
 ///
 /// Implementations: [`crate::ParameterShift`] (exact, 2 or 4 circuit
 /// evaluations per parameter), [`crate::Adjoint`] (exact, one forward plus
-/// one backward sweep for *all* parameters), [`crate::FiniteDifference`]
-/// (approximate; test oracle).
+/// one backward sweep for *all* parameters, or a shortened sweep for
+/// one), [`crate::FiniteDifference`] (approximate; test oracle).
 pub trait GradientEngine {
     /// Gradient with respect to every free parameter.
     ///
@@ -194,7 +200,10 @@ pub trait GradientEngine {
     /// The default implementation computes the full gradient and projects;
     /// engines with a cheaper single-parameter path override this — the
     /// paper's variance analysis differentiates only the *last* parameter,
-    /// so this path matters.
+    /// so this path matters. [`crate::ParameterShift`] runs only
+    /// `θ_index`'s 2 or 4 shifted evaluations; [`crate::Adjoint`] runs one
+    /// forward pass plus `N − k` backward steps, where `k` is the earliest
+    /// of the circuit's `N` ops owning `θ_index`.
     ///
     /// # Errors
     ///
@@ -207,12 +216,7 @@ pub trait GradientEngine {
         obs: &Observable,
         index: usize,
     ) -> Result<f64, SimError> {
-        if index >= circuit.n_params() {
-            return Err(SimError::ParamOutOfRange {
-                index,
-                n_params: circuit.n_params(),
-            });
-        }
+        check_index(circuit, index)?;
         Ok(self.gradient(circuit, params, obs)?[index])
     }
 

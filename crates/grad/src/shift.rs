@@ -171,12 +171,7 @@ impl GradientEngine for ParameterShift {
         obs: &Observable,
         index: usize,
     ) -> Result<f64, SimError> {
-        if index >= circuit.n_params() {
-            return Err(SimError::ParamOutOfRange {
-                index,
-                n_params: circuit.n_params(),
-            });
-        }
+        crate::engine::check_index(circuit, index)?;
         circuit.check_params(params)?;
         self.partial_impl(circuit, params, obs, index)
     }

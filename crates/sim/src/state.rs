@@ -140,6 +140,21 @@ impl State {
         self.amps[0] = C64::ONE;
     }
 
+    /// Overwrites this state with `other`'s amplitudes **in place**,
+    /// reusing the existing buffer — a clone without the allocation.
+    ///
+    /// The adjoint sweep refills one tangent buffer from `φ` per
+    /// parameter with this instead of cloning `φ` each time. Like
+    /// `clone`, it bumps no `sim.state.*` counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two states have different qubit counts.
+    pub fn copy_from(&mut self, other: &State) {
+        assert_eq!(self.n_qubits, other.n_qubits, "state widths differ");
+        self.amps.copy_from_slice(&other.amps);
+    }
+
     /// Mutable access to the raw amplitude buffer, for in-place kernels
     /// living in sibling modules (the fusion compiler's product-state
     /// prologue writes amplitudes directly).

@@ -105,8 +105,9 @@ rm -rf "${ledger_dir}"
 echo "=== differential fuzz smoke gate ==="
 # A fixed-seed campaign over the full engine matrix (DESIGN.md §10):
 # serial vs parallel kernels, statevector vs unitary vs density matrix,
-# raw vs pass-optimized, fused vs raw, QASM round-trip, and three
-# gradient engines. Any divergence fails the gate and leaves a shrunk
+# raw vs pass-optimized, fused vs raw, QASM round-trip, three gradient
+# engines, and every adjoint single-parameter partial vs its full-gradient
+# entry (bitwise). Any divergence fails the gate and leaves a shrunk
 # reproducer under target/fuzz/ (replay with `plateau fuzz --replay
 # <file>`). The mutation self-test then proves the harness still detects
 # — and shrinks — both deliberately broken engines (the off-by-one

@@ -154,6 +154,49 @@ fn adjoint_executes_constant_circuits_per_gradient() {
 }
 
 #[test]
+fn adjoint_partial_last_sweeps_only_the_tail_after_its_gate() {
+    let _guard = plateau_obs::test_lock();
+    plateau_obs::set_metrics_enabled(true);
+    // The counts below assume gate-by-gate execution; pin fusion off so
+    // the suite also passes under PLATEAU_SIM_FUSE=1.
+    plateau_sim::set_fuse(false);
+
+    use plateau_core::ansatz::variance_ansatz;
+    use plateau_core::cost::CostKind;
+    use plateau_grad::{Adjoint, GradientEngine};
+    use plateau_rng::{rngs::StdRng, SeedableRng};
+
+    let (q, layers) = (4usize, 6usize);
+    let a = variance_ansatz(q, layers, &mut StdRng::seed_from_u64(7)).unwrap();
+    let c = &a.circuit;
+    let n = c.n_params();
+    let params: Vec<f64> = (0..n).map(|i| 0.1 * i as f64).collect();
+    let obs = CostKind::Global.observable(q);
+    let (ops, k) = (c.ops().len() as u64, c.op_of_param(n - 1).unwrap() as u64);
+
+    let names = [
+        "sim.gate.derivative_applications",
+        "sim.gate.inverse_applications",
+        "grad.gradients.adjoint",
+        "grad.executions.adjoint",
+    ];
+    let before: Vec<u64> = names.iter().map(|name| counter_value(name)).collect();
+    Adjoint.partial_last(c, &params, &obs).unwrap();
+    let delta: Vec<u64> = names
+        .iter()
+        .zip(&before)
+        .map(|(name, b)| counter_value(name) - b)
+        .collect();
+    // One tangent, at θ_last's gate (op k of N). φ steps back through
+    // ops N−1…k and λ through N−1…k+1; ops 0…k−1 are never revisited.
+    // One gradient, two executions, as for a full gradient.
+    assert_eq!(delta, [1, 2 * (ops - 1 - k) + 1, 1, 2]);
+
+    plateau_sim::reset_fuse();
+    plateau_obs::set_metrics_enabled(false);
+}
+
+#[test]
 fn fused_run_emits_exact_compression_counters() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::set_metrics_enabled(true);
