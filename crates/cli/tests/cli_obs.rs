@@ -85,9 +85,11 @@ fn variance_run_emits_manifest_spans_and_exact_gate_counts() {
     assert!(spans.iter().any(|s| s.get("name").unwrap().as_str() == Some("variance_scan")));
 
     // Final record: the metrics snapshot. Gate counters must match the
-    // analytic count: each of the 6 strategies × 8 circuits × 2 shift
-    // evaluations executes a circuit with layers × q rotations and
-    // layers × (q − 1) CZs, for q ∈ {2, 3}.
+    // analytic count: each of the 6 strategies × 8 circuits differentiates
+    // θ_last (the last layer's last rotation) by two shift evaluations
+    // that share the unshifted prefix before it — walked once, with
+    // layers·q − 1 rotations and (layers − 1)(q − 1) CZs — and each run
+    // the suffix (1 rotation, q − 1 CZs), for q ∈ {2, 3}.
     let metrics = records.last().unwrap();
     assert_eq!(kind(metrics).as_deref(), Some("metrics"));
     let counter = |name: &str| {
@@ -97,9 +99,10 @@ fn variance_run_emits_manifest_spans_and_exact_gate_counts() {
             .and_then(|v| v.as_f64())
             .unwrap_or_else(|| panic!("counter {name} missing"))
     };
-    let per_exec: f64 = 6.0 * 8.0 * 2.0 * 10.0; // strategies × circuits × evals × layers
-    assert_eq!(counter("sim.gate.rotation"), per_exec * (2.0 + 3.0));
-    assert_eq!(counter("sim.gate.fixed"), per_exec * (1.0 + 2.0));
+    // Per partial: layers·q + 1 rotations and (layers + 1)(q − 1) CZs.
+    let partials: f64 = 6.0 * 8.0; // strategies × circuits, per qubit count
+    assert_eq!(counter("sim.gate.rotation"), partials * (21.0 + 31.0));
+    assert_eq!(counter("sim.gate.fixed"), partials * (11.0 + 22.0));
     // Circuit executions per gradient engine: the scan differentiates the
     // last parameter by two-term parameter shift only.
     let executions = 6.0 * 2.0 * 8.0 * 2.0; // strategies × qubit counts × circuits × evals

@@ -14,6 +14,7 @@
 //! | `adjoint-vs-shift` | two exact gradient algorithms | `1e-8` |
 //! | `adjoint-vs-finite-diff` | exact vs `O(ε²)` central differences | `5e-6` |
 //! | `adjoint-partial-vs-gradient` | the adjoint's shortened single-parameter sweep vs its full-gradient entry | exact (`0`, bitwise) |
+//! | `shift-vs-per-job` | the prefix-sharing parameter-shift gradient vs `Σ coeff · E(θ with θ_i += s)`, one full `expectation` per shifted job | exact (`0`, bitwise) |
 //! | `fused-vs-raw` | gate-fusion compiler output vs the gate-by-gate run | `1e-10` |
 //! | `batched-vs-per-circuit` | `expectation_many` through the batched executor's scratch pool vs one `expectation` per set | exact (`0`) |
 //! | `mutated-vs-serial` | deliberately broken kernel (self-test only) | `1e-9` |
@@ -56,6 +57,11 @@ pub enum EnginePair {
     /// at the parameter's gate) vs the matching entry of the full adjoint
     /// gradient.
     AdjointPartialVsGradient,
+    /// The parameter-shift gradient, whose shifted runs resume from a
+    /// shared unshifted prefix, vs the per-job oracle: every shifted
+    /// evaluation as one full `expectation` from `|0…0⟩`, folded with the
+    /// textbook shift-rule coefficients.
+    ShiftVsPerJob,
     /// The gate-fusion compiler's segment execution vs the gate-by-gate
     /// run of the same circuit.
     FusedVsRaw,
@@ -80,7 +86,7 @@ pub enum EnginePair {
 impl EnginePair {
     /// The pairs a normal fuzz run schedules (everything except the
     /// self-test mutant).
-    pub const ALL: [EnginePair; 11] = [
+    pub const ALL: [EnginePair; 12] = [
         EnginePair::SerialVsParallel,
         EnginePair::StateVsUnitary,
         EnginePair::StateVsDensity,
@@ -89,6 +95,7 @@ impl EnginePair {
         EnginePair::AdjointVsShift,
         EnginePair::AdjointVsFiniteDiff,
         EnginePair::AdjointPartialVsGradient,
+        EnginePair::ShiftVsPerJob,
         EnginePair::FusedVsRaw,
         EnginePair::BatchedVsPerCircuit,
         EnginePair::ServeCodec,
@@ -105,6 +112,7 @@ impl EnginePair {
             EnginePair::AdjointVsShift => "adjoint-vs-shift",
             EnginePair::AdjointVsFiniteDiff => "adjoint-vs-finite-diff",
             EnginePair::AdjointPartialVsGradient => "adjoint-partial-vs-gradient",
+            EnginePair::ShiftVsPerJob => "shift-vs-per-job",
             EnginePair::FusedVsRaw => "fused-vs-raw",
             EnginePair::BatchedVsPerCircuit => "batched-vs-per-circuit",
             EnginePair::ServeCodec => "serve-codec",
@@ -124,6 +132,7 @@ impl EnginePair {
             EnginePair::AdjointVsShift,
             EnginePair::AdjointVsFiniteDiff,
             EnginePair::AdjointPartialVsGradient,
+            EnginePair::ShiftVsPerJob,
             EnginePair::FusedVsRaw,
             EnginePair::BatchedVsPerCircuit,
             EnginePair::ServeCodec,
@@ -154,12 +163,15 @@ impl EnginePair {
     /// the one-at-a-time path (only the statevector's home differs), so
     /// its contract is bitwise and its budget zero. So is an adjoint
     /// partial's: it replays the full gradient's recurrence over the same
-    /// ops in the same order, only ending earlier.
+    /// ops in the same order, only ending earlier. And so is a shifted
+    /// run's: resuming from a copied prefix repeats the full run's
+    /// arithmetic from the same bits.
     pub fn tolerance(self) -> f64 {
         match self {
             EnginePair::SerialVsParallel => 0.0,
             EnginePair::BatchedVsPerCircuit => 0.0,
             EnginePair::AdjointPartialVsGradient => 0.0,
+            EnginePair::ShiftVsPerJob => 0.0,
             // The wire codec transports the op list verbatim, so the
             // rebuilt circuit replays byte-identical arithmetic; and the
             // canonical-form fixed point is a string equality, so there
@@ -195,7 +207,8 @@ impl EnginePair {
             }
             EnginePair::AdjointVsShift
             | EnginePair::AdjointVsFiniteDiff
-            | EnginePair::AdjointPartialVsGradient => case.free_param_count() > 0,
+            | EnginePair::AdjointPartialVsGradient
+            | EnginePair::ShiftVsPerJob => case.free_param_count() > 0,
         }
     }
 }
@@ -233,6 +246,27 @@ fn state_delta(a: &State, b: &State) -> f64 {
         .zip(b.amplitudes())
         .map(|(x, y)| (*x - *y).norm())
         .fold(0.0, f64::max)
+}
+
+/// The textbook `(shift, coeff)` terms for `∂E/∂θ_i`: the two-term rule
+/// for Pauli and Pauli-product generators, PennyLane's four-term rule
+/// (`c± = (√2 ± 1) / (4√2)`, shifts `π/2` and `3π/2`) for controlled
+/// rotations — in the order the engine evaluates them.
+fn shift_rule(circuit: &Circuit, i: usize) -> Vec<(f64, f64)> {
+    use std::f64::consts::{FRAC_PI_2, SQRT_2};
+    match circuit.op_of_param(i).map(|k| &circuit.ops()[k]) {
+        Some(Op::ControlledRotation { .. }) => {
+            let c1 = (SQRT_2 + 1.0) / (4.0 * SQRT_2);
+            let c2 = (SQRT_2 - 1.0) / (4.0 * SQRT_2);
+            vec![
+                (FRAC_PI_2, c1),
+                (-FRAC_PI_2, -c1),
+                (3.0 * FRAC_PI_2, -c2),
+                (-3.0 * FRAC_PI_2, c2),
+            ]
+        }
+        _ => vec![(FRAC_PI_2, 0.5), (-FRAC_PI_2, -0.5)],
+    }
 }
 
 /// Largest `|gᵢ − hᵢ|` over two gradient vectors, or `∞` on length
@@ -422,6 +456,37 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 pair,
                 delta,
                 format!("adjoint partials diverged from their gradient entries (max delta {delta:e})"),
+            )
+        }
+        EnginePair::ShiftVsPerJob => {
+            let obs = engine_try!(pair, "observable build", case.observable());
+            let g = engine_try!(
+                pair,
+                "parameter shift",
+                ParameterShift.gradient(&circuit, &params, &obs)
+            );
+            let mut delta = 0.0f64;
+            for (i, gi) in g.iter().enumerate() {
+                // Folded in the engine's job order, from +0.0.
+                let mut oracle = 0.0;
+                for (shift, coeff) in shift_rule(&circuit, i) {
+                    let mut theta = params.clone();
+                    theta[i] += shift;
+                    let e = engine_try!(
+                        pair,
+                        "per-job expectation",
+                        plateau_grad::expectation(&circuit, &theta, &obs)
+                    );
+                    oracle += coeff * e;
+                }
+                if oracle.to_bits() != gi.to_bits() {
+                    delta = delta.max((oracle - gi).abs().max(f64::MIN_POSITIVE));
+                }
+            }
+            verdict(
+                pair,
+                delta,
+                format!("parameter-shift gradient diverged from the per-job oracle (max delta {delta:e})"),
             )
         }
         EnginePair::FusedVsRaw => {
@@ -841,6 +906,7 @@ mod tests {
         assert!(!EnginePair::AdjointVsShift.applies(&case));
         assert!(!EnginePair::AdjointVsFiniteDiff.applies(&case));
         assert!(!EnginePair::AdjointPartialVsGradient.applies(&case));
+        assert!(!EnginePair::ShiftVsPerJob.applies(&case));
         assert!(EnginePair::SerialVsParallel.applies(&case));
     }
 }

@@ -214,6 +214,7 @@ mod tests {
             "adjoint-vs-shift",
             "adjoint-vs-finite-diff",
             "adjoint-partial-vs-gradient",
+            "shift-vs-per-job",
         ] {
             let c = report.stats[pair].comparisons;
             assert!(c > 0 && c <= 50, "{pair}: {c}");

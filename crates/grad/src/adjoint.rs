@@ -281,6 +281,7 @@ impl GradientEngine for Adjoint {
 mod tests {
     use super::*;
     use crate::shift::ParameterShift;
+    use crate::testkit::{random_case, RandomCase};
     use plateau_sim::{PauliString, RotationGate};
 
     fn pseudo_angles(n: usize, seed: f64) -> Vec<f64> {
@@ -486,61 +487,6 @@ mod tests {
         .is_err());
     }
 
-    /// A random circuit mixing every parameterized op kind with fixed
-    /// gates (√X takes the `inverse_matrix` path) and bound rotations,
-    /// plus parameters and one of three observables.
-    #[derive(Debug)]
-    struct PartialCase {
-        circuit: Circuit,
-        params: Vec<f64>,
-        obs: Observable,
-    }
-
-    fn gen_partial_case(rng: &mut plateau_rng::StdRng) -> PartialCase {
-        use plateau_rng::Rng;
-        use plateau_sim::{FixedGate, Pauli, TwoQubitRotationGate};
-        const ROT: [RotationGate; 4] =
-            [RotationGate::Rx, RotationGate::Ry, RotationGate::Rz, RotationGate::Phase];
-        const TWO: [TwoQubitRotationGate; 3] =
-            [TwoQubitRotationGate::Rxx, TwoQubitRotationGate::Ryy, TwoQubitRotationGate::Rzz];
-        const ONE: [FixedGate; 4] = [FixedGate::H, FixedGate::Sx, FixedGate::T, FixedGate::S];
-        const PAIR: [FixedGate; 2] = [FixedGate::Cz, FixedGate::Cx];
-        let n = rng.gen_range(2..6usize);
-        let mut c = Circuit::new(n).unwrap();
-        for _ in 0..rng.gen_range(1..25usize) {
-            let a = rng.gen_range(0..n);
-            let b = (a + rng.gen_range(1..n)) % n;
-            let rot = ROT[rng.gen_range(0..ROT.len())];
-            match rng.gen_range(0..6u32) {
-                0 | 1 => c.push_rotation(rot, a),
-                2 => c.push_controlled_rotation(rot, a, b),
-                3 => c.push_two_qubit_rotation(TWO[rng.gen_range(0..TWO.len())], a, b),
-                4 => c.push_rotation_const(rot, a, rng.gen_range(-3.2..3.2)),
-                _ if rng.gen_range(0..2u32) == 0 => {
-                    c.push_fixed(ONE[rng.gen_range(0..ONE.len())], &[a])
-                }
-                _ => c.push_fixed(PAIR[rng.gen_range(0..PAIR.len())], &[a, b]),
-            }
-            .unwrap();
-        }
-        let params = (0..c.n_params()).map(|_| rng.gen_range(-3.2..3.2)).collect();
-        let obs = match rng.gen_range(0..3u32) {
-            0 => Observable::global_cost(n),
-            1 => Observable::local_cost(n),
-            _ => {
-                const PAULIS: [Pauli; 4] = [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z];
-                let terms = (0..rng.gen_range(1..4usize))
-                    .map(|_| {
-                        let string = (0..n).map(|_| PAULIS[rng.gen_range(0..4usize)]).collect();
-                        (rng.gen_range(-1.0..1.0), PauliString::new(string).unwrap())
-                    })
-                    .collect();
-                Observable::pauli_sum(terms).unwrap()
-            }
-        };
-        PartialCase { circuit: c, params, obs }
-    }
-
     /// `Wrt::One(i)`'s sweep must reproduce entry `i` of `Wrt::All`'s to
     /// the bit.
     fn check_partials(
@@ -567,8 +513,8 @@ mod tests {
         // counter-pinning tests in this binary never see them.
         let _guard = plateau_obs::test_lock();
         let cases = plateau_rng::check::cases(64);
-        plateau_rng::check::forall(0xad70_1a57, cases, gen_partial_case, |case| {
-            let PartialCase { circuit, params, obs } = case;
+        plateau_rng::check::forall(0xad70_1a57, cases, random_case, |case| {
+            let RandomCase { circuit, params, obs } = case;
             let p = circuit.n_params();
             // Both recurrences, driven directly (no global knob) so this
             // test cannot race other tests in the binary.

@@ -10,12 +10,30 @@
 //!
 //! - the circuit is compiled a single time (when `PLATEAU_SIM_FUSE` is
 //!   on) and reused for every member of the batch;
-//! - each worker thread owns exactly one reusable scratch
-//!   [`plateau_sim::State`] plus one parameter buffer, reset in place
-//!   between evaluations — peak statevector allocation is
-//!   `O(workers · 2^n)` regardless of batch size;
+//! - each worker thread owns one reusable scratch [`plateau_sim::State`]
+//!   plus one parameter buffer, reset in place between evaluations;
+//!   shifted sweeps add a second state per worker for the shared prefix
+//!   (below) — peak statevector allocation is `O(workers · 2^n)`
+//!   regardless of batch size;
 //! - shifted evaluations travel as `(param index, shift)` pairs against
 //!   one base vector instead of `O(k)` bytes per job.
+//!
+//! # Shifted sweeps share prefixes
+//!
+//! Both of `θ_i`'s shifted circuits run the same gates, at the same
+//! angles, before `θ_i`'s first gate. A shifted sweep therefore orders its
+//! jobs by (base vector, prefix cut — that first gate, or first fused
+//! segment) and walks the unshifted circuit forward once: each job copies
+//! the prefix state into the worker's second scratch state and runs only
+//! the shifted gate and the suffix. One gradient costs one forward walk
+//! per chunk plus `Σ (N − cut)` over its shifted evaluations instead of
+//! `2k · N` gate applications.
+//!
+//! The unit of parallel work is a **chunk** of consecutive prefix groups:
+//! at most `SHIFT_CHUNKS` (8) chunks of roughly equal suffix cost, each
+//! walking its own prefix from `|0…0⟩`. The plan depends only on the
+//! circuit and the shift list, never on the worker count, so gate counts
+//! and results are the same on every host.
 //!
 //! # Determinism contract
 //!
@@ -23,28 +41,40 @@
 //! serial loop of [`crate::expectation`] over the same sets, regardless
 //! of `PLATEAU_THREADS` and of whether the batch routed serially or in
 //! parallel: every evaluation runs the same arithmetic on its own scratch
-//! state, and all reductions (the observable fold, the shift-rule sum)
-//! happen in a fixed order on the ordered results. The property tests in
-//! `tests/batch_props.rs` and the `batched-vs-per-circuit` fuzz pair pin
-//! this at tolerance zero.
+//! state — a shifted evaluation resumes from prefix bits that equal the
+//! full run's at that cut — and all reductions (the observable fold, the
+//! shift-rule sum) happen in a fixed order on the ordered results. The
+//! property tests in `tests/batch_props.rs` and `shift.rs`, and the
+//! `batched-vs-per-circuit` and `shift-vs-per-job` fuzz pairs pin this at
+//! tolerance zero.
 //!
 //! # Routing
 //!
 //! The serial/parallel decision is made in exactly one place
-//! ([`BatchExecutor::run_jobs`]): batches of at least
-//! `MIN_PAR_EVALS` jobs fan out across `worker_count(n_jobs)` scoped
-//! workers; smaller batches run on the caller's thread against the
-//! executor's own scratch. Callers never re-derive the predicate.
+//! ([`BatchExecutor::route`]): batches of at least `MIN_PAR_EVALS`
+//! evaluations fan out across `worker_count(units)` scoped workers;
+//! smaller batches run on the caller's thread against the executor's own
+//! scratch. Callers never re-derive the predicate.
+
+use std::ops::Range;
 
 use crate::adjoint::Wrt;
 use crate::engine::{Evaluator, MIN_PAR_EVALS};
 use plateau_obs::{counter, gauge, histogram};
 use plateau_sim::{Circuit, Observable, SimError, State};
 
+/// Most chunks a shifted sweep splits into. Fixed, so the chunk plan —
+/// and with it every gate count — never depends on the host's cores.
+const SHIFT_CHUNKS: usize = 8;
+
 /// Per-worker reusable evaluation scratch: one statevector plus one
-/// parameter buffer, both reset in place between evaluations.
+/// parameter buffer, both reset in place between evaluations, and the
+/// shifted sweeps' prefix state.
 struct Scratch {
     state: State,
+    /// The unshifted prefix a shifted sweep copies from, allocated on
+    /// first use so plain sweeps never pay for it.
+    prefix: Option<State>,
     params: Vec<f64>,
 }
 
@@ -52,9 +82,44 @@ impl Scratch {
     fn new(n_qubits: usize, n_params: usize) -> Self {
         Scratch {
             state: State::zero(n_qubits),
+            prefix: None,
             params: vec![0.0; n_params],
         }
     }
+}
+
+/// Workers a batch of `n_evals` evaluations in `n_units` units runs on.
+fn workers_for(n_evals: usize, n_units: usize) -> usize {
+    if n_evals >= MIN_PAR_EVALS {
+        plateau_par::worker_count(n_units)
+    } else {
+        1
+    }
+}
+
+/// Splits `order` — shifted jobs sorted by prefix group — into at most
+/// [`SHIFT_CHUNKS`] ranges of roughly equal suffix cost, cutting only
+/// between groups so no chunk walks a group's prefix twice.
+fn chunk_plan(
+    order: &[usize],
+    group: impl Fn(usize) -> (usize, usize),
+    cost: impl Fn(usize) -> usize,
+) -> Vec<Range<usize>> {
+    let total: usize = order.iter().map(|&j| cost(j)).sum();
+    let mut chunks = Vec::with_capacity(SHIFT_CHUNKS);
+    let (mut start, mut acc) = (0, 0);
+    for pos in 0..order.len() {
+        acc += cost(order[pos]);
+        let last = pos + 1 == order.len();
+        let group_ends = last || group(order[pos + 1]) != group(order[pos]);
+        let full = chunks.len() + 1 < SHIFT_CHUNKS
+            && acc * SHIFT_CHUNKS >= (chunks.len() + 1) * total;
+        if last || (group_ends && full) {
+            chunks.push(start..pos + 1);
+            start = pos + 1;
+        }
+    }
+    chunks
 }
 
 /// A circuit structure prepared for sweeping many parameter vectors.
@@ -103,11 +168,22 @@ impl<'c> BatchExecutor<'c> {
     /// the `PLATEAU_SIM_FUSE` knob is on. No statevector is allocated
     /// until the first evaluation runs.
     pub fn new(circuit: &'c Circuit) -> Self {
+        Self::with_evaluator(circuit, Evaluator::new(circuit))
+    }
+
+    /// An executor over an explicit evaluator form — how tests drive the
+    /// raw and fused paths without touching the global fusion knob.
+    pub(crate) fn with_evaluator(circuit: &'c Circuit, ev: Evaluator<'c>) -> Self {
         BatchExecutor {
             circuit,
-            ev: Evaluator::new(circuit),
+            ev,
             scratch: None,
         }
+    }
+
+    /// The underlying circuit.
+    pub(crate) fn circuit(&self) -> &'c Circuit {
+        self.circuit
     }
 
     /// Register width of the underlying circuit.
@@ -145,56 +221,51 @@ impl<'c> BatchExecutor<'c> {
         self.ev.expectation_into(&mut scratch.state, params, obs)
     }
 
-    /// Core batched loop: `n_jobs` evaluations of this circuit, where job
-    /// `j`'s parameter vector is produced by `fill(j, buf)` writing into a
-    /// per-worker buffer. This is the **single** serial/parallel routing
-    /// decision for the crate; results come back in job order either way.
-    fn run_jobs<F>(&mut self, n_jobs: usize, fill: F, obs: &Observable) -> Result<Vec<f64>, SimError>
+    /// Core batched loop: `n_units` units of work, together `n_evals`
+    /// circuit evaluations, each run as `unit(evaluator, scratch, u)`
+    /// against a per-worker scratch holding `states` statevectors. This
+    /// is the **single** serial/parallel routing decision for the crate;
+    /// results come back in unit order either way.
+    fn route<U, F>(
+        &mut self,
+        n_evals: usize,
+        n_units: usize,
+        states: usize,
+        unit: F,
+    ) -> Result<Vec<U>, SimError>
     where
-        F: Fn(usize, &mut [f64]) + Sync,
+        U: Send,
+        F: Fn(&Evaluator<'c>, &mut Scratch, usize) -> Result<U, SimError> + Sync,
     {
-        if n_jobs == 0 {
+        if n_units == 0 {
             return Ok(Vec::new());
         }
-        let workers = if n_jobs >= MIN_PAR_EVALS {
-            plateau_par::worker_count(n_jobs)
-        } else {
-            1
-        };
+        let workers = workers_for(n_evals, n_units);
         let (n_qubits, n_params) = (self.n_qubits(), self.n_params());
         counter!("grad.batch.batches").inc();
-        counter!("grad.batch.jobs").add(n_jobs as u64);
-        histogram!("grad.batch.size").record(n_jobs as u64);
+        counter!("grad.batch.jobs").add(n_evals as u64);
+        histogram!("grad.batch.size").record(n_evals as u64);
         gauge!("grad.batch.workers").set(workers as f64);
-        gauge!("grad.batch.scratch_states").set(workers as f64);
+        gauge!("grad.batch.scratch_states").set((workers * states) as f64);
         gauge!("grad.batch.scratch_bytes")
-            .set((workers * ((16usize << n_qubits) + 8 * n_params)) as f64);
+            .set((workers * (states * (16usize << n_qubits) + 8 * n_params)) as f64);
         let ev = &self.ev;
         if workers <= 1 {
             // Serial: reuse the executor's own scratch across the whole
-            // batch — exactly one statevector no matter the batch size.
+            // batch — one set of states no matter the batch size.
             let scratch = self
                 .scratch
                 .get_or_insert_with(|| Scratch::new(n_qubits, n_params));
-            let Scratch { state, params } = scratch;
-            let mut out = Vec::with_capacity(n_jobs);
-            for j in 0..n_jobs {
-                fill(j, params);
-                out.push(ev.expectation_into(state, params, obs)?);
-            }
-            Ok(out)
+            (0..n_units).map(|u| unit(ev, scratch, u)).collect()
         } else {
             // Parallel: one scratch per worker thread, initialized on that
-            // worker, reused for every job it claims. Results are returned
-            // in job order by `par_map_scratch` regardless of which worker
-            // ran which job.
+            // worker, reused for every unit it claims. Results are
+            // returned in unit order by `par_map_scratch` regardless of
+            // which worker ran which unit.
             plateau_par::par_map_scratch(
-                n_jobs,
+                n_units,
                 || Scratch::new(n_qubits, n_params),
-                |scratch, j| {
-                    fill(j, &mut scratch.params);
-                    ev.expectation_into(&mut scratch.state, &scratch.params, obs)
-                },
+                |scratch, u| unit(ev, scratch, u),
             )
             .into_iter()
             .collect()
@@ -215,11 +286,11 @@ impl<'c> BatchExecutor<'c> {
         obs: &Observable,
     ) -> Result<Vec<f64>, SimError> {
         self.check_sets(param_sets)?;
-        self.run_jobs(
-            param_sets.len(),
-            |j, buf| buf.copy_from_slice(&param_sets[j]),
-            obs,
-        )
+        let n = param_sets.len();
+        self.route(n, n, 1, |ev, scratch, j| {
+            scratch.params.copy_from_slice(&param_sets[j]);
+            ev.expectation_into(&mut scratch.state, &scratch.params, obs)
+        })
     }
 
     /// Evaluates the cost at `base` with one coordinate shifted per job:
@@ -227,6 +298,13 @@ impl<'c> BatchExecutor<'c> {
     /// `(idx_j, delta_j) = shifts[j]`. This is the parameter-shift rule's
     /// evaluation pattern expressed in `O(k)` bytes — no per-job copy of
     /// the full vector ever exists outside the per-worker buffers.
+    ///
+    /// Cost: one forward walk of the unshifted circuit per chunk of
+    /// shifts (at most 8) plus, per shift, only the gates from `θ_idx`'s
+    /// first gate (or fused segment) onward — the prefix before it is
+    /// shared and copied, not re-run. Shifts may come in any order and
+    /// repeat indices; results are in input order and bit-identical to
+    /// one [`crate::expectation`] per job.
     ///
     /// # Errors
     ///
@@ -246,15 +324,73 @@ impl<'c> BatchExecutor<'c> {
                 return Err(SimError::ParamOutOfRange { index: idx, n_params: n });
             }
         }
-        self.run_jobs(
-            shifts.len(),
-            |j, buf| {
-                buf.copy_from_slice(base);
-                let (idx, delta) = shifts[j];
-                buf[idx] += delta;
-            },
-            obs,
-        )
+        self.shifted_sweep(&[base], shifts.len(), |j| (0, shifts[j].0, shifts[j].1), obs)
+    }
+
+    /// The shifted-evaluation sweep behind every parameter-shift entry
+    /// point: job `j` evaluates `E(bases[m] with θ_i += δ)` for
+    /// `(m, i, δ) = job(j)`, returned in job order. Jobs sharing a base
+    /// and a prefix cut share one walk of the unshifted prefix; chunks of
+    /// such groups are the parallel units (see the [module docs](self)).
+    /// Callers have validated every base and index.
+    pub(crate) fn shifted_sweep<J>(
+        &mut self,
+        bases: &[&[f64]],
+        n_jobs: usize,
+        job: J,
+        obs: &Observable,
+    ) -> Result<Vec<f64>, SimError>
+    where
+        J: Fn(usize) -> (usize, usize, f64) + Sync,
+    {
+        let steps = self.ev.steps();
+        let cuts = self.ev.param_cuts(self.n_params());
+        let group = |j: usize| {
+            let (m, i, _) = job(j);
+            (m, cuts[i])
+        };
+        let mut order: Vec<usize> = (0..n_jobs).collect();
+        order.sort_unstable_by_key(|&j| (group(j), j));
+        let chunks = chunk_plan(&order, group, |j| steps - group(j).1);
+        let n_qubits = self.n_qubits();
+        let per_chunk = self.route(n_jobs, chunks.len(), 2, |ev, scratch, c| {
+            let Scratch { state, prefix, params } = scratch;
+            // The (base, cut) the prefix state currently holds.
+            let mut held = None;
+            let mut out = Vec::with_capacity(chunks[c].len());
+            for &j in &order[chunks[c].clone()] {
+                let (m, i, delta) = job(j);
+                let cut = cuts[i];
+                params.copy_from_slice(bases[m]);
+                params[i] += delta;
+                if cut == 0 {
+                    ev.run_steps(state, params, 0, steps)?;
+                } else {
+                    let prefix = prefix.get_or_insert_with(|| State::zero(n_qubits));
+                    if held != Some((m, cut)) {
+                        // Extend the prefix within one base (groups are in
+                        // cut order); restart from |0…0⟩ for a new base.
+                        let from = match held {
+                            Some((hm, hc)) if hm == m => hc,
+                            _ => 0,
+                        };
+                        ev.run_steps(prefix, bases[m], from, cut)?;
+                        held = Some((m, cut));
+                    }
+                    state.copy_from(prefix);
+                    ev.run_steps(state, params, cut, steps)?;
+                }
+                out.push(ev.observe(state, obs)?);
+            }
+            Ok(out)
+        })?;
+        let mut evals = vec![0.0; n_jobs];
+        for (range, values) in chunks.into_iter().zip(per_chunk) {
+            for (&j, e) in order[range].iter().zip(values) {
+                evals[j] = e;
+            }
+        }
+        Ok(evals)
     }
 
     /// One full adjoint gradient per parameter set, in input order — the
@@ -312,11 +448,7 @@ impl<'c> BatchExecutor<'c> {
         if n_jobs == 0 {
             return Ok(Vec::new());
         }
-        let workers = if n_jobs >= MIN_PAR_EVALS {
-            plateau_par::worker_count(n_jobs)
-        } else {
-            1
-        };
+        let workers = workers_for(n_jobs, n_jobs);
         counter!("grad.batch.batches").inc();
         counter!("grad.batch.jobs").add(n_jobs as u64);
         histogram!("grad.batch.size").record(n_jobs as u64);
@@ -360,17 +492,15 @@ impl<'c> BatchExecutor<'c> {
         let t = proto.len();
         let members = param_sets.len();
         counter!("grad.executions.parameter_shift").add((t * members) as u64);
-        let evals = self.run_jobs(
+        let bases: Vec<&[f64]> = param_sets.iter().map(Vec::as_slice).collect();
+        let evals = self.shifted_sweep(
+            &bases,
             t * members,
-            |j, buf| {
-                let (m, k) = (j / t, j % t);
-                buf.copy_from_slice(&param_sets[m]);
-                buf[n - 1] += proto[k].shift;
-            },
+            |j| (j / t, n - 1, proto[j % t].shift),
             obs,
         )?;
         // Fold each member's evaluations in job (k) order — the same
-        // order `ParameterShift::partial_impl` sums in, so each partial
+        // order `ParameterShift::partial_with` sums in, so each partial
         // is bit-identical to the one-member path.
         Ok((0..members)
             .map(|m| {
@@ -481,6 +611,32 @@ mod tests {
                 crate::ParameterShift.partial_last(&c, set, &obs).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn chunk_plan_balances_suffix_cost_and_never_splits_a_group() {
+        // 40 jobs in 20 groups of two (one per prefix cut 0, 3, 6, …),
+        // suffix cost 60 − cut each.
+        let group = |j: usize| (0, 3 * (j / 2));
+        let cost = |j: usize| 60 - group(j).1;
+        let order: Vec<usize> = (0..40).collect();
+        let chunks = chunk_plan(&order, group, cost);
+        assert_eq!(chunks.len(), SHIFT_CHUNKS);
+        assert_eq!(chunks.first().unwrap().start, 0);
+        assert_eq!(chunks.last().unwrap().end, 40);
+        let total: usize = order.iter().map(|&j| cost(j)).sum();
+        for (a, b) in chunks.iter().zip(&chunks[1..]) {
+            assert_eq!(a.end, b.start, "chunks tile the jobs");
+            assert_ne!(group(a.end - 1), group(b.start), "a group spans two chunks");
+        }
+        for chunk in &chunks {
+            let share: usize = chunk.clone().map(|p| cost(order[p])).sum();
+            // Within one group (≤ 2 · 60) of an equal share.
+            assert!(share.abs_diff(total / SHIFT_CHUNKS) <= 120, "{chunks:?}");
+        }
+        // Fewer groups than chunks: one chunk per group.
+        assert_eq!(chunk_plan(&order[..6], group, cost), [0..2, 2..4, 4..6]);
+        assert!(chunk_plan(&[], group, cost).is_empty());
     }
 
     #[test]

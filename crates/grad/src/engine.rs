@@ -1,7 +1,7 @@
 //! The [`GradientEngine`] trait: a uniform interface over the three
 //! differentiation strategies so harnesses can swap engines freely.
 
-use plateau_sim::{Circuit, CompiledCircuit, Observable, SimError};
+use plateau_sim::{Circuit, CompiledCircuit, Observable, Op, SimError, State};
 
 /// A circuit prepared for repeated evaluation: either the raw op list or,
 /// when the `PLATEAU_SIM_FUSE` knob is on, the gate-fusion compiler's
@@ -43,16 +43,95 @@ impl<'c> Evaluator<'c> {
     /// to `|0…0⟩` in place before the run.
     pub(crate) fn expectation_into(
         &self,
-        state: &mut plateau_sim::State,
+        state: &mut State,
         params: &[f64],
         obs: &Observable,
     ) -> Result<f64, SimError> {
+        self.run_steps(state, params, 0, self.steps())?;
+        self.observe(state, obs)
+    }
+
+    /// The observable read-out that ends every evaluation, with its
+    /// `grad.expectation_evals` accounting.
+    pub(crate) fn observe(&self, state: &State, obs: &Observable) -> Result<f64, SimError> {
         plateau_obs::counter!("grad.expectation_evals").inc();
-        match self {
-            Evaluator::Raw(circuit) => circuit.run_into(state, params)?,
-            Evaluator::Fused(compiled) => compiled.run_into(state, params)?,
-        }
         obs.expectation(state)
+    }
+
+    /// Number of execution steps: ops (raw) or fused segments.
+    pub(crate) fn steps(&self) -> usize {
+        match self {
+            Evaluator::Raw(circuit) => circuit.ops().len(),
+            Evaluator::Fused(compiled) => compiled.segments().len(),
+        }
+    }
+
+    /// Each parameter's **prefix cut**: the step before which no step
+    /// reads `θ_i`, so the state after steps `[0, cut)` is the same for
+    /// every value of `θ_i`. That is the first step touching `θ_i`, or
+    /// `0` when the fused product-state prologue absorbs that step (the
+    /// prologue runs whole or not at all). A parameter no step reads gets
+    /// [`Self::steps`].
+    pub(crate) fn param_cuts(&self, n_params: usize) -> Vec<usize> {
+        let mut cuts = vec![self.steps(); n_params];
+        let mut claim = |step: usize, op: &Op| {
+            if let Some(i) = op.free_param() {
+                cuts[i] = cuts[i].min(step);
+            }
+        };
+        match self {
+            Evaluator::Raw(circuit) => {
+                for (k, op) in circuit.ops().iter().enumerate() {
+                    claim(k, op);
+                }
+            }
+            Evaluator::Fused(compiled) => {
+                let prologue = compiled.prologue_len();
+                for (s, seg) in compiled.segments().iter().enumerate() {
+                    let step = if s < prologue { 0 } else { s };
+                    for op in seg.ops() {
+                        claim(step, op);
+                    }
+                }
+            }
+        }
+        cuts
+    }
+
+    /// Runs steps `[from, to)` on `state` — the one forward walk behind
+    /// every evaluation. `from == 0` first resets `state` to `|0…0⟩` in
+    /// place (and on the fused form runs the product-state prologue when
+    /// `to` reaches past it); `from > 0` continues a state that already
+    /// holds steps `[0, from)`. Splitting a run at any prefix cut
+    /// ([`Self::param_cuts`]) therefore repeats the whole run's
+    /// arithmetic bit for bit. Callers have validated `params`.
+    pub(crate) fn run_steps(
+        &self,
+        state: &mut State,
+        params: &[f64],
+        from: usize,
+        to: usize,
+    ) -> Result<(), SimError> {
+        match self {
+            Evaluator::Raw(circuit) => {
+                if from == 0 {
+                    state.reset_zero();
+                }
+                for op in &circuit.ops()[from..to] {
+                    op.apply(state, params)?;
+                }
+            }
+            Evaluator::Fused(compiled) => {
+                if from == 0 {
+                    compiled.run_prefix_into(state, params, to)?;
+                } else {
+                    for seg in &compiled.segments()[from..to] {
+                        seg.apply(state, params)?;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// One adjoint sweep over the parameters in `wrt`, through whichever
@@ -201,7 +280,8 @@ pub trait GradientEngine {
     /// engines with a cheaper single-parameter path override this — the
     /// paper's variance analysis differentiates only the *last* parameter,
     /// so this path matters. [`crate::ParameterShift`] runs only
-    /// `θ_index`'s 2 or 4 shifted evaluations; [`crate::Adjoint`] runs one
+    /// `θ_index`'s 2 or 4 shifted evaluations, each from one shared walk
+    /// of the gates before `θ_index`'s gate; [`crate::Adjoint`] runs one
     /// forward pass plus `N − k` backward steps, where `k` is the earliest
     /// of the circuit's `N` ops owning `θ_index`.
     ///

@@ -7,9 +7,10 @@
 //!
 //! - [`ParameterShift`] — exact; 2 circuit evaluations per single-qubit
 //!   rotation parameter (4 for controlled rotations). The method the
-//!   paper's PennyLane pipeline exposes. Full gradients fan the
-//!   independent shifted evaluations across the `plateau_par` pool via
-//!   [`expectation_many`].
+//!   paper's PennyLane pipeline exposes. Full gradients run through
+//!   [`BatchExecutor`]: each shifted evaluation resumes from its
+//!   parameter's shared unshifted prefix, and chunks of parameters fan
+//!   across the `plateau_par` pool.
 //! - [`Adjoint`] — exact; one forward pass plus one backward sweep yields
 //!   **all** parameters. The workhorse for the 200-circuit ensembles.
 //! - [`FiniteDifference`] — approximate oracle used to validate the other
@@ -49,6 +50,8 @@ mod fisher;
 mod hessian;
 mod metric;
 mod shift;
+#[cfg(test)]
+mod testkit;
 
 pub use adjoint::{adjoint_gradient_compiled, Adjoint};
 pub use attribution::{layer_grad_stats, layer_grad_variances_into, LayerGradStats};

@@ -7,8 +7,9 @@
 //! - the per-circuit loop it replaced really does pay one full
 //!   statevector per member (the contrast that makes the bound meaningful);
 //! - a full [`ParameterShift`] gradient allocates `O(k)` bytes of job
-//!   bookkeeping, not the `O(k²)` of materializing one parameter-vector
-//!   copy per shifted evaluation.
+//!   bookkeeping plus two statevectors per worker (prefix and work), not
+//!   the `O(k²)` of materializing one parameter-vector copy per shifted
+//!   evaluation.
 //!
 //! Everything shares the process-global allocator high-water mark, so it
 //! runs as one sequential test function, like `alloc_profile.rs`.
@@ -131,8 +132,9 @@ fn batch_path_allocation_is_flat_and_parameter_shift_is_linear() {
     // ── Satellite pin: ParameterShift::gradient is O(k), not O(k²). ──
     // k = 100 params → 200 shifted evaluations. Materializing a params
     // copy per evaluation (the fixed bug) costs ≥ 2k·8k = 160 kB; the
-    // (index, shift)-pair representation plus one scratch per worker
-    // stays an order of magnitude below that.
+    // (index, shift)-pair representation plus two states per worker (the
+    // shared unshifted prefix and the shifted evaluation's work state)
+    // stays well below that.
     let params: Vec<f64> = (0..n_params).map(|p| 0.1 + 0.002 * p as f64).collect();
     ParameterShift.gradient(&circuit, &params, &obs).unwrap(); // warm
     let mut grad_run = || {
@@ -145,7 +147,8 @@ fn batch_path_allocation_is_flat_and_parameter_shift_is_linear() {
         "parameter-shift gradient must allocate deterministically"
     );
     let quadratic = (2 * n_params * 8 * n_params) as u64;
-    let linear_bound = workers * (state_bytes + 8 * n_params as u64) + 64 * n_params as u64 + 8192;
+    let linear_bound =
+        workers * (2 * state_bytes + 8 * n_params as u64) + 64 * n_params as u64 + 8192;
     assert!(
         grad_bytes < linear_bound.min(quadratic / 2),
         "gradient allocated {grad_bytes} B; O(k) bound is {linear_bound} B \

@@ -131,7 +131,20 @@ where
         std::panic::resume_unwind(payload);
     }
 
-    let mut pairs: Vec<(usize, U)> = buckets.into_iter().flatten().collect();
+    reassemble(buckets, n)
+}
+
+/// Puts the workers' `(index, result)` buckets back in input order.
+///
+/// The pair vector is sized for all `n` results up front: collecting the
+/// flattened buckets would size it from the first bucket and grow it from
+/// there, so the caller thread's allocations would depend on how the
+/// workers happened to split the items.
+fn reassemble<U>(buckets: Vec<Vec<(usize, U)>>, n: usize) -> Vec<U> {
+    let mut pairs: Vec<(usize, U)> = Vec::with_capacity(n);
+    for bucket in buckets {
+        pairs.extend(bucket);
+    }
     debug_assert_eq!(pairs.len(), n);
     pairs.sort_unstable_by_key(|&(i, _)| i);
     pairs.into_iter().map(|(_, u)| u).collect()
@@ -252,10 +265,7 @@ where
         std::panic::resume_unwind(payload);
     }
 
-    let mut pairs: Vec<(usize, U)> = buckets.into_iter().flatten().collect();
-    debug_assert_eq!(pairs.len(), n);
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    pairs.into_iter().map(|(_, u)| u).collect()
+    reassemble(buckets, n)
 }
 
 /// [`run_task`] for the scratch-threading form: same `par.tasks` counter

@@ -623,33 +623,6 @@ impl Circuit {
         Ok(state)
     }
 
-    /// Runs the circuit on `|0…0⟩` **into** an existing state, resetting
-    /// it in place first — [`Circuit::run`] without the allocation.
-    ///
-    /// This is the scratch-reuse entry point for batched evaluation: the
-    /// caller owns one statevector per worker and sweeps many parameter
-    /// vectors through it. The result is identical to [`Circuit::run`]
-    /// for the same parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::WrongParamCount`] on a parameter-length mismatch
-    /// or [`SimError::DimensionMismatch`] when the state size differs.
-    pub fn run_into(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
-        self.check_params(params)?;
-        if state.n_qubits() != self.n_qubits {
-            return Err(SimError::DimensionMismatch {
-                expected: 1 << self.n_qubits,
-                found: state.dim(),
-            });
-        }
-        state.reset_zero();
-        for op in &self.ops {
-            op.apply(state, params)?;
-        }
-        Ok(())
-    }
-
     /// Runs the circuit on an existing state in place.
     ///
     /// # Errors

@@ -715,17 +715,42 @@ impl CompiledCircuit {
         Ok(state)
     }
 
-    /// Runs the compiled circuit on `|0…0⟩` **into** an existing state,
-    /// resetting it in place first — [`CompiledCircuit::run`] without the
-    /// allocation, including the same product-state prologue (iterative
-    /// doubling works in place on the zeroed buffer), so the amplitudes
-    /// are identical to [`CompiledCircuit::run`] for the same parameters.
+    /// Number of leading segments the product-state prologue absorbs when
+    /// a run starts from `|0…0⟩` (`0` when there is no prologue).
+    pub fn prologue_len(&self) -> usize {
+        match product_prefix_len(&self.segments) {
+            k if k < 2 => 0,
+            k => k,
+        }
+    }
+
+    /// Runs the first `end` segments on `|0…0⟩` **into** an existing
+    /// state, resetting it in place first — with `end` = every segment,
+    /// [`CompiledCircuit::run`] without the allocation, including the same
+    /// product-state prologue (iterative doubling works in place on the
+    /// zeroed buffer), so the amplitudes are identical to
+    /// [`CompiledCircuit::run`] for the same parameters.
+    ///
+    /// For `end == 0` or `end ≥ prologue_len()` the state holds exactly
+    /// the bits a full run holds after its first `end` segments, so
+    /// applying `segments()[end..]` afterwards reproduces the full run —
+    /// the prefix a parameter-shift sweep shares between a parameter's
+    /// shifted evaluations.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::WrongParamCount`] on a parameter mismatch or
     /// [`SimError::DimensionMismatch`] if the state width differs.
-    pub fn run_into(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end` exceeds the segment count.
+    pub fn run_prefix_into(
+        &self,
+        state: &mut State,
+        params: &[f64],
+        end: usize,
+    ) -> Result<(), SimError> {
         self.check_params(params)?;
         if state.n_qubits() != self.n_qubits {
             return Err(SimError::DimensionMismatch {
@@ -734,15 +759,14 @@ impl CompiledCircuit {
             });
         }
         state.reset_zero();
-        let k = product_prefix_len(&self.segments);
-        if k < 2 {
-            for seg in &self.segments {
-                seg.apply(state, params)?;
-            }
-            return Ok(());
-        }
-        self.product_prologue(state.amps_mut(), params, k);
-        for seg in &self.segments[k..] {
+        let k = self.prologue_len();
+        let start = if k > 0 && end >= k {
+            self.product_prologue(state.amps_mut(), params, k);
+            k
+        } else {
+            0
+        };
+        for seg in &self.segments[start..end] {
             seg.apply(state, params)?;
         }
         Ok(())
@@ -750,8 +774,8 @@ impl CompiledCircuit {
 
     /// Writes the product state of the leading `k` distinct-wire `Single`
     /// segments into `amps`, which must be all-zero on entry. Shared by
-    /// [`CompiledCircuit::run`] and [`CompiledCircuit::run_into`] so the
-    /// two paths are arithmetically identical.
+    /// [`CompiledCircuit::run`] and [`CompiledCircuit::run_prefix_into`]
+    /// so the two paths are arithmetically identical.
     fn product_prologue(&self, amps: &mut [C64], params: &[f64], k: usize) {
         let covered: usize = self.segments[..k].iter().map(Segment::gate_count).sum();
         let _span = plateau_obs::span!("sim.fuse.prologue", gates = covered);

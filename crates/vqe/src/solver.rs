@@ -235,16 +235,25 @@ mod tests {
         };
         let r = solve(&h, InitStrategy::XavierNormal, &cfg).unwrap();
 
+        // Other tests in this binary call `solve()` concurrently and append
+        // to the same ledger while it is set, so find this run's record by
+        // its command and config, skipping torn lines and other tests' runs.
         let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
-        let rec = plateau_obs::json::Json::parse(text.lines().next().unwrap()).unwrap();
-        assert_eq!(rec.get("command").unwrap().as_str(), Some("vqe"));
+        let ours = |rec: &plateau_obs::json::Json| {
+            let config = |key: &str| rec.get("config").and_then(|c| c.get(key));
+            rec.get("command").and_then(|c| c.as_str()) == Some("vqe")
+                && config("strategy").and_then(|v| v.as_str()) == Some("xavier_normal")
+                && config("iterations").and_then(|v| v.as_f64()) == Some(3.0)
+                && config("layers").and_then(|v| v.as_f64()) == Some(1.0)
+        };
+        let rec = text
+            .lines()
+            .filter_map(|line| plateau_obs::json::Json::parse(line).ok())
+            .find(ours)
+            .expect("this run's ledger record");
         assert_eq!(
             rec.get("metrics").unwrap().get("exact_energy").unwrap().as_f64(),
             Some(r.exact_energy)
-        );
-        assert_eq!(
-            rec.get("config").unwrap().get("strategy").unwrap().as_str(),
-            Some("xavier_normal")
         );
         let rel = rec.get("series").unwrap().as_str().unwrap().to_string();
         let series = plateau_obs::TimeSeries::read_jsonl(&dir.join(rel)).unwrap();

@@ -27,6 +27,15 @@ echo "=== cargo test with gate fusion forced on ==="
 # set_fuse(false).
 PLATEAU_SIM_FUSE=1 cargo test -q --workspace --offline
 
+echo "=== cargo test (par + grad) at PLATEAU_THREADS=1 and 2 ==="
+# The first step of a thread-count matrix: the batched executor's
+# allocation pins and bitwise-determinism properties must hold with one
+# worker and with two, so a 1-core build host cannot hide a failure that
+# only shows when workers split the items (and vice versa).
+for threads in 1 2; do
+    PLATEAU_THREADS="${threads}" cargo test -q --offline -p plateau-par -p plateau-grad
+done
+
 echo "=== zero-dependency policy check ==="
 violations=$(cargo tree --workspace --offline --prefix none \
     | awk '{print $1}' | sort -u | grep -v '^plateau-' || true)
@@ -106,8 +115,9 @@ echo "=== differential fuzz smoke gate ==="
 # A fixed-seed campaign over the full engine matrix (DESIGN.md §10):
 # serial vs parallel kernels, statevector vs unitary vs density matrix,
 # raw vs pass-optimized, fused vs raw, QASM round-trip, three gradient
-# engines, and every adjoint single-parameter partial vs its full-gradient
-# entry (bitwise). Any divergence fails the gate and leaves a shrunk
+# engines, every adjoint single-parameter partial vs its full-gradient
+# entry (bitwise), and the prefix-sharing parameter-shift gradient vs one
+# full evaluation per shifted job (bitwise). Any divergence fails the gate and leaves a shrunk
 # reproducer under target/fuzz/ (replay with `plateau fuzz --replay
 # <file>`). The mutation self-test then proves the harness still detects
 # — and shrinks — both deliberately broken engines (the off-by-one

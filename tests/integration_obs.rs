@@ -70,10 +70,14 @@ fn variance_scan_gate_counters_match_analytic_counts() {
     let snap = plateau_obs::snapshot();
     // Each gradient sample is a two-term parameter shift: 2 circuit
     // executions. The variance ansatz applies one rotation per qubit per
-    // layer and a CZ chain of (q − 1) fixed gates per layer.
+    // layer and a CZ chain of (q − 1) fixed gates per layer, and θ_last
+    // owns the last layer's last rotation. Both shifted executions share
+    // the unshifted prefix before that rotation — walked once: L·q − 1
+    // rotations and (L − 1)(q − 1) CZs — and each runs only the suffix:
+    // the shifted rotation and the last CZ chain.
     let evals: u64 = 2 * circuits as u64 * qubits.len() as u64;
-    let rot: u64 = qubits.iter().map(|&q| (2 * circuits * layers * q) as u64).sum();
-    let fixed: u64 = qubits.iter().map(|&q| (2 * circuits * layers * (q - 1)) as u64).sum();
+    let rot: u64 = qubits.iter().map(|&q| (circuits * (layers * q + 1)) as u64).sum();
+    let fixed: u64 = qubits.iter().map(|&q| (circuits * (layers + 1) * (q - 1)) as u64).sum();
     assert_eq!(snap.counter("grad.expectation_evals"), Some(evals));
     assert_eq!(snap.counter("grad.executions.parameter_shift"), Some(evals));
     assert_eq!(snap.counter("sim.gate.rotation"), Some(rot));
@@ -83,11 +87,11 @@ fn variance_scan_gate_counters_match_analytic_counts() {
         Some(qubits.len() as u64)
     );
     // Each two-term partial routes its pair of shifted evaluations
-    // through one batched-executor scratch state: one allocation per
-    // *partial* (two executions), with the second execution reusing the
-    // scratch in place.
-    assert_eq!(snap.counter("sim.state.allocations"), Some(evals / 2));
-    assert_eq!(snap.counter("sim.state.reuses"), Some(evals));
+    // through one batched-executor scratch: two allocations per *partial*
+    // (the prefix state and the work state), one in-place reset (the
+    // prefix walk's start); each execution copies the prefix instead.
+    assert_eq!(snap.counter("sim.state.allocations"), Some(evals));
+    assert_eq!(snap.counter("sim.state.reuses"), Some(evals / 2));
 
     plateau_sim::reset_fuse();
     plateau_obs::metrics::reset();
@@ -150,6 +154,73 @@ fn adjoint_executes_constant_circuits_per_gradient() {
         2 * a.circuit.n_params() as u64
     );
 
+    plateau_obs::set_metrics_enabled(false);
+}
+
+#[test]
+fn parameter_shift_gradient_runs_each_suffix_once_from_a_shared_prefix() {
+    let _guard = plateau_obs::test_lock();
+    plateau_obs::set_metrics_enabled(true);
+    // The counts below assume gate-by-gate execution; pin fusion off so
+    // the suite also passes under PLATEAU_SIM_FUSE=1.
+    plateau_sim::set_fuse(false);
+
+    use plateau_core::ansatz::training_ansatz;
+    use plateau_core::cost::CostKind;
+    use plateau_grad::{GradientEngine, ParameterShift};
+
+    // §IV-D: 10 qubits, 5 layers — N = 145 gates, k = 100 parameters.
+    // Per layer, RX·RY on each wire (ops 29l … 29l + 19, one parameter
+    // each) then a 9-gate CZ chain.
+    let a = training_ansatz(10, 5).unwrap();
+    let c = &a.circuit;
+    let params: Vec<f64> = (0..c.n_params()).map(|i| 0.05 * i as f64 - 1.0).collect();
+    let obs = CostKind::Global.observable(10);
+    let n = c.ops().len() as u64;
+    // Each of θ_i's two shifted runs resumes at θ_i's gate p_i and runs
+    // the suffix: Σ 2·(N − p_i) = 15,500 gates.
+    let suffixes: u64 = (0..c.n_params())
+        .map(|i| 2 * (n - c.op_of_param(i).unwrap() as u64))
+        .sum();
+    assert_eq!(suffixes, 15_500);
+    // The prefix walks: the sweep splits the 100 parameters into 8 chunks
+    // of roughly equal suffix cost (≈ 15,500 / 8 each), whose last cuts
+    // fall at ops 6, 13, 30, 39, 58, 69, 94 and 135. Each chunk walks its
+    // own prefix from |0…0⟩ up to its last cut, so the walks cost
+    // 6 + 13 + 30 + 39 + 58 + 69 + 94 + 135 = 444 gates. The plan depends
+    // only on the circuit, so the total holds for every thread count.
+    let prefix_walks = 444u64;
+    let gates = || -> u64 {
+        [
+            "sim.gate.rotation",
+            "sim.gate.fixed",
+            "sim.gate.controlled_rotation",
+            "sim.gate.two_qubit_rotation",
+        ]
+        .iter()
+        .map(|name| counter_value(name))
+        .sum()
+    };
+    let saved = std::env::var("PLATEAU_THREADS").ok();
+    for threads in ["1", "2", "4"] {
+        std::env::set_var("PLATEAU_THREADS", threads);
+        let (gates_before, execs_before) =
+            (gates(), counter_value("grad.executions.parameter_shift"));
+        ParameterShift.gradient(c, &params, &obs).unwrap();
+        assert_eq!(gates() - gates_before, suffixes + prefix_walks, "threads={threads}");
+        // Executions count evaluations, not gates: still 2k.
+        assert_eq!(
+            counter_value("grad.executions.parameter_shift") - execs_before,
+            2 * c.n_params() as u64,
+            "threads={threads}"
+        );
+    }
+    match saved {
+        Some(v) => std::env::set_var("PLATEAU_THREADS", v),
+        None => std::env::remove_var("PLATEAU_THREADS"),
+    }
+
+    plateau_sim::reset_fuse();
     plateau_obs::set_metrics_enabled(false);
 }
 
