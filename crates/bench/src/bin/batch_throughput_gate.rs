@@ -3,11 +3,11 @@
 //! than the pre-executor per-circuit loop.
 //!
 //! The workload is the paper's ensemble configuration — 200 parameter
-//! vectors over the 10-qubit / 5-layer RX·RY + CZ-chain training ansatz
-//! with gate fusion **on**, the exact shape of one variance-scan cell.
-//! The per-circuit loop pays a fresh fusion compile and a fresh `2^10`
-//! statevector for every member; the executor compiles once and reuses
-//! one scratch state per worker.
+//! vectors over the 10-qubit / 5-layer RX·RY + CZ-chain training ansatz,
+//! the exact shape of one variance-scan cell. The per-circuit loop pays a
+//! fresh `2^10` statevector and a gate-by-gate run for every member (a
+//! one-shot `expectation` walks the op list); the executor compiles once,
+//! runs fused segments, and reuses one scratch state per worker.
 //!
 //! Three variants share the harness: `per_circuit` is the old loop
 //! (one `expectation` call per member), `batched_serial` pins
@@ -48,12 +48,11 @@ fn main() {
 
     println!(
         "# workload: {members}-member ensemble, {n_qubits} qubits, {layers} layers, \
-         {} params, fusion on",
+         {} params",
         ansatz.circuit.n_params()
     );
 
     let prior_threads = std::env::var("PLATEAU_THREADS").ok();
-    plateau_sim::set_fuse(true);
 
     let mut h = Harness::new("batch_throughput_gate");
     h.config("qubits", plateau_bench::json::Json::from(n_qubits));
@@ -64,9 +63,9 @@ fn main() {
         plateau_bench::json::Json::from(plateau_par::worker_count(usize::MAX)),
     );
     h.note(
-        "per_circuit re-compiles the fusion segments and allocates a fresh \
-         2^10 statevector per member; BatchExecutor compiles once and reuses \
-         one scratch state per worker (grad.batch.* counters)",
+        "per_circuit runs the op list and allocates a fresh 2^10 statevector \
+         per member; BatchExecutor compiles once, runs fused segments and \
+         reuses one scratch state per worker (grad.batch.* counters)",
     );
     let mut group = h.group("ensemble_sweep");
     group.sample_size(10);
@@ -91,7 +90,6 @@ fn main() {
             .expect("batched sweep")
     });
     let reports = h.finish();
-    plateau_sim::reset_fuse();
 
     let median_of = |id: &str| {
         reports

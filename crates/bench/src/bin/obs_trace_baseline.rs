@@ -6,9 +6,10 @@
 //! `scripts/ci.sh` uses for its fresh trace — with the JSONL sink enabled,
 //! then aggregates the trace and writes a `trace_baseline` document.
 //!
-//! Fusion is pinned ON (the production configuration since the gate-fusion
-//! compiler landed), matching the `PLATEAU_SIM_FUSE=1` environment of the
-//! CI obs-diff gate, so the baseline carries the `sim.fuse.*` span names.
+//! The workload's ensemble members are distinct random-rotations
+//! circuits, each differentiated once, so every gradient walks the op
+//! list and the trace holds no fused-kernel activity (fused kernels count
+//! `sim.fuse.applications.*` rather than opening spans in any case).
 //!
 //! Usage: `cargo run -p plateau-bench --bin obs_trace_baseline -- \
 //!         [benchmarks/OBS_trace_baseline.json]`
@@ -38,7 +39,6 @@ fn main() {
 
     let trace_path =
         std::env::temp_dir().join(format!("plateau_obs_baseline_{}.jsonl", std::process::id()));
-    plateau_sim::set_fuse(true);
     plateau_obs::set_log_level(plateau_obs::Level::Warn);
     plateau_obs::init(None, Some(&trace_path)).expect("open trace sink");
     plateau_obs::emit_manifest(

@@ -4,10 +4,9 @@
 //! ```text
 //! plateau variance  [--qubits 2,4,6,8,10] [--layers 50] [--circuits 200]
 //!                   [--cost global|local] [--fan qubits|params|tensor] [--seed N]
-//!                   [--fuse true]
 //! plateau train     [--qubits 10] [--layers 5] [--iterations 50]
 //!                   [--strategy xavier_normal|…] [--optimizer adam|gd|momentum|rmsprop|adagrad]
-//!                   [--lr 0.1] [--seed N] [--fuse true]
+//!                   [--lr 0.1] [--seed N]
 //! plateau landscape [--qubits 5] [--layers 100] [--resolution 25] [--seed N]
 //! plateau analyze   [--qubits 6] [--layers 8] [--samples 50] [--pairs 400] [--seed N]
 //! plateau export    [--qubits 4] [--layers 2] [--strategy xavier_normal] [--seed N]
@@ -139,10 +138,7 @@ fn print_help() {
          \n\
          subcommands:\n\
          \x20 variance   gradient-variance scan across qubit counts and strategies\n\
-         \x20            [--fuse true] runs gradients through the gate-fusion\n\
-         \x20            compiler (same as PLATEAU_SIM_FUSE=1)\n\
          \x20 train      identity-task training with a chosen strategy and optimizer\n\
-         \x20            [--fuse true] as above\n\
          \x20 landscape  2-D cost-surface scan over the last two parameters\n\
          \x20 analyze    entanglement / expressibility diagnostics per strategy\n\
          \x20 export     emit the initialized training ansatz as OpenQASM 2.0\n\
@@ -246,11 +242,8 @@ fn check_flags(parsed: &ParsedArgs, known: &[&str]) -> Result<(), Box<dyn Error>
 fn cmd_variance(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     check_flags(
         parsed,
-        &["qubits", "layers", "circuits", "cost", "fan", "engine", "seed", "fuse", "strategies"],
+        &["qubits", "layers", "circuits", "cost", "fan", "engine", "seed", "strategies"],
     )?;
-    if parsed.get("fuse", false)? {
-        plateau_sim::set_fuse(true);
-    }
     let qubits_raw = parsed.get_str("qubits", "2,4,6,8,10");
     let qubit_counts: Vec<usize> = qubits_raw
         .split(',')
@@ -298,11 +291,8 @@ fn cmd_variance(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 fn cmd_train(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     check_flags(
         parsed,
-        &["qubits", "layers", "iterations", "strategy", "optimizer", "lr", "fan", "seed", "fuse"],
+        &["qubits", "layers", "iterations", "strategy", "optimizer", "lr", "fan", "seed"],
     )?;
-    if parsed.get("fuse", false)? {
-        plateau_sim::set_fuse(true);
-    }
     let n_qubits = parsed.get("qubits", 10usize)?;
     let layers = parsed.get("layers", 5usize)?;
     let iterations = parsed.get("iterations", 50usize)?;

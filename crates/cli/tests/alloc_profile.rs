@@ -26,7 +26,6 @@ fn plateau() -> Command {
     cmd.env_remove("PLATEAU_LOG")
         .env_remove("PLATEAU_METRICS")
         .env_remove("PLATEAU_METRICS_OUT")
-        .env_remove("PLATEAU_SIM_FUSE")
         .env_remove("PLATEAU_LEDGER");
     cmd
 }
@@ -39,9 +38,8 @@ fn span_alloc_attribution_is_exact_and_flame_by_alloc_renders_it() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::set_log_level(plateau_obs::Level::Off);
     plateau_obs::set_metrics_enabled(false);
-    // Deterministic allocation stream: serial kernels, no fusion spans.
+    // Deterministic allocation stream: serial kernels.
     plateau_sim::set_par_threshold(usize::MAX);
-    plateau_sim::set_fuse(false);
 
     let trace_path = temp_path("trace.jsonl");
     plateau_obs::span::set_jsonl_path(&trace_path).expect("open trace sink");

@@ -11,8 +11,7 @@ fn plateau() -> Command {
     cmd.env_remove("PLATEAU_LOG")
         .env_remove("PLATEAU_METRICS")
         .env_remove("PLATEAU_METRICS_OUT")
-        .env_remove("PLATEAU_CHECK_CASES")
-        .env_remove("PLATEAU_SIM_FUSE");
+        .env_remove("PLATEAU_CHECK_CASES");
     cmd
 }
 

@@ -12,8 +12,7 @@ fn plateau() -> Command {
     // Isolate from the invoking environment.
     cmd.env_remove("PLATEAU_LOG")
         .env_remove("PLATEAU_METRICS")
-        .env_remove("PLATEAU_METRICS_OUT")
-        .env_remove("PLATEAU_SIM_FUSE");
+        .env_remove("PLATEAU_METRICS_OUT");
     cmd
 }
 
@@ -113,20 +112,18 @@ fn variance_run_emits_manifest_spans_and_exact_gate_counts() {
 }
 
 #[test]
-fn variance_with_fuse_flag_emits_compression_counters() {
+fn train_emits_compression_counters_by_default() {
     let out_path =
         std::env::temp_dir().join(format!("plateau-cli-fuse-{}.jsonl", std::process::id()));
     let output = plateau()
         .args([
-            "variance",
+            "train",
             "--qubits",
-            "2,3",
-            "--circuits",
-            "4",
+            "3",
             "--layers",
-            "5",
-            "--fuse",
-            "true",
+            "2",
+            "--iterations",
+            "3",
             "--metrics-out",
         ])
         .arg(&out_path)
@@ -148,9 +145,11 @@ fn variance_with_fuse_flag_emits_compression_counters() {
             .and_then(|v| v.as_f64())
             .unwrap_or_else(|| panic!("counter {name} missing"))
     };
-    // The fusion compiler ran and compressed: fewer segments out than
-    // gates in. (Exact counts are pinned by unit tests; here we assert
-    // the counters are wired end to end through the binary.)
+    // Training evaluates its loss on one circuit every iteration, so it
+    // compiles with no flag: the fusion compiler ran and compressed —
+    // fewer segments out than gates in. (Exact counts are pinned by unit
+    // tests; here we assert the counters are wired end to end through the
+    // binary.)
     assert!(counter("sim.fuse.gates_in") > 0.0);
     assert!(counter("sim.fuse.gates_out") > 0.0);
     assert!(counter("sim.fuse.gates_out") < counter("sim.fuse.gates_in"));

@@ -12,8 +12,7 @@ fn plateau() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_plateau"));
     cmd.env_remove("PLATEAU_LOG")
         .env_remove("PLATEAU_METRICS")
-        .env_remove("PLATEAU_METRICS_OUT")
-        .env_remove("PLATEAU_SIM_FUSE");
+        .env_remove("PLATEAU_METRICS_OUT");
     cmd
 }
 

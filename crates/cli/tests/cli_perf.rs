@@ -12,7 +12,6 @@ fn plateau() -> Command {
     cmd.env_remove("PLATEAU_LOG")
         .env_remove("PLATEAU_METRICS")
         .env_remove("PLATEAU_METRICS_OUT")
-        .env_remove("PLATEAU_SIM_FUSE")
         .env_remove("PLATEAU_LEDGER")
         .env_remove("PLATEAU_PERF");
     cmd

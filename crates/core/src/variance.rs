@@ -31,7 +31,7 @@
 //! # Ok::<(), plateau_core::CoreError>(())
 //! ```
 
-use crate::ansatz::{training_ansatz, variance_ansatz, Ansatz};
+use crate::ansatz::{training_ansatz, variance_ansatz};
 use crate::cost::CostKind;
 use crate::error::CoreError;
 use crate::init::{FanMode, InitStrategy};
@@ -269,8 +269,11 @@ impl VarianceScan {
     }
 }
 
-/// Computes one gradient sample: build circuit `(q, i)`, draw parameters
-/// with `strategy`, differentiate the last parameter.
+/// Computes one [`AnsatzKind::RandomRotations`] gradient sample: build
+/// circuit `(q, i)`, draw parameters with `strategy`, differentiate the
+/// last parameter. Each member is a distinct circuit run once, so the
+/// one-shot engine call walks the op list — compiling it would cost more
+/// than the run.
 fn gradient_sample(
     config: &VarianceConfig,
     strategy: InitStrategy,
@@ -280,14 +283,8 @@ fn gradient_sample(
 ) -> Result<f64, CoreError> {
     // Circuit structure depends only on (master, q, i): all strategies see
     // the same random gate pattern for ensemble member i.
-    let ansatz: Ansatz = match config.ansatz {
-        AnsatzKind::RandomRotations => {
-            let mut circ_rng =
-                StdRng::seed_from_u64(derive_seed(config.seed, 1, q as u64, i as u64));
-            variance_ansatz(q, config.layers, &mut circ_rng)?
-        }
-        AnsatzKind::Training => training_ansatz(q, config.layers)?,
-    };
+    let mut circ_rng = StdRng::seed_from_u64(derive_seed(config.seed, 1, q as u64, i as u64));
+    let ansatz = variance_ansatz(q, config.layers, &mut circ_rng)?;
 
     let mut param_rng = StdRng::seed_from_u64(derive_seed(
         config.seed,
@@ -312,13 +309,14 @@ fn gradient_sample(
 /// one-structure/many-parameter-vectors sweep — exactly the
 /// [`BatchExecutor`] shape — so the ansatz is built and compiled once and
 /// the whole ensemble runs through the per-worker scratch pool instead of
-/// re-deriving circuit, compile, and statevector per member.
+/// re-deriving circuit and statevector per member.
 ///
 /// Member `i`'s parameters come from the same
 /// `derive_seed(seed, 2 + strategy_idx, q, i)` stream as
-/// [`gradient_sample`], and each per-member partial is computed by the
-/// same engine arithmetic, so results are bit-identical to the
-/// member-at-a-time path (pinned in tests).
+/// [`gradient_sample`]. Each partial is the executor's compiled-form
+/// arithmetic, which agrees with a one-shot [`Adjoint`] or
+/// [`ParameterShift`] `partial_last` on the op list to rounding (pinned
+/// in `tests/integration_gradients.rs`).
 fn training_cell_gradients(
     config: &VarianceConfig,
     strategy: InitStrategy,

@@ -14,9 +14,9 @@
 //! | `adjoint-vs-shift` | two exact gradient algorithms | `1e-8` |
 //! | `adjoint-vs-finite-diff` | exact vs `O(ε²)` central differences | `5e-6` |
 //! | `adjoint-partial-vs-gradient` | the adjoint's shortened single-parameter sweep vs its full-gradient entry | exact (`0`, bitwise) |
-//! | `shift-vs-per-job` | the prefix-sharing parameter-shift gradient vs `Σ coeff · E(θ with θ_i += s)`, one full `expectation` per shifted job | exact (`0`, bitwise) |
+//! | `shift-vs-per-job` | the prefix-sharing parameter-shift gradient vs `Σ coeff · E(θ with θ_i += s)`, one full run of the compiled circuit per shifted job | exact (`0`, bitwise) |
 //! | `fused-vs-raw` | gate-fusion compiler output vs the gate-by-gate run | `1e-10` |
-//! | `batched-vs-per-circuit` | `expectation_many` through the batched executor's scratch pool vs one `expectation` per set | exact (`0`) |
+//! | `batched-vs-per-circuit` | `expectation_many` through the batched executor's scratch pool vs one run of the compiled circuit per set | exact (`0`) |
 //! | `mutated-vs-serial` | deliberately broken kernel (self-test only) | `1e-9` |
 //! | `fused-mutated-vs-serial` | fusion with reversed merge order (self-test only) | `1e-9` |
 //!
@@ -465,6 +465,9 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 "parameter shift",
                 ParameterShift.gradient(&circuit, &params, &obs)
             );
+            // The gradient runs the compiled form (it evaluates the
+            // circuit 2k times), so the oracle runs it too.
+            let compiled = plateau_sim::compile(&circuit);
             let mut delta = 0.0f64;
             for (i, gi) in g.iter().enumerate() {
                 // Folded in the engine's job order, from +0.0.
@@ -472,11 +475,8 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 for (shift, coeff) in shift_rule(&circuit, i) {
                     let mut theta = params.clone();
                     theta[i] += shift;
-                    let e = engine_try!(
-                        pair,
-                        "per-job expectation",
-                        plateau_grad::expectation(&circuit, &theta, &obs)
-                    );
+                    let state = engine_try!(pair, "per-job run", compiled.run(&theta));
+                    let e = engine_try!(pair, "per-job expectation", obs.expectation(&state));
                     oracle += coeff * e;
                 }
                 if oracle.to_bits() != gi.to_bits() {
@@ -490,8 +490,6 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
             )
         }
         EnginePair::FusedVsRaw => {
-            // Compile directly — no global knob toggling, so this pair
-            // needs no lock and cannot race other pairs in flight.
             let raw = engine_try!(pair, "gate-by-gate run", circuit.run(&params));
             let compiled = plateau_sim::compile(&circuit);
             let fused = engine_try!(pair, "fused kernels", compiled.run(&params));
@@ -526,13 +524,13 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 "batched executor",
                 plateau_grad::expectation_many(&circuit, &sets, &obs)
             );
+            // The executor compiles once; the oracle runs the same
+            // compiled form once per set.
+            let compiled = plateau_sim::compile(&circuit);
             let mut delta = 0.0f64;
             for (set, b) in sets.iter().zip(&batched) {
-                let one = engine_try!(
-                    pair,
-                    "per-circuit expectation",
-                    plateau_grad::expectation(&circuit, set, &obs)
-                );
+                let state = engine_try!(pair, "per-circuit run", compiled.run(set));
+                let one = engine_try!(pair, "per-circuit expectation", obs.expectation(&state));
                 delta = delta.max((one - b).abs());
             }
             verdict(

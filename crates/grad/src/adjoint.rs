@@ -214,10 +214,10 @@ pub(crate) fn gradient_raw(
 
 /// Adjoint gradient over an already-compiled circuit — the warm path for
 /// callers (the serve front-end's LRU, long-lived training loops) that
-/// compile once and differentiate many times. Identical to
-/// [`Adjoint::gradient`] with fusion enabled, minus the per-call
-/// compilation: same validation, same metrics, bit-identical output for
-/// the same compiled structure.
+/// compile once and differentiate many times. The same validation and
+/// metrics as [`Adjoint::gradient`], which walks the op list instead;
+/// the two agree to rounding, and this one is bit-identical to a
+/// [`crate::BatchExecutor`]'s adjoint sweeps over the same circuit.
 ///
 /// # Errors
 ///
@@ -254,11 +254,10 @@ impl GradientEngine for Adjoint {
         params: &[f64],
         obs: &Observable,
     ) -> Result<Vec<f64>, SimError> {
-        // The backward sweep applies every gate twice (once to φ, once to
-        // λ), so fusion pays double here: when the knob is on, the
-        // evaluator walks the compiled segment list instead of the raw
-        // op list.
-        Evaluator::new(circuit).adjoint(params, obs, Wrt::All)
+        // One gradient runs the circuit O(1) times: walk the op list.
+        // Callers that differentiate one circuit many times compile once
+        // and use `adjoint_gradient_compiled` or a `BatchExecutor`.
+        Evaluator::Raw(circuit).adjoint(params, obs, Wrt::All)
     }
 
     /// One forward pass plus the backward sweep from the last op down to
@@ -273,7 +272,7 @@ impl GradientEngine for Adjoint {
         index: usize,
     ) -> Result<f64, SimError> {
         check_index(circuit, index)?;
-        Ok(Evaluator::new(circuit).adjoint(params, obs, Wrt::One(index))?[0])
+        Ok(Evaluator::Raw(circuit).adjoint(params, obs, Wrt::One(index))?[0])
     }
 }
 
@@ -403,8 +402,6 @@ mod tests {
 
     #[test]
     fn fused_sweep_matches_the_raw_op_walk() {
-        // Drive the fused recurrence directly (no global knob) so this
-        // test cannot race other tests in the binary.
         let c = hea_circuit(4, 3);
         let params = pseudo_angles(c.n_params(), 0.63);
         let compiled = plateau_sim::compile(&c);
@@ -516,8 +513,7 @@ mod tests {
         plateau_rng::check::forall(0xad70_1a57, cases, random_case, |case| {
             let RandomCase { circuit, params, obs } = case;
             let p = circuit.n_params();
-            // Both recurrences, driven directly (no global knob) so this
-            // test cannot race other tests in the binary.
+            // Both recurrences, driven directly.
             check_partials("raw", p, |wrt| super::gradient_raw(circuit, params, obs, wrt))?;
             let compiled = plateau_sim::compile(circuit);
             check_partials("fused", p, |wrt| {

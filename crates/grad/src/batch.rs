@@ -4,12 +4,17 @@
 //! parameter vectors swept over one circuit structure per (strategy,
 //! qubit-count) cell. Before this module, every evaluation in such a sweep
 //! re-derived everything from scratch: a fresh `2^n` statevector per run,
-//! a fresh compile per run when fusion was on, and a materialized copy of
-//! the full parameter vector per shifted evaluation. [`BatchExecutor`]
-//! owns all three costs once:
+//! a fresh compile per run, and a materialized copy of the full parameter
+//! vector per shifted evaluation. [`BatchExecutor`] owns all three costs
+//! once:
 //!
-//! - the circuit is compiled a single time (when `PLATEAU_SIM_FUSE` is
-//!   on) and reused for every member of the batch;
+//! - the circuit is compiled a single time, always, and reused for every
+//!   member of the batch — an executor exists to run one circuit many
+//!   times, which is the case the crate's compile rule (see the `engine`
+//!   module) sends to the fused form. On the paper's §IV-D ansatz one
+//!   parameter-shift gradient takes 10.5 ms compiled against 21.7 ms on
+//!   the op list (one thread of a 2-vCPU host), and the compile costs
+//!   39 µs;
 //! - each worker thread owns one reusable scratch [`plateau_sim::State`]
 //!   plus one parameter buffer, reset in place between evaluations;
 //!   shifted sweeps add a second state per worker for the shared prefix
@@ -38,8 +43,11 @@
 //! # Determinism contract
 //!
 //! Results are returned in **input order** and are bit-identical to a
-//! serial loop of [`crate::expectation`] over the same sets, regardless
-//! of `PLATEAU_THREADS` and of whether the batch routed serially or in
+//! serial loop of the same computation over the compiled form —
+//! [`plateau_sim::compile`] once, then [`plateau_sim::CompiledCircuit::run`]
+//! and [`Observable::expectation`] per set, or
+//! [`crate::adjoint_gradient_compiled`] per member — regardless of
+//! `PLATEAU_THREADS` and of whether the batch routed serially or in
 //! parallel: every evaluation runs the same arithmetic on its own scratch
 //! state — a shifted evaluation resumes from prefix bits that equal the
 //! full run's at that cut — and all reductions (the observable fold, the
@@ -124,10 +132,10 @@ fn chunk_plan(
 
 /// A circuit structure prepared for sweeping many parameter vectors.
 ///
-/// Construction compiles the circuit once (when gate fusion is enabled);
-/// every subsequent evaluation reuses that compilation plus a pool of
-/// per-worker scratch statevectors. See the [module docs](self) for the
-/// allocation and determinism contracts.
+/// Construction compiles the circuit once; every subsequent evaluation
+/// reuses that compilation plus a pool of per-worker scratch
+/// statevectors. See the [module docs](self) for the allocation and
+/// determinism contracts.
 ///
 /// # Examples
 ///
@@ -135,7 +143,7 @@ fn chunk_plan(
 ///
 /// ```
 /// use plateau_grad::BatchExecutor;
-/// use plateau_sim::{Circuit, Observable};
+/// use plateau_sim::{compile, Circuit, Observable};
 ///
 /// let mut c = Circuit::new(2)?;
 /// c.ry(0)?.ry(1)?.cz(0, 1)?;
@@ -149,9 +157,10 @@ fn chunk_plan(
 /// let energies = ex.expectation_many(&sets, &obs)?;
 /// assert_eq!(energies.len(), 200);
 ///
-/// // Bit-identical to the one-at-a-time loop:
+/// // Bit-identical to the one-at-a-time loop over the compiled form:
+/// let compiled = compile(&c);
 /// for (set, e) in sets.iter().zip(&energies) {
-///     assert_eq!(*e, plateau_grad::expectation(&c, set, &obs)?);
+///     assert_eq!(*e, obs.expectation(&compiled.run(set)?)?);
 /// }
 /// # Ok::<(), plateau_sim::SimError>(())
 /// ```
@@ -164,15 +173,15 @@ pub struct BatchExecutor<'c> {
 }
 
 impl<'c> BatchExecutor<'c> {
-    /// Prepares `circuit` for batched evaluation, compiling it once when
-    /// the `PLATEAU_SIM_FUSE` knob is on. No statevector is allocated
-    /// until the first evaluation runs.
+    /// Prepares `circuit` for batched evaluation, compiling it once. No
+    /// statevector is allocated until the first evaluation runs.
     pub fn new(circuit: &'c Circuit) -> Self {
-        Self::with_evaluator(circuit, Evaluator::new(circuit))
+        Self::with_evaluator(circuit, Evaluator::Fused(plateau_sim::compile(circuit)))
     }
 
-    /// An executor over an explicit evaluator form — how tests drive the
-    /// raw and fused paths without touching the global fusion knob.
+    /// An executor over an explicit evaluator form — how the one-shot
+    /// [`crate::ParameterShift`] `partial` keeps the shared prefix walk
+    /// on the raw op list, and how tests drive both forms.
     pub(crate) fn with_evaluator(circuit: &'c Circuit, ev: Evaluator<'c>) -> Self {
         BatchExecutor {
             circuit,
@@ -205,9 +214,9 @@ impl<'c> BatchExecutor<'c> {
     }
 
     /// One cost evaluation `E(θ)` on the executor's reusable scratch —
-    /// the same computation (and the same `grad.expectation_evals`
-    /// accounting) as [`crate::expectation`], with zero statevector
-    /// allocation after the first call.
+    /// the compiled form's [`plateau_sim::CompiledCircuit::run`] plus the
+    /// observable, with [`crate::expectation`]'s `grad.expectation_evals`
+    /// accounting and zero statevector allocation after the first call.
     ///
     /// # Errors
     ///
@@ -273,8 +282,8 @@ impl<'c> BatchExecutor<'c> {
     }
 
     /// Evaluates the cost for many parameter sets against this circuit,
-    /// in input order. Bit-identical to a serial [`crate::expectation`]
-    /// loop over the same sets (see the [module docs](self)).
+    /// in input order. Bit-identical to a serial loop over the compiled
+    /// form (see the [module docs](self)).
     ///
     /// # Errors
     ///
@@ -304,7 +313,7 @@ impl<'c> BatchExecutor<'c> {
     /// first gate (or fused segment) onward — the prefix before it is
     /// shared and copied, not re-run. Shifts may come in any order and
     /// repeat indices; results are in input order and bit-identical to
-    /// one [`crate::expectation`] per job.
+    /// one full evaluation of this executor's form per job.
     ///
     /// # Errors
     ///
@@ -395,8 +404,8 @@ impl<'c> BatchExecutor<'c> {
 
     /// One full adjoint gradient per parameter set, in input order — the
     /// same computation (and the same counter accounting) as calling
-    /// [`crate::Adjoint::gradient`](crate::Adjoint) once per member,
-    /// minus the per-member compile when fusion is on.
+    /// [`crate::adjoint_gradient_compiled`] once per member on this
+    /// executor's one compilation.
     ///
     /// # Errors
     ///
@@ -412,8 +421,9 @@ impl<'c> BatchExecutor<'c> {
 
     /// Adjoint partial `∂E/∂θ_last` for every parameter set, in input
     /// order — the variance scan's quantity, one ensemble at a time. Each
-    /// member is bit-identical to [`crate::Adjoint`]'s `partial_last`: the
-    /// backward sweep ends at `θ_last`'s gate.
+    /// member is bit-identical to the last entry of
+    /// [`crate::adjoint_gradient_compiled`]: the backward sweep ends at
+    /// `θ_last`'s segment.
     ///
     /// # Errors
     ///
@@ -467,10 +477,10 @@ impl<'c> BatchExecutor<'c> {
     }
 
     /// Parameter-shift partial `∂E/∂θ_last` for every parameter set, in
-    /// input order — bit-identical per member to
-    /// [`crate::ParameterShift`]'s `partial_last`, but with the whole
-    /// ensemble's shifted evaluations (2 or 4 per member) flattened into
-    /// one batch so they share the scratch pool and one routing decision.
+    /// input order — per member, the shift rule's sum of 2 or 4 compiled
+    /// evaluations folded in job order, with the whole ensemble's shifted
+    /// evaluations flattened into one batch so they share the scratch
+    /// pool and one routing decision.
     ///
     /// # Errors
     ///
@@ -517,20 +527,12 @@ impl<'c> BatchExecutor<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::expectation;
-    use crate::GradientEngine;
+    use crate::testkit::training_shape as ansatz;
+    use plateau_sim::{compile, CompiledCircuit};
 
-    fn ansatz(n: usize, layers: usize) -> Circuit {
-        let mut c = Circuit::new(n).unwrap();
-        for _ in 0..layers {
-            for q in 0..n {
-                c.rx(q).unwrap().ry(q).unwrap();
-            }
-            for q in 0..n.saturating_sub(1) {
-                c.cz(q, q + 1).unwrap();
-            }
-        }
-        c
+    /// The executor's oracle: one full run of the compiled form.
+    fn compiled_expectation(c: &CompiledCircuit, params: &[f64], obs: &Observable) -> f64 {
+        obs.expectation(&c.run(params).unwrap()).unwrap()
     }
 
     fn sets(n_params: usize, members: usize) -> Vec<Vec<f64>> {
@@ -548,12 +550,13 @@ mod tests {
         let _guard = plateau_obs::test_lock();
         let c = ansatz(3, 2);
         let obs = Observable::global_cost(3);
+        let compiled = compile(&c);
         // Straddle MIN_PAR_EVALS on both sides.
         for members in [1usize, 5, 8, 20] {
             let sets = sets(c.n_params(), members);
             let batch = BatchExecutor::new(&c).expectation_many(&sets, &obs).unwrap();
             for (set, e) in sets.iter().zip(&batch) {
-                assert_eq!(*e, expectation(&c, set, &obs).unwrap());
+                assert_eq!(*e, compiled_expectation(&compiled, set, &obs));
             }
         }
     }
@@ -570,10 +573,11 @@ mod tests {
         let batch = BatchExecutor::new(&c)
             .expectation_shifted(&base, &shifts, &obs)
             .unwrap();
+        let compiled = compile(&c);
         for (&(idx, delta), e) in shifts.iter().zip(&batch) {
             let mut p = base.clone();
             p[idx] += delta;
-            assert_eq!(*e, expectation(&c, &p, &obs).unwrap());
+            assert_eq!(*e, compiled_expectation(&compiled, &p, &obs));
         }
     }
 
@@ -586,8 +590,9 @@ mod tests {
         let many = BatchExecutor::new(&c)
             .adjoint_gradient_many(&sets, &obs)
             .unwrap();
+        let compiled = compile(&c);
         for (set, g) in sets.iter().zip(&many) {
-            let one = crate::Adjoint.gradient(&c, set, &obs).unwrap();
+            let one = crate::adjoint_gradient_compiled(&compiled, set, &obs).unwrap();
             assert_eq!(*g, one);
         }
     }
@@ -604,12 +609,22 @@ mod tests {
         let shf = BatchExecutor::new(&c)
             .partial_last_many_shift(&sets, &obs)
             .unwrap();
+        let compiled = compile(&c);
+        let last = c.n_params() - 1;
+        let mut jobs = Vec::new();
+        crate::shift::jobs_for_param(&c, last, &mut jobs).unwrap();
         for (i, set) in sets.iter().enumerate() {
-            assert_eq!(adj[i], crate::Adjoint.partial_last(&c, set, &obs).unwrap());
-            assert_eq!(
-                shf[i],
-                crate::ParameterShift.partial_last(&c, set, &obs).unwrap()
-            );
+            let grad = crate::adjoint_gradient_compiled(&compiled, set, &obs).unwrap();
+            assert_eq!(adj[i], grad[last]);
+            let terms: Vec<f64> = jobs
+                .iter()
+                .map(|job| {
+                    let mut p = set.clone();
+                    p[last] += job.shift;
+                    job.coeff * compiled_expectation(&compiled, &p, &obs)
+                })
+                .collect();
+            assert_eq!(shf[i], terms.into_iter().sum::<f64>());
         }
     }
 

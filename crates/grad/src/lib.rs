@@ -7,10 +7,10 @@
 //!
 //! - [`ParameterShift`] — exact; 2 circuit evaluations per single-qubit
 //!   rotation parameter (4 for controlled rotations). The method the
-//!   paper's PennyLane pipeline exposes. Full gradients run through
-//!   [`BatchExecutor`]: each shifted evaluation resumes from its
-//!   parameter's shared unshifted prefix, and chunks of parameters fan
-//!   across the `plateau_par` pool.
+//!   paper's PennyLane pipeline exposes. Full gradients compile the
+//!   circuit once and run through [`BatchExecutor`]: each shifted
+//!   evaluation resumes from its parameter's shared unshifted prefix, and
+//!   chunks of parameters fan across the `plateau_par` pool.
 //! - [`Adjoint`] — exact; one forward pass plus one backward sweep yields
 //!   **all** parameters. The workhorse for the 200-circuit ensembles.
 //! - [`FiniteDifference`] — approximate oracle used to validate the other

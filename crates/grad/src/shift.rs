@@ -29,9 +29,15 @@
 //! applications instead of `2k · N` = 29,000 — with results
 //! bit-identical to the restart-from-zero evaluation (see
 //! [`crate::BatchExecutor`]).
+//!
+//! A full gradient runs the circuit `2k` times, so it compiles first and
+//! walks fused segments instead of gates (on the §IV-D ansatz, 145 gates
+//! become 55 segments). A single `partial` runs it two or four times, so
+//! it walks the op list — the crate's compile rule, stated in the
+//! `engine` module.
 
 use crate::batch::BatchExecutor;
-use crate::engine::GradientEngine;
+use crate::engine::{Evaluator, GradientEngine};
 use plateau_sim::{Circuit, Observable, Op, SimError};
 use std::f64::consts::{FRAC_PI_2, SQRT_2};
 
@@ -177,6 +183,8 @@ impl ParameterShift {
 }
 
 impl GradientEngine for ParameterShift {
+    /// `2k` (or `4k`) shifted evaluations of one circuit: compiled once,
+    /// then swept through [`BatchExecutor`].
     fn gradient(
         &self,
         circuit: &Circuit,
@@ -187,6 +195,8 @@ impl GradientEngine for ParameterShift {
         Self::gradient_with(&mut BatchExecutor::new(circuit), params, obs)
     }
 
+    /// Two (or four) shifted evaluations from one shared prefix walk, on
+    /// the op list: too few runs to pay for a compile.
     fn partial(
         &self,
         circuit: &Circuit,
@@ -196,15 +206,15 @@ impl GradientEngine for ParameterShift {
     ) -> Result<f64, SimError> {
         crate::engine::check_index(circuit, index)?;
         circuit.check_params(params)?;
-        Self::partial_with(&mut BatchExecutor::new(circuit), params, obs, index)
+        let mut ex = BatchExecutor::with_evaluator(circuit, Evaluator::Raw(circuit));
+        Self::partial_with(&mut ex, params, obs, index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Evaluator;
-    use crate::testkit::{random_case, RandomCase};
+    use crate::testkit::{random_case, run_alone, training_shape, RandomCase};
     use plateau_rng::Rng;
     use plateau_sim::RotationGate;
 
@@ -391,8 +401,7 @@ mod tests {
         Ok(())
     }
 
-    /// [`check_against_oracle`] through both evaluator forms, driven
-    /// directly (no global knob).
+    /// [`check_against_oracle`] through both evaluator forms.
     fn check_both_forms(sc: &ShiftCase) -> Result<(), String> {
         let c = &sc.case.circuit;
         let mut ex = BatchExecutor::with_evaluator(c, Evaluator::Raw(c));
@@ -439,17 +448,19 @@ mod tests {
             let cases = plateau_rng::check::cases(48);
             plateau_rng::check::forall(0x5b1f_7e55, cases, shift_case, |sc| {
                 check_both_forms(sc)?;
-                // And the public engine entry points, through whichever
-                // form the fusion knob selects.
+                // And the public engine entry points: the gradient runs
+                // the compiled form, a single partial the op list.
                 let RandomCase { circuit: c, params, obs } = &sc.case;
-                let knob = || BatchExecutor::with_evaluator(c, Evaluator::new(c));
+                let fused =
+                    || BatchExecutor::with_evaluator(c, Evaluator::Fused(plateau_sim::compile(c)));
+                let raw = || BatchExecutor::with_evaluator(c, Evaluator::Raw(c));
                 let err = |e: SimError| e.to_string();
-                let want = ParameterShift::gradient_with(&mut knob(), params, obs).map_err(err)?;
+                let want = ParameterShift::gradient_with(&mut fused(), params, obs).map_err(err)?;
                 let grad = ParameterShift.gradient(c, params, obs).map_err(err)?;
                 for (i, (g, w)) in grad.iter().zip(&want).enumerate() {
                     same(&format!("ParameterShift.gradient[{i}]"), *g, *w)?;
                     let p = ParameterShift.partial(c, params, obs, i).map_err(err)?;
-                    let q = ParameterShift::partial_with(&mut knob(), params, obs, i).map_err(err)?;
+                    let q = ParameterShift::partial_with(&mut raw(), params, obs, i).map_err(err)?;
                     same(&format!("ParameterShift.partial({i})"), p, q)?;
                 }
                 Ok(())
@@ -459,5 +470,68 @@ mod tests {
             Some(v) => std::env::set_var("PLATEAU_THREADS", v),
             None => std::env::remove_var("PLATEAU_THREADS"),
         }
+    }
+
+    /// One parameter-shift gradient of the paper's §IV-D ansatz (10
+    /// qubits, 5 layers: N = 145 gates, k = 100 parameters) on the raw op
+    /// list, counted through the process-global `sim.gate.*` counters —
+    /// so it runs alone, from [`raw_shift_gradient_gate_count_is_pinned`].
+    #[test]
+    #[ignore = "pins process-global counters; run alone by raw_shift_gradient_gate_count_is_pinned"]
+    fn raw_shift_gradient_gate_count() {
+        plateau_obs::set_metrics_enabled(true);
+        // Per layer, RX·RY on each wire (ops 29l … 29l + 19, one
+        // parameter each) then a 9-gate CZ chain.
+        let c = training_shape(10, 5);
+        let params: Vec<f64> = (0..c.n_params()).map(|i| 0.05 * i as f64 - 1.0).collect();
+        let obs = Observable::global_cost(10);
+        let n = c.ops().len() as u64;
+        // Each of θ_i's two shifted runs resumes at θ_i's gate p_i and
+        // runs the suffix: Σ 2·(N − p_i) = 15,500 gates.
+        let suffixes: u64 = (0..c.n_params())
+            .map(|i| 2 * (n - c.op_of_param(i).unwrap() as u64))
+            .sum();
+        assert_eq!(suffixes, 15_500);
+        // The prefix walks: the sweep splits the 100 parameters into 8
+        // chunks of roughly equal suffix cost (≈ 15,500 / 8 each), whose
+        // last cuts fall at ops 6, 13, 30, 39, 58, 69, 94 and 135. Each
+        // chunk walks its own prefix from |0…0⟩ up to its last cut, so
+        // the walks cost 6 + 13 + 30 + 39 + 58 + 69 + 94 + 135 = 444
+        // gates. The plan depends only on the circuit, so the total holds
+        // for every thread count.
+        let prefix_walks = 444u64;
+        let count = |name: &str| plateau_obs::snapshot().counter(name).unwrap_or(0);
+        let gates = || -> u64 {
+            [
+                "sim.gate.rotation",
+                "sim.gate.fixed",
+                "sim.gate.controlled_rotation",
+                "sim.gate.two_qubit_rotation",
+            ]
+            .iter()
+            .map(|name| count(name))
+            .sum()
+        };
+        for threads in ["1", "2", "4"] {
+            std::env::set_var("PLATEAU_THREADS", threads);
+            let (gates_before, execs_before) =
+                (gates(), count("grad.executions.parameter_shift"));
+            let mut ex = BatchExecutor::with_evaluator(&c, Evaluator::Raw(&c));
+            ParameterShift::gradient_with(&mut ex, &params, &obs).unwrap();
+            assert_eq!(gates() - gates_before, suffixes + prefix_walks, "threads={threads}");
+            // Executions count evaluations, not gates: still 2k.
+            assert_eq!(
+                count("grad.executions.parameter_shift") - execs_before,
+                2 * c.n_params() as u64,
+                "threads={threads}"
+            );
+        }
+        // The raw form never compiles.
+        assert_eq!(count("sim.fuse.gates_in"), 0);
+    }
+
+    #[test]
+    fn raw_shift_gradient_gate_count_is_pinned() {
+        run_alone("shift::tests::raw_shift_gradient_gate_count");
     }
 }

@@ -1,4 +1,4 @@
-//! Shared generators for the crate's property tests.
+//! Shared generators and helpers for the crate's tests.
 
 use plateau_sim::{Circuit, Observable, PauliString, RotationGate};
 
@@ -57,3 +57,39 @@ pub(crate) fn random_case(rng: &mut plateau_rng::StdRng) -> RandomCase {
     RandomCase { circuit: c, params, obs }
 }
 
+
+/// The paper's training ansatz shape (§IV-D): per layer RX·RY on every
+/// wire, then a CZ chain.
+pub(crate) fn training_shape(n: usize, layers: usize) -> Circuit {
+    let mut c = Circuit::new(n).unwrap();
+    for _ in 0..layers {
+        for q in 0..n {
+            c.rx(q).unwrap().ry(q).unwrap();
+        }
+        for q in 0..n.saturating_sub(1) {
+            c.cz(q, q + 1).unwrap();
+        }
+    }
+    c
+}
+
+/// Runs the `#[ignore]`d test `name` alone in a child process of this
+/// test binary. Tests that pin the process-global `sim.*` counters use
+/// it: any other test running beside them in this binary would add to
+/// the counts.
+pub(crate) fn run_alone(name: &str) {
+    let exe = std::env::current_exe().expect("path of the test binary");
+    let out = std::process::Command::new(exe)
+        .args([name, "--exact", "--ignored", "--test-threads=1"])
+        .output()
+        .expect("re-run the test binary");
+    let log = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        out.status.success() && log.contains("1 passed"),
+        "{name} in a child process:\n{log}"
+    );
+}

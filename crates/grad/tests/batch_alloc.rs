@@ -7,9 +7,11 @@
 //! - the per-circuit loop it replaced really does pay one full
 //!   statevector per member (the contrast that makes the bound meaningful);
 //! - a full [`ParameterShift`] gradient allocates `O(k)` bytes of job
-//!   bookkeeping plus two statevectors per worker (prefix and work), not
-//!   the `O(k²)` of materializing one parameter-vector copy per shifted
-//!   evaluation.
+//!   bookkeeping, one compile, and two statevectors per worker (prefix
+//!   and work), not the `O(k²)` of materializing one parameter-vector
+//!   copy per shifted evaluation;
+//! - a fused adjoint sweep allocates the same bytes whatever the number
+//!   of diagonal superkernels it inverts.
 //!
 //! Everything shares the process-global allocator high-water mark, so it
 //! runs as one sequential test function, like `alloc_profile.rs`.
@@ -43,10 +45,8 @@ fn batch_path_allocation_is_flat_and_parameter_shift_is_linear() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::set_log_level(plateau_obs::Level::Off);
     plateau_obs::set_metrics_enabled(false);
-    // Deterministic allocation stream: serial kernels, gate-by-gate
-    // execution (fusion would add compile-time buffers to the window).
+    // Deterministic allocation stream: serial kernels.
     plateau_sim::set_par_threshold(usize::MAX);
-    plateau_sim::set_fuse(false);
     assert!(
         set_profiling(true),
         "counting allocator is installed in this binary; profiling must engage"
@@ -146,16 +146,65 @@ fn batch_path_allocation_is_flat_and_parameter_shift_is_linear() {
         delta(&mut grad_run),
         "parameter-shift gradient must allocate deterministically"
     );
+    // A full gradient compiles its circuit once per call: one compile's
+    // bytes (the segment list, its op lists and the superkernel
+    // diagonals) ride on top of the sweep's own O(k) bound.
+    let (compile_bytes, _) = delta(&mut || {
+        plateau_sim::compile(&circuit);
+    });
+    assert!(
+        grad_bytes >= compile_bytes,
+        "gradient allocated {grad_bytes} B, less than its one compile ({compile_bytes} B)"
+    );
+    let sweep_bytes = grad_bytes - compile_bytes;
     let quadratic = (2 * n_params * 8 * n_params) as u64;
     let linear_bound =
         workers * (2 * state_bytes + 8 * n_params as u64) + 64 * n_params as u64 + 8192;
     assert!(
-        grad_bytes < linear_bound.min(quadratic / 2),
-        "gradient allocated {grad_bytes} B; O(k) bound is {linear_bound} B \
-         (the old per-job copies cost ≥ {quadratic} B)"
+        sweep_bytes < linear_bound.min(quadratic / 2),
+        "gradient allocated {grad_bytes} B, {sweep_bytes} B beyond its compile; O(k) \
+         bound is {linear_bound} B (the old per-job copies cost ≥ {quadratic} B)"
+    );
+
+    // ── Satellite pin: a fused adjoint sweep inverts each diagonal
+    // superkernel in place. Layer by layer the ansatz gains one
+    // superkernel, and the sweep gains only its O(k) bookkeeping (the
+    // gradient entries and per-segment parameter lists) — never the
+    // 2^n conjugated diagonal an allocating inverse would build twice
+    // per superkernel.
+    let adjoint_bytes = |layers: usize| {
+        let c = training_shape(10, layers);
+        let compiled = plateau_sim::compile(&c);
+        assert_eq!(compiled.superkernels(), layers);
+        let params: Vec<f64> = (0..c.n_params()).map(|p| 0.1 + 0.003 * p as f64).collect();
+        plateau_grad::adjoint_gradient_compiled(&compiled, &params, &obs).unwrap(); // warm
+        delta(&mut || {
+            plateau_grad::adjoint_gradient_compiled(&compiled, &params, &obs).unwrap();
+        })
+        .0
+    };
+    let per_layer: Vec<u64> = (1..=5).map(adjoint_bytes).collect();
+    let step = per_layer[1] - per_layer[0];
+    for (l, pair) in per_layer.windows(2).enumerate() {
+        assert_eq!(
+            pair[1] - pair[0],
+            step,
+            "adjoint bytes by layer {per_layer:?}: layer {} adds a different amount",
+            l + 2
+        );
+    }
+    assert!(
+        step < state_bytes / 16,
+        "each superkernel layer adds {step} B to a fused adjoint sweep ({per_layer:?})"
+    );
+    // What no layer adds: the sweep's three statevectors (φ, λ and the
+    // tangent μ) plus under 1 KB.
+    let fixed = per_layer[0] - step;
+    assert!(
+        (3 * state_bytes..3 * state_bytes + 1024).contains(&fixed),
+        "a fused adjoint sweep holds φ, λ and μ; by layer it allocated {per_layer:?}"
     );
 
     set_profiling(false);
     plateau_sim::reset_par_threshold();
-    plateau_sim::reset_fuse();
 }

@@ -282,8 +282,8 @@ mod tests {
             first.get("metrics").unwrap().get("final_loss").unwrap().as_f64(),
             Some(0.5)
         );
-        // The env capture includes the fusion flag (tracked since PR 7).
-        assert!(first.get("env").unwrap().get("PLATEAU_SIM_FUSE").is_some());
+        // The env capture includes the tracked variables.
+        assert!(first.get("env").unwrap().get("PLATEAU_THREADS").is_some());
 
         // The series pointer resolves and parses back.
         let rel = first.get("series").unwrap().as_str().unwrap().to_string();

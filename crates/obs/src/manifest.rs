@@ -26,14 +26,13 @@ pub fn git_describe() -> String {
 
 /// The observability-relevant environment variables stamped into every
 /// manifest and ledger record, so a trace stays interpretable after the
-/// fact (was the run pinned to one thread? did gradients go through the
-/// fusion compiler? was a log level forcing extra stderr work?).
+/// fact (was the run pinned to one thread? was a log level forcing extra
+/// stderr work?).
 pub const TRACKED_ENV: &[&str] = &[
     "PLATEAU_THREADS",
     "PLATEAU_LOG",
     "PLATEAU_METRICS",
     "PLATEAU_METRICS_OUT",
-    "PLATEAU_SIM_FUSE",
     "PLATEAU_LEDGER",
 ];
 
@@ -142,7 +141,7 @@ mod tests {
         // Environment capture: every tracked variable has a key (string or
         // null), and the detected core count is a positive number.
         let env = parsed.get("env").expect("env object");
-        for key in ["PLATEAU_THREADS", "PLATEAU_LOG", "PLATEAU_METRICS_OUT", "PLATEAU_SIM_FUSE", "PLATEAU_LEDGER"] {
+        for key in ["PLATEAU_THREADS", "PLATEAU_LOG", "PLATEAU_METRICS_OUT", "PLATEAU_LEDGER"] {
             assert!(env.get(key).is_some(), "manifest env missing {key}");
         }
         assert!(parsed.get("cores").unwrap().as_f64().unwrap_or(0.0) >= 1.0);

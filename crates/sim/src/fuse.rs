@@ -43,7 +43,7 @@
 //! precompute — are built once at compile time from bound angles only.
 //! Hot paths (batched expectations, gradient engines) should therefore
 //! compile once and sweep parameters many times; that contract is what
-//! the planned `BatchExecutor` builds on.
+//! `plateau-grad`'s `BatchExecutor` builds on.
 //!
 //! # Pass ordering
 //!
@@ -55,57 +55,36 @@
 //! `compile(&simplify(&c))` and `compile(&c)` agree to rounding on every
 //! input state.
 //!
-//! # Knob
+//! # When callers compile
 //!
-//! Execution layers consult [`fuse_enabled`] (the `PLATEAU_SIM_FUSE`
-//! environment variable, cached on first read; `1`/`true`/`on` enable).
-//! [`set_fuse`] / [`reset_fuse`] override it programmatically, mirroring
-//! [`crate::parallel::set_par_threshold`].
+//! Compiling is not free: it merges every run's matrices and precomputes
+//! each superkernel's `2^n` diagonal. At q = 10 on a 2-vCPU host a
+//! compile costs about 40 µs for the paper's 5-layer training circuit and
+//! about 540 µs for a 50-layer Fig 5a member — more than a third of one
+//! adjoint partial of that member on the op list (1.3 ms). So the
+//! execution layers follow one fixed rule (stated in `plateau-grad`'s
+//! `engine` module): a call that runs a circuit `O(k)` or `O(batch)`
+//! times compiles first, and a call that runs it `O(1)` times walks the
+//! op list. There is no knob.
+//!
+//! # Observability
+//!
+//! [`compile`] counts `sim.fuse.gates_in`, `sim.fuse.gates_out` and
+//! `sim.fuse.superkernels`. Every fused kernel application (forward or
+//! inverse) bumps `sim.fuse.applications.{single,pair,diagonal}`, and
+//! every product-state prologue bumps `sim.fuse.applications.prologue` —
+//! counters rather than spans, the way the raw kernels bump `sim.gate.*`,
+//! so a traced gradient pays one relaxed atomic per kernel.
 
 use crate::circuit::{Circuit, Op, Param};
 use crate::error::SimError;
 use crate::gate::{FixedGate, RotationGate};
 use crate::state::State;
 use plateau_linalg::C64;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Largest register for which whole-layer diagonal superkernels are
 /// precomputed (the `2^n` diagonal must stay cache-resident to pay off).
 pub const SUPERKERNEL_MAX_QUBITS: usize = 12;
-
-/// Cached fuse knob: 0 = uninitialized, 1 = off, 2 = on.
-static FUSE: AtomicUsize = AtomicUsize::new(0);
-
-/// Whether fusion is enabled for the gradient/expectation hot paths.
-///
-/// Reads `PLATEAU_SIM_FUSE` on first call and caches the answer; `1`,
-/// `true`, or `on` (case-insensitive) enable, anything else disables.
-pub fn fuse_enabled() -> bool {
-    match FUSE.load(Ordering::Relaxed) {
-        0 => {
-            let on = std::env::var("PLATEAU_SIM_FUSE")
-                .map(|v| {
-                    let v = v.trim();
-                    v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
-                })
-                .unwrap_or(false);
-            FUSE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        v => v == 2,
-    }
-}
-
-/// Forces fusion on or off for this process, overriding the environment.
-pub fn set_fuse(on: bool) {
-    FUSE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Clears any cached/overridden value; the next [`fuse_enabled`] call
-/// re-reads `PLATEAU_SIM_FUSE`.
-pub fn reset_fuse() {
-    FUSE.store(0, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Cost model (complex multiplies per amplitude, i.e. full-state sweeps
@@ -493,11 +472,6 @@ impl Segment {
         }
     }
 
-    /// Number of source gates this segment covers.
-    pub fn gate_count(&self) -> usize {
-        self.ops().len()
-    }
-
     /// `(position-in-segment, parameter-index)` of every free parameter.
     pub fn free_params(&self) -> Vec<(usize, usize)> {
         self.ops()
@@ -516,17 +490,17 @@ impl Segment {
         match self {
             Segment::Raw(op) => op.apply(state, params),
             Segment::Single { qubit, ops } => {
-                let _span = plateau_obs::span!("sim.fuse.single", gates = ops.len());
+                plateau_obs::counter!("sim.fuse.applications.single").inc();
                 let m = merged_single(ops, params, None);
                 state.apply_fused_single(*qubit, &m)
             }
             Segment::Pair { hi, lo, ops } => {
-                let _span = plateau_obs::span!("sim.fuse.pair", gates = ops.len());
+                plateau_obs::counter!("sim.fuse.applications.pair").inc();
                 let m = merged_pair(ops, *hi, params, None);
                 state.apply_fused_pair(*hi, *lo, &m)
             }
-            Segment::Diagonal { diag, ops } => {
-                let _span = plateau_obs::span!("sim.fuse.diagonal", gates = ops.len());
+            Segment::Diagonal { diag, .. } => {
+                plateau_obs::counter!("sim.fuse.applications.diagonal").inc();
                 state.apply_diagonal(diag)
             }
         }
@@ -541,19 +515,18 @@ impl Segment {
         match self {
             Segment::Raw(op) => op.apply_inverse(state, params),
             Segment::Single { qubit, ops } => {
-                let _span = plateau_obs::span!("sim.fuse.single", gates = ops.len());
+                plateau_obs::counter!("sim.fuse.applications.single").inc();
                 let m = mat2_dagger(&merged_single(ops, params, None));
                 state.apply_fused_single(*qubit, &m)
             }
             Segment::Pair { hi, lo, ops } => {
-                let _span = plateau_obs::span!("sim.fuse.pair", gates = ops.len());
+                plateau_obs::counter!("sim.fuse.applications.pair").inc();
                 let m = mat4_dagger(&merged_pair(ops, *hi, params, None));
                 state.apply_fused_pair(*hi, *lo, &m)
             }
-            Segment::Diagonal { diag, ops } => {
-                let _span = plateau_obs::span!("sim.fuse.diagonal", gates = ops.len());
-                let inv: Vec<C64> = diag.iter().map(|d| d.conj()).collect();
-                state.apply_diagonal(&inv)
+            Segment::Diagonal { diag, .. } => {
+                plateau_obs::counter!("sim.fuse.applications.diagonal").inc();
+                state.apply_diagonal_conj(diag)
             }
         }
     }
@@ -777,21 +750,21 @@ impl CompiledCircuit {
     /// [`CompiledCircuit::run`] and [`CompiledCircuit::run_prefix_into`]
     /// so the two paths are arithmetically identical.
     fn product_prologue(&self, amps: &mut [C64], params: &[f64], k: usize) {
-        let covered: usize = self.segments[..k].iter().map(Segment::gate_count).sum();
-        let _span = plateau_obs::span!("sim.fuse.prologue", gates = covered);
-        // |0⟩-column of each leading run's merged 2×2, by wire.
-        let mut cols: Vec<Option<(C64, C64)>> = vec![None; self.n_qubits];
-        for seg in &self.segments[..k] {
-            let Segment::Single { qubit, ops } = seg else {
-                unreachable!("product prefix holds only Single segments");
-            };
-            let m = merged_single(ops, params, None);
-            cols[*qubit] = Some((m[0], m[2]));
-        }
+        plateau_obs::counter!("sim.fuse.applications.prologue").inc();
         amps[0] = C64::ONE;
         let mut len = 1usize;
-        for col in cols {
-            if let Some((v0, v1)) = col {
+        for wire in 0..self.n_qubits {
+            // The leading run on this wire, found by a scan of the (at most
+            // n) prologue segments rather than a per-run lookup table, so
+            // a run from |0…0⟩ allocates nothing here.
+            let run = self.segments[..k].iter().find_map(|seg| match seg {
+                Segment::Single { qubit, ops } => (*qubit == wire).then_some(ops),
+                _ => unreachable!("product prefix holds only Single segments"),
+            });
+            if let Some(ops) = run {
+                // |0⟩-column of the run's merged 2×2.
+                let m = merged_single(ops, params, None);
+                let (v0, v1) = (m[0], m[2]);
                 for i in 0..len {
                     let a = amps[i];
                     amps[i] = a * v0;
@@ -1131,15 +1104,6 @@ mod tests {
             }
         }
         c
-    }
-
-    #[test]
-    fn knob_override_round_trips() {
-        set_fuse(true);
-        assert!(fuse_enabled());
-        set_fuse(false);
-        assert!(!fuse_enabled());
-        reset_fuse();
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   identical to the serial loops regardless of worker count.
 //! - [`fuse`]: the gate-fusion compiler ([`compile`], [`CompiledCircuit`])
 //!   — merges adjacent-gate runs into 2×2/4×4 blocks and whole-layer
-//!   diagonal superkernels, gated by the `PLATEAU_SIM_FUSE` knob
-//!   ([`fuse_enabled`]).
+//!   diagonal superkernels. Callers that run one circuit many times
+//!   compile it once; one-shot calls walk the op list.
 //!
 //! Qubit ordering is little-endian throughout: qubit `k` is bit `k` of the
 //! amplitude index.
@@ -80,10 +80,7 @@ pub mod unitary;
 pub use circuit::{Circuit, Op, Param};
 pub use density::{meyer_wallach, purity, reduced_density_matrix, von_neumann_entropy};
 pub use error::SimError;
-pub use fuse::{
-    compile, fuse_enabled, reset_fuse, set_fuse, CompiledCircuit, Segment,
-    SUPERKERNEL_MAX_QUBITS,
-};
+pub use fuse::{compile, CompiledCircuit, Segment, SUPERKERNEL_MAX_QUBITS};
 pub use gate::{FixedGate, RotationGate, TwoQubitRotationGate};
 pub use mixed::{amplitude_damping_kraus, depolarizing_kraus, phase_flip_kraus, DensityMatrix};
 pub use noise::NoiseModel;

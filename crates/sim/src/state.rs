@@ -481,6 +481,24 @@ impl State {
     /// Returns [`SimError::DimensionMismatch`] if `diag` does not match
     /// the state dimension.
     pub fn apply_diagonal(&mut self, diag: &[C64]) -> Result<(), SimError> {
+        self.scale_by(diag, |d| d)
+    }
+
+    /// Multiplies the state element-wise by the complex conjugate of a
+    /// full-register diagonal — the inverse of [`State::apply_diagonal`]
+    /// for a unitary diagonal, applied in place without materializing
+    /// the conjugated `2^n` vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::DimensionMismatch`] if `diag` does not match
+    /// the state dimension.
+    pub fn apply_diagonal_conj(&mut self, diag: &[C64]) -> Result<(), SimError> {
+        self.scale_by(diag, C64::conj)
+    }
+
+    /// `amps[i] *= entry(diag[i])` over the whole state, 2-way unrolled.
+    fn scale_by(&mut self, diag: &[C64], entry: impl Fn(C64) -> C64) -> Result<(), SimError> {
         let dim = self.amps.len();
         if diag.len() != dim {
             return Err(SimError::DimensionMismatch {
@@ -490,12 +508,12 @@ impl State {
         }
         let mut i = 0;
         while i + 2 <= dim {
-            self.amps[i] = self.amps[i] * diag[i];
-            self.amps[i + 1] = self.amps[i + 1] * diag[i + 1];
+            self.amps[i] *= entry(diag[i]);
+            self.amps[i + 1] *= entry(diag[i + 1]);
             i += 2;
         }
         while i < dim {
-            self.amps[i] = self.amps[i] * diag[i];
+            self.amps[i] *= entry(diag[i]);
             i += 1;
         }
         Ok(())

@@ -20,21 +20,16 @@ echo "=== cargo test with forced-parallel sim kernels ==="
 # the serial run above (DESIGN.md §9).
 PLATEAU_SIM_PAR_THRESHOLD=0 cargo test -q --workspace --offline
 
-echo "=== cargo test with gate fusion forced on ==="
-# Run the whole suite through the fusion compiler (DESIGN.md §11): every
-# gradient-layer evaluation compiles circuits into fused segments. Tests
-# that pin exact per-gate counters or span forests opt back out with
-# set_fuse(false).
-PLATEAU_SIM_FUSE=1 cargo test -q --workspace --offline
+echo "=== cargo test (par + grad) at PLATEAU_THREADS=1 ==="
+# The thread-count matrix: the batched executor's allocation pins and
+# bitwise-determinism properties must hold with one worker and with two,
+# so a 1-core build host cannot hide a failure that only shows when
+# workers split the items (and vice versa).
+PLATEAU_THREADS=1 cargo test -q --offline -p plateau-par -p plateau-grad
 
-echo "=== cargo test (par + grad) at PLATEAU_THREADS=1 and 2 ==="
-# The first step of a thread-count matrix: the batched executor's
-# allocation pins and bitwise-determinism properties must hold with one
-# worker and with two, so a 1-core build host cannot hide a failure that
-# only shows when workers split the items (and vice versa).
-for threads in 1 2; do
-    PLATEAU_THREADS="${threads}" cargo test -q --offline -p plateau-par -p plateau-grad
-done
+echo "=== cargo test at PLATEAU_THREADS=2 ==="
+# The whole workspace with two workers, whatever the host's core count.
+PLATEAU_THREADS=2 cargo test -q --workspace --offline
 
 echo "=== zero-dependency policy check ==="
 violations=$(cargo tree --workspace --offline --prefix none \
@@ -55,18 +50,16 @@ echo "=== observability overhead gate ==="
 PLATEAU_PERF=target/obs \
     cargo run -q --release --offline -p plateau-bench --bin obs_overhead_gate
 
-echo "=== obs trace regression gate (fusion on) ==="
+echo "=== obs trace regression gate ==="
 # Record a fresh trace of the canonical gate workload (kept in lock-step
 # with crates/bench/src/bin/obs_trace_baseline.rs) and diff it against the
-# committed baseline. The workload runs under PLATEAU_SIM_FUSE=1 — the
-# production configuration — so the span forest includes the fused-kernel
-# spans the baseline pins. Structure (new/vanished spans, call counts)
+# committed baseline. Structure (new/vanished spans, call counts)
 # compares exactly; wall time uses a generous relative threshold because
 # the baseline was recorded on a different machine. Re-record with
 # `cargo run -p plateau-bench --bin obs_trace_baseline` after intentional
 # changes to the workload or the span instrumentation.
 trace="$(mktemp -u).jsonl"
-PLATEAU_SIM_FUSE=1 cargo run -q --release --offline -p plateau-cli -- variance \
+cargo run -q --release --offline -p plateau-cli -- variance \
     --qubits 2,3 --circuits 8 --layers 10 --metrics-out "${trace}" > /dev/null
 cargo run -q --release --offline -p plateau-cli -- obs diff \
     benchmarks/OBS_trace_baseline.json "${trace}" \
@@ -128,18 +121,19 @@ cargo run -q --release --offline -p plateau-cli -- fuzz \
     --cases 40 --seed 0xfeed --mutate true --artifacts "$(mktemp -d)"
 
 echo "=== sim parallel + fusion speedup gates ==="
-# The 10-qubit 5-layer parameter-shift training step, serial vs pooled vs
-# fused: on multi-core machines the parallel median must at least break
-# even (tolerance PLATEAU_SIM_PAR_TOL, default 1.10), and on any machine
-# the fused median must beat raw serial by at least PLATEAU_SIM_FUSE_TOL
-# (default 2.0). Recorded baseline lives in
+# The 10-qubit 5-layer parameter-shift training step: a raw per-job
+# Circuit::run loop vs the compiled ParameterShift gradient on one worker
+# and pooled. On any machine the fused median must beat raw by at least
+# PLATEAU_SIM_FUSE_TOL (default 2.0); on multi-core machines the pooled
+# median must at least break even with the one-worker one (tolerance
+# PLATEAU_SIM_PAR_TOL, default 1.10). Recorded baseline lives in
 # benchmarks/BENCH_sim_parallel.json (re-record with --record).
 PLATEAU_PERF=target/obs \
     cargo run -q --release --offline -p plateau-bench --bin sim_parallel_gate
 
 echo "=== batch throughput gate ==="
-# The 200-member 10-qubit/5-layer ensemble sweep, fusion on: the batched
-# executor (compile once, per-worker scratch statevectors) vs the old
+# The 200-member 10-qubit/5-layer ensemble sweep: the batched executor
+# (compile once, per-worker scratch statevectors) vs the old
 # one-expectation-per-member loop. The serial comparison gates on any
 # machine (batched must never lose; PLATEAU_BATCH_SERIAL_TOL, default
 # 1.10); on multi-core machines the pooled sweep must additionally clear

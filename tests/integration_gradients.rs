@@ -95,74 +95,105 @@ fn gradients_agree_for_arbitrary_angles() {
     );
 }
 
-/// Serializes the tests that toggle the process-global fusion knob, so
-/// they cannot race each other (the knob is per-process, the test binary
-/// runs tests on multiple threads).
-static FUSE_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Regression pin for adjoint differentiation over fused circuits: on
 /// the paper's Fig 5b training configuration (scaled to a debug-build
-/// size), the fused adjoint gradient must match gate-by-gate
-/// parameter-shift values to 1e-10 for both cost functions.
+/// size), the compiled adjoint gradient must match gate-by-gate
+/// parameter-shift values (each a one-shot `partial`, which walks the op
+/// list) to 1e-10 for both cost functions.
 #[test]
 fn fused_adjoint_matches_parameter_shift_on_fig5b_ansatz() {
-    let _guard = FUSE_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let ansatz = training_ansatz(6, 4).expect("ansatz");
     let params: Vec<f64> = (0..ansatz.circuit.n_params())
         .map(|i| ((i * 41 % 23) as f64) * 0.27 - 2.9)
         .collect();
+    let compiled = plateau_sim::compile(&ansatz.circuit);
     for cost in [CostKind::Global, CostKind::Local] {
         let obs = cost.observable(6);
-        // Parameter-shift reference with fusion off.
-        plateau_sim::set_fuse(false);
-        let shift = ParameterShift
-            .gradient(&ansatz.circuit, &params, &obs)
-            .expect("shift");
-        // Adjoint over the compiled circuit with fusion on.
-        plateau_sim::set_fuse(true);
-        let fused = Adjoint.gradient(&ansatz.circuit, &params, &obs).expect("fused adjoint");
-        plateau_sim::reset_fuse();
-        for i in 0..params.len() {
+        let fused = plateau_grad::adjoint_gradient_compiled(&compiled, &params, &obs)
+            .expect("fused adjoint");
+        for (i, f) in fused.iter().enumerate() {
+            let shift = ParameterShift
+                .partial(&ansatz.circuit, &params, &obs, i)
+                .expect("shift");
             assert!(
-                (fused[i] - shift[i]).abs() < 1e-10,
-                "{cost} param {i}: fused {} vs shift {}",
-                fused[i],
-                shift[i]
+                (f - shift).abs() < 1e-10,
+                "{cost} param {i}: fused {f} vs shift {shift}"
             );
         }
     }
 }
 
+/// Adjoint gradients through a compiled circuit — the form a caller that
+/// differentiates one circuit many times would run.
+struct CompiledAdjoint;
+
+impl GradientEngine for CompiledAdjoint {
+    fn gradient(
+        &self,
+        circuit: &plateau_sim::Circuit,
+        params: &[f64],
+        obs: &plateau_sim::Observable,
+    ) -> Result<Vec<f64>, plateau_sim::SimError> {
+        plateau_grad::adjoint_gradient_compiled(&plateau_sim::compile(circuit), params, obs)
+    }
+}
+
 /// The paper's headline artifacts — variance-scan curves and the
-/// `BarrenPlateauAlarm` event stream during training — must be stable
-/// when fusion is toggled at a fixed seed: same alarm iterations, and
-/// variances equal to within the fused kernels' reassociation slack.
+/// `BarrenPlateauAlarm` event stream during training — must not depend on
+/// which form runs. The batched executor behind a Training-ansatz cell
+/// compiles; a one-shot engine call walks the op list. At a fixed seed:
+/// same alarm iterations, and values equal to within the fused kernels'
+/// reassociation slack.
 #[test]
 fn variance_scan_and_plateau_alarm_are_stable_under_fusion() {
-    let _guard = FUSE_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     use plateau_core::init::InitStrategy;
     use plateau_core::optim::GradientDescent;
     use plateau_core::train::{train_with_alarm, BarrenPlateauAlarm};
-    use plateau_core::variance::{variance_scan, VarianceConfig};
+    use plateau_core::variance::{variance_scan, AnsatzKind, VarianceConfig};
+    use plateau_rng::derive_seed;
 
     let cfg = VarianceConfig {
         qubit_counts: vec![2, 3],
         layers: 4,
         n_circuits: 6,
         seed: 0xf0e5,
+        ansatz: AnsatzKind::Training,
         ..VarianceConfig::default()
     };
     let strategies = [InitStrategy::Random, InitStrategy::He];
+    let scan = variance_scan(&cfg, &strategies).expect("scan");
+    for (s_idx, (curve, strategy)) in scan.curves.iter().zip(&strategies).enumerate() {
+        for point in &curve.points {
+            // The op-list reference: member i's parameter draw (the
+            // documented derive_seed(seed, 2 + strategy, q, i) stream)
+            // differentiated by a one-shot adjoint partial.
+            let q = point.n_qubits;
+            let a = training_ansatz(q, cfg.layers).expect("ansatz");
+            let obs = cfg.cost.observable(q);
+            let raw: Vec<f64> = (0..cfg.n_circuits)
+                .map(|i| {
+                    let seed = derive_seed(cfg.seed, 2 + s_idx as u64, q as u64, i as u64);
+                    let params = strategy
+                        .sample_params(&a.shape, cfg.fan_mode, &mut StdRng::seed_from_u64(seed))
+                        .expect("params");
+                    Adjoint.partial_last(&a.circuit, &params, &obs).expect("partial")
+                })
+                .collect();
+            assert_eq!(point.gradients.len(), raw.len());
+            for (f, r) in point.gradients.iter().zip(&raw) {
+                assert!((f - r).abs() <= 1e-12, "{strategy} q={q}: fused {f} vs raw {r}");
+            }
+            // Same seed → same circuits → identical statistics up to the
+            // fused kernels' floating-point reassociation.
+            let (f, r) = (point.variance, plateau_stats::variance(&raw));
+            assert!(
+                (f - r).abs() <= 1e-12 * r.abs().max(1.0),
+                "variance drifted under fusion: {r} vs {f}"
+            );
+        }
+    }
 
-    let run_scan = || {
-        variance_scan(&cfg, &strategies)
-            .expect("scan")
-            .curves
-            .iter()
-            .flat_map(|c| c.points.iter().map(|p| p.variance))
-            .collect::<Vec<f64>>()
-    };
-    let run_training = || {
+    let run_training = |engine: &dyn GradientEngine| {
         let ansatz = training_ansatz(4, 3).expect("ansatz");
         let obs = CostKind::Global.observable(4);
         // Angles big enough to wander through flat regions and trip the
@@ -172,27 +203,12 @@ fn variance_scan_and_plateau_alarm_are_stable_under_fusion() {
             .collect();
         let mut opt = GradientDescent::new(0.05).expect("optimizer");
         let alarm = BarrenPlateauAlarm::default();
-        train_with_alarm(&ansatz.circuit, &obs, theta0, &mut opt, 12, &Adjoint, &alarm)
+        train_with_alarm(&ansatz.circuit, &obs, theta0, &mut opt, 12, engine, &alarm)
             .expect("training")
     };
+    let raw_hist = run_training(&Adjoint);
+    let fused_hist = run_training(&CompiledAdjoint);
 
-    plateau_sim::set_fuse(false);
-    let raw_vars = run_scan();
-    let raw_hist = run_training();
-    plateau_sim::set_fuse(true);
-    let fused_vars = run_scan();
-    let fused_hist = run_training();
-    plateau_sim::reset_fuse();
-
-    assert_eq!(raw_vars.len(), fused_vars.len());
-    for (r, f) in raw_vars.iter().zip(&fused_vars) {
-        // Same seed → same circuits → identical statistics up to the
-        // fused kernels' floating-point reassociation.
-        assert!(
-            (r - f).abs() <= 1e-12 * r.abs().max(1.0),
-            "variance drifted under fusion: {r} vs {f}"
-        );
-    }
     // Alarm decisions are thresholded bits: the event stream (which
     // iterations fired) must be *identical*; the recorded norms may only
     // differ by reassociation slack.

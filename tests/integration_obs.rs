@@ -50,10 +50,10 @@ fn variance_scan_gate_counters_match_analytic_counts() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::set_metrics_enabled(true);
     plateau_obs::metrics::reset();
-    // The analytic per-gate counts below assume gate-by-gate execution;
-    // pin fusion off so the suite also passes under PLATEAU_SIM_FUSE=1.
-    plateau_sim::set_fuse(false);
 
+    // Every member of a random-rotations cell is a distinct circuit
+    // differentiated once, so its partial walks the op list and the
+    // per-gate counters below see every application.
     let qubits = [2usize, 3];
     let (circuits, layers) = (4usize, 5usize);
     let cfg = VarianceConfig {
@@ -92,8 +92,9 @@ fn variance_scan_gate_counters_match_analytic_counts() {
     // prefix walk's start); each execution copies the prefix instead.
     assert_eq!(snap.counter("sim.state.allocations"), Some(evals));
     assert_eq!(snap.counter("sim.state.reuses"), Some(evals / 2));
+    // One-shot partials never compile.
+    assert_eq!(snap.counter("sim.fuse.gates_in"), None);
 
-    plateau_sim::reset_fuse();
     plateau_obs::metrics::reset();
     plateau_obs::set_metrics_enabled(false);
 }
@@ -161,66 +162,90 @@ fn adjoint_executes_constant_circuits_per_gradient() {
 fn parameter_shift_gradient_runs_each_suffix_once_from_a_shared_prefix() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::set_metrics_enabled(true);
-    // The counts below assume gate-by-gate execution; pin fusion off so
-    // the suite also passes under PLATEAU_SIM_FUSE=1.
-    plateau_sim::set_fuse(false);
 
     use plateau_core::ansatz::training_ansatz;
     use plateau_core::cost::CostKind;
     use plateau_grad::{GradientEngine, ParameterShift};
 
-    // §IV-D: 10 qubits, 5 layers — N = 145 gates, k = 100 parameters.
-    // Per layer, RX·RY on each wire (ops 29l … 29l + 19, one parameter
-    // each) then a 9-gate CZ chain.
+    // §IV-D: 10 qubits, 5 layers — 145 gates, k = 100 parameters. A full
+    // gradient runs the circuit 2k times, so it compiles first: per layer
+    // ten per-wire Single segments (RX·RY, two parameters each) and one
+    // Diagonal superkernel (the CZ chain) — 55 segments, wire q of layer
+    // l at segment 11l + q and the layer's diagonal at 11l + 10. Runs from
+    // |0…0⟩ build layer 0's ten Singles as one product-state prologue.
+    // (The same gradient on the raw op list applies 15,944 gates; that
+    // pin lives in plateau-grad's shift tests.)
     let a = training_ansatz(10, 5).unwrap();
     let c = &a.circuit;
     let params: Vec<f64> = (0..c.n_params()).map(|i| 0.05 * i as f64 - 1.0).collect();
     let obs = CostKind::Global.observable(10);
-    let n = c.ops().len() as u64;
-    // Each of θ_i's two shifted runs resumes at θ_i's gate p_i and runs
-    // the suffix: Σ 2·(N − p_i) = 15,500 gates.
-    let suffixes: u64 = (0..c.n_params())
-        .map(|i| 2 * (n - c.op_of_param(i).unwrap() as u64))
-        .sum();
-    assert_eq!(suffixes, 15_500);
-    // The prefix walks: the sweep splits the 100 parameters into 8 chunks
-    // of roughly equal suffix cost (≈ 15,500 / 8 each), whose last cuts
-    // fall at ops 6, 13, 30, 39, 58, 69, 94 and 135. Each chunk walks its
-    // own prefix from |0…0⟩ up to its last cut, so the walks cost
-    // 6 + 13 + 30 + 39 + 58 + 69 + 94 + 135 = 444 gates. The plan depends
-    // only on the circuit, so the total holds for every thread count.
-    let prefix_walks = 444u64;
-    let gates = || -> u64 {
-        [
-            "sim.gate.rotation",
-            "sim.gate.fixed",
-            "sim.gate.controlled_rotation",
-            "sim.gate.two_qubit_rotation",
-        ]
-        .iter()
-        .map(|name| counter_value(name))
-        .sum()
+    let compiled = plateau_sim::compile(c);
+    assert_eq!((compiled.segments().len(), compiled.prologue_len()), (55, 10));
+
+    // [single, diagonal, prologue] applications.
+    let mut want = [0u64; 3];
+    let walk = |want: &mut [u64; 3], from: usize, to: usize| {
+        for s in from..to {
+            want[usize::from(s % 11 == 10)] += 1;
+        }
     };
+    // Suffixes. Layer 0's parameters sit inside the prologue, so each of
+    // their 40 shifted runs starts from |0…0⟩: one prologue, then
+    // segments 10..55. θ_i of layer l ≥ 1 on wire q resumes from the
+    // shared prefix at its segment 11l + q and runs segments 11l + q..55.
+    for i in 0..c.n_params() {
+        let (l, q) = (i / 20, i % 20 / 2);
+        for _shift in 0..2 {
+            if l == 0 {
+                want[2] += 1;
+                walk(&mut want, 10, 55);
+            } else {
+                walk(&mut want, 11 * l + q, 55);
+            }
+        }
+    }
+    // Prefix walks. The sweep splits the jobs into 8 chunks of roughly
+    // equal suffix cost (cost 55 − cut; 5,880 in all), never splitting a
+    // prefix group: the first chunk holds the 40 layer-0 runs, which
+    // need no prefix, and the other seven end at segments 11, 12, 15,
+    // 20, 27, 35 and 53. Each of those walks its prefix once from
+    // |0…0⟩: one prologue, then segments 10 up to its last cut.
+    for end in [11, 12, 15, 20, 27, 35, 53] {
+        want[2] += 1;
+        walk(&mut want, 10, end);
+    }
+    assert_eq!(want, [4_970, 613, 47]);
+
+    let names = [
+        "sim.fuse.applications.single",
+        "sim.fuse.applications.diagonal",
+        "sim.fuse.applications.prologue",
+        "sim.fuse.applications.pair",
+        "sim.gate.rotation",
+        "sim.gate.fixed",
+        "sim.fuse.gates_in",
+        "grad.executions.parameter_shift",
+    ];
+    // …plus no pair blocks and no per-gate kernels, one compile (145
+    // gates in), and 2k executions.
+    let expected = [want[0], want[1], want[2], 0, 0, 0, 145, 2 * c.n_params() as u64];
     let saved = std::env::var("PLATEAU_THREADS").ok();
     for threads in ["1", "2", "4"] {
         std::env::set_var("PLATEAU_THREADS", threads);
-        let (gates_before, execs_before) =
-            (gates(), counter_value("grad.executions.parameter_shift"));
+        let before: Vec<u64> = names.iter().map(|name| counter_value(name)).collect();
         ParameterShift.gradient(c, &params, &obs).unwrap();
-        assert_eq!(gates() - gates_before, suffixes + prefix_walks, "threads={threads}");
-        // Executions count evaluations, not gates: still 2k.
-        assert_eq!(
-            counter_value("grad.executions.parameter_shift") - execs_before,
-            2 * c.n_params() as u64,
-            "threads={threads}"
-        );
+        let delta: Vec<u64> = names
+            .iter()
+            .zip(&before)
+            .map(|(name, b)| counter_value(name) - b)
+            .collect();
+        assert_eq!(delta, expected, "threads={threads}");
     }
     match saved {
         Some(v) => std::env::set_var("PLATEAU_THREADS", v),
         None => std::env::remove_var("PLATEAU_THREADS"),
     }
 
-    plateau_sim::reset_fuse();
     plateau_obs::set_metrics_enabled(false);
 }
 
@@ -228,9 +253,6 @@ fn parameter_shift_gradient_runs_each_suffix_once_from_a_shared_prefix() {
 fn adjoint_partial_last_sweeps_only_the_tail_after_its_gate() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::set_metrics_enabled(true);
-    // The counts below assume gate-by-gate execution; pin fusion off so
-    // the suite also passes under PLATEAU_SIM_FUSE=1.
-    plateau_sim::set_fuse(false);
 
     use plateau_core::ansatz::variance_ansatz;
     use plateau_core::cost::CostKind;
@@ -263,7 +285,6 @@ fn adjoint_partial_last_sweeps_only_the_tail_after_its_gate() {
     // One gradient, two executions, as for a full gradient.
     assert_eq!(delta, [1, 2 * (ops - 1 - k) + 1, 1, 2]);
 
-    plateau_sim::reset_fuse();
     plateau_obs::set_metrics_enabled(false);
 }
 
@@ -272,11 +293,10 @@ fn fused_run_emits_exact_compression_counters() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::set_metrics_enabled(true);
     plateau_obs::metrics::reset();
-    plateau_sim::set_fuse(true);
 
     use plateau_core::ansatz::training_ansatz;
     use plateau_core::cost::CostKind;
-    use plateau_grad::{expectation, Adjoint, GradientEngine};
+    use plateau_grad::{expectation_many, BatchExecutor};
 
     // The paper's training configuration (§IV-D): width 10, depth 5.
     // Per layer the ansatz is RX·RY on each wire plus a CZ chain, so one
@@ -286,12 +306,12 @@ fn fused_run_emits_exact_compression_counters() {
     let (q, layers) = (10usize, 5usize);
     let a = training_ansatz(q, layers).unwrap();
     let obs = CostKind::Global.observable(q);
-    let params = vec![0.1; a.circuit.n_params()];
+    let sets = vec![vec![0.1; a.circuit.n_params()]; 3];
 
     // Two independent entries into the fused hot path, one compile each:
-    // a bare cost evaluation and an adjoint gradient.
-    expectation(&a.circuit, &params, &obs).unwrap();
-    Adjoint.gradient(&a.circuit, &params, &obs).unwrap();
+    // a batched cost evaluation and a batched adjoint sweep.
+    expectation_many(&a.circuit, &sets, &obs).unwrap();
+    BatchExecutor::new(&a.circuit).adjoint_gradient_many(&sets, &obs).unwrap();
 
     let snap = plateau_obs::snapshot();
     let compiles = 2u64;
@@ -308,8 +328,55 @@ fn fused_run_emits_exact_compression_counters() {
     assert_eq!(snap.counter("sim.gate.rotation"), None);
     assert_eq!(snap.counter("sim.gate.fixed"), None);
 
-    plateau_sim::reset_fuse();
     plateau_obs::metrics::reset();
+    plateau_obs::set_metrics_enabled(false);
+}
+
+#[test]
+fn one_shot_calls_walk_the_op_list_and_repeated_runs_compile_once() {
+    let _guard = plateau_obs::test_lock();
+    plateau_obs::set_metrics_enabled(true);
+
+    use plateau_core::ansatz::{training_ansatz, variance_ansatz};
+    use plateau_core::cost::CostKind;
+    use plateau_grad::{expectation, Adjoint, BatchExecutor, GradientEngine, ParameterShift};
+    use plateau_rng::{rngs::StdRng, SeedableRng};
+
+    let compiled_gates = || counter_value("sim.fuse.gates_in");
+
+    // A Fig 5a ensemble member: a distinct random-rotations circuit,
+    // differentiated once. Its one-shot calls walk the op list.
+    let (q, layers) = (4usize, 50usize);
+    let member = variance_ansatz(q, layers, &mut StdRng::seed_from_u64(5)).unwrap();
+    let c = &member.circuit;
+    let params: Vec<f64> = (0..c.n_params()).map(|i| 0.01 * i as f64).collect();
+    let obs = CostKind::Global.observable(q);
+    let before = compiled_gates();
+    Adjoint.partial_last(c, &params, &obs).unwrap();
+    Adjoint.gradient(c, &params, &obs).unwrap();
+    ParameterShift.partial_last(c, &params, &obs).unwrap();
+    expectation(c, &params, &obs).unwrap();
+    assert_eq!(compiled_gates() - before, 0, "a one-shot call compiled");
+
+    // A call that runs one circuit O(k) or O(batch) times compiles it
+    // exactly once: one full parameter-shift gradient…
+    let a = training_ansatz(q, 3).unwrap();
+    let (c, n_gates) = (&a.circuit, a.circuit.ops().len() as u64);
+    let params: Vec<f64> = (0..c.n_params()).map(|i| 0.03 * i as f64 - 0.5).collect();
+    let before = compiled_gates();
+    ParameterShift.gradient(c, &params, &obs).unwrap();
+    assert_eq!(compiled_gates() - before, n_gates);
+    // …and one executor, however many sweeps it then runs.
+    let before = compiled_gates();
+    let mut ex = BatchExecutor::new(c);
+    assert_eq!(compiled_gates() - before, n_gates);
+    let sets = vec![params.clone(); 9];
+    ex.expectation_many(&sets, &obs).unwrap();
+    ex.adjoint_gradient_many(&sets, &obs).unwrap();
+    ex.partial_last_many_shift(&sets, &obs).unwrap();
+    ex.expectation(&params, &obs).unwrap();
+    assert_eq!(compiled_gates() - before, n_gates);
+
     plateau_obs::set_metrics_enabled(false);
 }
 
@@ -387,10 +454,6 @@ fn jsonl_records_round_trip_through_the_parser() {
 fn live_trace_carries_span_ids_and_reconstructs_exactly() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::metrics::reset();
-    // The span forest below is pinned exactly (scan → cells, nothing
-    // else); fused kernels add sim.fuse.* spans, so pin fusion off to
-    // keep this test meaningful under PLATEAU_SIM_FUSE=1.
-    plateau_sim::set_fuse(false);
     let path = std::env::temp_dir().join(format!(
         "plateau-obs-profile-{}.jsonl",
         std::process::id()
@@ -446,7 +509,6 @@ fn live_trace_carries_span_ids_and_reconstructs_exactly() {
     for needle in ["variance_cell", "p50", "p90", "p99", "self%"] {
         assert!(report.contains(needle), "missing {needle:?} in:\n{report}");
     }
-    plateau_sim::reset_fuse();
 }
 
 #[test]
