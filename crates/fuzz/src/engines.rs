@@ -769,7 +769,7 @@ pub fn fused_mutated_run(circuit: &Circuit, params: &[f64]) -> Result<State, pla
                     // (`m · acc`); this merges as `acc · m`.
                     Some((q, acc)) if q == *qubit => (q, mat2_mul(&acc, &m)),
                     Some((q, acc)) => {
-                        state.apply_fused_single(q, &acc)?;
+                        state.apply_single(q, &acc)?;
                         (*qubit, m)
                     }
                     None => (*qubit, m),
@@ -777,14 +777,14 @@ pub fn fused_mutated_run(circuit: &Circuit, params: &[f64]) -> Result<State, pla
             }
             other => {
                 if let Some((q, acc)) = pending.take() {
-                    state.apply_fused_single(q, &acc)?;
+                    state.apply_single(q, &acc)?;
                 }
                 other.apply(&mut state, params)?;
             }
         }
     }
     if let Some((q, acc)) = pending {
-        state.apply_fused_single(q, &acc)?;
+        state.apply_single(q, &acc)?;
     }
     Ok(state)
 }

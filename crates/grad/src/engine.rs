@@ -17,18 +17,23 @@
 //!   `partial`, and [`crate::ParameterShift`]'s `partial` (two or four
 //!   shifted evaluations from one shared prefix walk).
 //!
-//! Why, measured on one thread of a 2-vCPU host:
+//! Why, measured on one thread of a 2-vCPU host (medians over 100
+//! random members or 7 rounds, compiled times include the compile):
 //!
 //! - Compiling pays only when its cost is spread over many runs. A Fig 5a
 //!   member (50 layers) is a distinct circuit, differentiated once: at
-//!   q = 10 its compile costs 538 µs, and its adjoint `partial_last`
-//!   takes 1,265 µs on the op list against 1,576 µs compiled (15 µs
-//!   against 77 µs at q = 4). Its `ParameterShift` `partial_last` takes
-//!   1,115 µs on the op list against 1,594 µs compiled (16 µs against
-//!   68 µs at q = 4).
+//!   q = 10 its compile costs 410–420 µs, and its adjoint `partial_last`
+//!   takes 580 µs on the op list against 920–935 µs compiled (16–18 µs
+//!   against 75–100 µs at q = 4). Its `ParameterShift` `partial_last`
+//!   takes 570–590 µs on the op list against 905–995 µs compiled
+//!   (17–18 µs against 79–83 µs at q = 4).
 //! - One §IV-D parameter-shift gradient (10 qubits, 5 layers, 200
-//!   shifted evaluations) takes 10.5 ms compiled against 21.7 ms on the
-//!   op list; its compile costs 39 µs.
+//!   shifted evaluations) takes 9.5–10.3 ms compiled against 9.3–9.9 ms
+//!   on the op list; its compile costs 40–45 µs. The two tie since
+//!   [`plateau_sim::State::apply_single`] picks a loop by the matrix's
+//!   zero pattern (the op list took 21.9–23.3 ms with one dense loop), so
+//!   this circuit no longer shows a win for compiling; whether the rule
+//!   should change is still open.
 //!
 //! Because `Adjoint`'s `gradient` and `partial` both walk the op list,
 //! `partial(i)` stays bit-identical to `gradient()[i]`. Executor results

@@ -161,10 +161,9 @@ impl Op {
                 if let Some(inv) = gate.inverse() {
                     state.apply_fixed(inv, qubits)
                 } else {
-                    // √X and friends: apply the dagger matrix directly.
-                    let m = gate.inverse_matrix();
+                    // √X and friends: apply the conjugate transpose directly.
                     debug_assert_eq!(gate.arity(), 1);
-                    state.apply_single(qubits[0], &[m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]])
+                    state.apply_single(qubits[0], &gate.inverse_entries())
                 }
             }
             Op::Rotation { gate, qubit, param } => {

@@ -155,8 +155,7 @@ fn fold_diagonal(diag: &mut [C64], op: &Op) {
                 }
             }
             _ => {
-                let m = gate.matrix();
-                let (d0, d1) = (m[(0, 0)], m[(1, 1)]);
+                let [d0, _, _, d1] = gate.entries();
                 let mask = 1usize << qubits[0];
                 for (i, d) in diag.iter_mut().enumerate() {
                     *d = *d * if i & mask != 0 { d1 } else { d0 };
@@ -291,8 +290,7 @@ fn single_entries(op: &Op, params: &[f64], deriv: bool) -> [C64; 4] {
     match op {
         Op::Fixed { gate, .. } => {
             debug_assert!(!deriv, "fixed gates own no free parameter");
-            let m = gate.matrix();
-            [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]]
+            gate.entries()
         }
         Op::Rotation { gate, param, .. } => {
             let theta = param.angle(params);
@@ -492,7 +490,7 @@ impl Segment {
             Segment::Single { qubit, ops } => {
                 plateau_obs::counter!("sim.fuse.applications.single").inc();
                 let m = merged_single(ops, params, None);
-                state.apply_fused_single(*qubit, &m)
+                state.apply_single(*qubit, &m)
             }
             Segment::Pair { hi, lo, ops } => {
                 plateau_obs::counter!("sim.fuse.applications.pair").inc();
@@ -517,7 +515,7 @@ impl Segment {
             Segment::Single { qubit, ops } => {
                 plateau_obs::counter!("sim.fuse.applications.single").inc();
                 let m = mat2_dagger(&merged_single(ops, params, None));
-                state.apply_fused_single(*qubit, &m)
+                state.apply_single(*qubit, &m)
             }
             Segment::Pair { hi, lo, ops } => {
                 plateau_obs::counter!("sim.fuse.applications.pair").inc();
@@ -549,7 +547,7 @@ impl Segment {
             Segment::Raw(op) => op.apply_derivative(state, params),
             Segment::Single { qubit, ops } => {
                 let m = merged_single(ops, params, Some(op_pos));
-                state.apply_fused_single(*qubit, &m)
+                state.apply_single(*qubit, &m)
             }
             Segment::Pair { hi, lo, ops } => {
                 let m = merged_pair(ops, *hi, params, Some(op_pos));

@@ -106,23 +106,16 @@ impl FixedGate {
         let o = C64::ZERO;
         let l = C64::ONE;
         let i = C64::I;
-        let h = c64(FRAC_1_SQRT_2, 0.0);
         match self {
-            FixedGate::X => CMatrix::from_rows(&[&[o, l], &[l, o]]),
-            FixedGate::Y => CMatrix::from_rows(&[&[o, -i], &[i, o]]),
-            FixedGate::Z => CMatrix::from_rows(&[&[l, o], &[o, -l]]),
-            FixedGate::H => CMatrix::from_rows(&[&[h, h], &[h, -h]]),
-            FixedGate::S => CMatrix::from_rows(&[&[l, o], &[o, i]]),
-            FixedGate::Sdg => CMatrix::from_rows(&[&[l, o], &[o, -i]]),
-            FixedGate::T => CMatrix::from_rows(&[&[l, o], &[o, C64::cis(std::f64::consts::FRAC_PI_4)]]),
-            FixedGate::Tdg => {
-                CMatrix::from_rows(&[&[l, o], &[o, C64::cis(-std::f64::consts::FRAC_PI_4)]])
-            }
-            FixedGate::Sx => {
-                let p = c64(0.5, 0.5);
-                let m = c64(0.5, -0.5);
-                CMatrix::from_rows(&[&[p, m], &[m, p]])
-            }
+            FixedGate::X
+            | FixedGate::Y
+            | FixedGate::Z
+            | FixedGate::H
+            | FixedGate::S
+            | FixedGate::Sdg
+            | FixedGate::T
+            | FixedGate::Tdg
+            | FixedGate::Sx => CMatrix::from_vec(2, 2, self.entries().to_vec()),
             FixedGate::Cz => CMatrix::from_rows(&[
                 &[l, o, o, o],
                 &[o, l, o, o],
@@ -154,6 +147,50 @@ impl FixedGate {
     /// Matrix of the gate's inverse.
     pub fn inverse_matrix(self) -> CMatrix {
         self.matrix().dagger()
+    }
+
+    /// The 2×2 entries `[m00, m01, m10, m11]` the statevector kernel
+    /// applies, without a `CMatrix` allocation: the matrix of a one-qubit
+    /// gate, or the block a controlled gate applies to its target when
+    /// the control is `|1⟩` (X for CX, Y for CY, Z for CZ).
+    ///
+    /// # Panics
+    ///
+    /// Panics for SWAP, which has no such block.
+    #[inline]
+    pub fn entries(self) -> [C64; 4] {
+        let o = C64::ZERO;
+        let l = C64::ONE;
+        let i = C64::I;
+        let h = c64(FRAC_1_SQRT_2, 0.0);
+        match self {
+            FixedGate::X | FixedGate::Cx => [o, l, l, o],
+            FixedGate::Y | FixedGate::Cy => [o, -i, i, o],
+            FixedGate::Z | FixedGate::Cz => [l, o, o, -l],
+            FixedGate::H => [h, h, h, -h],
+            FixedGate::S => [l, o, o, i],
+            FixedGate::Sdg => [l, o, o, -i],
+            FixedGate::T => [l, o, o, C64::cis(std::f64::consts::FRAC_PI_4)],
+            FixedGate::Tdg => [l, o, o, C64::cis(-std::f64::consts::FRAC_PI_4)],
+            FixedGate::Sx => {
+                let p = c64(0.5, 0.5);
+                let m = c64(0.5, -0.5);
+                [p, m, m, p]
+            }
+            FixedGate::Swap => panic!("SWAP has no 2×2 block"),
+        }
+    }
+
+    /// [`FixedGate::entries`] of the gate's inverse: their conjugate
+    /// transpose.
+    ///
+    /// # Panics
+    ///
+    /// Panics for SWAP, like [`FixedGate::entries`].
+    #[inline]
+    pub fn inverse_entries(self) -> [C64; 4] {
+        let [m00, m01, m10, m11] = self.entries();
+        [m00.conj(), m10.conj(), m01.conj(), m11.conj()]
     }
 }
 
@@ -565,6 +602,42 @@ mod tests {
                 "{g} inverse wrong"
             );
         }
+    }
+
+    #[test]
+    fn fixed_entries_equal_the_matrices_exactly() {
+        let bits = |e: [C64; 4]| e.map(|z| (z.re.to_bits(), z.im.to_bits()));
+        for g in [
+            FixedGate::X,
+            FixedGate::Y,
+            FixedGate::Z,
+            FixedGate::H,
+            FixedGate::S,
+            FixedGate::Sdg,
+            FixedGate::T,
+            FixedGate::Tdg,
+            FixedGate::Sx,
+            FixedGate::Cz,
+            FixedGate::Cx,
+            FixedGate::Cy,
+        ] {
+            // One-qubit gates: the whole matrix; controlled gates: the
+            // control-|1⟩ block in the lower right.
+            let o = if g.arity() == 1 { 0 } else { 2 };
+            let block = |m: CMatrix| [m[(o, o)], m[(o, o + 1)], m[(o + 1, o)], m[(o + 1, o + 1)]];
+            assert_eq!(bits(g.entries()), bits(block(g.matrix())), "{g}");
+            assert_eq!(
+                bits(g.inverse_entries()),
+                bits(block(g.inverse_matrix())),
+                "{g}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SWAP")]
+    fn swap_has_no_entries() {
+        let _ = FixedGate::Swap.entries();
     }
 
     #[test]

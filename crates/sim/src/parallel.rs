@@ -30,6 +30,7 @@
 //!   maps, chunked contiguously with the chunk's absolute base index
 //!   carried along for the bit tests.
 
+use crate::state::PairKernel;
 use plateau_linalg::C64;
 use plateau_par::{par_map_collect, worker_count};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,7 +95,7 @@ fn task_target() -> usize {
     worker_count(usize::MAX)
 }
 
-///// Bumps the per-kernel counters: one parallel kernel invocation that
+/// Bumps the per-kernel counters: one parallel kernel invocation that
 /// produced `chunks` tasks.
 #[inline]
 fn record(chunks: usize) {
@@ -102,8 +103,9 @@ fn record(chunks: usize) {
     plateau_obs::counter!("sim.par.chunks").add(chunks as u64);
 }
 
-/// Parallel general single-qubit kernel (`stride = 1 << qubit`).
-pub(crate) fn apply_single(amps: &mut [C64], stride: usize, m: &[C64; 4]) {
+/// Parallel single-qubit kernel (`stride = 1 << qubit`). Both task
+/// shapes run `kernel`'s loops, the serial kernel's own.
+pub(crate) fn apply_single(amps: &mut [C64], stride: usize, kernel: PairKernel) {
     let target = task_target();
     let block = stride << 1;
     let n_blocks = amps.len() / block;
@@ -112,16 +114,7 @@ pub(crate) fn apply_single(amps: &mut [C64], stride: usize, m: &[C64; 4]) {
         let per = n_blocks.div_ceil(target) * block;
         let chunks: Vec<&mut [C64]> = amps.chunks_mut(per).collect();
         record(chunks.len());
-        par_map_collect(chunks, |chunk| {
-            for base in (0..chunk.len()).step_by(block) {
-                for off in base..base + stride {
-                    let a0 = chunk[off];
-                    let a1 = chunk[off + stride];
-                    chunk[off] = m[0] * a0 + m[1] * a1;
-                    chunk[off + stride] = m[2] * a0 + m[3] * a1;
-                }
-            }
-        });
+        par_map_collect(chunks, |chunk| kernel.sweep(chunk, stride));
     } else {
         // Few blocks (top qubits): split each block at the stride and zip
         // matching subchunks of the two halves.
@@ -133,14 +126,7 @@ pub(crate) fn apply_single(amps: &mut [C64], stride: usize, m: &[C64; 4]) {
             tasks.extend(lo.chunks_mut(sub).zip(hi.chunks_mut(sub)));
         }
         record(tasks.len());
-        par_map_collect(tasks, |(lo, hi)| {
-            for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
-                let x0 = *a0;
-                let x1 = *a1;
-                *a0 = m[0] * x0 + m[1] * x1;
-                *a1 = m[2] * x0 + m[3] * x1;
-            }
-        });
+        par_map_collect(tasks, |(lo, hi)| kernel.sweep_halves(lo, hi));
     }
 }
 

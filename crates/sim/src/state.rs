@@ -10,6 +10,35 @@
 //! ansätze need on the hot path: general single-qubit 2×2 application, the
 //! diagonal CZ fast path, and controlled single-qubit application.
 //!
+//! # The single-qubit kernel
+//!
+//! [`State::apply_single`] is the one single-qubit pair kernel: the op
+//! list, fused `Single` segments ([`crate::fuse`]) and both task shapes of
+//! the parallel layer run it. Per call it reads the 2×2's zero pattern
+//! once and runs one of four loops:
+//!
+//! - **diagonal** `[d0, 0, 0, d1]` — RZ, Phase and their derivatives,
+//!   Z/S/T: one complex multiply per amplitude;
+//! - **real** — RY and its derivative, H, X: real scalars times complex
+//!   amplitudes;
+//! - **real diagonal, imaginary off-diagonal** `[r0, i·s1, i·s2, r3]` —
+//!   RX and its derivative, Y: the off-diagonal product swaps an
+//!   amplitude's parts;
+//! - **dense** — anything else, e.g. a fused product of mixed rotations.
+//!
+//! Each loop walks both halves of every block stride-1, two pairs per
+//! iteration. The check is on the matrix, not on the gate, so an inverse,
+//! a derivative or a fused product takes the fast loop whenever its
+//! entries allow.
+//!
+//! The structured loops give the same `f64` values as the dense formula
+//! `m[0]·a0 + m[1]·a1` (compared with `==`). A zero entry only adds terms
+//! `0·x`, which are `±0`, and `v ± 0` is `v` exactly, so dropping them
+//! changes no value; only the sign of an exact-zero result can differ.
+//! Where a loop adds its two remaining products in the other order, IEEE
+//! addition is commutative, so no rounding changes. Serial and parallel
+//! runs share the per-pair arithmetic and stay bit-identical.
+//!
 //! # Examples
 //!
 //! ```
@@ -285,7 +314,10 @@ impl State {
     }
 
     /// Applies an arbitrary single-qubit gate given its row-major entries
-    /// `[m00, m01, m10, m11]`.
+    /// `[m00, m01, m10, m11]` — the one single-qubit kernel, shared by
+    /// the op list, fused `Single` segments and the parallel layer. The
+    /// matrix's zero pattern picks the loop (module docs); every loop
+    /// gives the dense formula's values.
     ///
     /// # Errors
     ///
@@ -293,87 +325,11 @@ impl State {
     pub fn apply_single(&mut self, qubit: usize, m: &[C64; 4]) -> Result<(), SimError> {
         self.check_qubit(qubit)?;
         let stride = 1usize << qubit;
+        let kernel = PairKernel::new(m);
         if crate::parallel::enabled(self.n_qubits) {
-            crate::parallel::apply_single(&mut self.amps, stride, m);
-            return Ok(());
-        }
-        let block = stride << 1;
-        let dim = self.amps.len();
-        let mut base = 0;
-        while base < dim {
-            for offset in base..base + stride {
-                let i0 = offset;
-                let i1 = offset + stride;
-                let a0 = self.amps[i0];
-                let a1 = self.amps[i1];
-                self.amps[i0] = m[0] * a0 + m[1] * a1;
-                self.amps[i1] = m[2] * a0 + m[3] * a1;
-            }
-            base += block;
-        }
-        Ok(())
-    }
-
-    /// [`State::apply_single`] variant used by the fusion layer
-    /// ([`crate::fuse`]): same arithmetic per amplitude (so results are
-    /// bit-identical to the plain and parallel kernels), but the serial
-    /// loop is written with stride-1 access ordering and manual 2-way
-    /// unrolling so the compiler can keep two amplitude pairs in flight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::QubitOutOfRange`] for an invalid qubit.
-    pub fn apply_fused_single(&mut self, qubit: usize, m: &[C64; 4]) -> Result<(), SimError> {
-        self.check_qubit(qubit)?;
-        let stride = 1usize << qubit;
-        if crate::parallel::enabled(self.n_qubits) {
-            crate::parallel::apply_single(&mut self.amps, stride, m);
-            return Ok(());
-        }
-        let dim = self.amps.len();
-        if stride == 1 {
-            // Amplitude pairs are adjacent: walk the state front to back,
-            // two pairs (four contiguous amplitudes) per iteration.
-            let mut i = 0;
-            while i + 4 <= dim {
-                let a0 = self.amps[i];
-                let a1 = self.amps[i + 1];
-                let b0 = self.amps[i + 2];
-                let b1 = self.amps[i + 3];
-                self.amps[i] = m[0] * a0 + m[1] * a1;
-                self.amps[i + 1] = m[2] * a0 + m[3] * a1;
-                self.amps[i + 2] = m[0] * b0 + m[1] * b1;
-                self.amps[i + 3] = m[2] * b0 + m[3] * b1;
-                i += 4;
-            }
-            while i < dim {
-                let a0 = self.amps[i];
-                let a1 = self.amps[i + 1];
-                self.amps[i] = m[0] * a0 + m[1] * a1;
-                self.amps[i + 1] = m[2] * a0 + m[3] * a1;
-                i += 2;
-            }
-            return Ok(());
-        }
-        // stride ≥ 2 (always even): both halves of each block are walked
-        // stride-1, two offsets per iteration.
-        let block = stride << 1;
-        let mut base = 0;
-        while base < dim {
-            let mut off = base;
-            while off < base + stride {
-                let i1 = off + stride;
-                let a0 = self.amps[off];
-                let a1 = self.amps[i1];
-                let b0 = self.amps[off + 1];
-                let b1 = self.amps[i1 + 1];
-                self.amps[off] = m[0] * a0 + m[1] * a1;
-                self.amps[i1] = m[2] * a0 + m[3] * a1;
-                self.amps[off + 1] = m[0] * b0 + m[1] * b1;
-                self.amps[i1 + 1] = m[2] * b0 + m[3] * b1;
-                off += 2;
-            }
-            base += block;
+            crate::parallel::apply_single(&mut self.amps, stride, kernel);
+        } else {
+            kernel.sweep(&mut self.amps, stride);
         }
         Ok(())
     }
@@ -687,14 +643,9 @@ impl State {
             FixedGate::Cz => self.apply_cz(qubits[0], qubits[1]),
             FixedGate::Swap => self.apply_swap(qubits[0], qubits[1]),
             FixedGate::Cx | FixedGate::Cy => {
-                let m = gate_2x2_of_controlled(gate);
-                self.apply_controlled_single(qubits[0], qubits[1], &m)
+                self.apply_controlled_single(qubits[0], qubits[1], &gate.entries())
             }
-            _ => {
-                let mat = gate.matrix();
-                let m = [mat[(0, 0)], mat[(0, 1)], mat[(1, 0)], mat[(1, 1)]];
-                self.apply_single(qubits[0], &m)
-            }
+            _ => self.apply_single(qubits[0], &gate.entries()),
         }
     }
 
@@ -784,18 +735,170 @@ impl State {
     }
 }
 
-/// 2×2 block applied to the target when the control is `|1⟩`.
-fn gate_2x2_of_controlled(gate: FixedGate) -> [C64; 4] {
-    match gate {
-        FixedGate::Cx => {
-            let m = FixedGate::X.matrix();
-            [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]]
+/// A single-qubit 2×2 sorted by its zero pattern into one of the four
+/// loops of the module docs. Built once per kernel call; the serial
+/// sweep and both parallel task shapes run the same per-pair arithmetic.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PairKernel {
+    /// `[d0, 0, 0, d1]`.
+    Diagonal(Diagonal),
+    /// Every entry real.
+    Real(Real),
+    /// Real diagonal, imaginary off-diagonal.
+    ImagOff(ImagOff),
+    /// Anything else.
+    Dense(Dense),
+}
+
+impl PairKernel {
+    /// Classifies `m` (row-major `[m00, m01, m10, m11]`). `±0.0` both
+    /// count as zero.
+    pub(crate) fn new(m: &[C64; 4]) -> PairKernel {
+        let zero = |z: C64| z.re == 0.0 && z.im == 0.0;
+        if zero(m[1]) && zero(m[2]) {
+            PairKernel::Diagonal(Diagonal(m[0], m[3]))
+        } else if m.iter().all(|z| z.im == 0.0) {
+            PairKernel::Real(Real([m[0].re, m[1].re, m[2].re, m[3].re]))
+        } else if m[0].im == 0.0 && m[3].im == 0.0 && m[1].re == 0.0 && m[2].re == 0.0 {
+            PairKernel::ImagOff(ImagOff([m[0].re, m[1].im, m[2].im, m[3].re]))
+        } else {
+            PairKernel::Dense(Dense(*m))
         }
-        FixedGate::Cy => {
-            let m = FixedGate::Y.matrix();
-            [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]]
+    }
+
+    /// Applies the 2×2 to every pair `(i, i + stride)` of `window`, whose
+    /// length is a multiple of `2·stride` and whose start is
+    /// `2·stride`-aligned (the whole state, or one parallel chunk of
+    /// whole blocks).
+    pub(crate) fn sweep(self, window: &mut [C64], stride: usize) {
+        match self {
+            PairKernel::Diagonal(k) => sweep(k, window, stride),
+            PairKernel::Real(k) => sweep(k, window, stride),
+            PairKernel::ImagOff(k) => sweep(k, window, stride),
+            PairKernel::Dense(k) => sweep(k, window, stride),
         }
-        _ => unreachable!("only CX/CY route through the controlled kernel"),
+    }
+
+    /// Applies the 2×2 to every pair `(lo[j], hi[j])` — the parallel
+    /// layer's split-block task shape.
+    pub(crate) fn sweep_halves(self, lo: &mut [C64], hi: &mut [C64]) {
+        match self {
+            PairKernel::Diagonal(k) => sweep_halves(k, lo, hi),
+            PairKernel::Real(k) => sweep_halves(k, lo, hi),
+            PairKernel::ImagOff(k) => sweep_halves(k, lo, hi),
+            PairKernel::Dense(k) => sweep_halves(k, lo, hi),
+        }
+    }
+}
+
+/// One class of the single-qubit kernel: the new values of one amplitude
+/// pair `(a0, a1)`.
+trait PairMap: Copy {
+    fn map(self, a0: C64, a1: C64) -> (C64, C64);
+}
+
+/// `[d0, 0, 0, d1]`: each amplitude scales by its own entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Diagonal(C64, C64);
+
+impl PairMap for Diagonal {
+    #[inline(always)]
+    fn map(self, a0: C64, a1: C64) -> (C64, C64) {
+        (self.0 * a0, self.1 * a1)
+    }
+}
+
+/// `[r0, r1, r2, r3]`, all real: real scalars times complex amplitudes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Real([f64; 4]);
+
+impl PairMap for Real {
+    #[inline(always)]
+    fn map(self, a0: C64, a1: C64) -> (C64, C64) {
+        let [r0, r1, r2, r3] = self.0;
+        (
+            C64::new(r0 * a0.re + r1 * a1.re, r0 * a0.im + r1 * a1.im),
+            C64::new(r2 * a0.re + r3 * a1.re, r2 * a0.im + r3 * a1.im),
+        )
+    }
+}
+
+/// `[r0, i·s1, i·s2, r3]`, stored as `[r0, s1, s2, r3]`: multiplying by
+/// `i·s` swaps an amplitude's parts, `i·s·(x + iy) = −s·y + i·s·x`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ImagOff([f64; 4]);
+
+impl PairMap for ImagOff {
+    #[inline(always)]
+    fn map(self, a0: C64, a1: C64) -> (C64, C64) {
+        let [r0, s1, s2, r3] = self.0;
+        (
+            C64::new(r0 * a0.re - s1 * a1.im, r0 * a0.im + s1 * a1.re),
+            C64::new(r3 * a1.re - s2 * a0.im, s2 * a0.re + r3 * a1.im),
+        )
+    }
+}
+
+/// A general complex 2×2.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Dense([C64; 4]);
+
+impl PairMap for Dense {
+    #[inline(always)]
+    fn map(self, a0: C64, a1: C64) -> (C64, C64) {
+        let m = self.0;
+        (m[0] * a0 + m[1] * a1, m[2] * a0 + m[3] * a1)
+    }
+}
+
+/// The pair loop behind [`PairKernel::sweep_halves`].
+#[inline(always)]
+fn sweep_halves<K: PairMap>(k: K, lo: &mut [C64], hi: &mut [C64]) {
+    for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
+        (*a0, *a1) = k.map(*a0, *a1);
+    }
+}
+
+/// The pair loop behind [`PairKernel::sweep`]: stride-1 walks over both
+/// halves of each block, two pairs per iteration so two are in flight.
+#[inline(always)]
+fn sweep<K: PairMap>(k: K, amps: &mut [C64], stride: usize) {
+    let dim = amps.len();
+    if stride == 1 {
+        // Pairs are adjacent: walk front to back, four amplitudes per
+        // iteration.
+        let mut i = 0;
+        while i + 4 <= dim {
+            let (a0, a1) = k.map(amps[i], amps[i + 1]);
+            let (b0, b1) = k.map(amps[i + 2], amps[i + 3]);
+            amps[i] = a0;
+            amps[i + 1] = a1;
+            amps[i + 2] = b0;
+            amps[i + 3] = b1;
+            i += 4;
+        }
+        while i < dim {
+            (amps[i], amps[i + 1]) = k.map(amps[i], amps[i + 1]);
+            i += 2;
+        }
+        return;
+    }
+    // stride ≥ 2 (always even): two offsets per iteration.
+    let block = stride << 1;
+    let mut base = 0;
+    while base < dim {
+        let mut off = base;
+        while off < base + stride {
+            let i1 = off + stride;
+            let (a0, a1) = k.map(amps[off], amps[i1]);
+            let (b0, b1) = k.map(amps[off + 1], amps[i1 + 1]);
+            amps[off] = a0;
+            amps[i1] = a1;
+            amps[off + 1] = b0;
+            amps[i1 + 1] = b1;
+            off += 2;
+        }
+        base += block;
     }
 }
 

@@ -20,16 +20,15 @@ echo "=== cargo test with forced-parallel sim kernels ==="
 # the serial run above (DESIGN.md §9).
 PLATEAU_SIM_PAR_THRESHOLD=0 cargo test -q --workspace --offline
 
-echo "=== cargo test (par + grad) at PLATEAU_THREADS=1 ==="
-# The thread-count matrix: the batched executor's allocation pins and
-# bitwise-determinism properties must hold with one worker and with two,
-# so a 1-core build host cannot hide a failure that only shows when
-# workers split the items (and vice versa).
-PLATEAU_THREADS=1 cargo test -q --offline -p plateau-par -p plateau-grad
-
-echo "=== cargo test at PLATEAU_THREADS=2 ==="
-# The whole workspace with two workers, whatever the host's core count.
-PLATEAU_THREADS=2 cargo test -q --workspace --offline
+# The thread-count matrix: the whole workspace with one, two and four
+# workers, whatever the host's core count. Allocation pins and
+# bitwise-determinism properties must hold however the workers split the
+# items, so a 1-core build host cannot hide a failure that only shows
+# when workers split them (and a many-core one cannot hide the reverse).
+for threads in 1 2 4; do
+    echo "=== cargo test at PLATEAU_THREADS=${threads} ==="
+    PLATEAU_THREADS=${threads} cargo test -q --workspace --offline
+done
 
 echo "=== zero-dependency policy check ==="
 violations=$(cargo tree --workspace --offline --prefix none \
