@@ -154,7 +154,7 @@ fn print_help() {
          \x20            POST /simulate /gradient /variance-scan /train\n\
          \x20            (QASM or op-JSON circuits), GET /metrics /healthz\n\
          \x20            [--addr 127.0.0.1:8080] [--workers N] [--queue N]\n\
-         \x20            [--cache N] [--fuse true] [--max-qubits N]\n\
+         \x20            [--cache N] [--max-qubits N]\n\
          \x20            [--duration SECS (0 = run until killed)]\n\
          \x20 obs        trace profiler + experiment ledger\n\
          \x20            report   --trace run.jsonl [--top N] [--filter PREFIX]\n\
@@ -490,14 +490,13 @@ fn cmd_classify(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 fn cmd_serve(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     check_flags(
         parsed,
-        &["addr", "workers", "queue", "cache", "fuse", "max-qubits", "duration"],
+        &["addr", "workers", "queue", "cache", "max-qubits", "duration"],
     )?;
     let mut cfg = plateau_serve::ServeConfig::from_env();
     cfg.addr = parsed.get_str("addr", "127.0.0.1:8080");
     cfg.workers = parsed.get("workers", cfg.workers)?;
     cfg.queue_capacity = parsed.get("queue", cfg.queue_capacity)?;
     cfg.cache_capacity = parsed.get("cache", cfg.cache_capacity)?;
-    cfg.fuse = parsed.get("fuse", cfg.fuse)?;
     cfg.limits.max_qubits = parsed
         .get("max-qubits", cfg.limits.max_qubits)?
         .clamp(1, plateau_sim::MAX_QUBITS);
@@ -505,12 +504,11 @@ fn cmd_serve(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 
     let server = plateau_serve::Server::start(cfg.clone())?;
     println!(
-        "# plateau-serve listening on http://{} ({} workers, queue {}, cache {}, fuse {})",
+        "# plateau-serve listening on http://{} ({} workers, queue {}, cache {})",
         server.addr(),
         cfg.workers,
         cfg.queue_capacity,
-        cfg.cache_capacity,
-        cfg.fuse
+        cfg.cache_capacity
     );
     println!("# endpoints: POST /simulate /gradient /variance-scan /train · GET /metrics /healthz");
     if duration == 0 {

@@ -119,7 +119,7 @@ fn train_emits_compression_counters_by_default() {
         .args([
             "train",
             "--qubits",
-            "3",
+            "6",
             "--layers",
             "2",
             "--iterations",
@@ -146,10 +146,11 @@ fn train_emits_compression_counters_by_default() {
             .unwrap_or_else(|| panic!("counter {name} missing"))
     };
     // Training evaluates its loss on one circuit every iteration, so it
-    // compiles with no flag: the fusion compiler ran and compressed —
-    // fewer segments out than gates in. (Exact counts are pinned by unit
-    // tests; here we assert the counters are wired end to end through the
-    // binary.)
+    // compiles with no flag: the compiler ran and compressed — at six
+    // qubits each layer's five-CZ chain becomes one superkernel, so fewer
+    // segments come out than gates go in. (Exact counts are pinned by
+    // unit tests; here we assert the counters are wired end to end
+    // through the binary.)
     assert!(counter("sim.fuse.gates_in") > 0.0);
     assert!(counter("sim.fuse.gates_out") > 0.0);
     assert!(counter("sim.fuse.gates_out") < counter("sim.fuse.gates_in"));

@@ -686,8 +686,21 @@ mod tests {
         };
         variance_scan(&cfg, &[InitStrategy::Random, InitStrategy::XavierUniform]).unwrap();
 
+        // Scans in concurrently running tests may append to the same
+        // ledger while it is enabled, so find this scan's own record.
         let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
-        let rec = plateau_obs::json::Json::parse(text.lines().next().unwrap()).unwrap();
+        let rec = text
+            .lines()
+            .map(|line| plateau_obs::json::Json::parse(line).unwrap())
+            .find(|rec| {
+                let strategies = rec.get("config").and_then(|c| c.get("strategies"));
+                let names: Vec<&str> = strategies
+                    .and_then(|s| s.as_arr())
+                    .map(|s| s.iter().filter_map(|n| n.as_str()).collect())
+                    .unwrap_or_default();
+                names == ["random", "xavier_uniform"]
+            })
+            .expect("this scan's ledger record");
         assert_eq!(rec.get("command").unwrap().as_str(), Some("variance"));
         assert!(rec.get("metrics").unwrap().get("decay_rate_random").is_some());
         let rel = rec.get("series").unwrap().as_str().unwrap().to_string();

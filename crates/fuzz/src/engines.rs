@@ -18,7 +18,7 @@
 //! | `fused-vs-raw` | gate-fusion compiler output vs the gate-by-gate run | `1e-10` |
 //! | `batched-vs-per-circuit` | `expectation_many` through the batched executor's scratch pool vs one run of the compiled circuit per set | exact (`0`) |
 //! | `mutated-vs-serial` | deliberately broken kernel (self-test only) | `1e-9` |
-//! | `fused-mutated-vs-serial` | fusion with reversed merge order (self-test only) | `1e-9` |
+//! | `fused-mutated-vs-serial` | product-state prologue folding each wire's ops in reversed order (self-test only) | `1e-9` |
 //!
 //! An engine error (`Err` from any simulator/gradient call) on a
 //! generator-valid case is itself a divergence: it is reported as a
@@ -62,8 +62,8 @@ pub enum EnginePair {
     /// evaluation as one full `expectation` from `|0…0⟩`, folded with the
     /// textbook shift-rule coefficients.
     ShiftVsPerJob,
-    /// The gate-fusion compiler's segment execution vs the gate-by-gate
-    /// run of the same circuit.
+    /// The compiler's segment execution (product-state prologue, raw ops,
+    /// diagonal superkernels) vs the gate-by-gate run of the same circuit.
     FusedVsRaw,
     /// A parameter-set sweep through the batched executor (reused scratch
     /// statevectors, single compile) vs one fresh `expectation` call per
@@ -77,9 +77,9 @@ pub enum EnginePair {
     /// The deliberately broken off-by-one kernel vs the serial engine —
     /// only scheduled by the mutation self-test, never in normal runs.
     MutatedVsSerial,
-    /// A fusion pass that merges rotation runs in the **wrong** matrix
-    /// order vs the serial engine — only scheduled by the mutation
-    /// self-test, never in normal runs.
+    /// A product-state prologue that folds each wire's leading ops in the
+    /// **wrong** order vs the serial engine — only scheduled by the
+    /// mutation self-test, never in normal runs.
     FusedMutatedVsSerial,
 }
 
@@ -155,7 +155,8 @@ impl EnginePair {
     /// margin while still catching any real sign/index bug, which shows
     /// up at `O(1)`. QASM round-trips re-execute the identical op
     /// sequence, so they must agree to the last bit of the printed
-    /// angles. Fused execution multiplies gate matrices together before
+    /// angles. Compiled execution folds the leading single-qubit ops into
+    /// a product state and multiplies diagonal runs together before
     /// touching the state, which reassociates the floating-point work —
     /// mathematically identical but not bitwise, so unlike
     /// serial-vs-parallel its budget is `1e-10` rather than zero. The
@@ -686,7 +687,7 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
             verdict(
                 pair,
                 delta,
-                format!("injected fusion merge-order bug detected (max amplitude delta {delta:e})"),
+                format!("injected prologue fold-order bug detected (max amplitude delta {delta:e})"),
             )
         }
     }
@@ -734,57 +735,47 @@ pub fn mutated_run(circuit: &Circuit, params: &[f64]) -> Result<State, plateau_s
     Ok(state)
 }
 
-/// A deliberately broken fusion pass for the mutation self-test: runs of
-/// adjacent single-qubit rotations on the same wire are merged into one
-/// 2×2 matrix — but in the **reversed** product order (`first · second`
-/// instead of `second · first`), the classic gate-fusion mistake. The
-/// merged matrix is correct whenever the run's rotations commute (a run
-/// of length 1, or repeated same-axis gates), so the harness must find a
-/// case with two non-commuting adjacent rotations to expose it — and the
-/// shrinker should reduce any such witness to a two-gate circuit.
+/// A deliberately broken product-state prologue for the mutation
+/// self-test. Like [`plateau_sim::CompiledCircuit::run`] it builds the
+/// state left by the circuit's leading single-qubit ops directly, folding
+/// each wire's ops into its `|0⟩` column — but in **reversed** order
+/// (the last op first), the classic gate-fusion mistake. The rest of the
+/// circuit runs through the real kernels. The fold is correct whenever a
+/// wire's leading ops commute (one op, or repeated same-axis rotations),
+/// so the harness must find two non-commuting leading ops on one wire to
+/// expose it — and the shrinker should reduce any such witness to a
+/// two-gate circuit.
 pub fn fused_mutated_run(circuit: &Circuit, params: &[f64]) -> Result<State, plateau_sim::SimError> {
-    // (P·Q) in row-major 2×2 layout.
-    fn mat2_mul(p: &[plateau_linalg::C64; 4], q: &[plateau_linalg::C64; 4]) -> [plateau_linalg::C64; 4] {
-        [
-            p[0] * q[0] + p[1] * q[2],
-            p[0] * q[1] + p[1] * q[3],
-            p[2] * q[0] + p[3] * q[2],
-            p[2] * q[1] + p[3] * q[3],
-        ]
-    }
-
-    let mut state = State::zero(circuit.n_qubits());
-    // (wire, merged matrix) of the currently open rotation run.
-    let mut pending: Option<(usize, [plateau_linalg::C64; 4])> = None;
-    for op in circuit.ops() {
-        match op {
-            Op::Rotation { gate, qubit, param } => {
-                let theta = match param {
-                    Param::Free(i) => params[*i],
-                    Param::Bound(v) => *v,
-                };
-                let m = gate.entries(theta);
-                pending = Some(match pending.take() {
-                    // BUG: the later gate must LEFT-multiply the run
-                    // (`m · acc`); this merges as `acc · m`.
-                    Some((q, acc)) if q == *qubit => (q, mat2_mul(&acc, &m)),
-                    Some((q, acc)) => {
-                        state.apply_single(q, &acc)?;
-                        (*qubit, m)
-                    }
-                    None => (*qubit, m),
-                });
-            }
-            other => {
-                if let Some((q, acc)) = pending.take() {
-                    state.apply_single(q, &acc)?;
-                }
-                other.apply(&mut state, params)?;
+    use plateau_linalg::C64;
+    let single = |op: &Op| match op {
+        Op::Fixed { gate, qubits } if gate.arity() == 1 => Some((qubits[0], gate.entries())),
+        Op::Rotation { gate, qubit, param } => Some((*qubit, gate.entries(param.angle(params)))),
+        _ => None,
+    };
+    let ops = circuit.ops();
+    let prologue = ops.iter().take_while(|op| single(op).is_some()).count();
+    let mut amps = vec![C64::ZERO; 1usize << circuit.n_qubits()];
+    amps[0] = C64::ONE;
+    let mut len = 1usize;
+    for wire in 0..circuit.n_qubits() {
+        let (mut v0, mut v1) = (C64::ONE, C64::ZERO);
+        // BUG: a wire's later op must act after its earlier ones; this
+        // folds them last-first.
+        for (q, e) in ops[..prologue].iter().rev().filter_map(single) {
+            if q == wire {
+                (v0, v1) = (e[0] * v0 + e[1] * v1, e[2] * v0 + e[3] * v1);
             }
         }
+        for i in 0..len {
+            let a = amps[i];
+            amps[i] = a * v0;
+            amps[i + len] = a * v1;
+        }
+        len <<= 1;
     }
-    if let Some((q, acc)) = pending {
-        state.apply_single(q, &acc)?;
+    let mut state = State::from_amplitudes_unnormalized(amps)?;
+    for op in &ops[prologue..] {
+        op.apply(&mut state, params)?;
     }
     Ok(state)
 }
@@ -842,9 +833,10 @@ mod tests {
 
     #[test]
     fn fused_merge_order_bug_is_caught() {
-        // RX then RY on one wire: non-commuting, so reversing the merge
-        // order produces a visibly different state. This is also the
-        // shape the shrinker should reduce any larger witness to.
+        // RX then RY on one wire: non-commuting, so folding them into the
+        // prologue column in reversed order produces a visibly different
+        // state. This is also the shape the shrinker should reduce any
+        // larger witness to.
         let case = FuzzCase {
             n_qubits: 1,
             ops: vec![
@@ -864,10 +856,10 @@ mod tests {
             obs: crate::gen::ObsSpec::GlobalCost,
         };
         let m = check_pair(EnginePair::FusedMutatedVsSerial, &case)
-            .expect_err("merge-order bug must be detected");
+            .expect_err("fold-order bug must be detected");
         assert!(m.delta > 0.01, "delta was {}", m.delta);
 
-        // Commuting runs hide the bug: same-axis rotations merge
+        // Commuting runs hide the bug: same-axis rotations fold
         // identically in either order.
         let commuting = FuzzCase {
             n_qubits: 1,

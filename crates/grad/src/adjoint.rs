@@ -17,17 +17,18 @@
 //! before that op reaches a tangent. A single partial `∂E/∂θ_i` whose
 //! earliest owning op is `k` of `N` therefore costs one forward pass plus
 //! `N − k` backward steps — for the paper's `θ_last`, only the tail of the
-//! last layer. [`Adjoint`]'s `gradient` and `partial` share one recurrence
-//! per representation (`gradient_raw` over ops, `gradient_fused` over
-//! fused segments), so a partial is bit-identical to the matching entry of
-//! the full gradient.
+//! last layer. [`Adjoint`]'s `gradient` and `partial`, the compiled entry
+//! point and the batched sweeps share one recurrence (`sweep`), generic
+//! over the op list and a compiled circuit's segments — each step owns at
+//! most one parameter either way — so a partial is bit-identical to the
+//! matching entry of the full gradient.
 //!
 //! This engine powers the paper's variance analysis at scale
 //! (200 circuits × 6 initializations × 5 qubit counts × deep circuits).
 
-use crate::engine::{check_index, Evaluator, GradientEngine};
+use crate::engine::{check_index, Evaluator, GradientEngine, Step};
 use plateau_linalg::C64;
-use plateau_sim::{Circuit, Observable, Op, SimError, State};
+use plateau_sim::{Circuit, Observable, SimError, State};
 
 /// The adjoint-differentiation gradient engine.
 ///
@@ -76,11 +77,6 @@ impl Wrt {
         }
     }
 
-    /// The output slot `op`'s parameter accumulates into, or `None` when
-    /// `op` owns no parameter this sweep differentiates.
-    fn slot_of(self, op: &Op) -> Option<usize> {
-        op.free_param().and_then(|i| self.slot(i))
-    }
 }
 
 fn inner_re(a: &State, b: &State) -> f64 {
@@ -100,57 +96,6 @@ fn refill<'a>(spare: &'a mut Option<State>, phi: &State) -> &'a mut State {
         None => *spare = Some(phi.clone()),
     }
     spare.as_mut().expect("filled above")
-}
-
-/// The same adjoint recurrence over fused segments: for a segment
-/// `S = U_k ⋯ U_1` the derivative with respect to a parameter owned by
-/// `U_j` is `U_k ⋯ U_{j+1} (∂U_j) U_{j-1} ⋯ U_1` — the merged-matrix
-/// product with the derivative block substituted at `j`, which
-/// [`plateau_sim::Segment::apply_derivative`] computes in one fused
-/// application against the segment-input state. The sweep ends at the
-/// earliest segment holding an op it differentiates.
-pub(crate) fn gradient_fused(
-    compiled: &plateau_sim::CompiledCircuit,
-    params: &[f64],
-    obs: &Observable,
-    wrt: Wrt,
-) -> Result<Vec<f64>, SimError> {
-    let mut grad = vec![0.0; wrt.len(compiled.n_params())];
-    let segments = compiled.segments();
-    let Some(stop) = segments
-        .iter()
-        .position(|seg| seg.ops().iter().any(|op| wrt.slot_of(op).is_some()))
-    else {
-        return Ok(grad);
-    };
-    // Forward pass: φ = U|0⟩ through the fused kernels.
-    let mut phi = compiled.run(params)?;
-    // λ = H|ψ⟩ (generally unnormalized).
-    let mut lambda = State::from_amplitudes_unnormalized(obs.apply_raw(&phi)?)?;
-
-    let mut spare = None;
-    for (s, seg) in segments.iter().enumerate().skip(stop).rev() {
-        // φ ← S† φ (now the state entering the segment).
-        seg.apply_inverse(&mut phi, params)?;
-        let mut owned = seg
-            .free_params()
-            .into_iter()
-            .filter_map(|(op_pos, i)| wrt.slot(i).map(|slot| (op_pos, slot)))
-            .peekable();
-        while let Some((op_pos, slot)) = owned.next() {
-            // μ = (∂S/∂θ) φ, built in φ itself for the sweep's last
-            // tangent (nothing reads φ after it).
-            let last = s == stop && owned.peek().is_none();
-            let mu = if last { &mut phi } else { refill(&mut spare, &phi) };
-            seg.apply_derivative(mu, op_pos, params)?;
-            grad[slot] += 2.0 * inner_re(&lambda, mu);
-        }
-        if s > stop {
-            // λ ← S† λ.
-            seg.apply_inverse(&mut lambda, params)?;
-        }
-    }
-    Ok(grad)
 }
 
 /// Validation and counter/gauge accounting shared by every adjoint entry
@@ -174,39 +119,44 @@ pub(crate) fn begin_gradient(n_qubits: usize, obs: &Observable) -> Result<(), Si
     Ok(())
 }
 
-/// The raw gate-by-gate adjoint recurrence, ending at the earliest op
-/// that owns a parameter in `wrt`. Callers have validated the parameter
-/// vector and the observable width and emitted the counters.
-pub(crate) fn gradient_raw(
-    circuit: &Circuit,
+/// The adjoint recurrence over `steps` — the op list or a compiled
+/// circuit's segments, each owning at most one parameter — ending at the
+/// earliest step that owns a parameter in `wrt`. `forward` runs the
+/// whole circuit from `|0…0⟩`; it is skipped when `wrt` owns no step.
+/// Callers have validated the parameter vector and the observable width
+/// and emitted the counters.
+pub(crate) fn sweep<S: Step>(
+    steps: &[S],
+    n_params: usize,
+    forward: impl FnOnce() -> Result<State, SimError>,
     params: &[f64],
     obs: &Observable,
     wrt: Wrt,
 ) -> Result<Vec<f64>, SimError> {
-    let mut grad = vec![0.0; wrt.len(circuit.n_params())];
-    let ops = circuit.ops();
-    let Some(stop) = ops.iter().position(|op| wrt.slot_of(op).is_some()) else {
+    let mut grad = vec![0.0; wrt.len(n_params)];
+    let slot_of = |step: &S| step.free_param().and_then(|i| wrt.slot(i));
+    let Some(stop) = steps.iter().position(|step| slot_of(step).is_some()) else {
         return Ok(grad);
     };
     // Forward pass: φ = U|0⟩.
-    let mut phi = circuit.run(params)?;
+    let mut phi = forward()?;
     // λ = H|ψ⟩ (generally unnormalized).
     let mut lambda = State::from_amplitudes_unnormalized(obs.apply_raw(&phi)?)?;
 
     let mut spare = None;
-    for (k, op) in ops.iter().enumerate().skip(stop).rev() {
-        // φ ← U_k† φ (now the state before op k).
-        op.apply_inverse(&mut phi, params)?;
-        if let Some(slot) = wrt.slot_of(op) {
-            // μ = (∂U_k/∂θ) φ, built in φ itself at the stop op (nothing
-            // reads φ after it).
+    for (k, step) in steps.iter().enumerate().skip(stop).rev() {
+        // φ ← U_k† φ (now the state before step k).
+        step.apply_inverse(&mut phi, params)?;
+        if let Some(slot) = slot_of(step) {
+            // μ = (∂U_k/∂θ) φ, built in φ itself at the stop step
+            // (nothing reads φ after it).
             let mu = if k == stop { &mut phi } else { refill(&mut spare, &phi) };
-            op.apply_derivative(mu, params)?;
+            step.apply_derivative(mu, params)?;
             grad[slot] += 2.0 * inner_re(&lambda, mu);
         }
         if k > stop {
             // λ ← U_k† λ.
-            op.apply_inverse(&mut lambda, params)?;
+            step.apply_inverse(&mut lambda, params)?;
         }
     }
     Ok(grad)
@@ -242,9 +192,21 @@ pub fn adjoint_gradient_compiled(
     params: &[f64],
     obs: &Observable,
 ) -> Result<Vec<f64>, SimError> {
+    compiled_sweep(compiled, params, obs, Wrt::All)
+}
+
+/// [`sweep`] over a compiled circuit's segments, with the validation and
+/// accounting of every adjoint entry point.
+pub(crate) fn compiled_sweep(
+    compiled: &plateau_sim::CompiledCircuit,
+    params: &[f64],
+    obs: &Observable,
+    wrt: Wrt,
+) -> Result<Vec<f64>, SimError> {
     compiled.check_params(params)?;
     begin_gradient(compiled.n_qubits(), obs)?;
-    gradient_fused(compiled, params, obs, Wrt::All)
+    let forward = || compiled.run(params);
+    sweep(compiled.segments(), compiled.n_params(), forward, params, obs, wrt)
 }
 
 impl GradientEngine for Adjoint {
@@ -402,13 +364,16 @@ mod tests {
 
     #[test]
     fn fused_sweep_matches_the_raw_op_walk() {
-        let c = hea_circuit(4, 3);
+        // Six qubits: each five-CZ chain becomes a superkernel, and the
+        // first rotation layer the product-state prologue.
+        let c = hea_circuit(6, 3);
         let params = pseudo_angles(c.n_params(), 0.63);
         let compiled = plateau_sim::compile(&c);
-        assert!(compiled.gates_out() < compiled.gates_in());
-        for obs in [Observable::global_cost(4), Observable::local_cost(4)] {
+        assert_eq!(compiled.superkernels(), 3);
+        assert_eq!(compiled.prologue_len(), 6);
+        for obs in [Observable::global_cost(6), Observable::local_cost(6)] {
             let raw = Adjoint.gradient(&c, &params, &obs).unwrap();
-            let fused = gradient_fused(&compiled, &params, &obs, Wrt::All).unwrap();
+            let fused = adjoint_gradient_compiled(&compiled, &params, &obs).unwrap();
             for (r, f) in raw.iter().zip(fused.iter()) {
                 assert!((r - f).abs() < 1e-12, "{obs}: {r} vs {f}");
             }
@@ -426,7 +391,7 @@ mod tests {
         let params = pseudo_angles(c.n_params(), 0.41);
         let obs = Observable::global_cost(3);
         let raw = Adjoint.gradient(&c, &params, &obs).unwrap();
-        let fused = gradient_fused(&plateau_sim::compile(&c), &params, &obs, Wrt::All).unwrap();
+        let fused = adjoint_gradient_compiled(&plateau_sim::compile(&c), &params, &obs).unwrap();
         for (r, f) in raw.iter().zip(fused.iter()) {
             assert!((r - f).abs() < 1e-10, "{r} vs {f}");
         }
@@ -513,12 +478,10 @@ mod tests {
         plateau_rng::check::forall(0xad70_1a57, cases, random_case, |case| {
             let RandomCase { circuit, params, obs } = case;
             let p = circuit.n_params();
-            // Both recurrences, driven directly.
-            check_partials("raw", p, |wrt| super::gradient_raw(circuit, params, obs, wrt))?;
-            let compiled = plateau_sim::compile(circuit);
-            check_partials("fused", p, |wrt| {
-                super::gradient_fused(&compiled, params, obs, wrt)
-            })?;
+            // The recurrence over both forms.
+            check_partials("raw", p, |wrt| Evaluator::Raw(circuit).adjoint(params, obs, wrt))?;
+            let compiled = Evaluator::Fused(plateau_sim::compile(circuit));
+            check_partials("fused", p, |wrt| compiled.adjoint(params, obs, wrt))?;
             // And the public engine entry points.
             let full = Adjoint.gradient(circuit, params, obs).map_err(|e| e.to_string())?;
             for (i, g) in full.iter().enumerate() {

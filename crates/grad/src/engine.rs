@@ -43,17 +43,84 @@
 //! [`crate::adjoint_gradient_compiled`]); they agree with the op-list
 //! results to rounding.
 
-use plateau_sim::{Circuit, CompiledCircuit, Observable, Op, SimError, State};
+use plateau_sim::{Circuit, CompiledCircuit, Observable, Op, Segment, SimError, State};
+
+/// One execution step: an op of the op list, or a segment of a compiled
+/// circuit. Each owns at most one free parameter, so every walk over an
+/// [`Evaluator`] — forward runs, prefix cuts, the adjoint recurrence — is
+/// one generic loop over either form.
+pub(crate) trait Step {
+    /// The free parameter this step reads, if any.
+    fn free_param(&self) -> Option<usize>;
+    /// Applies the step.
+    fn apply(&self, state: &mut State, params: &[f64]) -> Result<(), SimError>;
+    /// Applies the step's inverse.
+    fn apply_inverse(&self, state: &mut State, params: &[f64]) -> Result<(), SimError>;
+    /// Applies `∂U/∂θ` for the step's parameter.
+    fn apply_derivative(&self, state: &mut State, params: &[f64]) -> Result<(), SimError>;
+}
+
+impl Step for Op {
+    fn free_param(&self) -> Option<usize> {
+        Op::free_param(self)
+    }
+    fn apply(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
+        Op::apply(self, state, params)
+    }
+    fn apply_inverse(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
+        Op::apply_inverse(self, state, params)
+    }
+    fn apply_derivative(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
+        Op::apply_derivative(self, state, params)
+    }
+}
+
+impl Step for Segment {
+    fn free_param(&self) -> Option<usize> {
+        Segment::free_param(self)
+    }
+    fn apply(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
+        Segment::apply(self, state, params)
+    }
+    fn apply_inverse(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
+        Segment::apply_inverse(self, state, params)
+    }
+    fn apply_derivative(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
+        match self {
+            Segment::Raw(op) => op.apply_derivative(state, params),
+            Segment::Diagonal { .. } => unreachable!("superkernels own no free parameter"),
+        }
+    }
+}
+
+/// Each parameter's first step in `steps`, with the first `prologue`
+/// steps counted as step 0 (see [`Evaluator::param_cuts`]).
+fn first_uses<S: Step>(steps: &[S], prologue: usize, n_params: usize) -> Vec<usize> {
+    let mut cuts = vec![steps.len(); n_params];
+    for (k, step) in steps.iter().enumerate() {
+        if let Some(i) = step.free_param() {
+            cuts[i] = cuts[i].min(if k < prologue { 0 } else { k });
+        }
+    }
+    cuts
+}
+
+fn walk<S: Step>(steps: &[S], state: &mut State, params: &[f64]) -> Result<(), SimError> {
+    for step in steps {
+        step.apply(state, params)?;
+    }
+    Ok(())
+}
 
 /// A circuit prepared for evaluation: the raw op list for `O(1)` calls,
-/// or the gate-fusion compiler's output for calls that run the circuit
-/// many times (see the [module docs](self)). Building the fused form
-/// hoists the compile out of evaluation loops — the compile-once/run-many
-/// contract that parameter-shift sweeps and batched expectation rely on.
+/// or the compiled form for calls that run the circuit many times (see
+/// the [module docs](self)). Building the compiled form hoists the compile
+/// out of evaluation loops — the compile-once/run-many contract that
+/// parameter-shift sweeps and batched expectation rely on.
 pub(crate) enum Evaluator<'c> {
     /// Gate-by-gate execution of the original circuit.
     Raw(&'c Circuit),
-    /// Fused-segment execution of the compiled circuit.
+    /// Segment execution of the compiled circuit.
     Fused(CompiledCircuit),
 }
 
@@ -61,12 +128,11 @@ impl<'c> Evaluator<'c> {
     /// One cost evaluation `E(θ)` through this form, with the
     /// `grad.expectation_evals` accounting every evaluation carries.
     pub(crate) fn expectation(&self, params: &[f64], obs: &Observable) -> Result<f64, SimError> {
-        plateau_obs::counter!("grad.expectation_evals").inc();
         let state = match self {
             Evaluator::Raw(circuit) => circuit.run(params)?,
             Evaluator::Fused(compiled) => compiled.run(params)?,
         };
-        obs.expectation(&state)
+        self.observe(&state, obs)
     }
 
     /// [`Evaluator::expectation`] into a caller-owned scratch state —
@@ -90,7 +156,7 @@ impl<'c> Evaluator<'c> {
         obs.expectation(state)
     }
 
-    /// Number of execution steps: ops (raw) or fused segments.
+    /// Number of execution steps: ops (raw) or segments (compiled).
     pub(crate) fn steps(&self) -> usize {
         match self {
             Evaluator::Raw(circuit) => circuit.ops().len(),
@@ -101,40 +167,23 @@ impl<'c> Evaluator<'c> {
     /// Each parameter's **prefix cut**: the step before which no step
     /// reads `θ_i`, so the state after steps `[0, cut)` is the same for
     /// every value of `θ_i`. That is the first step touching `θ_i`, or
-    /// `0` when the fused product-state prologue absorbs that step (the
-    /// prologue runs whole or not at all). A parameter no step reads gets
-    /// [`Self::steps`].
+    /// `0` when the compiled form's product-state prologue absorbs that
+    /// step (the prologue runs whole or not at all). A parameter no step
+    /// reads gets [`Self::steps`].
     pub(crate) fn param_cuts(&self, n_params: usize) -> Vec<usize> {
-        let mut cuts = vec![self.steps(); n_params];
-        let mut claim = |step: usize, op: &Op| {
-            if let Some(i) = op.free_param() {
-                cuts[i] = cuts[i].min(step);
-            }
-        };
         match self {
-            Evaluator::Raw(circuit) => {
-                for (k, op) in circuit.ops().iter().enumerate() {
-                    claim(k, op);
-                }
-            }
+            Evaluator::Raw(circuit) => first_uses(circuit.ops(), 0, n_params),
             Evaluator::Fused(compiled) => {
-                let prologue = compiled.prologue_len();
-                for (s, seg) in compiled.segments().iter().enumerate() {
-                    let step = if s < prologue { 0 } else { s };
-                    for op in seg.ops() {
-                        claim(step, op);
-                    }
-                }
+                first_uses(compiled.segments(), compiled.prologue_len(), n_params)
             }
         }
-        cuts
     }
 
     /// Runs steps `[from, to)` on `state` — the one forward walk behind
     /// every evaluation. `from == 0` first resets `state` to `|0…0⟩` in
-    /// place (and on the fused form runs the product-state prologue when
-    /// `to` reaches past it); `from > 0` continues a state that already
-    /// holds steps `[0, from)`. Splitting a run at any prefix cut
+    /// place (and on the compiled form runs the product-state prologue
+    /// when `to` reaches past it); `from > 0` continues a state that
+    /// already holds steps `[0, from)`. Splitting a run at any prefix cut
     /// ([`Self::param_cuts`]) therefore repeats the whole run's
     /// arithmetic bit for bit. Callers have validated `params`.
     pub(crate) fn run_steps(
@@ -149,51 +198,34 @@ impl<'c> Evaluator<'c> {
                 if from == 0 {
                     state.reset_zero();
                 }
-                for op in &circuit.ops()[from..to] {
-                    op.apply(state, params)?;
-                }
+                walk(&circuit.ops()[from..to], state, params)
             }
-            Evaluator::Fused(compiled) => {
-                if from == 0 {
-                    compiled.run_prefix_into(state, params, to)?;
-                } else {
-                    for seg in &compiled.segments()[from..to] {
-                        seg.apply(state, params)?;
-                    }
-                }
+            Evaluator::Fused(compiled) if from == 0 => {
+                compiled.run_prefix_into(state, params, to)
             }
+            Evaluator::Fused(compiled) => walk(&compiled.segments()[from..to], state, params),
         }
-        Ok(())
     }
 
     /// One adjoint sweep over the parameters in `wrt`, through whichever
-    /// representation this evaluator holds, with the same validation and
-    /// counter accounting as [`crate::Adjoint`]'s `gradient` and
-    /// `partial` (which sweep the raw form).
+    /// form this evaluator holds, with the same validation and counter
+    /// accounting as [`crate::Adjoint`]'s `gradient` and `partial` (which
+    /// sweep the raw form).
     pub(crate) fn adjoint(
         &self,
         params: &[f64],
         obs: &Observable,
         wrt: crate::adjoint::Wrt,
     ) -> Result<Vec<f64>, SimError> {
+        use crate::adjoint::{begin_gradient, sweep};
         match self {
-            Evaluator::Raw(circuit) => circuit.check_params(params)?,
-            Evaluator::Fused(compiled) => compiled.check_params(params)?,
-        }
-        crate::adjoint::begin_gradient(self.n_qubits(), obs)?;
-        match self {
-            Evaluator::Raw(circuit) => crate::adjoint::gradient_raw(circuit, params, obs, wrt),
-            Evaluator::Fused(compiled) => {
-                crate::adjoint::gradient_fused(compiled, params, obs, wrt)
+            Evaluator::Raw(circuit) => {
+                circuit.check_params(params)?;
+                begin_gradient(circuit.n_qubits(), obs)?;
+                let forward = || circuit.run(params);
+                sweep(circuit.ops(), circuit.n_params(), forward, params, obs, wrt)
             }
-        }
-    }
-
-    /// Register width of the underlying circuit.
-    pub(crate) fn n_qubits(&self) -> usize {
-        match self {
-            Evaluator::Raw(circuit) => circuit.n_qubits(),
-            Evaluator::Fused(compiled) => compiled.n_qubits(),
+            Evaluator::Fused(compiled) => crate::adjoint::compiled_sweep(compiled, params, obs, wrt),
         }
     }
 }

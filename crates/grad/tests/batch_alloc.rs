@@ -10,8 +10,8 @@
 //!   bookkeeping, one compile, and two statevectors per worker (prefix
 //!   and work), not the `O(k²)` of materializing one parameter-vector
 //!   copy per shifted evaluation;
-//! - a fused adjoint sweep allocates the same bytes whatever the number
-//!   of diagonal superkernels it inverts.
+//! - a compiled adjoint sweep allocates the same bytes whatever the
+//!   number of diagonal superkernels it inverts.
 //!
 //! Everything shares the process-global allocator high-water mark, so it
 //! runs as one sequential test function, like `alloc_profile.rs`.
@@ -152,6 +152,19 @@ fn batch_path_allocation_is_flat_and_parameter_shift_is_linear() {
     let (compile_bytes, _) = delta(&mut || {
         plateau_sim::compile(&circuit);
     });
+    // Exactly: the segment list (one slot per source gate, reserved up
+    // front) plus, per layer, the CZ chain's superkernel — its 2^n
+    // diagonal and its nine cloned CZ ops, each with a two-qubit operand
+    // list. The rotations stay in their segment slots.
+    let (layers, chain) = (5u64, 9u64);
+    let segment = std::mem::size_of::<plateau_sim::Segment>() as u64;
+    let op = std::mem::size_of::<plateau_sim::Op>() as u64;
+    let superkernel = state_bytes + chain * (op + 2 * 8);
+    assert_eq!(
+        compile_bytes,
+        circuit.ops().len() as u64 * segment + layers * superkernel,
+        "compile of the 10q/5L ansatz"
+    );
     assert!(
         grad_bytes >= compile_bytes,
         "gradient allocated {grad_bytes} B, less than its one compile ({compile_bytes} B)"
@@ -166,12 +179,11 @@ fn batch_path_allocation_is_flat_and_parameter_shift_is_linear() {
          bound is {linear_bound} B (the old per-job copies cost ≥ {quadratic} B)"
     );
 
-    // ── Satellite pin: a fused adjoint sweep inverts each diagonal
+    // ── Satellite pin: a compiled adjoint sweep inverts each diagonal
     // superkernel in place. Layer by layer the ansatz gains one
     // superkernel, and the sweep gains only its O(k) bookkeeping (the
-    // gradient entries and per-segment parameter lists) — never the
-    // 2^n conjugated diagonal an allocating inverse would build twice
-    // per superkernel.
+    // layer's twenty gradient entries) — never the 2^n conjugated
+    // diagonal an allocating inverse would build twice per superkernel.
     let adjoint_bytes = |layers: usize| {
         let c = training_shape(10, layers);
         let compiled = plateau_sim::compile(&c);
@@ -193,16 +205,17 @@ fn batch_path_allocation_is_flat_and_parameter_shift_is_linear() {
             l + 2
         );
     }
-    assert!(
-        step < state_bytes / 16,
-        "each superkernel layer adds {step} B to a fused adjoint sweep ({per_layer:?})"
+    assert_eq!(
+        step,
+        20 * 8,
+        "each superkernel layer adds {step} B to a compiled adjoint sweep ({per_layer:?})"
     );
     // What no layer adds: the sweep's three statevectors (φ, λ and the
     // tangent μ) plus under 1 KB.
     let fixed = per_layer[0] - step;
     assert!(
         (3 * state_bytes..3 * state_bytes + 1024).contains(&fixed),
-        "a fused adjoint sweep holds φ, λ and μ; by layer it allocated {per_layer:?}"
+        "a compiled adjoint sweep holds φ, λ and μ; by layer it allocated {per_layer:?}"
     );
 
     set_profiling(false);

@@ -51,8 +51,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Compiled-circuit LRU capacity.
     pub cache_capacity: usize,
-    /// Whether cached circuits carry a fused compilation.
-    pub fuse: bool,
     /// Largest accepted request body in bytes.
     pub max_body: usize,
     /// Per-request execution limits.
@@ -68,7 +66,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 32,
-            fuse: true,
             max_body: http::DEFAULT_MAX_BODY_BYTES,
             limits: Limits::default(),
             idle_timeout: Duration::from_secs(5),
@@ -139,7 +136,9 @@ impl Server {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let queue: Arc<JobQueue<Job>> = Arc::new(JobQueue::new(cfg.queue_capacity));
-        let cache = Arc::new(CircuitCache::new(cfg.cache_capacity, cfg.fuse));
+        // Every cached circuit carries its compilation: a cached circuit is
+        // one that runs many times.
+        let cache = Arc::new(CircuitCache::new(cfg.cache_capacity, true));
         let active_connections = Arc::new(AtomicUsize::new(0));
 
         let workers: Vec<JoinHandle<()>> = (0..cfg.workers.max(1))
@@ -175,17 +174,19 @@ impl Server {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             plateau_obs::counter!("serve.connections").inc();
-                            active.fetch_add(1, Ordering::SeqCst);
                             let queue = Arc::clone(&queue);
                             let shutdown = Arc::clone(&shutdown);
-                            let active = Arc::clone(&active);
                             let cfg = cfg.clone();
-                            let _ = std::thread::Builder::new()
-                                .name("serve-conn".to_string())
-                                .spawn(move || {
-                                    serve_connection(stream, &queue, &shutdown, &cfg);
-                                    active.fetch_sub(1, Ordering::SeqCst);
-                                });
+                            spawn_counted(
+                                &active,
+                                |conn| {
+                                    std::thread::Builder::new()
+                                        .name("serve-conn".to_string())
+                                        .spawn(conn)
+                                        .map(drop)
+                                },
+                                move || serve_connection(stream, &queue, &shutdown, &cfg),
+                            );
                         }
                         // Poll fine-grained: this sleep bounds the accept
                         // latency floor every fresh connection pays.
@@ -242,6 +243,31 @@ impl Server {
         while self.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+}
+
+/// A connection body, boxed for the thread spawner.
+type ConnFn = Box<dyn FnOnce() + Send + 'static>;
+
+/// Runs `conn` on a thread started by `spawn`, counted in `active` for
+/// as long as it runs — the count [`Server::shutdown`] waits to reach
+/// zero. When `spawn` fails the connection is dropped unserved, the count
+/// is given back and `serve.connection_spawn_failures` is bumped, so a
+/// failed spawn never holds a later shutdown to its deadline.
+fn spawn_counted(
+    active: &Arc<AtomicUsize>,
+    spawn: impl FnOnce(ConnFn) -> std::io::Result<()>,
+    conn: impl FnOnce() + Send + 'static,
+) {
+    active.fetch_add(1, Ordering::SeqCst);
+    let done = Arc::clone(active);
+    let body: ConnFn = Box::new(move || {
+        conn();
+        done.fetch_sub(1, Ordering::SeqCst);
+    });
+    if spawn(body).is_err() {
+        active.fetch_sub(1, Ordering::SeqCst);
+        plateau_obs::counter!("serve.connection_spawn_failures").inc();
     }
 }
 
@@ -460,8 +486,49 @@ mod tests {
         // No env set: defaults.
         let cfg = ServeConfig::default();
         assert_eq!(cfg.workers, 2);
-        assert!(cfg.fuse);
+        assert_eq!(cfg.queue_capacity, 64);
+        assert_eq!(cfg.cache_capacity, 32);
         assert_eq!(cfg.limits.max_qubits, 16);
+    }
+
+    #[test]
+    fn failed_connection_spawn_gives_its_count_back() {
+        let _guard = plateau_obs::test_lock();
+        plateau_obs::set_metrics_enabled(true);
+        let failures = || {
+            plateau_obs::snapshot()
+                .counter("serve.connection_spawn_failures")
+                .unwrap_or(0)
+        };
+        let before = failures();
+        let active = Arc::new(AtomicUsize::new(0));
+        let ran = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&ran);
+        spawn_counted(
+            &active,
+            |_conn| Err(std::io::Error::new(ErrorKind::Other, "no thread for you")),
+            move || flag.store(true, Ordering::SeqCst),
+        );
+        assert_eq!(active.load(Ordering::SeqCst), 0, "a failed spawn leaked its count");
+        assert!(!ran.load(Ordering::SeqCst));
+        assert_eq!(failures(), before + 1);
+
+        // A spawn that succeeds holds the count until its body returns.
+        let (tx, rx) = mpsc::channel::<()>();
+        let mut handle = None;
+        spawn_counted(
+            &active,
+            |conn| {
+                handle = Some(std::thread::spawn(conn));
+                Ok(())
+            },
+            move || rx.recv().unwrap(),
+        );
+        assert_eq!(active.load(Ordering::SeqCst), 1);
+        tx.send(()).unwrap();
+        handle.unwrap().join().unwrap();
+        assert_eq!(active.load(Ordering::SeqCst), 0);
+        assert_eq!(failures(), before + 1);
     }
 
     #[test]

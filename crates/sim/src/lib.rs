@@ -22,10 +22,11 @@
 //! - [`parallel`]: chunked multi-threaded kernel variants engaged above
 //!   the `PLATEAU_SIM_PAR_THRESHOLD` qubit count (default 14), bitwise
 //!   identical to the serial loops regardless of worker count.
-//! - [`fuse`]: the gate-fusion compiler ([`compile`], [`CompiledCircuit`])
-//!   — merges adjacent-gate runs into 2×2/4×4 blocks and whole-layer
-//!   diagonal superkernels. Callers that run one circuit many times
-//!   compile it once; one-shot calls walk the op list.
+//! - [`fuse`]: the circuit compiler ([`compile`], [`CompiledCircuit`])
+//!   — collapses runs of static diagonal gates into whole-layer
+//!   superkernels and builds the leading single-qubit layer as a product
+//!   state. Callers that run one circuit many times compile it once;
+//!   one-shot calls walk the op list.
 //!
 //! Qubit ordering is little-endian throughout: qubit `k` is bit `k` of the
 //! amplitude index.

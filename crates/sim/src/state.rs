@@ -13,8 +13,8 @@
 //! # The single-qubit kernel
 //!
 //! [`State::apply_single`] is the one single-qubit pair kernel: the op
-//! list, fused `Single` segments ([`crate::fuse`]) and both task shapes of
-//! the parallel layer run it. Per call it reads the 2×2's zero pattern
+//! list, compiled circuits ([`crate::fuse`]) and both task shapes of the
+//! parallel layer run it. Per call it reads the 2×2's zero pattern
 //! once and runs one of four loops:
 //!
 //! - **diagonal** `[d0, 0, 0, d1]` — RZ, Phase and their derivatives,
@@ -24,12 +24,11 @@
 //! - **real diagonal, imaginary off-diagonal** `[r0, i·s1, i·s2, r3]` —
 //!   RX and its derivative, Y: the off-diagonal product swaps an
 //!   amplitude's parts;
-//! - **dense** — anything else, e.g. a fused product of mixed rotations.
+//! - **dense** — anything else, e.g. √X or a caller's arbitrary unitary.
 //!
 //! Each loop walks both halves of every block stride-1, two pairs per
-//! iteration. The check is on the matrix, not on the gate, so an inverse,
-//! a derivative or a fused product takes the fast loop whenever its
-//! entries allow.
+//! iteration. The check is on the matrix, not on the gate, so an inverse
+//! or a derivative takes the fast loop whenever its entries allow.
 //!
 //! The structured loops give the same `f64` values as the dense formula
 //! `m[0]·a0 + m[1]·a1` (compared with `==`). A zero entry only adds terms
@@ -315,7 +314,7 @@ impl State {
 
     /// Applies an arbitrary single-qubit gate given its row-major entries
     /// `[m00, m01, m10, m11]` — the one single-qubit kernel, shared by
-    /// the op list, fused `Single` segments and the parallel layer. The
+    /// the op list, compiled circuits and the parallel layer. The
     /// matrix's zero pattern picks the loop (module docs); every loop
     /// gives the dense formula's values.
     ///
@@ -330,100 +329,6 @@ impl State {
             crate::parallel::apply_single(&mut self.amps, stride, kernel);
         } else {
             kernel.sweep(&mut self.amps, stride);
-        }
-        Ok(())
-    }
-
-    /// Applies a merged 4×4 in the `|hi, lo⟩` basis (`hi > lo`) — the
-    /// fusion layer's pair sweep. Same quad arithmetic as [`Self::apply_two`]
-    /// with the identity operand permutation, but with the 4×4 product
-    /// fully unrolled on fixed matrix indices so one pass over the state
-    /// replaces two single-qubit sweeps at equal multiply count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::QubitOutOfRange`] / [`SimError::DuplicateQubits`]
-    /// for invalid operands.
-    pub fn apply_fused_pair(
-        &mut self,
-        hi: usize,
-        lo: usize,
-        m: &[C64; 16],
-    ) -> Result<(), SimError> {
-        self.check_distinct(hi, lo)?;
-        debug_assert!(hi > lo, "pair segments store hi > lo");
-        let s_lo = 1usize << lo.min(hi);
-        let s_hi = 1usize << hi.max(lo);
-        if crate::parallel::enabled(self.n_qubits) {
-            crate::parallel::apply_two(&mut self.amps, s_lo, s_hi, &[0, 1, 2, 3], m);
-            return Ok(());
-        }
-        let amps = &mut self.amps;
-        let dim = amps.len();
-        // The mul_add chains below match quad_update's accumulation
-        // exactly, keeping serial and forced-parallel fused runs
-        // bit-identical.
-        macro_rules! quad {
-            ($i:expr, $j:expr, $k:expr, $l:expr) => {{
-                let (i, j, k, l) = ($i, $j, $k, $l);
-                let a = [amps[i], amps[j], amps[k], amps[l]];
-                amps[i] = m[3].mul_add(a[3], m[2].mul_add(a[2], m[1].mul_add(a[1], m[0].mul_add(a[0], C64::ZERO))));
-                amps[j] = m[7].mul_add(a[3], m[6].mul_add(a[2], m[5].mul_add(a[1], m[4].mul_add(a[0], C64::ZERO))));
-                amps[k] = m[11].mul_add(a[3], m[10].mul_add(a[2], m[9].mul_add(a[1], m[8].mul_add(a[0], C64::ZERO))));
-                amps[l] = m[15].mul_add(a[3], m[14].mul_add(a[2], m[13].mul_add(a[1], m[12].mul_add(a[0], C64::ZERO))));
-            }};
-        }
-        if lo == 0 && hi == 1 {
-            // Contiguous quads: one flat front-to-back walk, two quads
-            // (eight amplitudes) per iteration so eight independent
-            // accumulation chains are in flight.
-            let mut i = 0;
-            while i + 8 <= dim {
-                quad!(i, i + 1, i + 2, i + 3);
-                quad!(i + 4, i + 5, i + 6, i + 7);
-                i += 8;
-            }
-            while i + 4 <= dim {
-                quad!(i, i + 1, i + 2, i + 3);
-                i += 4;
-            }
-        } else if hi == lo + 1 {
-            // Adjacent wires: each 4·s block holds s quads at stride s,
-            // walked two offsets per iteration.
-            let s = s_lo;
-            let mut base = 0;
-            while base < dim {
-                let mut i = base;
-                while i + 2 <= base + s {
-                    quad!(i, i + s, i + 2 * s, i + 3 * s);
-                    quad!(i + 1, i + 1 + s, i + 1 + 2 * s, i + 1 + 3 * s);
-                    i += 2;
-                }
-                while i < base + s {
-                    quad!(i, i + s, i + 2 * s, i + 3 * s);
-                    i += 1;
-                }
-                base += s << 2;
-            }
-        } else {
-            let mut base_hi = 0;
-            while base_hi < dim {
-                let mut base_lo = base_hi;
-                while base_lo < base_hi + s_hi {
-                    let mut i = base_lo;
-                    while i + 2 <= base_lo + s_lo {
-                        quad!(i, i + s_lo, i + s_hi, i + s_hi + s_lo);
-                        quad!(i + 1, i + 1 + s_lo, i + 1 + s_hi, i + 1 + s_hi + s_lo);
-                        i += 2;
-                    }
-                    while i < base_lo + s_lo {
-                        quad!(i, i + s_lo, i + s_hi, i + s_hi + s_lo);
-                        i += 1;
-                    }
-                    base_lo += s_lo << 1;
-                }
-                base_hi += s_hi << 1;
-            }
         }
         Ok(())
     }

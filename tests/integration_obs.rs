@@ -169,66 +169,65 @@ fn parameter_shift_gradient_runs_each_suffix_once_from_a_shared_prefix() {
 
     // §IV-D: 10 qubits, 5 layers — 145 gates, k = 100 parameters. A full
     // gradient runs the circuit 2k times, so it compiles first: per layer
-    // ten per-wire Single segments (RX·RY, two parameters each) and one
-    // Diagonal superkernel (the CZ chain) — 55 segments, wire q of layer
-    // l at segment 11l + q and the layer's diagonal at 11l + 10. Runs from
-    // |0…0⟩ build layer 0's ten Singles as one product-state prologue.
-    // (The same gradient on the raw op list applies 15,944 gates; that
-    // pin lives in plateau-grad's shift tests.)
+    // twenty raw rotations (RX·RY per wire, one parameter each) and one
+    // Diagonal superkernel (the CZ chain) — 105 segments, θ_i of layer l
+    // at segment 21l + i mod 20 and the layer's diagonal at 21l + 20.
+    // Runs from |0…0⟩ build layer 0's twenty rotations as one
+    // product-state prologue. (The same gradient on the raw op list
+    // applies 15,944 gates; that pin lives in plateau-grad's shift tests.)
     let a = training_ansatz(10, 5).unwrap();
     let c = &a.circuit;
     let params: Vec<f64> = (0..c.n_params()).map(|i| 0.05 * i as f64 - 1.0).collect();
     let obs = CostKind::Global.observable(10);
     let compiled = plateau_sim::compile(c);
-    assert_eq!((compiled.segments().len(), compiled.prologue_len()), (55, 10));
+    assert_eq!((compiled.segments().len(), compiled.prologue_len()), (105, 20));
 
-    // [single, diagonal, prologue] applications.
+    // [rotation, diagonal, prologue] applications.
     let mut want = [0u64; 3];
     let walk = |want: &mut [u64; 3], from: usize, to: usize| {
         for s in from..to {
-            want[usize::from(s % 11 == 10)] += 1;
+            want[usize::from(s % 21 == 20)] += 1;
         }
     };
     // Suffixes. Layer 0's parameters sit inside the prologue, so each of
     // their 40 shifted runs starts from |0…0⟩: one prologue, then
-    // segments 10..55. θ_i of layer l ≥ 1 on wire q resumes from the
-    // shared prefix at its segment 11l + q and runs segments 11l + q..55.
+    // segments 20..105. θ_i of layer l ≥ 1 resumes from the shared
+    // prefix at its segment 21l + i mod 20 and runs segments from there
+    // to 105.
     for i in 0..c.n_params() {
-        let (l, q) = (i / 20, i % 20 / 2);
+        let (l, j) = (i / 20, i % 20);
         for _shift in 0..2 {
             if l == 0 {
                 want[2] += 1;
-                walk(&mut want, 10, 55);
+                walk(&mut want, 20, 105);
             } else {
-                walk(&mut want, 11 * l + q, 55);
+                walk(&mut want, 21 * l + j, 105);
             }
         }
     }
     // Prefix walks. The sweep splits the jobs into 8 chunks of roughly
-    // equal suffix cost (cost 55 − cut; 5,880 in all), never splitting a
-    // prefix group: the first chunk holds the 40 layer-0 runs, which
-    // need no prefix, and the other seven end at segments 11, 12, 15,
-    // 20, 27, 35 and 53. Each of those walks its prefix once from
-    // |0…0⟩: one prologue, then segments 10 up to its last cut.
-    for end in [11, 12, 15, 20, 27, 35, 53] {
+    // equal suffix cost (cost 105 − cut; 11,080 in all), never splitting
+    // a prefix group: the first chunk holds the 40 layer-0 runs, which
+    // need no prefix, and the other seven end at segments 21, 22, 29, 39,
+    // 51, 67 and 103. Each of those walks its prefix once from |0…0⟩:
+    // one prologue, then segments 20 up to its last cut.
+    for end in [21, 22, 29, 39, 51, 67, 103] {
         want[2] += 1;
-        walk(&mut want, 10, end);
+        walk(&mut want, 20, end);
     }
-    assert_eq!(want, [4_970, 613, 47]);
+    assert_eq!(want, [9_859, 613, 47]);
 
     let names = [
-        "sim.fuse.applications.single",
+        "sim.gate.rotation",
         "sim.fuse.applications.diagonal",
         "sim.fuse.applications.prologue",
-        "sim.fuse.applications.pair",
-        "sim.gate.rotation",
         "sim.gate.fixed",
         "sim.fuse.gates_in",
         "grad.executions.parameter_shift",
     ];
-    // …plus no pair blocks and no per-gate kernels, one compile (145
-    // gates in), and 2k executions.
-    let expected = [want[0], want[1], want[2], 0, 0, 0, 145, 2 * c.n_params() as u64];
+    // …plus no CZ outside the superkernels, one compile (145 gates in),
+    // and 2k executions.
+    let expected = [want[0], want[1], want[2], 0, 145, 2 * c.n_params() as u64];
     let saved = std::env::var("PLATEAU_THREADS").ok();
     for threads in ["1", "2", "4"] {
         std::env::set_var("PLATEAU_THREADS", threads);
@@ -300,32 +299,53 @@ fn fused_run_emits_exact_compression_counters() {
 
     // The paper's training configuration (§IV-D): width 10, depth 5.
     // Per layer the ansatz is RX·RY on each wire plus a CZ chain, so one
-    // compile sees layers × (3q − 1) input gates and — per the fusion
-    // contract pinned in `plateau_sim::fuse` — emits one merged per-wire
-    // block per qubit plus one diagonal CZ-chain superkernel per layer.
+    // compile sees layers × (3q − 1) input gates and — per the segment
+    // layout pinned in `plateau_sim::fuse` — emits the 2q rotations of
+    // each layer as raw segments plus one diagonal CZ-chain superkernel
+    // per layer.
     let (q, layers) = (10usize, 5usize);
     let a = training_ansatz(q, layers).unwrap();
     let obs = CostKind::Global.observable(q);
-    let sets = vec![vec![0.1; a.circuit.n_params()]; 3];
+    let members = 3u64;
+    let sets = vec![vec![0.1; a.circuit.n_params()]; members as usize];
 
-    // Two independent entries into the fused hot path, one compile each:
-    // a batched cost evaluation and a batched adjoint sweep.
+    // Two independent entries into the compiled hot path, one compile
+    // each: a batched cost evaluation and a batched adjoint sweep.
     expectation_many(&a.circuit, &sets, &obs).unwrap();
     BatchExecutor::new(&a.circuit).adjoint_gradient_many(&sets, &obs).unwrap();
 
     let snap = plateau_obs::snapshot();
     let compiles = 2u64;
     let gates_in = (layers * (3 * q - 1)) as u64;
-    let gates_out = (layers * (q + 1)) as u64;
+    let gates_out = (layers * (2 * q + 1)) as u64;
     assert_eq!(snap.counter("sim.fuse.gates_in"), Some(compiles * gates_in));
     assert_eq!(snap.counter("sim.fuse.gates_out"), Some(compiles * gates_out));
     assert_eq!(
         snap.counter("sim.fuse.superkernels"),
         Some(compiles * layers as u64)
     );
-    // Fused segments bypass the per-gate kernels entirely, so the
-    // gate-by-gate counters must stay silent.
-    assert_eq!(snap.counter("sim.gate.rotation"), None);
+    // Every run from |0…0⟩ — one per cost evaluation, one forward pass
+    // per adjoint gradient — folds layer 0's 2q rotations into the
+    // prologue and applies the other (layers − 1)·2q rotations raw. Each
+    // adjoint gradient then sweeps all 100 rotations back (φ and λ but
+    // for λ at the stop rotation, one tangent each). No CZ runs outside
+    // a superkernel.
+    let rotations = (2 * q * layers) as u64;
+    let forward = (rotations - 2 * q as u64) * 2 * members;
+    let backward = (2 * rotations - 1) * members;
+    assert_eq!(snap.counter("sim.fuse.applications.prologue"), Some(2 * members));
+    assert_eq!(snap.counter("sim.gate.rotation"), Some(forward));
+    assert_eq!(snap.counter("sim.gate.inverse_applications"), Some(backward));
+    assert_eq!(
+        snap.counter("sim.gate.derivative_applications"),
+        Some(rotations * members)
+    );
+    // Superkernels: one per layer in each of the two forward runs per
+    // member, and one per layer in each of the φ and λ sweeps back.
+    assert_eq!(
+        snap.counter("sim.fuse.applications.diagonal"),
+        Some(4 * layers as u64 * members)
+    );
     assert_eq!(snap.counter("sim.gate.fixed"), None);
 
     plateau_obs::metrics::reset();
