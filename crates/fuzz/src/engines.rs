@@ -15,7 +15,7 @@
 //! | `adjoint-vs-finite-diff` | exact vs `O(ε²)` central differences | `5e-6` |
 //! | `adjoint-partial-vs-gradient` | the adjoint's shortened single-parameter sweep vs its full-gradient entry | exact (`0`, bitwise) |
 //! | `shift-vs-per-job` | the prefix-sharing parameter-shift gradient vs `Σ coeff · E(θ with θ_i += s)`, one full run of the compiled circuit per shifted job | exact (`0`, bitwise) |
-//! | `fused-vs-raw` | gate-fusion compiler output vs the gate-by-gate run | `1e-10` |
+//! | `fused-vs-raw` | compiled circuit (prologue, raw ops, diagonal superkernels) vs the gate-by-gate run | `1e-10` |
 //! | `batched-vs-per-circuit` | `expectation_many` through the batched executor's scratch pool vs one run of the compiled circuit per set | exact (`0`) |
 //! | `mutated-vs-serial` | deliberately broken kernel (self-test only) | `1e-9` |
 //! | `fused-mutated-vs-serial` | product-state prologue folding each wire's ops in reversed order (self-test only) | `1e-9` |
@@ -682,7 +682,7 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
         EnginePair::FusedMutatedVsSerial => {
             let reference = engine_try!(pair, "serial kernels", circuit.run(&params));
             let mutated =
-                engine_try!(pair, "mutated fusion", fused_mutated_run(&circuit, &params));
+                engine_try!(pair, "mutated prologue", fused_mutated_run(&circuit, &params));
             let delta = state_delta(&reference, &mutated);
             verdict(
                 pair,

@@ -22,7 +22,7 @@ pub struct FuzzConfig {
     /// Where reproducers are written; `None` disables artifact output.
     pub artifact_dir: Option<PathBuf>,
     /// Mutation self-test mode: run **only** the deliberately broken
-    /// engines (the off-by-one kernel and the wrong-order fusion pass)
+    /// engines (the off-by-one kernel and the wrong-order prologue fold)
     /// against the serial engine and expect both to be caught.
     pub mutate: bool,
 }

@@ -76,7 +76,6 @@ impl Wrt {
             Wrt::One(i) => (i == index).then_some(0),
         }
     }
-
 }
 
 fn inner_re(a: &State, b: &State) -> f64 {

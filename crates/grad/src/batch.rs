@@ -11,10 +11,11 @@
 //! - the circuit is compiled a single time, always, and reused for every
 //!   member of the batch — an executor exists to run one circuit many
 //!   times, which is the case the crate's compile rule (see the `engine`
-//!   module) sends to the fused form. On the paper's §IV-D ansatz one
-//!   parameter-shift gradient takes 10.5 ms compiled against 21.7 ms on
-//!   the op list (one thread of a 2-vCPU host), and the compile costs
-//!   39 µs;
+//!   module) sends to the compiled form. On the paper's §IV-D training
+//!   loop the parameter-shift step reads 10% faster compiled than on the
+//!   op list (the benchmark's `train_ivd` `main_rel`, 1.39 against
+//!   1.54), and one compile costs 30–45 µs on one thread of a 2-vCPU
+//!   host;
 //! - each worker thread owns one reusable scratch [`plateau_sim::State`]
 //!   plus one parameter buffer, reset in place between evaluations;
 //!   shifted sweeps add a second state per worker for the shared prefix
@@ -27,7 +28,7 @@
 //!
 //! Both of `θ_i`'s shifted circuits run the same gates, at the same
 //! angles, before `θ_i`'s first gate. A shifted sweep therefore orders its
-//! jobs by (base vector, prefix cut — that first gate, or first fused
+//! jobs by (base vector, prefix cut — that first gate, or first compiled
 //! segment) and walks the unshifted circuit forward once: each job copies
 //! the prefix state into the worker's second scratch state and runs only
 //! the shifted gate and the suffix. One gradient costs one forward walk
@@ -310,7 +311,7 @@ impl<'c> BatchExecutor<'c> {
     ///
     /// Cost: one forward walk of the unshifted circuit per chunk of
     /// shifts (at most 8) plus, per shift, only the gates from `θ_idx`'s
-    /// first gate (or fused segment) onward — the prefix before it is
+    /// first gate (or compiled segment) onward — the prefix before it is
     /// shared and copied, not re-run. Shifts may come in any order and
     /// repeat indices; results are in input order and bit-identical to
     /// one full evaluation of this executor's form per job.

@@ -17,23 +17,26 @@
 //!   `partial`, and [`crate::ParameterShift`]'s `partial` (two or four
 //!   shifted evaluations from one shared prefix walk).
 //!
-//! Why, measured on one thread of a 2-vCPU host (medians over 100
-//! random members or 7 rounds, compiled times include the compile):
+//! Why, measured on one thread of a noisy 2-vCPU host (medians over 100
+//! random members or 31–101 rounds, two runs each; compiled times
+//! include the compile):
 //!
 //! - Compiling pays only when its cost is spread over many runs. A Fig 5a
 //!   member (50 layers) is a distinct circuit, differentiated once: at
-//!   q = 10 its compile costs 410–420 µs, and its adjoint `partial_last`
-//!   takes 580 µs on the op list against 920–935 µs compiled (16–18 µs
-//!   against 75–100 µs at q = 4). Its `ParameterShift` `partial_last`
-//!   takes 570–590 µs on the op list against 905–995 µs compiled
-//!   (17–18 µs against 79–83 µs at q = 4).
-//! - One §IV-D parameter-shift gradient (10 qubits, 5 layers, 200
-//!   shifted evaluations) takes 9.5–10.3 ms compiled against 9.3–9.9 ms
-//!   on the op list; its compile costs 40–45 µs. The two tie since
-//!   [`plateau_sim::State::apply_single`] picks a loop by the matrix's
-//!   zero pattern (the op list took 21.9–23.3 ms with one dense loop), so
-//!   this circuit no longer shows a win for compiling; whether the rule
-//!   should change is still open.
+//!   q = 10 its compile — one `2^n` superkernel per CZ-chain layer —
+//!   costs 360–510 µs, and its adjoint `partial_last` takes 600–850 µs
+//!   on the op list against 840–1,200 µs compiled (14–15 µs against
+//!   24–26 µs at q = 4). Its `ParameterShift` `partial_last` takes
+//!   590–920 µs on the op list against 840–1,170 µs compiled (16–17 µs
+//!   against 25–28 µs at q = 4).
+//! - A circuit run many times wins through its superkernels and its
+//!   product-state prologue. On the §IV-D training loop (10 qubits, 5
+//!   layers, Adam), the paper-workload benchmark's parameter-shift step
+//!   (`train_ivd` `main_rel`) reads 1.39 compiled against 1.54 when the
+//!   same loop runs the op list; one compile costs 30–45 µs. One
+//!   parameter-shift gradient took 6.9–10.8 ms compiled and 7.7–10.3 ms
+//!   on the op list, and one adjoint gradient 400–610 µs compiled and
+//!   420–440 µs on the op list, in runs too noisy to separate.
 //!
 //! Because `Adjoint`'s `gradient` and `partial` both walk the op list,
 //! `partial(i)` stays bit-identical to `gradient()[i]`. Executor results
@@ -200,9 +203,7 @@ impl<'c> Evaluator<'c> {
                 }
                 walk(&circuit.ops()[from..to], state, params)
             }
-            Evaluator::Fused(compiled) if from == 0 => {
-                compiled.run_prefix_into(state, params, to)
-            }
+            Evaluator::Fused(compiled) if from == 0 => compiled.run_prefix_into(state, params, to),
             Evaluator::Fused(compiled) => walk(&compiled.segments()[from..to], state, params),
         }
     }
@@ -225,7 +226,9 @@ impl<'c> Evaluator<'c> {
                 let forward = || circuit.run(params);
                 sweep(circuit.ops(), circuit.n_params(), forward, params, obs, wrt)
             }
-            Evaluator::Fused(compiled) => crate::adjoint::compiled_sweep(compiled, params, obs, wrt),
+            Evaluator::Fused(compiled) => {
+                crate::adjoint::compiled_sweep(compiled, params, obs, wrt)
+            }
         }
     }
 }

@@ -31,8 +31,10 @@
 //! [`crate::BatchExecutor`]).
 //!
 //! A full gradient runs the circuit `2k` times, so it compiles first and
-//! walks fused segments instead of gates (on the §IV-D ansatz, 145 gates
-//! become 55 segments). A single `partial` runs it two or four times, so
+//! walks compiled segments instead of gates (on the §IV-D ansatz, 145
+//! gates become 105 segments: each layer's CZ chain is one diagonal
+//! superkernel, and the first rotation layer runs as the product-state
+//! prologue). A single `partial` runs it two or four times, so
 //! it walks the op list — the crate's compile rule, stated in the
 //! `engine` module.
 
@@ -412,7 +414,7 @@ mod tests {
     }
 
     /// The paper's layer shape (RX·RY per wire, then a CZ chain): the
-    /// fused form's product-state prologue absorbs the whole first
+    /// compiled form's product-state prologue absorbs the whole first
     /// rotation layer, so those parameters get an empty prefix and the
     /// rest resume after it.
     fn layered_case() -> ShiftCase {

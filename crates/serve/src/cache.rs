@@ -2,16 +2,15 @@
 //!
 //! The service's dominant cost for small requests is not the simulation
 //! itself but the per-request setup: parsing QASM (or walking op JSON),
-//! building the [`Circuit`], and — with fusion on — running the fusion
-//! compiler over it. A tenant polling `/gradient` with fresh parameters
+//! building the [`Circuit`], and compiling it. A tenant polling `/gradient` with fresh parameters
 //! every few milliseconds re-pays that setup on every call unless we
 //! remember the structure.
 //!
 //! The cache maps the **raw wire form** of a circuit (the
 //! [`CircuitSpec::cache_token`] string — QASM text or canonical op JSON,
 //! *before* any parsing) to an [`Arc`] of the built circuit plus its
-//! fused compilation. Keying on the raw form means a warm hit skips the
-//! QASM parser, the builder, and the fusion compiler entirely; the
+//! compilation. Keying on the raw form means a warm hit skips the
+//! QASM parser, the builder, and the compiler entirely; the
 //! handler goes straight from HTTP bytes to `CompiledCircuit::run`.
 //!
 //! Entries are found by FNV-64 hash of the token with a full token
@@ -29,16 +28,16 @@ use plateau_sim::{compile, Circuit, CompiledCircuit};
 
 use crate::protocol::{CircuitSpec, ProtocolError};
 
-/// A cached circuit structure: the built circuit and, when fusion was on
-/// at insert time, its fused compilation.
+/// A cached circuit structure: the built circuit and, when the cache
+/// compiles, its compilation.
 #[derive(Debug)]
 pub struct CachedCircuit {
     /// The exact token this entry was built from (collision guard).
     token: String,
     /// The built circuit (the parameter-shift path runs this).
     pub circuit: Circuit,
-    /// The fused compilation (the simulate/adjoint paths run this).
-    /// `None` when the server was configured with fusion off.
+    /// The compilation (the simulate/adjoint paths run this). `None` when
+    /// the cache was built not to compile.
     pub compiled: Option<CompiledCircuit>,
 }
 
@@ -69,7 +68,8 @@ pub struct CircuitCache {
 
 impl CircuitCache {
     /// A cache holding at most `capacity` circuits; `fuse` controls
-    /// whether entries carry a fused compilation.
+    /// whether entries carry a compilation (the server always passes
+    /// `true`).
     pub fn new(capacity: usize, fuse: bool) -> CircuitCache {
         CircuitCache {
             slots: Mutex::new((Vec::with_capacity(capacity.min(64)), 0)),

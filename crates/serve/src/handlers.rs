@@ -107,7 +107,7 @@ fn cached(
     Ok((entry, hit))
 }
 
-/// Runs the circuit to its final state, preferring the fused compilation.
+/// Runs the circuit to its final state, preferring the compiled form.
 fn run_state(entry: &CachedCircuit, params: &[f64]) -> Result<State, ProtocolError> {
     match &entry.compiled {
         Some(compiled) => Ok(compiled.run(params)?),
@@ -160,7 +160,7 @@ fn gradient(
     let obs = r.observable.build(n)?;
     let grad = match (r.engine, &entry.compiled) {
         // The warm adjoint path: differentiate the cached compilation
-        // directly, skipping the per-call fusion compile.
+        // directly, skipping the per-call compile.
         (EngineSpec::Adjoint, Some(compiled)) => {
             plateau_grad::adjoint_gradient_compiled(compiled, &r.params, &obs)?
         }

@@ -313,8 +313,7 @@ impl CompiledCircuit {
             .iter()
             .map(|s| match s {
                 Segment::Diagonal { diag, ops } => {
-                    ops.len() * std::mem::size_of::<Op>()
-                        + diag.len() * std::mem::size_of::<C64>()
+                    ops.len() * std::mem::size_of::<Op>() + diag.len() * std::mem::size_of::<C64>()
                 }
                 Segment::Raw(_) => 0,
             })
@@ -486,7 +485,10 @@ pub fn compile(circuit: &Circuit) -> CompiledCircuit {
     let mut i = 0;
     while i < ops.len() {
         let run = if superkernels {
-            ops[i..].iter().take_while(|op| is_static_diagonal(op)).count()
+            ops[i..]
+                .iter()
+                .take_while(|op| is_static_diagonal(op))
+                .count()
         } else {
             0
         };
@@ -580,7 +582,11 @@ mod tests {
         assert_eq!(compiled.prologue_len(), 2 * n);
 
         let params: Vec<f64> = (0..c.n_params()).map(|i| 0.1 + 0.03 * i as f64).collect();
-        assert_states_close(&c.run(&params).unwrap(), &compiled.run(&params).unwrap(), 1e-12);
+        assert_states_close(
+            &c.run(&params).unwrap(),
+            &compiled.run(&params).unwrap(),
+            1e-12,
+        );
     }
 
     /// The prologue folds each wire's leading ops in application order,
@@ -589,7 +595,16 @@ mod tests {
     #[test]
     fn prologue_folds_leading_single_qubit_ops_in_order() {
         let mut c = Circuit::new(3).unwrap();
-        c.rx(0).unwrap().h(2).unwrap().ry(0).unwrap().rz(1).unwrap().x(2).unwrap();
+        c.rx(0)
+            .unwrap()
+            .h(2)
+            .unwrap()
+            .ry(0)
+            .unwrap()
+            .rz(1)
+            .unwrap()
+            .x(2)
+            .unwrap();
         c.cx(0, 1).unwrap().ry(1).unwrap();
         let compiled = compile(&c);
         assert_eq!(compiled.prologue_len(), 5);
@@ -637,8 +652,9 @@ mod tests {
                         _ => c.ry(q).unwrap(),
                     };
                 }
-                let params: Vec<f64> =
-                    (0..c.n_params()).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let params: Vec<f64> = (0..c.n_params())
+                    .map(|_| rng.gen_range(-3.0..3.0))
+                    .collect();
                 (c, params)
             },
             |(c, params)| {
@@ -686,19 +702,24 @@ mod tests {
                         }
                         9 if n >= 2 => {
                             let p = (q + 1 + rng.gen_range(0..n - 1)) % n;
-                            c.push_two_qubit_rotation(TwoQubitRotationGate::Rzz, q, p).unwrap()
+                            c.push_two_qubit_rotation(TwoQubitRotationGate::Rzz, q, p)
+                                .unwrap()
                         }
                         _ => c.ry(q).unwrap(),
                     };
                 }
-                let params: Vec<f64> =
-                    (0..c.n_params()).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let params: Vec<f64> = (0..c.n_params())
+                    .map(|_| rng.gen_range(-3.0..3.0))
+                    .collect();
                 (c, params)
             },
             |(c, params)| {
                 let compiled = compile(c);
-                let flattened: Vec<Op> =
-                    compiled.segments().iter().flat_map(|s| s.ops().to_vec()).collect();
+                let flattened: Vec<Op> = compiled
+                    .segments()
+                    .iter()
+                    .flat_map(|s| s.ops().to_vec())
+                    .collect();
                 prop_assert_eq!(&flattened, c.ops());
                 let expected = circuit_unitary(c, params).unwrap();
                 let got = compiled_unitary(&compiled, params);
@@ -731,7 +752,8 @@ mod tests {
             c.push_fixed(FixedGate::S, &[n / 2]).unwrap();
             c.push_fixed(FixedGate::T, &[n - 1]).unwrap();
             c.push_rotation_const(RotationGate::Rz, 0, 0.37).unwrap();
-            c.push_rotation_const(RotationGate::Phase, n - 1, -1.1).unwrap();
+            c.push_rotation_const(RotationGate::Phase, n - 1, -1.1)
+                .unwrap();
             c.push_two_qubit_rotation(TwoQubitRotationGate::Rzz, 0, n - 1)
                 .unwrap();
             c.bind_last_param(0.81).unwrap();
@@ -780,7 +802,11 @@ mod tests {
                 let compiled = compile(c);
                 prop_assert!(compiled.is_identity_transform());
                 prop_assert_eq!(compiled.gates_out(), c.gate_count());
-                let ops: Vec<Op> = compiled.segments().iter().map(|s| s.ops()[0].clone()).collect();
+                let ops: Vec<Op> = compiled
+                    .segments()
+                    .iter()
+                    .map(|s| s.ops()[0].clone())
+                    .collect();
                 prop_assert_eq!(&ops, c.ops());
                 Ok(())
             },
@@ -840,7 +866,10 @@ mod tests {
         let compiled = compile(&c);
         assert!(matches!(
             compiled.run(&[]),
-            Err(SimError::WrongParamCount { expected: 1, found: 0 })
+            Err(SimError::WrongParamCount {
+                expected: 1,
+                found: 0
+            })
         ));
         let mut wrong = State::zero(3);
         assert!(matches!(
@@ -871,6 +900,10 @@ mod tests {
         assert!(compiled.is_identity_transform());
         assert_eq!(compiled.prologue_len(), 2 * n);
         let params: Vec<f64> = (0..c.n_params()).map(|i| 0.4 + 0.031 * i as f64).collect();
-        assert_states_close(&c.run(&params).unwrap(), &compiled.run(&params).unwrap(), 1e-12);
+        assert_states_close(
+            &c.run(&params).unwrap(),
+            &compiled.run(&params).unwrap(),
+            1e-12,
+        );
     }
 }

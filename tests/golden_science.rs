@@ -108,11 +108,17 @@ fn compute() -> Golden {
             let s = curve.strategy.name();
             for point in &curve.points {
                 let q = point.n_qubits;
-                golden.insert(format!("fig5a.{e}.{s}.q{q}.gradients"), point.gradients.clone());
+                golden.insert(
+                    format!("fig5a.{e}.{s}.q{q}.gradients"),
+                    point.gradients.clone(),
+                );
                 golden.insert(format!("fig5a.{e}.{s}.q{q}.variance"), vec![point.variance]);
             }
         }
-        for row in scan.improvements_vs(InitStrategy::Random).expect("E3 table") {
+        for row in scan
+            .improvements_vs(InitStrategy::Random)
+            .expect("E3 table")
+        {
             golden.insert(
                 format!("e3.{e}.{}", row.strategy.name()),
                 vec![row.decay_rate, row.r_squared, row.improvement_percent],
@@ -127,7 +133,10 @@ fn compute() -> Golden {
             let hist = train_ivd(strategy, &mut adam, 20, engine);
             let s = strategy.name();
             golden.insert(format!("train_ivd.{e}.{s}.loss"), hist.losses().to_vec());
-            golden.insert(format!("train_ivd.{e}.{s}.grad_norm"), hist.grad_norms().to_vec());
+            golden.insert(
+                format!("train_ivd.{e}.{s}.grad_norm"),
+                hist.grad_norms().to_vec(),
+            );
         }
     }
     golden
@@ -169,7 +178,11 @@ fn max_relative_change(old: &Golden, new: &Golden) -> (f64, String) {
     for (key, olds) in old {
         let Some(news) = new.get(key) else { continue };
         for (a, b) in olds.iter().zip(news) {
-            let rel = if *a == 0.0 { b.abs() } else { ((b - a) / a).abs() };
+            let rel = if *a == 0.0 {
+                b.abs()
+            } else {
+                ((b - a) / a).abs()
+            };
             if rel > worst.0 || (rel.is_nan() && !worst.0.is_nan()) {
                 worst = (rel, key.clone());
             }
@@ -228,7 +241,10 @@ fn xavier_decays_slower_than_random() {
         assert!(random < 0.0, "random must decay: {random}");
         for xavier in [InitStrategy::XavierNormal, InitStrategy::XavierUniform] {
             let b = rate(xavier);
-            assert!(b > random, "{xavier} rate {b} should be shallower than random's {random}");
+            assert!(
+                b > random,
+                "{xavier} rate {b} should be shallower than random's {random}"
+            );
         }
     }
 }
@@ -237,8 +253,16 @@ fn xavier_decays_slower_than_random() {
 fn random_start_stays_on_the_plateau_under_gd() {
     let mut gd = GradientDescent::new(0.1).expect("gd");
     let hist = train_ivd(InitStrategy::Random, &mut gd, 50, &Adjoint);
-    assert!(hist.initial_loss() > 0.99, "random start: {}", hist.initial_loss());
-    assert!(hist.final_loss() > 0.99, "random + GD left the plateau: {}", hist.final_loss());
+    assert!(
+        hist.initial_loss() > 0.99,
+        "random start: {}",
+        hist.initial_loss()
+    );
+    assert!(
+        hist.final_loss() > 0.99,
+        "random + GD left the plateau: {}",
+        hist.final_loss()
+    );
 }
 
 #[test]
