@@ -363,6 +363,9 @@ mod tests {
 
     #[test]
     fn fused_sweep_matches_the_raw_op_walk() {
+        // Dozens of state allocations: hold the obs lock so the
+        // counter-pinning tests in this binary never see them.
+        let _guard = plateau_obs::test_lock();
         // Six qubits: each five-CZ chain becomes a superkernel, and the
         // first rotation layer the product-state prologue.
         let c = hea_circuit(6, 3);

@@ -372,11 +372,12 @@ impl CompiledCircuit {
     /// is [`CompiledCircuit::run`] without the allocation, with the same
     /// prologue, so the amplitudes are identical.
     ///
-    /// For `end == 0` or `end ≥ prologue_len()` the state holds exactly
-    /// the bits a full run holds after its first `end` segments, so
-    /// applying `segments()[end..]` afterwards reproduces the full run —
-    /// the prefix a parameter-shift sweep shares between a parameter's
-    /// shifted evaluations.
+    /// For `end ≥ prologue_len()` the state holds exactly the bits a full
+    /// run holds after its first `end` segments, so applying
+    /// `segments()[end..]` afterwards reproduces the full run bit for bit
+    /// — the prefix a parameter-shift sweep shares between a parameter's
+    /// shifted evaluations. A shorter prefix skips the prologue, so its
+    /// continuation agrees with a full run only to rounding.
     ///
     /// # Errors
     ///
