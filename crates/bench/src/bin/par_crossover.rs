@@ -9,18 +9,42 @@
 //! width where that ratio exceeds 1. The result backs the
 //! `DEFAULT_PAR_THRESHOLD` constant in `plateau-sim` and the notes field
 //! of `benchmarks/BENCH_sim_parallel.json`.
+//!
+//! The scan runs 8 to 20 qubits, so it covers the default threshold (17)
+//! from both sides. Each width costs about twice the previous one; the
+//! scan stops before a width that would take it past a two-minute
+//! run-time cap and says where it stopped.
+//!
+//! ```text
+//! cargo run --release -p plateau-bench --bin par_crossover
+//! ```
 
 use plateau_bench::harness::{black_box, Harness};
 use plateau_core::ansatz::training_ansatz;
+use std::time::{Duration, Instant};
+
+/// Wall-clock cap on the whole scan.
+const RUN_TIME_CAP: Duration = Duration::from_secs(120);
 
 fn main() {
     let layers = 5usize;
-    let widths: Vec<usize> = (8..=16).collect();
     let workers = plateau_par::worker_count(usize::MAX);
     println!("# per-gate threading crossover scan: {layers} layers, {workers} worker(s)");
 
     let mut h = Harness::new("par_crossover");
-    for &n in &widths {
+    let start = Instant::now();
+    let mut last = Duration::ZERO;
+    let mut widths = Vec::new();
+    for n in 8..=20usize {
+        if start.elapsed() + 2 * last > RUN_TIME_CAP {
+            println!(
+                "# stopped before {n} qubits: the next width would pass the {}s run-time cap",
+                RUN_TIME_CAP.as_secs()
+            );
+            break;
+        }
+        let width_start = Instant::now();
+        widths.push(n);
         let ansatz = training_ansatz(n, layers).expect("ansatz");
         let params: Vec<f64> = (0..ansatz.circuit.n_params())
             .map(|i| 0.1 + 0.01 * i as f64)
@@ -36,6 +60,7 @@ fn main() {
             black_box(ansatz.circuit.run(black_box(&params)).expect("run"))
         });
         plateau_sim::reset_par_threshold();
+        last = width_start.elapsed();
     }
     let reports = h.finish();
 

@@ -242,10 +242,8 @@ fn state_delta(a: &State, b: &State) -> f64 {
     if a.n_qubits() != b.n_qubits() {
         return f64::INFINITY;
     }
-    a.amplitudes()
-        .iter()
-        .zip(b.amplitudes())
-        .map(|(x, y)| (*x - *y).norm())
+    (0..a.dim())
+        .map(|i| (a.amplitude(i) - b.amplitude(i)).norm())
         .fold(0.0, f64::max)
 }
 
@@ -709,7 +707,7 @@ pub fn mutated_run(circuit: &Circuit, params: &[f64]) -> Result<State, plateau_s
                     Param::Bound(v) => *v,
                 };
                 let [m00, m01, m10, m11] = gate.entries(theta);
-                let mut amps = state.into_amplitudes();
+                let mut amps = state.to_amplitudes();
                 let dim = amps.len();
                 let stride = 1usize << qubit;
                 let last_pair = dim / 2 - 1; // the pair the bug drops

@@ -27,7 +27,6 @@
 //! (200 circuits × 6 initializations × 5 qubit counts × deep circuits).
 
 use crate::engine::{check_index, Evaluator, GradientEngine, Step};
-use plateau_linalg::C64;
 use plateau_sim::{Circuit, Observable, SimError, State};
 
 /// The adjoint-differentiation gradient engine.
@@ -78,12 +77,18 @@ impl Wrt {
     }
 }
 
+/// `Re⟨a|b⟩` read from the planes. `Re(conj(x)·y)` is
+/// `x.re·y.re − (−x.im)·y.im`, and `u − (−v)` is `u + v` exactly, so this
+/// is bit for bit the real part of the complex sum `Σ conj(x)·y`.
 fn inner_re(a: &State, b: &State) -> f64 {
-    let mut acc = C64::ZERO;
-    for (x, y) in a.amplitudes().iter().zip(b.amplitudes().iter()) {
-        acc += x.conj() * *y;
+    let n = a.dim();
+    let (ar, ai) = (&a.re()[..n], &a.im()[..n]);
+    let (br, bi) = (&b.re()[..n], &b.im()[..n]);
+    let mut acc = 0.0;
+    for i in 0..n {
+        acc += ar[i] * br[i] + ai[i] * bi[i];
     }
-    acc.re
+    acc
 }
 
 /// The sweep's one tangent buffer `μ`, refilled in place from `φ` (and
@@ -140,7 +145,7 @@ pub(crate) fn sweep<S: Step>(
     // Forward pass: φ = U|0⟩.
     let mut phi = forward()?;
     // λ = H|ψ⟩ (generally unnormalized).
-    let mut lambda = State::from_amplitudes_unnormalized(obs.apply_raw(&phi)?)?;
+    let mut lambda = obs.apply_raw(&phi)?;
 
     let mut spare = None;
     for (k, step) in steps.iter().enumerate().skip(stop).rev() {
@@ -192,6 +197,37 @@ pub fn adjoint_gradient_compiled(
     obs: &Observable,
 ) -> Result<Vec<f64>, SimError> {
     compiled_sweep(compiled, params, obs, Wrt::All)
+}
+
+/// [`adjoint_gradient_compiled`] that also returns the cost
+/// `⟨ψ|H|ψ⟩` of the forward state, read before `λ = H|ψ⟩` is built. One
+/// run of the circuit serves both, where calling
+/// [`adjoint_gradient_compiled`] and then running the circuit again for
+/// the value runs it twice; the two values are bit-identical.
+///
+/// # Errors
+///
+/// As [`adjoint_gradient_compiled`].
+pub fn adjoint_value_and_gradient_compiled(
+    compiled: &plateau_sim::CompiledCircuit,
+    params: &[f64],
+    obs: &Observable,
+) -> Result<(f64, Vec<f64>), SimError> {
+    compiled.check_params(params)?;
+    begin_gradient(compiled.n_qubits(), obs)?;
+    let mut value = None;
+    let forward = || {
+        let phi = compiled.run(params)?;
+        value = Some(obs.expectation(&phi)?);
+        Ok(phi)
+    };
+    let grad = sweep(compiled.segments(), compiled.n_params(), forward, params, obs, Wrt::All)?;
+    // The sweep skips its forward run when no segment owns a parameter.
+    let value = match value {
+        Some(v) => v,
+        None => obs.expectation(&compiled.run(params)?)?,
+    };
+    Ok((value, grad))
 }
 
 /// [`sweep`] over a compiled circuit's segments, with the validation and
@@ -269,6 +305,7 @@ mod tests {
 
     #[test]
     fn single_ry_analytic() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
         let obs = Observable::global_cost(1);
@@ -280,6 +317,7 @@ mod tests {
 
     #[test]
     fn matches_parameter_shift_on_hea() {
+        let _guard = plateau_obs::test_lock();
         for (n, layers, seed) in [(2, 2, 0.3), (3, 3, 0.7), (4, 2, 1.1)] {
             let c = hea_circuit(n, layers);
             let params = pseudo_angles(c.n_params(), seed);
@@ -294,6 +332,7 @@ mod tests {
 
     #[test]
     fn matches_parameter_shift_local_cost_and_pauli() {
+        let _guard = plateau_obs::test_lock();
         let c = hea_circuit(3, 2);
         let params = pseudo_angles(c.n_params(), 0.9);
         for obs in [
@@ -312,6 +351,7 @@ mod tests {
 
     #[test]
     fn handles_fixed_gates_interleaved() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.h(0).unwrap();
         c.rx(1).unwrap();
@@ -329,6 +369,7 @@ mod tests {
 
     #[test]
     fn handles_controlled_rotations() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.h(0).unwrap().h(1).unwrap();
         c.push_controlled_rotation(RotationGate::Rz, 0, 1).unwrap();
@@ -344,6 +385,7 @@ mod tests {
 
     #[test]
     fn handles_two_qubit_rotations() {
+        let _guard = plateau_obs::test_lock();
         // RXX/RYY/RZZ ansatz: parameterized entanglers instead of CZ.
         let mut c = Circuit::new(3).unwrap();
         c.ry(0).unwrap().ry(1).unwrap().ry(2).unwrap();
@@ -384,6 +426,7 @@ mod tests {
 
     #[test]
     fn fused_sweep_handles_controlled_and_two_qubit_rotations() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(3).unwrap();
         c.h(0).unwrap().h(1).unwrap().h(2).unwrap();
         c.push_controlled_rotation(RotationGate::Ry, 0, 1).unwrap();
@@ -401,6 +444,7 @@ mod tests {
 
     #[test]
     fn gradient_at_zero_params_of_identity_learner_is_zero() {
+        let _guard = plateau_obs::test_lock();
         // At θ = 0 the circuit is the identity, the cost sits at its global
         // minimum (C = 0), so the gradient must vanish.
         let n = 3;
@@ -421,6 +465,7 @@ mod tests {
 
     #[test]
     fn error_paths() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.rx(0).unwrap();
         assert!(Adjoint.gradient(&c, &[], &Observable::global_cost(2)).is_err());
@@ -431,6 +476,7 @@ mod tests {
 
     #[test]
     fn compiled_entry_point_matches_raw_adjoint() {
+        let _guard = plateau_obs::test_lock();
         let c = hea_circuit(4, 3);
         let params = pseudo_angles(c.n_params(), 0.57);
         let obs = Observable::pauli(PauliString::parse("ZXZY").unwrap()).unwrap();
@@ -498,6 +544,7 @@ mod tests {
 
     #[test]
     fn partial_errors_match_the_gradient_projection() {
+        let _guard = plateau_obs::test_lock();
         /// The trait's default `partial`: project the full gradient.
         struct Projected;
         impl GradientEngine for Projected {

@@ -115,6 +115,7 @@ mod tests {
 
     #[test]
     fn approximates_analytic_derivative() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
         let obs = Observable::global_cost(1);
@@ -124,6 +125,7 @@ mod tests {
 
     #[test]
     fn partial_matches_gradient_entry() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.rx(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap();
         let obs = Observable::local_cost(2);
@@ -139,6 +141,7 @@ mod tests {
 
     #[test]
     fn smaller_step_reduces_truncation_error() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
         let obs = Observable::global_cost(1);

@@ -68,7 +68,7 @@ pub fn classical_fisher_information(
     for (i, row) in jac.iter_mut().enumerate() {
         let tangent = tangent_state(circuit, params, i)?;
         for (x, slot) in row.iter_mut().enumerate() {
-            *slot = 2.0 * (psi.amplitudes()[x].conj() * tangent.amplitudes()[x]).re;
+            *slot = 2.0 * (psi.amplitude(x).conj() * tangent.amplitude(x)).re;
         }
     }
 
@@ -103,6 +103,7 @@ mod tests {
 
     #[test]
     fn qfi_of_single_ry_is_one() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
         for theta in [0.0, 0.8, -2.1] {
@@ -113,6 +114,7 @@ mod tests {
 
     #[test]
     fn classical_fisher_of_single_ry_is_one() {
+        let _guard = plateau_obs::test_lock();
         // p0 = cos²(θ/2): the classical binomial Fisher is identically 1.
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
@@ -124,6 +126,7 @@ mod tests {
 
     #[test]
     fn classical_fisher_of_rz_is_zero() {
+        let _guard = plateau_obs::test_lock();
         // RZ is invisible to the computational-basis measurement.
         let mut c = Circuit::new(1).unwrap();
         c.h(0).unwrap();
@@ -138,6 +141,7 @@ mod tests {
 
     #[test]
     fn classical_bounded_by_quantum() {
+        let _guard = plateau_obs::test_lock();
         // F_C ⪯ F_Q entrywise on the diagonal (Cramér–Rao chain).
         let mut c = Circuit::new(2).unwrap();
         c.ry(0).unwrap().rx(1).unwrap().cz(0, 1).unwrap().ry(1).unwrap();
@@ -156,6 +160,7 @@ mod tests {
 
     #[test]
     fn fisher_matrices_are_symmetric_psd() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.ry(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap().rx(0).unwrap();
         let params = [0.4, 0.9, -0.6];
@@ -179,6 +184,7 @@ mod tests {
 
     #[test]
     fn errors_propagate() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
         assert!(classical_fisher_information(&c, &[]).is_err());

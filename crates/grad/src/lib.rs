@@ -53,7 +53,7 @@ mod shift;
 #[cfg(test)]
 mod testkit;
 
-pub use adjoint::{adjoint_gradient_compiled, Adjoint};
+pub use adjoint::{adjoint_gradient_compiled, adjoint_value_and_gradient_compiled, Adjoint};
 pub use attribution::{layer_grad_stats, layer_grad_variances_into, LayerGradStats};
 pub use batch::BatchExecutor;
 pub use engine::{expectation, expectation_many, GradientEngine};

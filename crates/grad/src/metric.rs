@@ -64,8 +64,8 @@ pub fn tangent_state(
                 other.apply(&mut state, params)?;
             }
         }
-        for (t, s) in total.iter_mut().zip(state.amplitudes()) {
-            *t += *s;
+        for (i, t) in total.iter_mut().enumerate() {
+            *t += state.amplitude(i);
         }
     }
     State::from_amplitudes_unnormalized(total)
@@ -87,13 +87,7 @@ pub fn metric_tensor(circuit: &Circuit, params: &[f64]) -> Result<RMatrix, SimEr
         .map(|i| tangent_state(circuit, params, i))
         .collect::<Result<_, _>>()?;
 
-    let inner = |a: &State, b: &State| -> C64 {
-        a.amplitudes()
-            .iter()
-            .zip(b.amplitudes())
-            .map(|(x, y)| x.conj() * *y)
-            .sum()
-    };
+    let inner = |a: &State, b: &State| a.inner(b).expect("states of one circuit");
 
     let berry: Vec<C64> = tangents.iter().map(|t| inner(t, &psi)).collect();
     let mut g = RMatrix::zeros(p.max(1), p.max(1));
@@ -121,15 +115,16 @@ mod tests {
         minus[i] -= eps;
         let sp = circuit.run(&plus).unwrap();
         let sm = circuit.run(&minus).unwrap();
-        sp.amplitudes()
+        sp.to_amplitudes()
             .iter()
-            .zip(sm.amplitudes())
+            .zip(&sm.to_amplitudes())
             .map(|(a, b)| (*a - *b) / (2.0 * eps))
             .collect()
     }
 
     #[test]
     fn single_ry_metric_is_quarter() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
         for theta in [0.0, 0.9, -2.0] {
@@ -140,6 +135,7 @@ mod tests {
 
     #[test]
     fn rx_then_ry_block_metric() {
+        let _guard = plateau_obs::test_lock();
         // Known PennyLane example: ψ = RY(b) RX(a) |0⟩ has
         // G = diag(1/4, cos²(a)/4).
         let mut c = Circuit::new(1).unwrap();
@@ -153,13 +149,14 @@ mod tests {
 
     #[test]
     fn tangent_matches_finite_difference() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.rx(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap().rz(0).unwrap();
         let params = [0.4, -0.8, 1.3];
         for i in 0..3 {
             let analytic = tangent_state(&c, &params, i).unwrap();
             let fd = finite_diff_tangent(&c, &params, i, 1e-6);
-            for (a, b) in analytic.amplitudes().iter().zip(fd.iter()) {
+            for (a, b) in analytic.to_amplitudes().iter().zip(fd.iter()) {
                 assert!(a.approx_eq(*b, 1e-7), "param {i}: {a} vs {b}");
             }
         }
@@ -167,6 +164,7 @@ mod tests {
 
     #[test]
     fn metric_matches_finite_difference_construction() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.ry(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap().rx(0).unwrap().rx(1).unwrap();
         let params = [0.3, 0.7, -0.4, 1.2];
@@ -182,8 +180,8 @@ mod tests {
         for i in 0..4 {
             for j in 0..4 {
                 let overlap = inner(&tangents[i], &tangents[j]);
-                let bi = inner(&tangents[i], psi.amplitudes());
-                let bj = inner(psi.amplitudes(), &tangents[j]);
+                let bi = inner(&tangents[i], &psi.to_amplitudes());
+                let bj = inner(&psi.to_amplitudes(), &tangents[j]);
                 let expected = (overlap - bi * bj).re;
                 assert!(
                     (g[(i, j)] - expected).abs() < 1e-6,
@@ -196,6 +194,7 @@ mod tests {
 
     #[test]
     fn metric_is_symmetric_psd_diagonal_bounded() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(3).unwrap();
         for q in 0..3 {
             c.rx(q).unwrap();
@@ -216,6 +215,7 @@ mod tests {
 
     #[test]
     fn gradient_relates_to_tangent_state() {
+        let _guard = plateau_obs::test_lock();
         // dC/dθ = 2 Re⟨ψ|H|∂ψ⟩ — cross-check tangent against adjoint.
         use crate::{Adjoint, GradientEngine};
         let mut c = Circuit::new(2).unwrap();
@@ -227,17 +227,14 @@ mod tests {
         let grad = Adjoint.gradient(&c, &params, &obs).unwrap();
         for i in 0..2 {
             let t = tangent_state(&c, &params, i).unwrap();
-            let ip: C64 = h_psi
-                .iter()
-                .zip(t.amplitudes())
-                .map(|(a, b)| a.conj() * *b)
-                .sum();
+            let ip = h_psi.inner(&t).unwrap();
             assert!((2.0 * ip.re - grad[i]).abs() < 1e-10);
         }
     }
 
     #[test]
     fn error_paths() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.rx(0).unwrap();
         assert!(tangent_state(&c, &[0.1], 5).is_err());

@@ -222,6 +222,7 @@ mod tests {
 
     #[test]
     fn ry_global_cost_analytic() {
+        let _guard = plateau_obs::test_lock();
         // C(θ) = sin²(θ/2), C'(θ) = sin(θ)/2.
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
@@ -234,6 +235,7 @@ mod tests {
 
     #[test]
     fn rx_then_ry_chain_rule() {
+        let _guard = plateau_obs::test_lock();
         // ψ = RY(φ) RX(θ) |0⟩; C = 1 - p0.
         // p0 = |cos(φ/2)cos(θ/2)|² + |sin(φ/2)|²·... compute by finite diff
         // comparison instead (this is the role of FiniteDifference, but do a
@@ -257,6 +259,7 @@ mod tests {
 
     #[test]
     fn entangled_two_qubit_gradient() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.ry(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap().rx(0).unwrap();
         let obs = Observable::global_cost(2);
@@ -276,6 +279,7 @@ mod tests {
 
     #[test]
     fn four_term_rule_for_controlled_rotation() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.h(0).unwrap();
         c.push_controlled_rotation(RotationGate::Ry, 0, 1).unwrap();
@@ -290,6 +294,7 @@ mod tests {
 
     #[test]
     fn partial_last_matches_full_gradient() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.rx(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap().rz(0).unwrap();
         let obs = Observable::local_cost(2);
@@ -301,6 +306,7 @@ mod tests {
 
     #[test]
     fn error_paths() {
+        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.rx(0).unwrap();
         let obs = Observable::global_cost(1);
@@ -481,6 +487,7 @@ mod tests {
     #[test]
     #[ignore = "pins process-global counters; run alone by raw_shift_gradient_gate_count_is_pinned"]
     fn raw_shift_gradient_gate_count() {
+        let _guard = plateau_obs::test_lock();
         plateau_obs::set_metrics_enabled(true);
         // Per layer, RX·RY on each wire (ops 29l … 29l + 19, one
         // parameter each) then a 9-gate CZ chain.
@@ -534,6 +541,7 @@ mod tests {
 
     #[test]
     fn raw_shift_gradient_gate_count_is_pinned() {
+        let _guard = plateau_obs::test_lock();
         run_alone("shift::tests::raw_shift_gradient_gate_count");
     }
 }

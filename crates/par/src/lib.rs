@@ -40,14 +40,23 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Number of worker threads a parallel call will use for `n_items`:
 /// `min(available_parallelism, PLATEAU_THREADS, n_items)`, at least 1.
+///
+/// The hardware count is read once per process: asking the OS reads
+/// cgroup files, tens of microseconds per call, and the per-gate kernels
+/// of `plateau-sim` ask on every call. `PLATEAU_THREADS` is re-read on
+/// every call (a fraction of a microsecond), so a change to it takes
+/// effect at the next call.
 pub fn worker_count(n_items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
     let cap = std::env::var("PLATEAU_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

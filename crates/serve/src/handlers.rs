@@ -115,6 +115,14 @@ fn run_state(entry: &CachedCircuit, params: &[f64]) -> Result<State, ProtocolErr
     }
 }
 
+fn expectation(
+    entry: &CachedCircuit,
+    params: &[f64],
+    obs: &Observable,
+) -> Result<f64, ProtocolError> {
+    Ok(obs.expectation(&run_state(entry, params)?)?)
+}
+
 fn simulate(
     r: &SimulateRequest,
     cache: &CircuitCache,
@@ -158,21 +166,22 @@ fn gradient(
     let (entry, hit) = cached(&r.circuit, cache, limits)?;
     let n = entry.circuit.n_qubits();
     let obs = r.observable.build(n)?;
-    let grad = match (r.engine, &entry.compiled) {
+    let (expectation, grad) = match (r.engine, &entry.compiled) {
         // The warm adjoint path: differentiate the cached compilation
-        // directly, skipping the per-call compile.
+        // directly, skipping the per-call compile, and read the value off
+        // the sweep's own forward state.
         (EngineSpec::Adjoint, Some(compiled)) => {
-            plateau_grad::adjoint_gradient_compiled(compiled, &r.params, &obs)?
+            plateau_grad::adjoint_value_and_gradient_compiled(compiled, &r.params, &obs)?
         }
         (EngineSpec::Adjoint, None) => {
-            plateau_grad::Adjoint.gradient(&entry.circuit, &r.params, &obs)?
+            let grad = plateau_grad::Adjoint.gradient(&entry.circuit, &r.params, &obs)?;
+            (expectation(&entry, &r.params, &obs)?, grad)
         }
         (EngineSpec::ParameterShift, _) => {
-            plateau_grad::ParameterShift.gradient(&entry.circuit, &r.params, &obs)?
+            let grad = plateau_grad::ParameterShift.gradient(&entry.circuit, &r.params, &obs)?;
+            (expectation(&entry, &r.params, &obs)?, grad)
         }
     };
-    let state = run_state(&entry, &r.params)?;
-    let expectation = obs.expectation(&state)?;
     let body = Json::obj([
         ("expectation", Json::Num(expectation)),
         ("gradient", Json::Arr(grad.into_iter().map(Json::Num).collect())),
@@ -344,6 +353,48 @@ mod tests {
         let got = warm.body.as_obj().unwrap()[1].1.as_arr().unwrap();
         for (g, e) in got.iter().zip(expect.iter()) {
             assert!((g.as_f64().unwrap() - e).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn adjoint_gradient_body_is_byte_identical_to_the_two_run_computation() {
+        use plateau_core::{training_ansatz, variance_ansatz};
+        use plateau_rng::{rngs::StdRng, Rng};
+        let mut rng = StdRng::seed_from_u64(18);
+        for n in [2usize, 4, 6, 10] {
+            let ansatze = [
+                training_ansatz(n, 5).unwrap(),
+                variance_ansatz(n, 10, &mut rng).unwrap(),
+            ];
+            for ansatz in ansatze {
+                let circuit = ansatz.circuit;
+                let params: Vec<f64> = (0..circuit.n_params())
+                    .map(|_| rng.gen_range(-3.0..3.0))
+                    .collect();
+                for observable in [ObservableSpec::Global, ObservableSpec::Local] {
+                    let obs = observable.build(n).unwrap();
+                    // The old handler: the gradient, then a second run
+                    // of the circuit for the value.
+                    let compiled = plateau_sim::compile(&circuit);
+                    let grad =
+                        plateau_grad::adjoint_gradient_compiled(&compiled, &params, &obs).unwrap();
+                    let value = obs.expectation(&compiled.run(&params).unwrap()).unwrap();
+                    let want = Json::obj([
+                        ("expectation", Json::Num(value)),
+                        ("gradient", Json::Arr(grad.into_iter().map(Json::Num).collect())),
+                    ]);
+                    let req = Request::Gradient(GradientRequest {
+                        circuit: CircuitSpec::from_circuit(&circuit),
+                        params: params.clone(),
+                        observable,
+                        engine: EngineSpec::Adjoint,
+                        seed: 0,
+                    });
+                    let got = execute(&req, &cache(), Limits::default());
+                    assert_eq!(got.status, 200);
+                    assert_eq!(got.body.to_string(), want.to_string(), "{n} qubits");
+                }
+            }
         }
     }
 

@@ -780,7 +780,7 @@ mod tests {
         let mut s = c.run(&params).unwrap();
         c.run_inverse_on(&mut s, &params).unwrap();
         assert!((s.probability_all_zeros() - 1.0).abs() < 1e-10);
-        assert!(s.amplitudes()[0].approx_eq(C64::ONE, 1e-10));
+        assert!(s.amplitude(0).approx_eq(C64::ONE, 1e-10));
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub fn reduced_density_matrix(state: &State, keep: &[usize]) -> Result<CMatrix, 
         out
     };
 
-    let amps = state.amplitudes();
+    let amps = state.to_amplitudes();
     let mut rho = CMatrix::zeros(kept_dim, kept_dim);
     for a in 0..kept_dim {
         let a_bits = scatter(a, keep);

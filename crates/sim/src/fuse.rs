@@ -70,7 +70,7 @@
 use crate::circuit::{Circuit, Op, Param};
 use crate::error::SimError;
 use crate::gate::{FixedGate, RotationGate, TwoQubitRotationGate};
-use crate::state::State;
+use crate::state::{PlanesMut, State};
 use plateau_linalg::C64;
 
 /// Largest register for which whole-layer diagonal superkernels are
@@ -115,33 +115,26 @@ fn raw_sweep_cost(op: &Op) -> f64 {
     }
 }
 
-/// Multiplies `op`'s diagonal into `diag` (length `2^n`). Caller
-/// guarantees [`is_static_diagonal`].
-fn fold_diagonal(diag: &mut [C64], op: &Op) {
+/// Multiplies `op`'s diagonal into `diag`, held as a real then an
+/// imaginary plane of `2^n` entries each. Caller guarantees
+/// [`is_static_diagonal`].
+fn fold_diagonal(diag: &mut [f64], op: &Op) {
     match op {
         Op::Fixed { gate, qubits } => match gate {
             FixedGate::Cz => {
                 let mask = (1usize << qubits[0]) | (1usize << qubits[1]);
-                for (i, d) in diag.iter_mut().enumerate() {
-                    if i & mask == mask {
-                        *d = -*d;
-                    }
-                }
+                scale_diagonal(diag, |i, d| if i & mask == mask { -d } else { d });
             }
             _ => {
                 let [d0, _, _, d1] = gate.entries();
                 let mask = 1usize << qubits[0];
-                for (i, d) in diag.iter_mut().enumerate() {
-                    *d = *d * if i & mask != 0 { d1 } else { d0 };
-                }
+                scale_diagonal(diag, |i, d| d * if i & mask != 0 { d1 } else { d0 });
             }
         },
         Op::Rotation { gate, qubit, param } => {
             let e = gate.entries(param.angle(&[]));
             let mask = 1usize << qubit;
-            for (i, d) in diag.iter_mut().enumerate() {
-                *d = *d * if i & mask != 0 { e[3] } else { e[0] };
-            }
+            scale_diagonal(diag, |i, d| d * if i & mask != 0 { e[3] } else { e[0] });
         }
         Op::ControlledRotation {
             gate,
@@ -152,11 +145,10 @@ fn fold_diagonal(diag: &mut [C64], op: &Op) {
             let e = gate.entries(param.angle(&[]));
             let cmask = 1usize << control;
             let tmask = 1usize << target;
-            for (i, d) in diag.iter_mut().enumerate() {
-                if i & cmask != 0 {
-                    *d = *d * if i & tmask != 0 { e[3] } else { e[0] };
-                }
-            }
+            scale_diagonal(diag, |i, d| match (i & cmask != 0, i & tmask != 0) {
+                (false, _) => d,
+                (true, t) => d * if t { e[3] } else { e[0] },
+            });
         }
         Op::TwoQubitRotation {
             gate,
@@ -167,11 +159,21 @@ fn fold_diagonal(diag: &mut [C64], op: &Op) {
             let e = gate.entries(param.angle(&[]));
             let fmask = 1usize << first;
             let smask = 1usize << second;
-            for (i, d) in diag.iter_mut().enumerate() {
+            scale_diagonal(diag, |i, d| {
                 let idx = (usize::from(i & fmask != 0) << 1) | usize::from(i & smask != 0);
-                *d = *d * e[idx * 4 + idx];
-            }
+                d * e[idx * 4 + idx]
+            });
         }
+    }
+}
+
+/// `d[i] ← f(i, d[i])` over the diagonal's planes.
+fn scale_diagonal(diag: &mut [f64], f: impl Fn(usize, C64) -> C64) {
+    let (re, im) = diag.split_at_mut(diag.len() / 2);
+    for (i, (r, m)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
+        let d = f(i, C64::new(*r, *m));
+        *r = d.re;
+        *m = d.im;
     }
 }
 
@@ -201,8 +203,9 @@ pub enum Segment {
     /// A diagonal superkernel: `≥ 2` statically diagonal ops collapsed
     /// into one precomputed `2^n` diagonal.
     Diagonal {
-        /// The full-register diagonal, length `2^n`.
-        diag: Vec<C64>,
+        /// The full-register diagonal in a [`State`]'s plane layout: `2^n`
+        /// real parts, then `2^n` imaginary parts.
+        diag: Vec<f64>,
         /// Constituent ops in application order.
         ops: Vec<Op>,
     },
@@ -313,7 +316,7 @@ impl CompiledCircuit {
             .iter()
             .map(|s| match s {
                 Segment::Diagonal { diag, ops } => {
-                    ops.len() * std::mem::size_of::<Op>() + diag.len() * std::mem::size_of::<C64>()
+                    ops.len() * std::mem::size_of::<Op>() + diag.len() * std::mem::size_of::<f64>()
                 }
                 Segment::Raw(_) => 0,
             })
@@ -352,9 +355,8 @@ impl CompiledCircuit {
     /// Returns [`SimError::WrongParamCount`] on a parameter mismatch.
     pub fn run(&self, params: &[f64]) -> Result<State, SimError> {
         self.check_params(params)?;
-        let mut amps = vec![C64::ZERO; 1usize << self.n_qubits];
-        self.product_prologue(&mut amps, params);
-        let mut state = State::from_amplitudes_unnormalized(amps)?;
+        let mut state = State::zero(self.n_qubits);
+        self.product_prologue(state.planes_mut(), params);
         for seg in &self.segments[self.prologue..] {
             seg.apply(&mut state, params)?;
         }
@@ -397,7 +399,7 @@ impl CompiledCircuit {
         self.check_width(state)?;
         state.reset_zero();
         let start = if end >= self.prologue {
-            self.product_prologue(state.amps_mut(), params);
+            self.product_prologue(state.planes_mut(), params);
             self.prologue
         } else {
             0
@@ -409,13 +411,12 @@ impl CompiledCircuit {
     }
 
     /// Writes the product state of the prologue's segments into `amps`,
-    /// which must be all-zero on entry: each wire's ops fold into its
+    /// which must hold `|0…0⟩` on entry: each wire's ops fold into its
     /// `|0⟩` column in application order, and the columns multiply out by
     /// iterative doubling. Shared by [`CompiledCircuit::run`] and
     /// [`CompiledCircuit::run_prefix_into`] so the two paths are
     /// arithmetically identical.
-    fn product_prologue(&self, amps: &mut [C64], params: &[f64]) {
-        amps[0] = C64::ONE;
+    fn product_prologue(&self, amps: PlanesMut<'_>, params: &[f64]) {
         if self.prologue == 0 {
             return;
         }
@@ -434,10 +435,18 @@ impl CompiledCircuit {
                 }
             }
             if let Some((v0, v1)) = column {
+                // Amplitudes [len, 2·len) are still zero: the lower half
+                // scaled by v1 fills them, then v0 rescales the lower half.
+                let (re, im) = (&mut amps.re[..len << 1], &mut amps.im[..len << 1]);
+                let (lo_re, hi_re) = re.split_at_mut(len);
+                let (lo_im, hi_im) = im.split_at_mut(len);
                 for i in 0..len {
-                    let a = amps[i];
-                    amps[i] = a * v0;
-                    amps[i + len] = a * v1;
+                    let a = C64::new(lo_re[i], lo_im[i]);
+                    let (b0, b1) = (a * v0, a * v1);
+                    lo_re[i] = b0.re;
+                    lo_im[i] = b0.im;
+                    hi_re[i] = b1.re;
+                    hi_im[i] = b1.im;
                 }
             }
             // Wires the prologue leaves alone stay in |0⟩: the upper half
@@ -495,7 +504,9 @@ pub fn compile(circuit: &Circuit) -> CompiledCircuit {
         };
         let run = &ops[i..i + run];
         if run.len() >= 2 && run.iter().map(raw_sweep_cost).sum::<f64>() > 1.0 {
-            let mut diag = vec![C64::ONE; 1usize << n];
+            // The identity: real plane all ones, imaginary plane all zeros.
+            let mut diag = vec![0.0; 2 << n];
+            diag[..1 << n].fill(1.0);
             for op in run {
                 fold_diagonal(&mut diag, op);
             }
@@ -544,7 +555,7 @@ mod tests {
         CMatrix::from_fn(dim, dim, |r, col| {
             let mut s = State::basis(c.n_qubits(), col);
             c.run_on(&mut s, params).unwrap();
-            s.amplitudes()[r]
+            s.amplitude(r)
         })
     }
 
@@ -563,7 +574,7 @@ mod tests {
     }
 
     fn assert_states_close(a: &State, b: &State, tol: f64) {
-        for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
+        for (x, y) in a.to_amplitudes().iter().zip(&b.to_amplitudes()) {
             assert!(x.approx_eq(*y, tol), "{x} vs {y}");
         }
     }
@@ -619,7 +630,7 @@ mod tests {
             for seg in &compiled.segments()[end..] {
                 seg.apply(&mut s, &params).unwrap();
             }
-            assert_eq!(s.amplitudes(), full.amplitudes(), "cut {end}");
+            assert_eq!(s.to_amplitudes(), full.to_amplitudes(), "cut {end}");
         }
     }
 
@@ -661,7 +672,7 @@ mod tests {
             |(c, params)| {
                 let raw = c.run(params).unwrap();
                 let fused = compile(c).run(params).unwrap();
-                for (a, b) in raw.amplitudes().iter().zip(fused.amplitudes()) {
+                for (a, b) in raw.to_amplitudes().iter().zip(&fused.to_amplitudes()) {
                     prop_assert!(a.approx_eq(*b, 1e-12), "{} vs {}", a, b);
                 }
                 Ok(())
@@ -767,7 +778,7 @@ mod tests {
             );
             let raw = c.run(&[]).unwrap();
             let fused = compiled.run(&[]).unwrap();
-            for (a, b) in raw.amplitudes().iter().zip(fused.amplitudes()) {
+            for (a, b) in raw.to_amplitudes().iter().zip(&fused.to_amplitudes()) {
                 assert!(a.approx_eq(*b, 1e-12), "n={n}: {a} vs {b}");
             }
         }

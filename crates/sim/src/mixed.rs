@@ -63,7 +63,7 @@ impl DensityMatrix {
 
     /// The projector `|ψ⟩⟨ψ|` of a pure state.
     pub fn from_pure(state: &State) -> DensityMatrix {
-        let amps = state.amplitudes();
+        let amps = state.to_amplitudes();
         let dim = amps.len();
         let mut mat = CMatrix::zeros(dim, dim);
         for i in 0..dim {
@@ -225,7 +225,7 @@ impl DensityMatrix {
             for op in circuit.ops() {
                 op.apply(&mut s, params)?;
             }
-            *col = s.into_amplitudes();
+            *col = s.to_amplitudes();
         }
         // ρ ← (U (U ρ)†)† = U ρ U†: conjugate-transpose trick — apply U to
         // each column of (Uρ)†, i.e. to the conjugated rows.
@@ -237,7 +237,7 @@ impl DensityMatrix {
             for op in circuit.ops() {
                 op.apply(&mut s, params)?;
             }
-            *row = s.into_amplitudes();
+            *row = s.to_amplitudes();
         }
         for r in 0..dim {
             for c in 0..dim {
@@ -305,7 +305,7 @@ impl DensityMatrix {
             let col: Vec<C64> = (0..dim).map(|r| self.mat[(r, c)]).collect();
             let state = State::from_amplitudes_unnormalized(col)?;
             let h_col = obs.apply_raw(&state)?;
-            total += h_col[c];
+            total += h_col.amplitude(c);
         }
         Ok(total.re)
     }

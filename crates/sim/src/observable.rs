@@ -22,7 +22,7 @@
 //! ```
 
 use crate::error::SimError;
-use crate::state::State;
+use crate::state::{PlanesMut, State};
 use plateau_linalg::{CMatrix, C64};
 use std::fmt;
 
@@ -193,22 +193,22 @@ impl PauliString {
             _ => -C64::I,
         };
         let phase_mask = z_mask | y_mask;
-        let src = state.amplitudes();
-        let mut out = vec![C64::ZERO; src.len()];
-        for (b, amp) in src.iter().enumerate() {
+        let dim = state.dim();
+        let mut out = State::from_planes(vec![0.0; 2 * dim]);
+        let mut planes = out.planes_mut();
+        for b in 0..dim {
             let sign = if (b & phase_mask).count_ones().is_multiple_of(2) {
                 1.0
             } else {
                 -1.0
             };
-            out[b ^ flip_mask] = *amp * i_pow * sign;
+            planes.set(b ^ flip_mask, state.amplitude(b) * i_pow * sign);
         }
         // P is a signed permutation, so it preserves the input's norm
         // exactly — but the input need not be normalized: the density-
         // matrix engine applies Pauli strings to raw matrix columns and
-        // the adjoint engine to tangent vectors. Skip the normalization
-        // check rather than reject those callers.
-        State::from_amplitudes_unnormalized(out)
+        // the adjoint engine to tangent vectors. No normalization check.
+        Ok(out)
     }
 
     /// Expectation value `⟨ψ|P|ψ⟩` (real because P is Hermitian).
@@ -383,49 +383,55 @@ impl Observable {
     }
 
     /// Applies the observable to a state: returns the (generally
-    /// unnormalized) vector `H|ψ⟩` as a raw amplitude buffer. Used by the
-    /// adjoint differentiation engine.
+    /// unnormalized) vector `H|ψ⟩` in state form. Used by the adjoint
+    /// differentiation engine.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::ObservableMismatch`] when the qubit counts
     /// differ.
-    pub fn apply_raw(&self, state: &State) -> Result<Vec<C64>, SimError> {
+    pub fn apply_raw(&self, state: &State) -> Result<State, SimError> {
         self.check_state(state)?;
-        let amps = state.amplitudes();
+        let mut out = State::from_planes(match self {
+            Observable::PauliSum { .. } | Observable::ZeroProjector { .. } => {
+                vec![0.0; 2 * state.dim()]
+            }
+            _ => state.planes().to_vec(),
+        });
+        let PlanesMut { re, im } = out.planes_mut();
         match self {
             Observable::PauliSum { terms, .. } => {
-                let mut acc = vec![C64::ZERO; amps.len()];
                 for (c, p) in terms {
                     let applied = p.apply(state)?;
-                    for (a, b) in acc.iter_mut().zip(applied.amplitudes()) {
+                    for (a, b) in re.iter_mut().zip(applied.re()) {
+                        *a += *b * *c;
+                    }
+                    for (a, b) in im.iter_mut().zip(applied.im()) {
                         *a += *b * *c;
                     }
                 }
-                Ok(acc)
             }
             Observable::ZeroProjector { .. } => {
-                let mut out = vec![C64::ZERO; amps.len()];
-                out[0] = amps[0];
-                Ok(out)
+                re[0] = state.re()[0];
+                im[0] = state.im()[0];
             }
             Observable::GlobalCost { .. } => {
-                let mut out = amps.to_vec();
-                out[0] = C64::ZERO;
-                Ok(out)
+                re[0] = 0.0;
+                im[0] = 0.0;
             }
             Observable::LocalCost { n_qubits } => {
                 let n = *n_qubits as f64;
-                let mut out = amps.to_vec();
-                for (i, a) in out.iter_mut().enumerate() {
+                for i in 0..re.len() {
                     // (I - (1/n) Σ_j |0><0|_j)|b⟩ = (1 - z(b)/n)|b⟩ where
                     // z(b) = number of zero bits of b among the n qubits.
                     let zeros = *n_qubits - (i.count_ones() as usize);
-                    *a *= 1.0 - zeros as f64 / n;
+                    let f = 1.0 - zeros as f64 / n;
+                    re[i] *= f;
+                    im[i] *= f;
                 }
-                Ok(out)
             }
         }
+        Ok(out)
     }
 
     /// Dense matrix of the observable (oracle path).
@@ -537,9 +543,9 @@ mod tests {
         // Y|0> = i|1>, Y|1> = -i|0>
         let y = PauliString::single(1, 0, Pauli::Y).unwrap();
         let applied = y.apply(&State::zero(1)).unwrap();
-        assert!(applied.amplitudes()[1].approx_eq(C64::I, TOL));
+        assert!(applied.amplitude(1).approx_eq(C64::I, TOL));
         let applied = y.apply(&State::basis(1, 1)).unwrap();
-        assert!(applied.amplitudes()[0].approx_eq(-C64::I, TOL));
+        assert!(applied.amplitude(0).approx_eq(-C64::I, TOL));
     }
 
     #[test]
@@ -558,9 +564,9 @@ mod tests {
             let mut via_matrix = state.clone();
             via_matrix.apply_matrix(&p.matrix()).unwrap();
             for (a, b) in via_kernel
-                .amplitudes()
+                .to_amplitudes()
                 .iter()
-                .zip(via_matrix.amplitudes())
+                .zip(&via_matrix.to_amplitudes())
             {
                 assert!(a.approx_eq(*b, 1e-10), "{s}: {a} vs {b}");
             }
@@ -629,8 +635,8 @@ mod tests {
             Observable::pauli(PauliString::parse("ZIZ").unwrap()).unwrap(),
         ] {
             let raw = obs.apply_raw(&s).unwrap();
-            let expected = obs.matrix().matvec(s.amplitudes());
-            for (a, b) in raw.iter().zip(expected.iter()) {
+            let expected = obs.matrix().matvec(&s.to_amplitudes());
+            for (a, b) in raw.to_amplitudes().iter().zip(expected.iter()) {
                 assert!(a.approx_eq(*b, 1e-10), "{obs}: {a} vs {b}");
             }
         }
@@ -647,12 +653,7 @@ mod tests {
             Observable::zero_projector(2),
         ] {
             let raw = obs.apply_raw(&s).unwrap();
-            let ip: C64 = s
-                .amplitudes()
-                .iter()
-                .zip(raw.iter())
-                .map(|(a, b)| a.conj() * *b)
-                .sum();
+            let ip = s.inner(&raw).unwrap();
             assert!((ip.re - obs.expectation(&s).unwrap()).abs() < 1e-10);
             assert!(ip.im.abs() < 1e-10, "Hermitian expectation must be real");
         }

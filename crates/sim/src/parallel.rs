@@ -2,10 +2,12 @@
 //!
 //! Above a configurable qubit threshold (`PLATEAU_SIM_PAR_THRESHOLD`,
 //! default [`DEFAULT_PAR_THRESHOLD`]) the [`crate::State`] kernels split
-//! the `2^n` amplitude array into disjoint chunks and fan them across the
-//! `plateau-par` pool; below it they fall back to the serial loops, so
-//! small-circuit tests and the variance scan's per-circuit outer
-//! parallelism are unaffected.
+//! the `2^n` amplitudes into disjoint chunks — each a `PlanesMut` window
+//! over the same index range of both planes, cut by the same
+//! `split_at_mut`/`chunks_mut` the serial sweeps use — and fan them
+//! across the `plateau-par` pool; below it they fall back to the serial
+//! loops, so small-circuit tests and the variance scan's per-circuit
+//! outer parallelism are unaffected.
 //!
 //! **Determinism guarantee.** Every kernel here is an elementwise (or
 //! element-pair / element-quad) map with no cross-element reduction: each
@@ -30,7 +32,9 @@
 //!   maps, chunked contiguously with the chunk's absolute base index
 //!   carried along for the bit tests.
 
-use crate::state::PairKernel;
+use crate::state::{
+    controlled_halves, controlled_window, project_window, Dense, PairKernel, PlanesMut,
+};
 use plateau_linalg::C64;
 use plateau_par::{par_map_collect, worker_count};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,13 +42,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Default qubit threshold at which kernels go multi-threaded.
 ///
 /// Measured with the `par_crossover` bench bin (training-ansatz forward
-/// runs, serial vs forced-parallel kernels): at the old default of 14
-/// qubits the parallel path ran at 0.42× serial, and even a 16-qubit
-/// statevector (1 MiB) only reached 0.63× — the scoped-thread fork-join
-/// overhead per gate still dominates below ~2 MiB of amplitudes. The
-/// default therefore sits at 17 so the paper's 10-qubit workload (and
-/// every tier-1 test size) always takes the serial loops; machines with
-/// many fast cores can lower it via `PLATEAU_SIM_PAR_THRESHOLD`.
+/// runs, serial vs forced-parallel kernels, 2 workers, 8–20 qubits) on
+/// the split-plane kernels: the parallel path ran at 0.18× serial at 14
+/// qubits, 0.42× at 16, 0.56× at 17 and 0.76× at 18, and first won at 19
+/// (1.33×) — the same crossover as on the interleaved kernels (0.47× at
+/// 17, 0.81× at 18, 1.29× at 19). The scoped-thread fork-join per gate
+/// dominates below that. At 17 the paper's 10-qubit workload (and every
+/// tier-1 test size) always takes the serial loops; machines with many
+/// fast cores can lower it via `PLATEAU_SIM_PAR_THRESHOLD`.
 pub const DEFAULT_PAR_THRESHOLD: usize = 17;
 
 /// Cached threshold: 0 = uninitialized, otherwise `threshold + 1`.
@@ -105,85 +110,78 @@ fn record(chunks: usize) {
 
 /// Parallel single-qubit kernel (`stride = 1 << qubit`). Both task
 /// shapes run `kernel`'s loops, the serial kernel's own.
-pub(crate) fn apply_single(amps: &mut [C64], stride: usize, kernel: PairKernel) {
+pub(crate) fn apply_single(amps: PlanesMut<'_>, stride: usize, kernel: PairKernel) {
     let target = task_target();
     let block = stride << 1;
     let n_blocks = amps.len() / block;
     if n_blocks >= target {
         // Chunk whole blocks; pair indices are chunk-relative.
-        let per = n_blocks.div_ceil(target) * block;
-        let chunks: Vec<&mut [C64]> = amps.chunks_mut(per).collect();
+        let chunks = block_chunks(amps, block, target);
         record(chunks.len());
-        par_map_collect(chunks, |chunk| kernel.sweep(chunk, stride));
+        par_map_collect(chunks, |(_, chunk)| kernel.sweep(chunk, stride));
     } else {
         // Few blocks (top qubits): split each block at the stride and zip
         // matching subchunks of the two halves.
-        let per_block = target.div_ceil(n_blocks);
-        let sub = stride.div_ceil(per_block);
-        let mut tasks: Vec<(&mut [C64], &mut [C64])> = Vec::new();
-        for blk in amps.chunks_mut(block) {
-            let (lo, hi) = blk.split_at_mut(stride);
-            tasks.extend(lo.chunks_mut(sub).zip(hi.chunks_mut(sub)));
-        }
+        let tasks = half_tasks(amps, stride, target.div_ceil(n_blocks));
         record(tasks.len());
-        par_map_collect(tasks, |(lo, hi)| kernel.sweep_halves(lo, hi));
+        par_map_collect(tasks, |(_, lo, hi)| kernel.sweep_halves(lo, hi));
     }
+}
+
+/// The split-block task shape of the pair kernels: each `2·stride` block
+/// is split at the stride and both halves are cut into `per_block`
+/// matching subchunks. A task is `(absolute index of its first lower
+/// member, lower subchunk, upper subchunk)`, so pairs never straddle a
+/// task boundary.
+fn half_tasks(
+    amps: PlanesMut<'_>,
+    stride: usize,
+    per_block: usize,
+) -> Vec<(usize, PlanesMut<'_>, PlanesMut<'_>)> {
+    let block = stride << 1;
+    let sub = stride.div_ceil(per_block);
+    let mut tasks = Vec::new();
+    for (b, blk) in amps.chunks_mut(block).enumerate() {
+        let (lo, hi) = blk.split_at_mut(stride);
+        for (k, (l, h)) in lo.chunks_mut(sub).zip(hi.chunks_mut(sub)).enumerate() {
+            tasks.push((b * block + k * sub, l, h));
+        }
+    }
+    tasks
+}
+
+/// Whole-block chunks of `period`-aligned windows, each with its
+/// absolute base index, aiming at `target` chunks.
+fn block_chunks(amps: PlanesMut<'_>, period: usize, target: usize) -> Vec<(usize, PlanesMut<'_>)> {
+    let per = (amps.len() / period).div_ceil(target) * period;
+    amps.chunks_mut(per)
+        .enumerate()
+        .map(|(k, c)| (k * per, c))
+        .collect()
 }
 
 /// Parallel controlled single-qubit kernel. Tasks carry their chunk's
 /// absolute base index so the control-mask test sees global bit patterns.
 pub(crate) fn apply_controlled_single(
-    amps: &mut [C64],
+    amps: PlanesMut<'_>,
     cmask: usize,
     stride: usize,
-    m: &[C64; 4],
+    kernel: Dense,
 ) {
     let target = task_target();
     let block = stride << 1;
     let n_blocks = amps.len() / block;
     if n_blocks >= target {
-        let per = n_blocks.div_ceil(target) * block;
-        let chunks: Vec<(usize, &mut [C64])> = amps
-            .chunks_mut(per)
-            .enumerate()
-            .map(|(k, c)| (k * per, c))
-            .collect();
+        let chunks = block_chunks(amps, block, target);
         record(chunks.len());
         par_map_collect(chunks, |(base, chunk)| {
-            for blk in (0..chunk.len()).step_by(block) {
-                for off in blk..blk + stride {
-                    if (base + off) & cmask == 0 {
-                        continue;
-                    }
-                    let a0 = chunk[off];
-                    let a1 = chunk[off + stride];
-                    chunk[off] = m[0] * a0 + m[1] * a1;
-                    chunk[off + stride] = m[2] * a0 + m[3] * a1;
-                }
-            }
+            controlled_window(kernel, cmask, base, chunk, stride)
         });
     } else {
-        let per_block = target.div_ceil(n_blocks);
-        let sub = stride.div_ceil(per_block);
-        let mut tasks: Vec<(usize, &mut [C64], &mut [C64])> = Vec::new();
-        for (b, blk) in amps.chunks_mut(block).enumerate() {
-            let blk_base = b * block;
-            let (lo, hi) = blk.split_at_mut(stride);
-            for (k, (l, h)) in lo.chunks_mut(sub).zip(hi.chunks_mut(sub)).enumerate() {
-                tasks.push((blk_base + k * sub, l, h));
-            }
-        }
+        let tasks = half_tasks(amps, stride, target.div_ceil(n_blocks));
         record(tasks.len());
         par_map_collect(tasks, |(base, lo, hi)| {
-            for (j, (a0, a1)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-                if (base + j) & cmask == 0 {
-                    continue;
-                }
-                let x0 = *a0;
-                let x1 = *a1;
-                *a0 = m[0] * x0 + m[1] * x1;
-                *a1 = m[2] * x0 + m[3] * x1;
-            }
+            controlled_halves(kernel, cmask, base, lo, hi)
         });
     }
 }
@@ -221,7 +219,7 @@ pub(crate) fn quad_update(m: &[C64; 16], perm: &[usize; 4], a: [C64; 4]) -> [C64
 /// `2·s_hi` and whose start is `2·s_hi`-aligned: iterates only the active
 /// quad bases (a quarter of the window) instead of scanning every index.
 pub(crate) fn apply_two_window(
-    window: &mut [C64],
+    mut window: PlanesMut<'_>,
     s_lo: usize,
     s_hi: usize,
     perm: &[usize; 4],
@@ -231,10 +229,10 @@ pub(crate) fn apply_two_window(
         for base_lo in (base_hi..base_hi + s_hi).step_by(s_lo << 1) {
             for i in base_lo..base_lo + s_lo {
                 let idx = [i, i + s_lo, i + s_hi, i + s_hi + s_lo];
-                let a = [window[idx[0]], window[idx[1]], window[idx[2]], window[idx[3]]];
+                let a = idx.map(|ix| window.get(ix));
                 let out = quad_update(m, perm, a);
                 for (p, &ix) in idx.iter().enumerate() {
-                    window[ix] = out[p];
+                    window.set(ix, out[p]);
                 }
             }
         }
@@ -244,7 +242,7 @@ pub(crate) fn apply_two_window(
 /// Parallel general two-qubit kernel (`s_lo < s_hi` are the operand
 /// strides, `perm` from [`quad_perm`]).
 pub(crate) fn apply_two(
-    amps: &mut [C64],
+    amps: PlanesMut<'_>,
     s_lo: usize,
     s_hi: usize,
     perm: &[usize; 4],
@@ -254,10 +252,11 @@ pub(crate) fn apply_two(
     let period = s_hi << 1;
     let n_blocks = amps.len() / period;
     if n_blocks >= target {
-        let per = n_blocks.div_ceil(target) * period;
-        let chunks: Vec<&mut [C64]> = amps.chunks_mut(per).collect();
+        let chunks = block_chunks(amps, period, target);
         record(chunks.len());
-        par_map_collect(chunks, |chunk| apply_two_window(chunk, s_lo, s_hi, perm, m));
+        par_map_collect(chunks, |(_, chunk)| {
+            apply_two_window(chunk, s_lo, s_hi, perm, m)
+        });
     } else {
         // Few hi-blocks: split each block's halves into 2·s_lo-aligned
         // groups, each group into its four contiguous quarters, and
@@ -266,7 +265,7 @@ pub(crate) fn apply_two(
         let n_groups = n_blocks * (s_hi / (s_lo << 1));
         let per_group = target.div_ceil(n_groups);
         let sub = s_lo.div_ceil(per_group);
-        let mut tasks: Vec<(&mut [C64], &mut [C64], &mut [C64], &mut [C64])> = Vec::new();
+        let mut tasks: Vec<[PlanesMut<'_>; 4]> = Vec::new();
         for blk in amps.chunks_mut(period) {
             let (ha, hb) = blk.split_at_mut(s_hi);
             for (ga, gb) in ha.chunks_mut(s_lo << 1).zip(hb.chunks_mut(s_lo << 1)) {
@@ -278,19 +277,18 @@ pub(crate) fn apply_two(
                     .zip(b0.chunks_mut(sub))
                     .zip(b1.chunks_mut(sub));
                 for (((c0, c1), c2), c3) in zip {
-                    tasks.push((c0, c1, c2, c3));
+                    tasks.push([c0, c1, c2, c3]);
                 }
             }
         }
         record(tasks.len());
-        par_map_collect(tasks, |(c0, c1, c2, c3)| {
-            for k in 0..c0.len() {
-                let a = [c0[k], c1[k], c2[k], c3[k]];
+        par_map_collect(tasks, |mut quarters| {
+            for k in 0..quarters[0].len() {
+                let a = [0, 1, 2, 3].map(|q| quarters[q].get(k));
                 let out = quad_update(m, perm, a);
-                c0[k] = out[0];
-                c1[k] = out[1];
-                c2[k] = out[2];
-                c3[k] = out[3];
+                for (q, v) in quarters.iter_mut().zip(out) {
+                    q.set(k, v);
+                }
             }
         });
     }
@@ -298,22 +296,21 @@ pub(crate) fn apply_two(
 
 /// Parallel CZ kernel: negates amplitudes where both qubit bits are set.
 /// `s_lo < s_hi` are the two qubit strides.
-pub(crate) fn apply_cz(amps: &mut [C64], s_lo: usize, s_hi: usize) {
+pub(crate) fn apply_cz(amps: PlanesMut<'_>, s_lo: usize, s_hi: usize) {
     let target = task_target();
     let period = s_hi << 1;
     let n_blocks = amps.len() / period;
     if n_blocks >= target {
-        let per = n_blocks.div_ceil(target) * period;
-        let chunks: Vec<&mut [C64]> = amps.chunks_mut(per).collect();
+        let chunks = block_chunks(amps, period, target);
         record(chunks.len());
-        par_map_collect(chunks, |chunk| cz_window(chunk, s_lo, s_hi));
+        par_map_collect(chunks, |(_, chunk)| cz_window(chunk, s_lo, s_hi));
     } else {
         // Few hi-blocks: parallelize inside the hi-set runs. A run starts
         // at an odd multiple of s_hi, so its low bits are zero and the
         // within-run offset alone decides the lo-bit test.
         let per_run = target.div_ceil(n_blocks);
         let sub = s_hi.div_ceil(per_run);
-        let mut tasks: Vec<(usize, &mut [C64])> = Vec::new();
+        let mut tasks: Vec<(usize, PlanesMut<'_>)> = Vec::new();
         for (k, run) in amps.chunks_mut(s_hi).enumerate() {
             if k & 1 == 0 {
                 continue;
@@ -324,22 +321,54 @@ pub(crate) fn apply_cz(amps: &mut [C64], s_lo: usize, s_hi: usize) {
         }
         record(tasks.len());
         par_map_collect(tasks, |(off, chunk)| {
-            for (i, a) in chunk.iter_mut().enumerate() {
+            for (i, (re, im)) in chunk.re.iter_mut().zip(chunk.im.iter_mut()).enumerate() {
                 if (off + i) & s_lo != 0 {
-                    *a = -*a;
+                    *re = -*re;
+                    *im = -*im;
                 }
             }
         });
     }
 }
 
-/// Serial CZ over a `2·s_hi`-aligned window: touches only the quarter of
+/// Serial CZ over a `2·s_hi`-aligned window: negates only the quarter of
 /// amplitudes with both bits set.
-pub(crate) fn cz_window(window: &mut [C64], s_lo: usize, s_hi: usize) {
-    for base_hi in (s_hi..window.len()).step_by(s_hi << 1) {
-        for base_lo in (base_hi + s_lo..base_hi + s_hi).step_by(s_lo << 1) {
-            for a in &mut window[base_lo..base_lo + s_lo] {
-                *a = -*a;
+pub(crate) fn cz_window(window: PlanesMut<'_>, s_lo: usize, s_hi: usize) {
+    match s_hi {
+        // Runs of a few amplitudes cost more to visit than to negate:
+        // walk fixed-length blocks instead.
+        2 => cz_blocks::<2>(window, s_lo),
+        4 => cz_blocks::<4>(window, s_lo),
+        8 => cz_blocks::<8>(window, s_lo),
+        16 => cz_blocks::<16>(window, s_lo),
+        _ => {
+            for base_hi in (s_hi..window.len()).step_by(s_hi << 1) {
+                for base_lo in (base_hi + s_lo..base_hi + s_hi).step_by(s_lo << 1) {
+                    let re = &mut window.re[base_lo..base_lo + s_lo];
+                    let im = &mut window.im[base_lo..base_lo + s_lo];
+                    for j in 0..s_lo {
+                        re[j] = -re[j];
+                        im[j] = -im[j];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`cz_window`] for a high stride `HI ≤ 16`: one `2·HI`-amplitude block
+/// per iteration, whose upper half has the high bit set.
+fn cz_blocks<const HI: usize>(window: PlanesMut<'_>, s_lo: usize) {
+    let blocks = window
+        .re
+        .chunks_exact_mut(2 * HI)
+        .zip(window.im.chunks_exact_mut(2 * HI));
+    for (re, im) in blocks {
+        let (re, im) = (&mut re[HI..], &mut im[HI..]);
+        for j in 0..HI {
+            if j & s_lo != 0 {
+                re[j] = -re[j];
+                im[j] = -im[j];
             }
         }
     }
@@ -347,21 +376,17 @@ pub(crate) fn cz_window(window: &mut [C64], s_lo: usize, s_hi: usize) {
 
 /// Parallel projection kernel: zeroes amplitudes where `index & mask !=
 /// want`. Pure elementwise map with absolute indices.
-pub(crate) fn project(amps: &mut [C64], mask: usize, want: usize) {
+pub(crate) fn project(amps: PlanesMut<'_>, mask: usize, want: usize) {
     let target = task_target();
     let per = amps.len().div_ceil(target);
-    let chunks: Vec<(usize, &mut [C64])> = amps
+    let chunks: Vec<(usize, PlanesMut<'_>)> = amps
         .chunks_mut(per)
         .enumerate()
         .map(|(k, c)| (k * per, c))
         .collect();
     record(chunks.len());
     par_map_collect(chunks, |(base, chunk)| {
-        for (j, a) in chunk.iter_mut().enumerate() {
-            if (base + j) & mask != want {
-                *a = C64::ZERO;
-            }
-        }
+        project_window(base, chunk, mask, want)
     });
 }
 

@@ -36,15 +36,14 @@ use std::collections::BTreeMap;
 pub fn sample_index<R: Rng + ?Sized>(state: &State, rng: &mut R) -> usize {
     let u: f64 = rng.gen();
     let mut acc = 0.0;
-    let amps = state.amplitudes();
-    for (i, a) in amps.iter().enumerate() {
-        acc += a.norm_sqr();
+    for i in 0..state.dim() {
+        acc += state.amplitude(i).norm_sqr();
         if u < acc {
             return i;
         }
     }
     // Floating-point slack: the CDF may top out slightly below 1.
-    amps.len() - 1
+    state.dim() - 1
 }
 
 /// Draws `shots` outcomes and tallies them.

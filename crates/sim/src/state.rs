@@ -10,6 +10,40 @@
 //! ansätze need on the hot path: general single-qubit 2×2 application, the
 //! diagonal CZ fast path, and controlled single-qubit application.
 //!
+//! # Amplitude layout
+//!
+//! The amplitudes live in one `Vec<f64>` of length `2·2^n` holding two
+//! planes: the real plane `re = [0, 2^n)`, then the imaginary plane
+//! `im = [2^n, 2·2^n)`, so amplitude `i` is `re[i] + i·im[i]`. One buffer
+//! keeps one allocation per state and one `memcpy` per
+//! [`State::copy_from`], as with the interleaved layout; small states, whose
+//! cost is per-call overhead rather than arithmetic, pay nothing extra.
+//!
+//! A pair kernel at stride `s ≥ 8` reads four contiguous runs — the real
+//! and imaginary parts of a block's lower and upper halves — and writes
+//! them back in place, so the compiler turns the pair loop into packed
+//! vector arithmetic on the baseline target, in safe code. With
+//! interleaved `(re, im)` amplitudes the same loop needs shuffles to pair
+//! real parts with real parts, and stays scalar.
+//!
+//! The layout changes no bits. Every kernel loads each amplitude into a
+//! [`C64`], applies the same formula in the same operand order as the
+//! interleaved kernels did, and stores the parts back; only where the
+//! parts sit in memory differs. Each amplitude's new value still depends
+//! only on its own pair (or quad), so vector lanes do not reassociate
+//! anything either.
+//!
+//! Strides 1, 2 and 4 run fixed-length block loops: a block of `2·s`
+//! amplitudes is too short for a vector loop and too short to pay for
+//! splitting. At stride 1 the two members of a pair are neighbours in the
+//! same plane, so packing all lower members into one vector needs the
+//! shuffles the interleaved layout needed; that loop gains little.
+//!
+//! Kernels take a [`PlanesMut`] view — the buffer split at `2^n` into its
+//! two planes — which splits and chunks both planes together, so the
+//! serial sweeps and the chunkers of [`crate::parallel`] run the same
+//! loops on the same shapes.
+//!
 //! # The single-qubit kernel
 //!
 //! [`State::apply_single`] is the one single-qubit pair kernel: the op
@@ -26,9 +60,8 @@
 //!   amplitude's parts;
 //! - **dense** — anything else, e.g. √X or a caller's arbitrary unitary.
 //!
-//! Each loop walks both halves of every block stride-1, two pairs per
-//! iteration. The check is on the matrix, not on the gate, so an inverse
-//! or a derivative takes the fast loop whenever its entries allow.
+//! The check is on the matrix, not on the gate, so an inverse or a
+//! derivative takes the fast loop whenever its entries allow.
 //!
 //! The structured loops give the same `f64` values as the dense formula
 //! `m[0]·a0 + m[1]·a1` (compared with `==`). A zero entry only adds terms
@@ -62,11 +95,24 @@ use plateau_linalg::{CMatrix, C64};
 /// out at 10 qubits).
 pub const MAX_QUBITS: usize = 26;
 
-/// A pure quantum state of `n` qubits as a dense statevector.
+/// A pure quantum state of `n` qubits as a dense statevector, stored as a
+/// real and an imaginary plane (module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct State {
     n_qubits: usize,
-    amps: Vec<C64>,
+    /// The real plane `[0, 2^n)`, then the imaginary plane `[2^n, 2·2^n)`.
+    planes: Vec<f64>,
+}
+
+/// Checks a raw amplitude count: a power of two ≥ 2 within [`MAX_QUBITS`].
+fn check_dim(dim: usize) -> Result<(), SimError> {
+    if dim < 2 || !dim.is_power_of_two() || dim > (1 << MAX_QUBITS) {
+        return Err(SimError::DimensionMismatch {
+            expected: 0,
+            found: dim,
+        });
+    }
+    Ok(())
 }
 
 impl State {
@@ -80,12 +126,23 @@ impl State {
             (1..=MAX_QUBITS).contains(&n_qubits),
             "qubit count must be in 1..={MAX_QUBITS}"
         );
+        let mut planes = vec![0.0; 2 << n_qubits];
+        planes[0] = 1.0;
+        State::from_planes(planes)
+    }
+
+    /// Wraps one plane buffer — the real plane, then the imaginary plane,
+    /// each of a power-of-two length ≥ 2 (checked by the caller) — as a
+    /// state, counting one statevector allocation.
+    pub(crate) fn from_planes(planes: Vec<f64>) -> State {
+        debug_assert!(planes.len() >= 4 && planes.len().is_power_of_two());
         plateau_obs::counter!("sim.state.allocations").inc();
-        let mut amps = vec![C64::ZERO; 1 << n_qubits];
         plateau_obs::gauge!("sim.state.bytes")
-            .set((amps.len() * std::mem::size_of::<C64>()) as f64);
-        amps[0] = C64::ONE;
-        State { n_qubits, amps }
+            .set((planes.len() * std::mem::size_of::<f64>()) as f64);
+        State {
+            n_qubits: (planes.len() >> 1).trailing_zeros() as usize,
+            planes,
+        }
     }
 
     /// Creates the basis state `|index⟩`.
@@ -96,8 +153,8 @@ impl State {
     pub fn basis(n_qubits: usize, index: usize) -> State {
         let mut s = State::zero(n_qubits);
         assert!(index < s.dim(), "basis index out of range");
-        s.amps[0] = C64::ZERO;
-        s.amps[index] = C64::ONE;
+        s.planes[0] = 0.0;
+        s.planes[index] = 1.0;
         s
     }
 
@@ -108,23 +165,12 @@ impl State {
     /// Returns [`SimError::DimensionMismatch`] unless the length is a power
     /// of two ≥ 2, and [`SimError::NotNormalized`] unless `Σ|a|² ≈ 1`.
     pub fn from_amplitudes(amps: Vec<C64>) -> Result<State, SimError> {
-        let dim = amps.len();
-        if dim < 2 || !dim.is_power_of_two() || dim > (1 << MAX_QUBITS) {
-            return Err(SimError::DimensionMismatch {
-                expected: 0,
-                found: dim,
-            });
-        }
+        check_dim(amps.len())?;
         let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
         if (norm - 1.0).abs() > 1e-9 {
             return Err(SimError::NotNormalized { norm });
         }
-        plateau_obs::counter!("sim.state.allocations").inc();
-        plateau_obs::gauge!("sim.state.bytes").set((dim * std::mem::size_of::<C64>()) as f64);
-        Ok(State {
-            n_qubits: dim.trailing_zeros() as usize,
-            amps,
-        })
+        State::from_amplitudes_unnormalized(amps)
     }
 
     /// Builds a possibly **unnormalized** vector in state form.
@@ -139,23 +185,14 @@ impl State {
     /// Returns [`SimError::DimensionMismatch`] unless the length is a power
     /// of two ≥ 2 within [`MAX_QUBITS`].
     pub fn from_amplitudes_unnormalized(amps: Vec<C64>) -> Result<State, SimError> {
-        let dim = amps.len();
-        if dim < 2 || !dim.is_power_of_two() || dim > (1 << MAX_QUBITS) {
-            return Err(SimError::DimensionMismatch {
-                expected: 0,
-                found: dim,
-            });
-        }
-        plateau_obs::counter!("sim.state.allocations").inc();
-        plateau_obs::gauge!("sim.state.bytes").set((dim * std::mem::size_of::<C64>()) as f64);
-        Ok(State {
-            n_qubits: dim.trailing_zeros() as usize,
-            amps,
-        })
+        check_dim(amps.len())?;
+        Ok(State::from_planes(
+            amps.iter().map(|a| a.re).chain(amps.iter().map(|a| a.im)).collect(),
+        ))
     }
 
     /// Resets this state to `|0…0⟩` **in place**, reusing the existing
-    /// amplitude buffer.
+    /// plane buffer.
     ///
     /// This is the scratch-pool primitive behind batched evaluation
     /// (`plateau_grad::BatchExecutor`): a worker allocates one state and
@@ -164,8 +201,8 @@ impl State {
     /// `sim.state.allocations` — nothing is allocated).
     pub fn reset_zero(&mut self) {
         plateau_obs::counter!("sim.state.reuses").inc();
-        self.amps.fill(C64::ZERO);
-        self.amps[0] = C64::ONE;
+        self.planes.fill(0.0);
+        self.planes[0] = 1.0;
     }
 
     /// Overwrites this state with `other`'s amplitudes **in place**,
@@ -180,15 +217,23 @@ impl State {
     /// Panics if the two states have different qubit counts.
     pub fn copy_from(&mut self, other: &State) {
         assert_eq!(self.n_qubits, other.n_qubits, "state widths differ");
-        self.amps.copy_from_slice(&other.amps);
+        self.planes.copy_from_slice(&other.planes);
     }
 
-    /// Mutable access to the raw amplitude buffer, for in-place kernels
-    /// living in sibling modules (the fusion compiler's product-state
-    /// prologue writes amplitudes directly).
+    /// The whole plane buffer: the real plane, then the imaginary plane.
     #[inline]
-    pub(crate) fn amps_mut(&mut self) -> &mut [C64] {
-        &mut self.amps
+    pub(crate) fn planes(&self) -> &[f64] {
+        &self.planes
+    }
+
+    /// Mutable view of both planes, for the kernels here, in
+    /// [`crate::parallel`] and in sibling modules (the fusion compiler's
+    /// product-state prologue writes amplitudes directly).
+    #[inline]
+    pub(crate) fn planes_mut(&mut self) -> PlanesMut<'_> {
+        let dim = self.dim();
+        let (re, im) = self.planes.split_at_mut(dim);
+        PlanesMut { re, im }
     }
 
     /// Number of qubits.
@@ -200,24 +245,52 @@ impl State {
     /// Hilbert-space dimension `2^n`.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.amps.len()
+        1 << self.n_qubits
     }
 
-    /// Read-only view of the amplitudes.
+    /// The real parts of the amplitudes, in index order.
     #[inline]
-    pub fn amplitudes(&self) -> &[C64] {
-        &self.amps
+    pub fn re(&self) -> &[f64] {
+        &self.planes[..self.dim()]
     }
 
-    /// Consumes the state, returning the amplitude buffer.
+    /// The imaginary parts of the amplitudes, in index order.
     #[inline]
-    pub fn into_amplitudes(self) -> Vec<C64> {
-        self.amps
+    pub fn im(&self) -> &[f64] {
+        &self.planes[self.dim()..]
+    }
+
+    /// Amplitude `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= dim()`.
+    #[inline]
+    pub fn amplitude(&self, index: usize) -> C64 {
+        C64::new(self.re()[index], self.im()[index])
+    }
+
+    /// The amplitudes as one interleaved complex vector (a copy).
+    pub fn to_amplitudes(&self) -> Vec<C64> {
+        self.re()
+            .iter()
+            .zip(self.im())
+            .map(|(&re, &im)| C64::new(re, im))
+            .collect()
+    }
+
+    /// `|a_i|²` for every amplitude, in index order.
+    #[inline]
+    fn norm_sqrs(&self) -> impl Iterator<Item = f64> + '_ {
+        self.re()
+            .iter()
+            .zip(self.im())
+            .map(|(&re, &im)| C64::new(re, im).norm_sqr())
     }
 
     /// L2 norm of the statevector (should be 1 for physical states).
     pub fn norm(&self) -> f64 {
-        self.amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt()
+        self.norm_sqrs().sum::<f64>().sqrt()
     }
 
     /// Rescales to unit norm. A no-op on the zero vector.
@@ -225,8 +298,8 @@ impl State {
         let n = self.norm();
         if n > 0.0 {
             let inv = 1.0 / n;
-            for a in &mut self.amps {
-                *a *= inv;
+            for x in &mut self.planes {
+                *x *= inv;
             }
         }
     }
@@ -243,11 +316,8 @@ impl State {
                 found: other.dim(),
             });
         }
-        Ok(self
-            .amps
-            .iter()
-            .zip(other.amps.iter())
-            .map(|(a, b)| a.conj() * *b)
+        Ok((0..self.dim())
+            .map(|i| self.amplitude(i).conj() * other.amplitude(i))
             .sum())
     }
 
@@ -262,14 +332,14 @@ impl State {
 
     /// Probability of each computational-basis outcome.
     pub fn probabilities(&self) -> Vec<f64> {
-        self.amps.iter().map(|a| a.norm_sqr()).collect()
+        self.norm_sqrs().collect()
     }
 
     /// Probability of the all-zeros outcome `|0…0⟩` — the quantity behind
     /// the paper's global cost `C = 1 − p(|0…0⟩)`.
     #[inline]
     pub fn probability_all_zeros(&self) -> f64 {
-        self.amps[0].norm_sqr()
+        self.amplitude(0).norm_sqr()
     }
 
     /// Marginal probability that `qubit` reads 0.
@@ -281,11 +351,10 @@ impl State {
         self.check_qubit(qubit)?;
         let mask = 1usize << qubit;
         Ok(self
-            .amps
-            .iter()
+            .norm_sqrs()
             .enumerate()
             .filter(|(i, _)| i & mask == 0)
-            .map(|(_, a)| a.norm_sqr())
+            .map(|(_, p)| p)
             .sum())
     }
 
@@ -326,22 +395,23 @@ impl State {
         let stride = 1usize << qubit;
         let kernel = PairKernel::new(m);
         if crate::parallel::enabled(self.n_qubits) {
-            crate::parallel::apply_single(&mut self.amps, stride, kernel);
+            crate::parallel::apply_single(self.planes_mut(), stride, kernel);
         } else {
-            kernel.sweep(&mut self.amps, stride);
+            kernel.sweep(self.planes_mut(), stride);
         }
         Ok(())
     }
 
     /// Multiplies the state element-wise by a precomputed full-register
-    /// diagonal — the fusion layer's superkernel sweep (one contiguous
-    /// stride-1 pass, 2-way unrolled).
+    /// diagonal, given in a state's plane layout (`2^n` real parts, then
+    /// `2^n` imaginary parts) — the fusion layer's superkernel sweep (one
+    /// contiguous pass).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::DimensionMismatch`] if `diag` does not match
-    /// the state dimension.
-    pub fn apply_diagonal(&mut self, diag: &[C64]) -> Result<(), SimError> {
+    /// Returns [`SimError::DimensionMismatch`] if the diagonal does not
+    /// match the state dimension.
+    pub fn apply_diagonal(&mut self, diag: &[f64]) -> Result<(), SimError> {
         self.scale_by(diag, |d| d)
     }
 
@@ -352,30 +422,29 @@ impl State {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::DimensionMismatch`] if `diag` does not match
-    /// the state dimension.
-    pub fn apply_diagonal_conj(&mut self, diag: &[C64]) -> Result<(), SimError> {
+    /// Returns [`SimError::DimensionMismatch`] if the diagonal does not
+    /// match the state dimension.
+    pub fn apply_diagonal_conj(&mut self, diag: &[f64]) -> Result<(), SimError> {
         self.scale_by(diag, C64::conj)
     }
 
-    /// `amps[i] *= entry(diag[i])` over the whole state, 2-way unrolled.
-    fn scale_by(&mut self, diag: &[C64], entry: impl Fn(C64) -> C64) -> Result<(), SimError> {
-        let dim = self.amps.len();
-        if diag.len() != dim {
+    /// `a[i] *= entry(d[i])` over the whole state.
+    fn scale_by(&mut self, diag: &[f64], entry: impl Fn(C64) -> C64) -> Result<(), SimError> {
+        let dim = self.dim();
+        if diag.len() != 2 * dim {
             return Err(SimError::DimensionMismatch {
-                expected: dim,
+                expected: 2 * dim,
                 found: diag.len(),
             });
         }
-        let mut i = 0;
-        while i + 2 <= dim {
-            self.amps[i] *= entry(diag[i]);
-            self.amps[i + 1] *= entry(diag[i + 1]);
-            i += 2;
-        }
-        while i < dim {
-            self.amps[i] *= entry(diag[i]);
-            i += 1;
+        let PlanesMut { re, im } = self.planes_mut();
+        let (dr, di) = diag.split_at(dim);
+        // Equal-length re-slices: no bounds checks inside the loop.
+        let (im, dr, di) = (&mut im[..dim], &dr[..dim], &di[..dim]);
+        for i in 0..dim {
+            let a = C64::new(re[i], im[i]) * entry(C64::new(dr[i], di[i]));
+            re[i] = a.re;
+            im[i] = a.im;
         }
         Ok(())
     }
@@ -395,26 +464,11 @@ impl State {
         self.check_distinct(control, target)?;
         let cmask = 1usize << control;
         let stride = 1usize << target;
+        let kernel = Dense(*m);
         if crate::parallel::enabled(self.n_qubits) {
-            crate::parallel::apply_controlled_single(&mut self.amps, cmask, stride, m);
-            return Ok(());
-        }
-        let block = stride << 1;
-        let dim = self.amps.len();
-        let mut base = 0;
-        while base < dim {
-            for offset in base..base + stride {
-                let i0 = offset;
-                if i0 & cmask == 0 {
-                    continue;
-                }
-                let i1 = offset + stride;
-                let a0 = self.amps[i0];
-                let a1 = self.amps[i1];
-                self.amps[i0] = m[0] * a0 + m[1] * a1;
-                self.amps[i1] = m[2] * a0 + m[3] * a1;
-            }
-            base += block;
+            crate::parallel::apply_controlled_single(self.planes_mut(), cmask, stride, kernel);
+        } else {
+            controlled_window(kernel, cmask, 0, self.planes_mut(), stride);
         }
         Ok(())
     }
@@ -433,13 +487,9 @@ impl State {
         let mask = 1usize << qubit;
         let want = if value { mask } else { 0 };
         if crate::parallel::enabled(self.n_qubits) {
-            crate::parallel::project(&mut self.amps, mask, want);
-            return Ok(());
-        }
-        for (i, amp) in self.amps.iter_mut().enumerate() {
-            if i & mask != want {
-                *amp = C64::ZERO;
-            }
+            crate::parallel::project(self.planes_mut(), mask, want);
+        } else {
+            project_window(0, self.planes_mut(), mask, want);
         }
         Ok(())
     }
@@ -462,11 +512,11 @@ impl State {
         let s_hi = 1usize << first.max(second);
         let perm = crate::parallel::quad_perm(first > second);
         if crate::parallel::enabled(self.n_qubits) {
-            crate::parallel::apply_two(&mut self.amps, s_lo, s_hi, &perm, m);
+            crate::parallel::apply_two(self.planes_mut(), s_lo, s_hi, &perm, m);
         } else {
             // Iterate only the quarter of indices with both operand bits
             // clear — each is the |00⟩ member of one amplitude quad.
-            crate::parallel::apply_two_window(&mut self.amps, s_lo, s_hi, &perm, m);
+            crate::parallel::apply_two_window(self.planes_mut(), s_lo, s_hi, &perm, m);
         }
         Ok(())
     }
@@ -499,10 +549,10 @@ impl State {
         let s_lo = 1usize << a.min(b);
         let s_hi = 1usize << a.max(b);
         if crate::parallel::enabled(self.n_qubits) {
-            crate::parallel::apply_cz(&mut self.amps, s_lo, s_hi);
+            crate::parallel::apply_cz(self.planes_mut(), s_lo, s_hi);
         } else {
             // Touch only the quarter of amplitudes with both bits set.
-            crate::parallel::cz_window(&mut self.amps, s_lo, s_hi);
+            crate::parallel::cz_window(self.planes_mut(), s_lo, s_hi);
         }
         Ok(())
     }
@@ -517,11 +567,13 @@ impl State {
         self.check_distinct(a, b)?;
         let ma = 1usize << a;
         let mb = 1usize << b;
-        for i in 0..self.amps.len() {
+        let PlanesMut { re, im } = self.planes_mut();
+        for i in 0..re.len() {
             // Visit each (01, 10) pair once: i has a=1, b=0.
             if i & ma != 0 && i & mb == 0 {
                 let j = (i & !ma) | mb;
-                self.amps.swap(i, j);
+                re.swap(i, j);
+                im.swap(i, j);
             }
         }
         Ok(())
@@ -597,7 +649,11 @@ impl State {
                 found: u.rows(),
             });
         }
-        self.amps = u.matvec(&self.amps);
+        let out = u.matvec(&self.to_amplitudes());
+        let mut planes = self.planes_mut();
+        for (i, a) in out.into_iter().enumerate() {
+            planes.set(i, a);
+        }
         Ok(())
     }
 
@@ -629,14 +685,62 @@ impl State {
         self.check_qubit(qubit)?;
         let mask = 1usize << qubit;
         Ok(self
-            .amps
-            .iter()
+            .norm_sqrs()
             .enumerate()
-            .map(|(i, a)| {
+            .map(|(i, p)| {
                 let sign = if i & mask == 0 { 1.0 } else { -1.0 };
-                sign * a.norm_sqr()
+                sign * p
             })
             .sum())
+    }
+}
+
+/// A mutable window of both amplitude planes: the same index range of
+/// `re` and `im`, borrowed from the two halves of a [`State`]'s buffer. Splitting and chunking act on both planes at once, so
+/// every kernel — serial sweep or parallel task — takes one of these.
+#[derive(Debug)]
+pub(crate) struct PlanesMut<'a> {
+    /// Real parts.
+    pub(crate) re: &'a mut [f64],
+    /// Imaginary parts.
+    pub(crate) im: &'a mut [f64],
+}
+
+impl<'a> PlanesMut<'a> {
+    /// Amplitudes in the window.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.re.len()
+    }
+
+    /// Amplitude `i` of the window.
+    #[inline(always)]
+    pub(crate) fn get(&self, i: usize) -> C64 {
+        C64::new(self.re[i], self.im[i])
+    }
+
+    /// Stores amplitude `i` of the window.
+    #[inline(always)]
+    pub(crate) fn set(&mut self, i: usize, a: C64) {
+        self.re[i] = a.re;
+        self.im[i] = a.im;
+    }
+
+    /// Splits both planes at `mid`.
+    #[inline]
+    pub(crate) fn split_at_mut(self, mid: usize) -> (PlanesMut<'a>, PlanesMut<'a>) {
+        let (r0, r1) = self.re.split_at_mut(mid);
+        let (i0, i1) = self.im.split_at_mut(mid);
+        (PlanesMut { re: r0, im: i0 }, PlanesMut { re: r1, im: i1 })
+    }
+
+    /// Consecutive windows of `size` amplitudes (the last may be shorter).
+    #[inline]
+    pub(crate) fn chunks_mut(self, size: usize) -> impl Iterator<Item = PlanesMut<'a>> {
+        self.re
+            .chunks_mut(size)
+            .zip(self.im.chunks_mut(size))
+            .map(|(re, im)| PlanesMut { re, im })
     }
 }
 
@@ -675,7 +779,7 @@ impl PairKernel {
     /// length is a multiple of `2·stride` and whose start is
     /// `2·stride`-aligned (the whole state, or one parallel chunk of
     /// whole blocks).
-    pub(crate) fn sweep(self, window: &mut [C64], stride: usize) {
+    pub(crate) fn sweep(self, window: PlanesMut<'_>, stride: usize) {
         match self {
             PairKernel::Diagonal(k) => sweep(k, window, stride),
             PairKernel::Real(k) => sweep(k, window, stride),
@@ -686,7 +790,7 @@ impl PairKernel {
 
     /// Applies the 2×2 to every pair `(lo[j], hi[j])` — the parallel
     /// layer's split-block task shape.
-    pub(crate) fn sweep_halves(self, lo: &mut [C64], hi: &mut [C64]) {
+    pub(crate) fn sweep_halves(self, lo: PlanesMut<'_>, hi: PlanesMut<'_>) {
         match self {
             PairKernel::Diagonal(k) => sweep_halves(k, lo, hi),
             PairKernel::Real(k) => sweep_halves(k, lo, hi),
@@ -756,54 +860,110 @@ impl PairMap for Dense {
     }
 }
 
-/// The pair loop behind [`PairKernel::sweep_halves`].
+/// The pair loop behind [`PairKernel::sweep_halves`]: an index loop over
+/// four equal-length plane slices, which the compiler vectorizes.
 #[inline(always)]
-fn sweep_halves<K: PairMap>(k: K, lo: &mut [C64], hi: &mut [C64]) {
-    for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
-        (*a0, *a1) = k.map(*a0, *a1);
+fn sweep_halves<K: PairMap>(k: K, lo: PlanesMut<'_>, hi: PlanesMut<'_>) {
+    pair_loop(k, lo.re, lo.im, hi.re, hi.im);
+}
+
+/// `(r0 + i·i0, r1 + i·i1)[j] ← k(…)` for every `j`. Four separate slice
+/// arguments, each re-sliced to one length, so the compiler knows they do
+/// not overlap and needs no bounds checks inside the loop.
+#[inline(always)]
+fn pair_loop<K: PairMap>(k: K, r0: &mut [f64], i0: &mut [f64], r1: &mut [f64], i1: &mut [f64]) {
+    let n = r0.len();
+    let (i0, r1, i1) = (&mut i0[..n], &mut r1[..n], &mut i1[..n]);
+    for j in 0..n {
+        let (a0, a1) = k.map(C64::new(r0[j], i0[j]), C64::new(r1[j], i1[j]));
+        r0[j] = a0.re;
+        i0[j] = a0.im;
+        r1[j] = a1.re;
+        i1[j] = a1.im;
     }
 }
 
-/// The pair loop behind [`PairKernel::sweep`]: stride-1 walks over both
-/// halves of each block, two pairs per iteration so two are in flight.
+/// The pair loop behind [`PairKernel::sweep`]. Blocks of stride ≥ 8 go
+/// through [`pair_loop`]; the small strides have their own unrolled
+/// block loop, because a 2-, 4- or 8-amplitude block is too short for a
+/// vector loop and too short to pay for splitting.
 #[inline(always)]
-fn sweep<K: PairMap>(k: K, amps: &mut [C64], stride: usize) {
-    let dim = amps.len();
-    if stride == 1 {
-        // Pairs are adjacent: walk front to back, four amplitudes per
-        // iteration.
-        let mut i = 0;
-        while i + 4 <= dim {
-            let (a0, a1) = k.map(amps[i], amps[i + 1]);
-            let (b0, b1) = k.map(amps[i + 2], amps[i + 3]);
-            amps[i] = a0;
-            amps[i + 1] = a1;
-            amps[i + 2] = b0;
-            amps[i + 3] = b1;
-            i += 4;
+fn sweep<K: PairMap>(k: K, window: PlanesMut<'_>, stride: usize) {
+    match stride {
+        1 => small_blocks::<K, 1>(k, window),
+        2 => small_blocks::<K, 2>(k, window),
+        4 => small_blocks::<K, 4>(k, window),
+        _ => {
+            for block in window.chunks_mut(stride << 1) {
+                let (lo, hi) = block.split_at_mut(stride);
+                sweep_halves(k, lo, hi);
+            }
         }
-        while i < dim {
-            (amps[i], amps[i + 1]) = k.map(amps[i], amps[i + 1]);
-            i += 2;
-        }
-        return;
     }
-    // stride ≥ 2 (always even): two offsets per iteration.
-    let block = stride << 1;
-    let mut base = 0;
-    while base < dim {
-        let mut off = base;
-        while off < base + stride {
-            let i1 = off + stride;
-            let (a0, a1) = k.map(amps[off], amps[i1]);
-            let (b0, b1) = k.map(amps[off + 1], amps[i1 + 1]);
-            amps[off] = a0;
-            amps[i1] = a1;
-            amps[off + 1] = b0;
-            amps[i1 + 1] = b1;
-            off += 2;
+}
+
+/// The pair loop for stride `S ∈ {1, 2, 4}`: one fixed-length block of
+/// `2·S` amplitudes per iteration; the halves' length is the constant
+/// `S`, so [`pair_loop`] unrolls. At `S = 1` the pair members are
+/// neighbours in one plane (module docs: little vector gain).
+#[inline(always)]
+fn small_blocks<K: PairMap, const S: usize>(k: K, window: PlanesMut<'_>) {
+    let blocks = window
+        .re
+        .chunks_exact_mut(2 * S)
+        .zip(window.im.chunks_exact_mut(2 * S));
+    for (re, im) in blocks {
+        let (r0, r1) = re.split_at_mut(S);
+        let (i0, i1) = im.split_at_mut(S);
+        pair_loop(k, r0, i0, r1, i1);
+    }
+}
+
+/// The controlled pair kernel on the pairs `(lo[j], hi[j])` whose lower
+/// member has absolute index `base + j`: pairs with the control bit clear
+/// are left alone.
+#[inline]
+pub(crate) fn controlled_halves(
+    k: Dense,
+    cmask: usize,
+    base: usize,
+    mut lo: PlanesMut<'_>,
+    mut hi: PlanesMut<'_>,
+) {
+    for j in 0..lo.len() {
+        if (base + j) & cmask == 0 {
+            continue;
         }
-        base += block;
+        let (a0, a1) = k.map(lo.get(j), hi.get(j));
+        lo.set(j, a0);
+        hi.set(j, a1);
+    }
+}
+
+/// The controlled pair kernel over a `2·stride`-aligned window starting
+/// at absolute index `base`.
+pub(crate) fn controlled_window(
+    k: Dense,
+    cmask: usize,
+    base: usize,
+    window: PlanesMut<'_>,
+    stride: usize,
+) {
+    let block = stride << 1;
+    for (b, blk) in window.chunks_mut(block).enumerate() {
+        let (lo, hi) = blk.split_at_mut(stride);
+        controlled_halves(k, cmask, base + b * block, lo, hi);
+    }
+}
+
+/// Zeroes the amplitudes of a window starting at absolute index `base`
+/// whose index has `index & mask != want`.
+pub(crate) fn project_window(base: usize, window: PlanesMut<'_>, mask: usize, want: usize) {
+    for (j, (re, im)) in window.re.iter_mut().zip(window.im.iter_mut()).enumerate() {
+        if (base + j) & mask != want {
+            *re = 0.0;
+            *im = 0.0;
+        }
     }
 }
 
@@ -827,7 +987,7 @@ mod tests {
     #[test]
     fn basis_state_sets_single_amplitude() {
         let s = State::basis(3, 5);
-        assert!(s.amplitudes()[5].approx_eq(C64::ONE, TOL));
+        assert!(s.amplitude(5).approx_eq(C64::ONE, TOL));
         assert!((s.probabilities()[5] - 1.0).abs() < TOL);
     }
 
@@ -851,7 +1011,7 @@ mod tests {
         let mut s = State::zero(2);
         s.apply_fixed(FixedGate::X, &[1]).unwrap();
         // Little-endian: qubit 1 set → index 2.
-        assert!(s.amplitudes()[2].approx_eq(C64::ONE, TOL));
+        assert!(s.amplitude(2).approx_eq(C64::ONE, TOL));
     }
 
     #[test]
@@ -876,8 +1036,8 @@ mod tests {
         let theta = 0.7;
         let mut s = State::zero(1);
         s.apply_rotation(RotationGate::Ry, 0, theta).unwrap();
-        assert!(s.amplitudes()[0].approx_eq(c64((theta / 2.0).cos(), 0.0), TOL));
-        assert!(s.amplitudes()[1].approx_eq(c64((theta / 2.0).sin(), 0.0), TOL));
+        assert!(s.amplitude(0).approx_eq(c64((theta / 2.0).cos(), 0.0), TOL));
+        assert!(s.amplitude(1).approx_eq(c64((theta / 2.0).sin(), 0.0), TOL));
     }
 
     #[test]
@@ -897,7 +1057,7 @@ mod tests {
         s.apply_fixed(FixedGate::H, &[0]).unwrap();
         s.apply_fixed(FixedGate::H, &[1]).unwrap();
         s.apply_cz(0, 1).unwrap();
-        let a = s.amplitudes();
+        let a = s.to_amplitudes();
         assert!(a[0].approx_eq(c64(0.5, 0.0), TOL));
         assert!(a[1].approx_eq(c64(0.5, 0.0), TOL));
         assert!(a[2].approx_eq(c64(0.5, 0.0), TOL));
@@ -931,7 +1091,7 @@ mod tests {
     fn swap_exchanges_qubits() {
         let mut s = State::basis(2, 1); // |01⟩: qubit 0 = 1
         s.apply_swap(0, 1).unwrap();
-        assert!(s.amplitudes()[2].approx_eq(C64::ONE, TOL)); // |10⟩
+        assert!(s.amplitude(2).approx_eq(C64::ONE, TOL)); // |10⟩
     }
 
     #[test]
@@ -1053,8 +1213,10 @@ mod tests {
         let mut s = State::zero(2);
         s.apply_two_qubit_rotation(TwoQubitRotationGate::Rxx, 1, 0, theta)
             .unwrap();
-        assert!(s.amplitudes()[0].approx_eq(c64((theta / 2.0).cos(), 0.0), TOL));
-        assert!(s.amplitudes()[3].approx_eq(c64(0.0, -(theta / 2.0).sin()), TOL));
+        assert!(s.amplitude(0).approx_eq(c64((theta / 2.0).cos(), 0.0), TOL));
+        assert!(s
+            .amplitude(3)
+            .approx_eq(c64(0.0, -(theta / 2.0).sin()), TOL));
         assert!((s.norm() - 1.0).abs() < TOL);
     }
 
@@ -1144,7 +1306,7 @@ mod tests {
         s.apply_fixed(FixedGate::H, &[0]).unwrap();
         s.apply_fixed(FixedGate::H, &[1]).unwrap();
         s.project_qubit(0, true).unwrap();
-        let a = s.amplitudes();
+        let a = s.to_amplitudes();
         assert_eq!(a[0], C64::ZERO);
         assert_eq!(a[2], C64::ZERO);
         assert!(a[1].norm() > 0.0 && a[3].norm() > 0.0);

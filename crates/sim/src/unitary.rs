@@ -206,7 +206,7 @@ mod tests {
         let mut via_unitary = State::zero(4);
         via_unitary.apply_matrix(&u).unwrap();
 
-        for (a, b) in via_kernel.amplitudes().iter().zip(via_unitary.amplitudes()) {
+        for (a, b) in via_kernel.to_amplitudes().iter().zip(&via_unitary.to_amplitudes()) {
             assert!(a.approx_eq(*b, TOL), "{a} vs {b}");
         }
     }

@@ -40,6 +40,26 @@ if [[ -n "${violations}" ]]; then
 fi
 echo "dependency graph is plateau-* only."
 
+echo "=== unsafe-code policy check ==="
+# Every library crate forbids `unsafe` and uses no `std::arch` intrinsics;
+# only plateau-obs may use `unsafe` (its counting allocator implements
+# GlobalAlloc). Kernel speed has to come from data layout (DESIGN.md §2).
+unsafe_violations=""
+for lib in crates/*/src/lib.rs; do
+    crate_dir=$(dirname "$(dirname "${lib}")")
+    crate=$(basename "${crate_dir}")
+    [[ "${crate}" == obs ]] && continue
+    grep -q '^#!\[forbid(unsafe_code)\]' "${lib}" \
+        || unsafe_violations+=" ${crate}(no #![forbid(unsafe_code)])"
+    grep -rqE '(std|core)::arch' "${crate_dir}/src" \
+        && unsafe_violations+=" ${crate}(std::arch)"
+done
+if [[ -n "${unsafe_violations}" ]]; then
+    echo "unsafe-code policy violations:${unsafe_violations}" >&2
+    exit 1
+fi
+echo "every library crate except plateau-obs forbids unsafe code."
+
 echo "=== observability overhead gate ==="
 # With every subscriber disabled, the metrics snapshot must be empty and
 # the variance-harness medians must sit inside the recorded baseline

@@ -62,9 +62,9 @@ fn expectation_matches_dense_quadratic_form() {
     ] {
         let fast = obs.expectation(&state).expect("expectation");
         let h: CMatrix = obs.matrix();
-        let hv = h.matvec(state.amplitudes());
-        let slow: f64 = state
-            .amplitudes()
+        let amps = state.to_amplitudes();
+        let hv = h.matvec(&amps);
+        let slow: f64 = amps
             .iter()
             .zip(hv.iter())
             .map(|(a, b)| (a.conj() * *b).re)
@@ -96,7 +96,7 @@ fn global_phase_invariance_of_costs() {
     let state = ansatz.circuit.run(&params).expect("run");
     let phased = State::from_amplitudes(
         state
-            .amplitudes()
+            .to_amplitudes()
             .iter()
             .map(|a| *a * plateau_linalg::C64::cis(0.83))
             .collect(),
