@@ -10,7 +10,7 @@
 //! `DEFAULT_PAR_THRESHOLD` constant in `plateau-sim` and the notes field
 //! of `benchmarks/BENCH_sim_parallel.json`.
 //!
-//! The scan runs 8 to 20 qubits, so it covers the default threshold (17)
+//! The scan runs 8 to 20 qubits, so it covers the default threshold (19)
 //! from both sides. Each width costs about twice the previous one; the
 //! scan stops before a width that would take it past a two-minute
 //! run-time cap and says where it stopped.

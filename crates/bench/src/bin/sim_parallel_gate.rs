@@ -60,10 +60,11 @@ fn main() {
         plateau_bench::json::Json::from(plateau_par::worker_count(usize::MAX)),
     );
     h.note(
-        "per-gate threading crossover (par_crossover bin): at the paper's 10q \
-         workload forced-parallel kernels ran at 0.06x serial, 0.42x at 14q, \
-         0.63x at 16q on this host — DEFAULT_PAR_THRESHOLD=17 keeps every \
-         measured size serial; the parallel arm here fans whole shifted \
+        "per-gate threading crossover (par_crossover bin, three scans, 2 cores): \
+         forced-parallel kernels ran at 0.01x serial at the paper's 10q, \
+         0.36-0.46x at 16q, 0.46-0.71x at 17q and a median 0.86x at 18q, and \
+         first won at 19q (median 1.25x) — DEFAULT_PAR_THRESHOLD=19 keeps \
+         every paper size serial; the parallel arm here fans whole shifted \
          evaluations across the pool instead",
     );
     let mut group = h.group("training_step");

@@ -214,7 +214,7 @@ impl Harness {
     /// Appends one perf-ledger record per report when `PLATEAU_PERF` is
     /// on. Peak bytes ride along when the counting allocator is live.
     fn record_perf_ledger(&self) {
-        if !plateau_obs::perf::perf_enabled() {
+        if !plateau_obs::Store::Perf.enabled() {
             return;
         }
         let peak = match plateau_obs::alloc::profiling_active() {

@@ -73,15 +73,9 @@ fn init_observability(parsed: &ParsedArgs, argv: &[String]) -> Result<(), Box<dy
     plateau_obs::init(level, metrics_out.as_deref())
         .map_err(|e| format!("failed to open --metrics-out sink: {e}"))?;
 
-    // --ledger mirrors the PLATEAU_LEDGER grammar and wins over it.
+    // --ledger takes the PLATEAU_LEDGER grammar and wins over it.
     if let Some(raw) = parsed.opt_str("ledger") {
-        match raw.trim() {
-            "" | "0" | "false" | "off" | "no" => plateau_obs::set_ledger_dir(None),
-            "1" | "true" | "on" | "yes" => plateau_obs::set_ledger_dir(Some(
-                std::path::Path::new(plateau_obs::ledger::DEFAULT_DIR),
-            )),
-            dir => plateau_obs::set_ledger_dir(Some(std::path::Path::new(dir))),
-        }
+        plateau_obs::Store::Ledger.set_dir(plateau_obs::store::parse_dir(&raw).as_deref());
     }
 
     let command = format!("plateau {}", argv.join(" "));
@@ -325,7 +319,7 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     // With the ledger on, run the instrumented loop so the run is
     // registered with its gradient-dynamics series; otherwise this is
     // exactly `train`.
-    let telemetry = if plateau_obs::ledger_enabled() {
+    let telemetry = if plateau_obs::Store::Ledger.enabled() {
         use plateau_obs::json::Json;
         let rec = plateau_obs::RunRecord::new("train")
             .config("qubits", Json::from(n_qubits))
@@ -649,9 +643,7 @@ fn cmd_obs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             .opt_str("trace")
             .ok_or("missing --trace PATH (a JSONL file from --metrics-out)")?;
         let trace = Trace::read(std::path::Path::new(&path))?;
-        for w in &trace.warnings {
-            plateau_obs::warn!("{path}: {w}");
-        }
+        warn_all(&path, &trace.warnings);
         Ok(trace)
     };
 
@@ -688,11 +680,7 @@ fn cmd_obs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             let by = rank_by()?;
             let trace = required_trace()?;
             let title = trace.command.clone().unwrap_or_else(|| "plateau trace".into());
-            std::fs::write(
-                &out,
-                plateau_obs::flame::flamegraph_svg_by(&trace, &title, by),
-            )
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
+            write_out(&out, plateau_obs::flame::flamegraph_svg_by(&trace, &title, by))?;
             println!(
                 "# wrote {out}: {} spans, {} roots, max depth {}",
                 trace.spans.len(),
@@ -700,8 +688,7 @@ fn cmd_obs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
                 trace.max_depth()
             );
             if let Some(collapsed) = parsed.opt_str("collapsed") {
-                std::fs::write(&collapsed, plateau_obs::flame::collapsed_stacks(&trace))
-                    .map_err(|e| format!("cannot write {collapsed}: {e}"))?;
+                write_out(&collapsed, plateau_obs::flame::collapsed_stacks(&trace))?;
                 println!("# wrote {collapsed} (collapsed stacks)");
             }
             Ok(())
@@ -732,7 +719,7 @@ fn cmd_obs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             let doc = analysis.to_baseline_json().to_pretty_string();
             match parsed.opt_str("out") {
                 Some(out) => {
-                    std::fs::write(&out, doc).map_err(|e| format!("cannot write {out}: {e}"))?;
+                    write_out(&out, doc)?;
                     println!("# wrote {out} ({} span names)", analysis.stats.len());
                 }
                 None => print!("{doc}"),
@@ -746,6 +733,19 @@ fn cmd_obs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     }
 }
 
+/// Writes one `obs` output file.
+fn write_out(path: &str, contents: String) -> Result<(), Box<dyn Error>> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}").into())
+}
+
+/// Reports a reader's warnings (e.g. a skipped torn line) on stderr, so
+/// stdout stays machine-parseable.
+fn warn_all(source: &str, warnings: &[String]) {
+    for w in warnings {
+        plateau_obs::warn!("{source}: {w}");
+    }
+}
+
 /// `plateau obs perf` — the bench-perf ledger read side. `list` tables
 /// every recorded bench run, `trend` fits a per-bench regression line over
 /// run history (optionally plotted with `--svg`), `regress` compares the
@@ -753,18 +753,12 @@ fn cmd_obs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 /// and exits nonzero beyond `--threshold`.
 fn cmd_obs_perf(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     use plateau_obs::perf::{regress, render_trend, trend_svg, trends, PerfLedger};
+    use plateau_obs::Store;
     check_flags(parsed, &["dir", "svg", "threshold", "bench"])?;
 
-    let dir = std::path::PathBuf::from(match parsed.opt_str("dir") {
-        Some(d) => d,
-        None => plateau_obs::perf::perf_dir()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| plateau_obs::ledger::DEFAULT_DIR.to_string()),
-    });
+    let dir = parsed.opt_str("dir").map_or_else(|| Store::Perf.read_dir(), Into::into);
     let ledger = PerfLedger::load(&dir)?;
-    for w in &ledger.warnings {
-        plateau_obs::warn!("{}: {w}", dir.display());
-    }
+    warn_all(&dir.display().to_string(), &ledger.warnings);
     let bench = parsed.opt_str("bench");
 
     let action = parsed.positionals().get(1).map_or("list", String::as_str);
@@ -777,8 +771,7 @@ fn cmd_obs_perf(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             let fits = trends(&ledger, bench.as_deref());
             print!("{}", render_trend(&fits));
             if let Some(out) = parsed.opt_str("svg") {
-                std::fs::write(&out, trend_svg(&ledger, bench.as_deref()))
-                    .map_err(|e| format!("cannot write {out}: {e}"))?;
+                write_out(&out, trend_svg(&ledger, bench.as_deref()))?;
                 println!("# wrote {out}");
             }
             Ok(())
@@ -810,18 +803,12 @@ fn cmd_obs_perf(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 /// series as a self-contained SVG line plot.
 fn cmd_obs_runs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     use plateau_obs::runs::{render_show, series_svg, Ledger, RunComparison};
+    use plateau_obs::Store;
     check_flags(parsed, &["dir", "svg"])?;
 
-    let dir = std::path::PathBuf::from(match parsed.opt_str("dir") {
-        Some(d) => d,
-        None => plateau_obs::ledger::ledger_dir()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| plateau_obs::ledger::DEFAULT_DIR.to_string()),
-    });
+    let dir = parsed.opt_str("dir").map_or_else(|| Store::Ledger.read_dir(), Into::into);
     let ledger = Ledger::load(&dir)?;
-    for w in &ledger.warnings {
-        plateau_obs::warn!("{}: {w}", dir.display());
-    }
+    warn_all(&dir.display().to_string(), &ledger.warnings);
 
     let action = parsed.positionals().get(1).map_or("list", String::as_str);
     match action {
@@ -849,8 +836,7 @@ fn cmd_obs_runs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
                     .filter_map(|c| series.column(c).map(|pts| (c.clone(), pts)))
                     .filter(|(_, pts)| !pts.is_empty())
                     .collect();
-                std::fs::write(&out, series_svg(&format!("run {}", run.id), &curves))
-                    .map_err(|e| format!("cannot write {out}: {e}"))?;
+                write_out(&out, series_svg(&format!("run {}", run.id), &curves))?;
                 println!("# wrote {out}");
             }
             Ok(())
@@ -870,8 +856,7 @@ fn cmd_obs_runs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             let cmp = RunComparison::of(a, b);
             print!("{}", cmp.render());
             if let Some(out) = parsed.opt_str("svg") {
-                std::fs::write(&out, cmp.to_svg())
-                    .map_err(|e| format!("cannot write {out}: {e}"))?;
+                write_out(&out, cmp.to_svg())?;
                 println!("# wrote {out}");
             }
             Ok(())

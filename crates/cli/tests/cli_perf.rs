@@ -177,8 +177,8 @@ fn listing_stdout_stays_machine_parseable_with_warnings_on_stderr() {
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
     let stdout = String::from_utf8_lossy(&output.stdout);
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("torn final record"), "stderr: {stderr}");
-    assert!(!stdout.contains("torn final record"), "stdout: {stdout}");
+    assert!(stderr.contains("truncated final line"), "stderr: {stderr}");
+    assert!(!stdout.contains("truncated final line"), "stdout: {stdout}");
     assert!(stdout.contains("2 record(s)"), "{stdout}");
 
     std::fs::remove_dir_all(&dir).ok();

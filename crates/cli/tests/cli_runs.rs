@@ -232,3 +232,46 @@ fn obs_report_filter_restricts_to_prefix() {
 
     std::fs::remove_file(&trace).ok();
 }
+
+/// `--ledger` and `PLATEAU_LEDGER` take the one store grammar: off-words
+/// record nothing, on-words (any case, padded or not) record under
+/// `target/obs` relative to the working directory, anything else is a
+/// directory.
+#[test]
+fn ledger_flag_and_env_accept_the_same_values() {
+    let cases: &[(&str, Option<&str>)] = &[
+        ("off", None),
+        (" No ", None),
+        ("0", None),
+        ("on", Some("target/obs")),
+        (" YES ", Some("target/obs")),
+        ("True", Some("target/obs")),
+        ("my_runs", Some("my_runs")),
+    ];
+    for (how, via_flag) in [("--ledger", true), ("PLATEAU_LEDGER", false)] {
+        for &(raw, want) in cases {
+            let cwd = temp_dir("grammar");
+            std::fs::create_dir_all(&cwd).unwrap();
+            let mut cmd = plateau();
+            cmd.current_dir(&cwd)
+                .args(["train", "--qubits", "2", "--layers", "1", "--iterations", "2"]);
+            if via_flag {
+                cmd.args(["--ledger", raw]);
+            } else {
+                cmd.env("PLATEAU_LEDGER", raw);
+            }
+            let output = cmd.output().expect("spawn plateau train");
+            assert!(output.status.success(), "{how} {raw:?}: {}", String::from_utf8_lossy(&output.stderr));
+            let written: Vec<String> = ["target/obs", "my_runs", raw, raw.trim()]
+                .iter()
+                .filter(|d| !d.trim().is_empty() && cwd.join(d).join("ledger.jsonl").is_file())
+                .map(|d| d.to_string())
+                .collect();
+            match want {
+                Some(dir) => assert_eq!(written.first().map(String::as_str), Some(dir), "{how} {raw:?}"),
+                None => assert!(written.is_empty(), "{how} {raw:?} wrote {written:?}"),
+            }
+            std::fs::remove_dir_all(&cwd).ok();
+        }
+    }
+}

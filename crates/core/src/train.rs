@@ -445,7 +445,7 @@ pub fn train_instrumented(
     let _span = plateau_obs::span!("train", iterations = iterations, params = params.len());
 
     let recording = telemetry.record_series
-        || (telemetry.run.is_some() && plateau_obs::ledger_enabled());
+        || (telemetry.run.is_some() && plateau_obs::Store::Ledger.enabled());
     let ppl = telemetry.params_per_layer.filter(|&p| p > 0);
     let n_layers = ppl.map_or(0, |p| params.len().div_ceil(p));
     let mut series = if recording {
@@ -782,7 +782,7 @@ mod tests {
         let _guard = plateau_obs::test_lock();
         let dir = std::env::temp_dir().join(format!("plateau_train_ledger_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        plateau_obs::set_ledger_dir(Some(&dir));
+        plateau_obs::Store::Ledger.set_dir(Some(&dir));
 
         let (c, theta) = setup(3, 2, InitStrategy::XavierNormal, 9);
         let ppl = c.n_params() / 2; // training ansatz: layer-major, 2 layers
@@ -811,14 +811,14 @@ mod tests {
         assert!(text.contains("\"final_loss\""));
         assert!(dir.join("runs").join(format!("{id}.jsonl")).exists());
 
-        plateau_obs::set_ledger_dir(None);
+        plateau_obs::Store::Ledger.set_dir(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn telemetry_off_records_nothing() {
         let _guard = plateau_obs::test_lock();
-        plateau_obs::set_ledger_dir(None);
+        plateau_obs::Store::Ledger.set_dir(None);
         let (c, theta) = setup(2, 1, InitStrategy::Random, 10);
         let obs = CostKind::Global.observable(2);
         let mut gd = GradientDescent::new(0.1).unwrap();
@@ -837,7 +837,7 @@ mod tests {
         assert!(run.run_id.is_none());
         // A ledger-bearing run with the ledger disabled stays silent too
         // unless the series itself was requested.
-        plateau_obs::reset_ledger();
+        plateau_obs::Store::Ledger.reset();
     }
 
     #[test]

@@ -416,7 +416,7 @@ pub fn variance_scan(
 ///
 /// Telemetry must never fail the science: IO errors only warn.
 fn record_scan_ledger(scan: &VarianceScan) {
-    if !plateau_obs::ledger_enabled() {
+    if !plateau_obs::Store::Ledger.enabled() {
         return;
     }
     use plateau_obs::json::Json;
@@ -676,7 +676,7 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("plateau_variance_ledger_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        plateau_obs::set_ledger_dir(Some(&dir));
+        plateau_obs::Store::Ledger.set_dir(Some(&dir));
 
         let cfg = VarianceConfig {
             qubit_counts: vec![2, 3],
@@ -712,7 +712,7 @@ mod tests {
         assert_eq!(col[0].0, 2.0);
         assert_eq!(col[1].0, 3.0);
 
-        plateau_obs::set_ledger_dir(None);
+        plateau_obs::Store::Ledger.set_dir(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -144,11 +144,7 @@ pub fn set_profiling(on: bool) -> bool {
 
 #[cold]
 fn init_from_env() -> bool {
-    let on = matches!(
-        std::env::var("PLATEAU_ALLOC_PROFILE").ok().as_deref(),
-        Some("1" | "true" | "on" | "yes")
-    );
-    set_profiling(on)
+    set_profiling(std::env::var("PLATEAU_ALLOC_PROFILE").is_ok_and(|s| crate::store::is_on(&s)))
 }
 
 /// Whether span attribution is live: profiling enabled *and* a counting

@@ -1,4 +1,4 @@
-//! The read side of the observability stack: stream-parse a JSONL trace,
+//! The read side of the observability stack: parse a JSONL trace,
 //! rebuild the span forest, and aggregate per span name.
 //!
 //! A trace is the file written by the JSONL sink (`--metrics-out` /
@@ -10,7 +10,8 @@
 //! order, so the `depth` field alone determines the tree.
 //!
 //! Robustness rules (aborted runs must stay diagnosable):
-//! - a torn *final* line (crash mid-write) is skipped with a warning;
+//! - a torn *final* line (crash mid-write) is skipped with a warning, by
+//!   the [`store`](crate::store) reader's rule;
 //! - a malformed line anywhere else is a hard [`TraceError::Malformed`];
 //! - a span whose `parent` id never closed (crash before the parent's
 //!   drop) becomes a root, with a warning;
@@ -18,13 +19,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use crate::alloc::fmt_bytes;
 use crate::json::Json;
 use crate::span::fmt_duration;
+use crate::store;
 
 /// Failure while reading or interpreting a trace file.
 #[derive(Debug)]
@@ -119,8 +119,7 @@ impl Trace {
     /// See [`TraceError`]; a torn final line is tolerated (warning), any
     /// other malformed line is not.
     pub fn read(path: &Path) -> Result<Trace, TraceError> {
-        let file = File::open(path)?;
-        Trace::from_lines(BufReader::new(file).lines())
+        Trace::parse(&std::fs::read_to_string(path)?)
     }
 
     /// Parses a trace from in-memory text (tests, tools).
@@ -129,49 +128,17 @@ impl Trace {
     ///
     /// Same contract as [`Trace::read`].
     pub fn parse(text: &str) -> Result<Trace, TraceError> {
-        Trace::from_lines(text.lines().map(|l| Ok(l.to_string())))
-    }
-
-    fn from_lines(
-        lines: impl Iterator<Item = std::io::Result<String>>,
-    ) -> Result<Trace, TraceError> {
-        let mut records = Vec::new();
-        let mut warnings = Vec::new();
-        // A parse failure is only forgiven if nothing follows it — i.e. it
-        // is the torn final line of a crashed run, not mid-file corruption.
-        let mut pending: Option<(usize, String)> = None;
-        for (idx, line) in lines.enumerate() {
-            let line = line?;
-            let text = line.trim();
-            if text.is_empty() {
-                continue;
-            }
-            if let Some((line_no, message)) = pending.take() {
-                return Err(TraceError::Malformed { line: line_no, message });
-            }
-            match Json::parse(text) {
-                Ok(rec) => records.push(rec),
-                Err(e) => pending = Some((idx + 1, e.to_string())),
-            }
-        }
-        if let Some((line_no, _)) = pending {
-            warnings.push(format!(
-                "skipped truncated final line {line_no} (crashed or still-running run)"
-            ));
-        }
+        let jsonl = store::parse_jsonl(text)
+            .map_err(|b| TraceError::Malformed { line: b.line, message: b.message })?;
+        let (records, mut warnings) = jsonl.tolerant();
         if records.is_empty() {
             return Err(TraceError::Empty("no records".into()));
         }
-        Trace::from_records(&records, warnings)
-    }
-
-    /// Builds the span forest from already-parsed records.
-    fn from_records(records: &[Json], mut warnings: Vec<String>) -> Result<Trace, TraceError> {
         let mut spans: Vec<SpanNode> = Vec::new();
         let mut command = None;
         let mut git = None;
         let mut events = 0usize;
-        for rec in records {
+        for rec in &records {
             match rec.get("type").and_then(Json::as_str) {
                 Some("span") => {
                     let Some(name) = rec.get("name").and_then(Json::as_str) else {
@@ -573,19 +540,12 @@ impl Analysis {
                 })
                 .collect(),
         );
-        Json::Obj(vec![
-            ("type".to_string(), Json::str("trace_baseline")),
-            (
-                "command".to_string(),
-                self.command.clone().map_or(Json::Null, Json::str),
-            ),
-            (
-                "git".to_string(),
-                self.git.clone().map_or(Json::Null, Json::str),
-            ),
-            ("total_wall_ns".to_string(), Json::Num(self.total_wall_ns as f64)),
-            ("spans".to_string(), spans),
-        ])
+        store::Record::new("trace_baseline")
+            .field("command", self.command.clone().map_or(Json::Null, Json::str))
+            .field("git", self.git.clone().map_or(Json::Null, Json::str))
+            .field("total_wall_ns", Json::Num(self.total_wall_ns as f64))
+            .field("spans", spans)
+            .build()
     }
 }
 
@@ -742,18 +702,6 @@ mod tests {
         assert_eq!(trace.roots, vec![1]);
         assert_eq!(trace.spans[1].children, vec![0]);
         assert_eq!(trace.spans[1].self_ns, 60);
-    }
-
-    #[test]
-    fn truncated_final_line_is_skipped_with_warning() {
-        let torn = concat!(
-            r#"{"type":"span","name":"ok","id":1,"parent":null,"duration_ns":10,"depth":0,"fields":{}}"#,
-            "\n",
-            r#"{"type":"span","name":"torn","id":2,"#,
-        );
-        let trace = Trace::parse(torn).unwrap();
-        assert_eq!(trace.spans.len(), 1);
-        assert!(trace.warnings.iter().any(|w| w.contains("truncated final line")));
     }
 
     #[test]

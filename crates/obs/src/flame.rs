@@ -63,7 +63,8 @@ fn frame_color(name: &str) -> String {
     format!("rgb({r},{g},{b})")
 }
 
-fn xml_escape(s: &str) -> String {
+/// Escapes text for an SVG element or attribute.
+pub(crate) fn xml_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -5,73 +5,21 @@
 //! `<dir>/ledger.jsonl` describing what ran — command, config, seed,
 //! tracked `PLATEAU_*` environment, git revision, final metrics — plus a
 //! pointer to the run's [`TimeSeries`](crate::timeseries::TimeSeries)
-//! JSONL under `<dir>/runs/<id>.jsonl`. The ledger file is only ever
-//! opened in append mode (never truncated — unlike the span sink), so
-//! records accumulate across processes and `plateau obs runs
-//! list|show|compare` can race two initializers recorded days apart.
-//!
-//! Enablement mirrors the rest of the stack: the `PLATEAU_LEDGER`
-//! environment variable (`1`/`true`/`on` → the default `target/obs`
-//! directory, any other non-empty value → that directory, unset/`0` →
-//! disabled) read lazily on first use, with the programmatic
-//! [`set_ledger_dir`] always winning. Disabled is the default, and the
-//! disabled path is one mutex-guarded `Option` check per *run* (never
-//! per iteration), so nothing in a hot loop ever sees the ledger.
+//! JSONL under `<dir>/runs/<id>.jsonl`. Records only ever append, so
+//! `plateau obs runs list|show|compare` can race two initializers
+//! recorded days apart. The [`Store::Ledger`] switch (`PLATEAU_LEDGER` or
+//! `--ledger`) is off by default and checked once per *run*, never per
+//! iteration.
 
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::Json;
-use crate::manifest::{git_describe, TRACKED_ENV};
+use crate::store::{self, now_millis, Record, Store};
 use crate::timeseries::TimeSeries;
-
-/// `None` = not yet initialized from the environment;
-/// `Some(None)` = disabled; `Some(Some(dir))` = enabled.
-static DIR: Mutex<Option<Option<PathBuf>>> = Mutex::new(None);
 
 /// Per-process sequence number, disambiguating runs within one millisecond.
 static SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// The directory ledger records default to when `PLATEAU_LEDGER` is a
-/// bare "on" switch.
-pub const DEFAULT_DIR: &str = "target/obs";
-
-fn dir_from_env() -> Option<PathBuf> {
-    let raw = std::env::var("PLATEAU_LEDGER").ok()?;
-    match raw.trim() {
-        "" | "0" | "false" | "off" | "no" => None,
-        "1" | "true" | "on" | "yes" => Some(PathBuf::from(DEFAULT_DIR)),
-        dir => Some(PathBuf::from(dir)),
-    }
-}
-
-/// The directory the ledger writes to, or `None` when disabled.
-pub fn ledger_dir() -> Option<PathBuf> {
-    let mut state = DIR.lock().unwrap_or_else(|p| p.into_inner());
-    state.get_or_insert_with(dir_from_env).clone()
-}
-
-/// Enables the ledger at `dir` (or disables it with `None`). Wins over
-/// `PLATEAU_LEDGER`.
-pub fn set_ledger_dir(dir: Option<&Path>) {
-    let mut state = DIR.lock().unwrap_or_else(|p| p.into_inner());
-    *state = Some(dir.map(PathBuf::from));
-}
-
-/// Forgets any programmatic override so the next query re-reads
-/// `PLATEAU_LEDGER` (test hook).
-pub fn reset_ledger() {
-    let mut state = DIR.lock().unwrap_or_else(|p| p.into_inner());
-    *state = None;
-}
-
-/// Whether [`record_run`] would write anything.
-pub fn ledger_enabled() -> bool {
-    ledger_dir().is_some()
-}
 
 /// Everything a run contributes to its ledger record. Built by the
 /// experiment drivers (training loop, VQE solver, classifier, variance
@@ -114,18 +62,6 @@ impl RunRecord {
         self.metrics.push((name.to_string(), value));
         self
     }
-
-    /// The experiment kind this record describes.
-    pub fn command_name(&self) -> &str {
-        &self.command
-    }
-}
-
-fn now_millis() -> u128 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0)
 }
 
 fn next_run_id() -> String {
@@ -139,27 +75,14 @@ fn next_run_id() -> String {
     )
 }
 
-fn env_json() -> Json {
-    Json::Obj(
-        TRACKED_ENV
-            .iter()
-            .map(|&k| {
-                let v = std::env::var(k).map_or(Json::Null, Json::str);
-                (k.to_string(), v)
-            })
-            .collect(),
-    )
-}
-
 /// Appends one run record to `<dir>/ledger.jsonl`, writing the time
 /// series (when given) to `<dir>/runs/<id>.jsonl` first so the ledger
 /// record never points at a missing file. Returns the run id, or
 /// `Ok(None)` when the ledger is disabled.
 pub fn record_run(record: &RunRecord, series: Option<&TimeSeries>) -> io::Result<Option<String>> {
-    let Some(dir) = ledger_dir() else {
+    let Some(dir) = Store::Ledger.dir() else {
         return Ok(None);
     };
-    std::fs::create_dir_all(&dir)?;
     let id = next_run_id();
 
     let series_rel = match series {
@@ -171,40 +94,19 @@ pub fn record_run(record: &RunRecord, series: Option<&TimeSeries>) -> io::Result
         None => Json::Null,
     };
 
-    let ts = now_millis() as f64 / 1000.0;
-    let doc = Json::Obj(vec![
-        ("type".to_string(), Json::str("run")),
-        ("id".to_string(), Json::str(&id)),
-        ("ts_unix".to_string(), Json::Num(ts)),
-        ("command".to_string(), Json::str(&record.command)),
-        ("git".to_string(), Json::str(git_describe())),
-        (
-            "seed".to_string(),
-            record.seed.map_or(Json::Null, |s| Json::Num(s as f64)),
-        ),
-        ("config".to_string(), Json::Obj(record.config.clone())),
-        ("env".to_string(), env_json()),
-        (
-            "metrics".to_string(),
-            Json::Obj(
-                record
-                    .metrics
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                    .collect(),
-            ),
-        ),
-        ("series".to_string(), series_rel),
-    ]);
-
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(dir.join("ledger.jsonl"))?;
-    // One write call per record keeps concurrent appends line-atomic on
-    // POSIX (O_APPEND).
-    f.write_all(format!("{doc}\n").as_bytes())?;
-    f.flush()?;
+    let metrics = record.metrics.iter().map(|(k, v)| (k.clone(), Json::Num(*v)));
+    let doc = Record::new("run")
+        .field("id", Json::str(&id))
+        .ts_unix(1000)
+        .field("command", Json::str(&record.command))
+        .git()
+        .seed(record.seed)
+        .config(record.config.clone())
+        .env()
+        .field("metrics", Json::Obj(metrics.collect()))
+        .field("series", series_rel)
+        .build();
+    store::append(&dir, Store::Ledger.file(), &doc)?;
     crate::debug!("ledger: recorded run {id} ({})", record.command);
     Ok(Some(id))
 }
@@ -213,6 +115,7 @@ pub fn record_run(record: &RunRecord, series: Option<&TimeSeries>) -> io::Result
 mod tests {
     use super::*;
     use crate::test_lock;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -227,8 +130,8 @@ mod tests {
     fn disabled_by_default_and_records_nothing() {
         let _guard = test_lock();
         std::env::remove_var("PLATEAU_LEDGER");
-        reset_ledger();
-        assert!(!ledger_enabled());
+        Store::Ledger.reset();
+        assert!(!Store::Ledger.enabled());
         let id = record_run(&RunRecord::new("train"), None).unwrap();
         assert_eq!(id, None);
     }
@@ -236,24 +139,18 @@ mod tests {
     #[test]
     fn env_switch_and_explicit_dir_parse() {
         let _guard = test_lock();
-        std::env::set_var("PLATEAU_LEDGER", "1");
-        reset_ledger();
-        assert_eq!(ledger_dir(), Some(PathBuf::from(DEFAULT_DIR)));
         std::env::set_var("PLATEAU_LEDGER", "/tmp/somewhere");
-        reset_ledger();
-        assert_eq!(ledger_dir(), Some(PathBuf::from("/tmp/somewhere")));
-        std::env::set_var("PLATEAU_LEDGER", "off");
-        reset_ledger();
-        assert_eq!(ledger_dir(), None);
+        Store::Ledger.reset();
+        assert_eq!(Store::Ledger.dir(), Some(PathBuf::from("/tmp/somewhere")));
         std::env::remove_var("PLATEAU_LEDGER");
-        reset_ledger();
+        Store::Ledger.reset();
     }
 
     #[test]
     fn record_run_appends_and_points_at_series() {
         let _guard = test_lock();
         let dir = temp_dir("append");
-        set_ledger_dir(Some(&dir));
+        Store::Ledger.set_dir(Some(&dir));
 
         let mut series = TimeSeries::new(vec!["loss"], 8);
         series.push(0.0, &[1.0]);
@@ -282,8 +179,10 @@ mod tests {
             first.get("metrics").unwrap().get("final_loss").unwrap().as_f64(),
             Some(0.5)
         );
-        // The env capture includes the tracked variables.
-        assert!(first.get("env").unwrap().get("PLATEAU_THREADS").is_some());
+        // The env capture includes the tracked variables, kernel path too.
+        for key in ["PLATEAU_THREADS", "PLATEAU_PERF", "PLATEAU_SIM_PAR_THRESHOLD"] {
+            assert!(first.get("env").unwrap().get(key).is_some(), "env missing {key}");
+        }
 
         // The series pointer resolves and parses back.
         let rel = first.get("series").unwrap().as_str().unwrap().to_string();
@@ -292,7 +191,7 @@ mod tests {
         let second = Json::parse(lines[1]).unwrap();
         assert_eq!(second.get("series"), Some(&Json::Null));
 
-        set_ledger_dir(None);
+        Store::Ledger.set_dir(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,77 +1,58 @@
 //! `plateau-obs` — zero-dependency observability for the plateau workspace.
 //!
-//! Three pillars, all hermetic (std-only, like the rest of the workspace):
+//! All hermetic (std-only, like the rest of the workspace). The write side:
 //!
-//! 1. **Metrics** ([`metrics`]): a global registry of counters, gauges, and
-//!    log-scale histograms. Interning happens once per call site via the
-//!    [`counter!`]/[`gauge!`]/[`histogram!`] macros; every update is a
-//!    relaxed-atomic branch + add, and with metrics disabled it is a single
-//!    atomic load + branch, so instrumented hot paths cost (near) nothing
-//!    when observability is off.
-//! 2. **Spans and logs** ([`span`]): `span!("variance_scan", q = 8)` times a
-//!    scope, logging open/close to stderr at `debug` level, recording a
-//!    `span.<name>_ns` histogram when metrics are on, and appending a JSONL
-//!    record when a metrics file is configured. `error!`…`trace!` macros are
-//!    gated by the global level.
-//! 3. **Run manifests** ([`manifest`]): stamp an invocation with its
-//!    command, config, seed, tracked environment, core count, and
-//!    `git describe`, and close the run with a final metrics snapshot — so
-//!    every JSONL file is self-describing.
+//! - [`metrics`]: a global registry of counters, gauges, and log-scale
+//!   histograms, interned once per call site by the
+//!   [`counter!`]/[`gauge!`]/[`histogram!`] macros; an update is a
+//!   relaxed-atomic branch + add, and a single load + branch when metrics
+//!   are off, so instrumented hot paths cost (near) nothing.
+//! - [`span`]: `span!("variance_scan", q = 8)` times a scope (stderr at
+//!   `debug`, a `span.<name>_ns` histogram, a JSONL record when a metrics
+//!   file is configured); `error!`…`trace!` are gated by the global level.
+//! - [`manifest`]: stamps an invocation with command, config, seed,
+//!   tracked environment, core count and `git describe`, and closes the
+//!   run with a final metrics snapshot, so every trace is self-describing.
+//! - [`alloc`]: a counting wrapper around the system allocator; with
+//!   profiling on, span records also carry `alloc_bytes`/`alloc_count`/
+//!   `peak_bytes` deltas.
+//! - [`timeseries`]: a bounded fixed-column recorder (stride-doubling
+//!   decimation) for per-iteration loss, gradient norm and per-layer
+//!   gradient variance.
+//! - [`ledger`]: the append-only run registry (`ledger.jsonl`): one record
+//!   per experiment, pointing at the run's time series.
+//! - [`perf`]: the append-only bench history (`perf.jsonl`) and its read
+//!   side, `plateau obs perf list|trend|regress`.
 //!
-//! On top of the write side sits the **read side** — the trace profiler:
+//! The read side: [`analyze`] rebuilds a trace's span forest and
+//! aggregates per span name (ranked by time or memory), [`flame`] writes
+//! collapsed stacks and SVG flamegraphs, [`diff`] compares traces or a
+//! trace against a baseline (the `plateau obs diff` gate), and [`runs`]
+//! lists, shows and compares ledger runs with decay fits and SVG plots.
 //!
-//! 4. **Analysis** ([`analyze`]): stream-parse a JSONL trace, rebuild the
-//!    span forest from span/parent ids, and aggregate per span name
-//!    (count, total and self wall time, min/mean and exact percentiles).
-//! 5. **Flamegraphs** ([`flame`]): collapsed-stack export and a
-//!    self-contained SVG flamegraph writer.
-//! 6. **Regression diff** ([`diff`]): compare two traces, or a trace
-//!    against a committed baseline, per span name with a relative
-//!    threshold — the `plateau obs diff` CI gate.
-//!
-//! PR 7 adds the **experiment ledger** — training *dynamics*, not just
-//! performance:
-//!
-//! 7. **Time series** ([`timeseries`]): a bounded fixed-column recorder
-//!    (ring with deterministic stride-doubling decimation) for
-//!    per-iteration loss / gradient norm / per-layer gradient variance.
-//! 8. **Ledger** ([`ledger`]): an append-only run registry
-//!    (`target/obs/ledger.jsonl` by default): one record per experiment
-//!    with config, seed, tracked env, git rev, final metrics, and a
-//!    pointer to the run's time-series JSONL.
-//! 9. **Runs** ([`runs`]): the ledger's read side — list/show/compare
-//!    with per-column decay fits and zero-dep SVG line plots, backing
-//!    `plateau obs runs list|show|compare`.
-//!
-//! PR 8 makes **memory** a first-class observable and gives performance a
-//! persistent history:
-//!
-//! 10. **Allocation profiler** ([`alloc`]): a counting wrapper around the
-//!     system allocator (bytes/count/live/peak, relaxed atomics, a single
-//!     load on the disabled path). When profiling is on, every span record
-//!     additionally carries `alloc_bytes`/`alloc_count`/`peak_bytes`
-//!     deltas, and [`analyze`]/[`flame`] can rank by memory as well as
-//!     time (`--by alloc|peak|time`).
-//! 11. **Perf ledger** ([`perf`]): an append-only `target/obs/perf.jsonl`
-//!     of bench results (git rev, bench id, config, median/p90, peak
-//!     bytes, cores) with a read side — `plateau obs perf
-//!     list|trend|regress`: per-bench trend fits, SVG trend plots, and a
-//!     regression gate against the recorded history.
+//! Under traces, the ledger and the perf history sits one record store,
+//! [`store`]: the directory switch shared by `PLATEAU_LEDGER`,
+//! `PLATEAU_PERF` and `--ledger`, the one line-atomic appender, the one
+//! JSONL reader with its torn-line rule, and the record header (`type`,
+//! `ts_unix`, `git`, `config`, tracked env, `cores`).
 //!
 //! # Configuration
+//!
+//! On-words are `1`/`true`/`on`/`yes` and off-words `0`/`false`/`off`/`no`
+//! (or empty), in any case ([`store::is_on`], [`store::parse_dir`]).
 //!
 //! | Env var               | Effect                                         |
 //! |-----------------------|------------------------------------------------|
 //! | `PLATEAU_LOG`         | stderr level: `off`/`error`/`warn`/`info`/`debug`/`trace` (default `warn`) |
-//! | `PLATEAU_METRICS`     | `1`/`true`/`on` enables the metrics registry   |
+//! | `PLATEAU_METRICS`     | an on-word enables the metrics registry        |
 //! | `PLATEAU_METRICS_OUT` | path for the JSONL event stream (bench bins; the CLI uses `--metrics-out`) |
-//! | `PLATEAU_LEDGER`      | `1`/`true`/`on` → ledger at `target/obs`; any other value → that directory |
-//! | `PLATEAU_ALLOC_PROFILE` | `1`/`true`/`on` enables allocation profiling (needs a [`alloc::CountingAllocator`] installed) |
-//! | `PLATEAU_PERF`        | `1`/`true`/`on` → perf ledger at `target/obs`; any other value → that directory |
+//! | `PLATEAU_LEDGER`      | on-word → ledger at `target/obs`; off-word → disabled; anything else → that directory |
+//! | `PLATEAU_ALLOC_PROFILE` | an on-word enables allocation profiling (needs a [`alloc::CountingAllocator`] installed) |
+//! | `PLATEAU_PERF`        | same grammar as `PLATEAU_LEDGER`, for the perf ledger |
 //!
 //! Programmatic overrides ([`set_log_level`], [`set_metrics_enabled`],
-//! [`init`], [`set_ledger_dir`], [`alloc::set_profiling`],
-//! [`perf::set_perf_dir`]) always win over the environment.
+//! [`init`], [`Store::set_dir`], [`alloc::set_profiling`]) always win over
+//! the environment.
 
 pub mod alloc;
 pub mod analyze;
@@ -84,12 +65,14 @@ pub mod metrics;
 pub mod perf;
 pub mod runs;
 pub mod span;
+pub mod store;
 pub mod timeseries;
 
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
-pub use ledger::{ledger_enabled, record_run, reset_ledger, set_ledger_dir, RunRecord};
-pub use manifest::{emit_manifest, emit_metrics_snapshot, finish_run, git_describe};
+pub use ledger::{record_run, RunRecord};
+pub use manifest::{emit_manifest, emit_metrics_snapshot, finish_run};
+pub use store::{git_describe, Store};
 pub use metrics::{snapshot, MetricsSnapshot};
 pub use span::{Field, Span, Value};
 pub use timeseries::TimeSeries;
@@ -173,9 +156,7 @@ fn init_log_level_from_env() -> u8 {
 
 #[cold]
 fn init_metrics_from_env() -> u8 {
-    let on = std::env::var("PLATEAU_METRICS")
-        .map(|s| matches!(s.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes"))
-        .unwrap_or(false);
+    let on = std::env::var("PLATEAU_METRICS").is_ok_and(|s| store::is_on(&s));
     let v = u8::from(on);
     METRICS.store(v, Relaxed);
     v

@@ -3,55 +3,10 @@
 //! with a final metrics snapshot so each JSONL file is self-contained
 //! and runs are comparable after the fact.
 
-use std::process::Command;
-use std::time::{SystemTime, UNIX_EPOCH};
-
 use crate::json::Json;
 use crate::span::{close_jsonl, jsonl_active, write_jsonl_record};
+use crate::store::Record;
 use crate::{level_enabled, Level};
-
-/// The output of `git describe --always --dirty --tags`, or `"unknown"`
-/// when git or the repository is unavailable.
-pub fn git_describe() -> String {
-    Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// The observability-relevant environment variables stamped into every
-/// manifest and ledger record, so a trace stays interpretable after the
-/// fact (was the run pinned to one thread? was a log level forcing extra
-/// stderr work?).
-pub const TRACKED_ENV: &[&str] = &[
-    "PLATEAU_THREADS",
-    "PLATEAU_LOG",
-    "PLATEAU_METRICS",
-    "PLATEAU_METRICS_OUT",
-    "PLATEAU_LEDGER",
-];
-
-/// The `{"env":{...},"cores":N}` fragment of the manifest: tracked env
-/// vars (unset → `null`) plus the detected core count.
-fn environment_json() -> (Json, Json) {
-    let env = Json::Obj(
-        TRACKED_ENV
-            .iter()
-            .map(|&k| {
-                let v = std::env::var(k).map_or(Json::Null, Json::str);
-                (k.to_string(), v)
-            })
-            .collect(),
-    );
-    let cores = std::thread::available_parallelism()
-        .map_or(Json::Null, |n| Json::from(n.get()));
-    (env, cores)
-}
 
 /// Builds a `{"type":"manifest",...}` record for `command` (e.g.
 /// `"plateau variance"`) with arbitrary config pairs and an optional RNG
@@ -61,24 +16,15 @@ pub fn build_manifest(
     config: Vec<(String, Json)>,
     seed: Option<u64>,
 ) -> Json {
-    let ts = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs() as f64)
-        .unwrap_or(0.0);
-    let (env, cores) = environment_json();
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("manifest")),
-        ("command".to_string(), Json::str(command)),
-        ("git".to_string(), Json::str(git_describe())),
-        ("ts_unix".to_string(), Json::Num(ts)),
-        (
-            "seed".to_string(),
-            seed.map_or(Json::Null, |s| Json::Num(s as f64)),
-        ),
-        ("config".to_string(), Json::Obj(config)),
-        ("env".to_string(), env),
-        ("cores".to_string(), cores),
-    ])
+    Record::new("manifest")
+        .field("command", Json::str(command))
+        .git()
+        .ts_unix(1)
+        .seed(seed)
+        .config(config)
+        .env()
+        .cores()
+        .build()
 }
 
 /// Emits the run manifest: appended to the JSONL sink when one is open,
@@ -141,7 +87,14 @@ mod tests {
         // Environment capture: every tracked variable has a key (string or
         // null), and the detected core count is a positive number.
         let env = parsed.get("env").expect("env object");
-        for key in ["PLATEAU_THREADS", "PLATEAU_LOG", "PLATEAU_METRICS_OUT", "PLATEAU_LEDGER"] {
+        for key in [
+            "PLATEAU_THREADS",
+            "PLATEAU_LOG",
+            "PLATEAU_METRICS_OUT",
+            "PLATEAU_LEDGER",
+            "PLATEAU_PERF",
+            "PLATEAU_SIM_PAR_THRESHOLD",
+        ] {
             assert!(env.get(key).is_some(), "manifest env missing {key}");
         }
         assert!(parsed.get("cores").unwrap().as_f64().unwrap_or(0.0) >= 1.0);

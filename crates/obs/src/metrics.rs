@@ -376,12 +376,11 @@ impl MetricsSnapshot {
                 })
                 .collect(),
         );
-        Json::Obj(vec![
-            ("type".to_string(), Json::str("metrics")),
-            ("counters".to_string(), counters),
-            ("gauges".to_string(), gauges),
-            ("histograms".to_string(), histograms),
-        ])
+        crate::store::Record::new("metrics")
+            .field("counters", counters)
+            .field("gauges", gauges)
+            .field("histograms", histograms)
+            .build()
     }
 }
 

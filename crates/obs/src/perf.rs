@@ -1,80 +1,26 @@
 //! The perf ledger: an append-only history of benchmark results.
 //!
-//! Every bench bin appends one `{"type":"perf",...}` record per benchmark
-//! to `<dir>/perf.jsonl` — git revision, bench id, config, median and p90
-//! wall time, peak heap bytes (when a
-//! [`CountingAllocator`](crate::alloc::CountingAllocator) is profiling),
-//! and the machine's core count. Unlike the point-in-time `BENCH_*.json`
-//! files (which each `--record` overwrites), the perf ledger accumulates
-//! across runs, so `plateau obs perf list|trend|regress` can ask how a
-//! bench has moved over the last N commits instead of comparing against a
-//! single frozen baseline.
-//!
-//! Enablement mirrors the experiment ledger, on its own `PLATEAU_PERF`
-//! variable (`1`/`true`/`on` → the default `target/obs` directory, any
-//! other non-empty value → that directory, unset/`0` → disabled), with
-//! the programmatic [`set_perf_dir`] always winning. Disabled is the
-//! default so test runs of bench code never pollute the history; CI
-//! exports `PLATEAU_PERF=target/obs` around its gate bins.
-//!
-//! The read side groups records by bench id: [`trends`] fits a least-
-//! squares line (via `plateau_stats::fit_line`) through each bench's
-//! median history and [`trend_svg`] plots it; [`regress`] compares the
-//! latest record against the *median of its recorded history* with a
-//! relative threshold — robust to a single outlier run in a way a frozen
-//! baseline file is not.
+//! With the [`Store::Perf`] switch on (`PLATEAU_PERF`; off by default so
+//! test runs never pollute the history), every bench bin appends one
+//! `{"type":"perf",...}` record per benchmark to `<dir>/perf.jsonl`: git
+//! revision, bench id, config, median and p90 wall time, peak heap bytes
+//! (when a [`CountingAllocator`](crate::alloc::CountingAllocator) is
+//! profiling) and core count. Unlike the `BENCH_*.json` files, which each
+//! `--record` overwrites, the history accumulates. The read side groups
+//! records by bench id: [`trends`] fits a least-squares line through each
+//! bench's medians and [`trend_svg`] plots it; [`regress`] compares the
+//! latest record against the *median of its recorded history*, which a
+//! single outlier run cannot move the way it moves a frozen baseline.
 
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use plateau_stats::{fit_line, LineFit};
 
 use crate::alloc::fmt_bytes;
 use crate::json::Json;
-use crate::manifest::git_describe;
 use crate::span::fmt_duration;
-
-/// `None` = not yet initialized from the environment;
-/// `Some(None)` = disabled; `Some(Some(dir))` = enabled.
-static DIR: Mutex<Option<Option<PathBuf>>> = Mutex::new(None);
-
-/// File name under the perf directory.
-pub const PERF_FILE: &str = "perf.jsonl";
-
-fn dir_from_env() -> Option<PathBuf> {
-    let raw = std::env::var("PLATEAU_PERF").ok()?;
-    match raw.trim() {
-        "" | "0" | "false" | "off" | "no" => None,
-        "1" | "true" | "on" | "yes" => Some(PathBuf::from(crate::ledger::DEFAULT_DIR)),
-        dir => Some(PathBuf::from(dir)),
-    }
-}
-
-/// The directory perf records append to, or `None` when disabled.
-pub fn perf_dir() -> Option<PathBuf> {
-    let mut state = DIR.lock().unwrap_or_else(|p| p.into_inner());
-    state.get_or_insert_with(dir_from_env).clone()
-}
-
-/// Enables the perf ledger at `dir` (or disables it with `None`). Wins
-/// over `PLATEAU_PERF`.
-pub fn set_perf_dir(dir: Option<&Path>) {
-    let mut state = DIR.lock().unwrap_or_else(|p| p.into_inner());
-    *state = Some(dir.map(PathBuf::from));
-}
-
-/// Forgets any programmatic override so the next query re-reads
-/// `PLATEAU_PERF` (test hook).
-pub fn reset_perf() {
-    let mut state = DIR.lock().unwrap_or_else(|p| p.into_inner());
-    *state = None;
-}
-
-/// Whether [`record_perf`] would write anything.
-pub fn perf_enabled() -> bool {
-    perf_dir().is_some()
-}
+use crate::store::{self, Header, Record, Store};
 
 /// One benchmark result headed for the ledger. The ledger adds the
 /// timestamp, git revision, and core count itself.
@@ -115,36 +61,20 @@ impl PerfRecord {
 /// Appends one record to `<dir>/perf.jsonl`. Returns the file path, or
 /// `Ok(None)` when the perf ledger is disabled.
 pub fn record_perf(record: &PerfRecord) -> io::Result<Option<PathBuf>> {
-    let Some(dir) = perf_dir() else {
+    let Some(dir) = Store::Perf.dir() else {
         return Ok(None);
     };
-    std::fs::create_dir_all(&dir)?;
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0) as f64
-        / 1000.0;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let doc = Json::Obj(vec![
-        ("type".to_string(), Json::str("perf")),
-        ("ts_unix".to_string(), Json::Num(ts)),
-        ("bench".to_string(), Json::str(&record.bench)),
-        ("git".to_string(), Json::str(git_describe())),
-        ("config".to_string(), Json::Obj(record.config.clone())),
-        ("median_ns".to_string(), Json::Num(record.median_ns)),
-        ("p90_ns".to_string(), Json::Num(record.p90_ns)),
-        (
-            "peak_bytes".to_string(),
-            record.peak_bytes.map_or(Json::Null, |b| Json::Num(b as f64)),
-        ),
-        ("cores".to_string(), Json::Num(cores as f64)),
-    ]);
-    let path = dir.join(PERF_FILE);
-    let mut f = std::fs::OpenOptions::new().append(true).create(true).open(&path)?;
-    // One write call per record keeps concurrent appends line-atomic on
-    // POSIX (O_APPEND).
-    f.write_all(format!("{doc}\n").as_bytes())?;
-    f.flush()?;
+    let doc = Record::new("perf")
+        .ts_unix(1000)
+        .field("bench", Json::str(&record.bench))
+        .git()
+        .config(record.config.clone())
+        .field("median_ns", Json::Num(record.median_ns))
+        .field("p90_ns", Json::Num(record.p90_ns))
+        .field("peak_bytes", record.peak_bytes.map_or(Json::Null, |b| Json::Num(b as f64)))
+        .cores()
+        .build();
+    let path = store::append(&dir, Store::Perf.file(), &doc)?;
     crate::debug!("perf ledger: recorded {} ({})", record.bench, fmt_duration(record.median_ns as u64));
     Ok(Some(path))
 }
@@ -175,35 +105,16 @@ pub struct PerfEntry {
 }
 
 fn parse_entry(doc: &Json) -> Option<PerfEntry> {
-    if doc.get("type")?.as_str()? != "perf" {
-        return None;
-    }
-    let config = match doc.get("config") {
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .map(|(k, v)| {
-                let val = match v {
-                    Json::Str(s) => s.clone(),
-                    other => other.to_string(),
-                };
-                (k.clone(), val)
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
+    let header = Header::read(doc, "perf")?;
     Some(PerfEntry {
-        ts_unix: doc.get("ts_unix").and_then(Json::as_f64).unwrap_or(0.0),
-        git: doc
-            .get("git")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string(),
+        ts_unix: header.ts_unix,
+        git: header.git,
         bench: doc.get("bench")?.as_str()?.to_string(),
-        config,
+        config: header.config,
         median_ns: doc.get("median_ns").and_then(Json::as_f64)?,
         p90_ns: doc.get("p90_ns").and_then(Json::as_f64).unwrap_or(f64::NAN),
         peak_bytes: doc.get("peak_bytes").and_then(Json::as_f64),
-        cores: doc.get("cores").and_then(Json::as_f64).unwrap_or(1.0) as usize,
+        cores: header.cores,
     })
 }
 
@@ -223,35 +134,7 @@ impl PerfLedger {
     /// becomes a warning; corruption anywhere else is an error, as is a
     /// missing or empty file.
     pub fn load(dir: &Path) -> Result<PerfLedger, String> {
-        let path = dir.join(PERF_FILE);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            format!(
-                "cannot read {}: {e} (is the perf ledger enabled? set PLATEAU_PERF or run a bench bin with it)",
-                path.display()
-            )
-        })?;
-        let mut entries = Vec::new();
-        let mut warnings = Vec::new();
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Json::parse(line) {
-                Ok(doc) => {
-                    if let Some(e) = parse_entry(&doc) {
-                        entries.push(e);
-                    }
-                }
-                Err(e) if i + 1 == lines.len() => {
-                    warnings.push(format!("line {}: torn final record ignored ({e})", i + 1));
-                }
-                Err(e) => return Err(format!("{}:{}: {e}", path.display(), i + 1)),
-            }
-        }
-        if entries.is_empty() {
-            return Err(format!("{}: no perf records", path.display()));
-        }
+        let (entries, warnings) = Store::Perf.load(dir, parse_entry)?;
         Ok(PerfLedger {
             dir: dir.to_path_buf(),
             entries,
@@ -534,27 +417,21 @@ mod tests {
     fn disabled_by_default_and_env_grammar_parses() {
         let _guard = test_lock();
         std::env::remove_var("PLATEAU_PERF");
-        reset_perf();
-        assert!(!perf_enabled());
+        Store::Perf.reset();
+        assert!(!Store::Perf.enabled());
         assert_eq!(record_perf(&PerfRecord::new("x", 1.0, 2.0)).unwrap(), None);
-        std::env::set_var("PLATEAU_PERF", "1");
-        reset_perf();
-        assert_eq!(perf_dir(), Some(PathBuf::from(crate::ledger::DEFAULT_DIR)));
         std::env::set_var("PLATEAU_PERF", "/tmp/perfdir");
-        reset_perf();
-        assert_eq!(perf_dir(), Some(PathBuf::from("/tmp/perfdir")));
-        std::env::set_var("PLATEAU_PERF", "off");
-        reset_perf();
-        assert_eq!(perf_dir(), None);
+        Store::Perf.reset();
+        assert_eq!(Store::Perf.dir(), Some(PathBuf::from("/tmp/perfdir")));
         std::env::remove_var("PLATEAU_PERF");
-        reset_perf();
+        Store::Perf.reset();
     }
 
     #[test]
     fn record_append_and_load_round_trip() {
         let _guard = test_lock();
         let dir = temp_dir("roundtrip");
-        set_perf_dir(Some(&dir));
+        Store::Perf.set_dir(Some(&dir));
         let rec = PerfRecord::new("training_step/serial", 35e6, 37e6)
             .config("qubits", Json::from(10usize))
             .peak_bytes(1 << 20);
@@ -562,8 +439,7 @@ mod tests {
         record_perf(&PerfRecord::new("training_step/fused", 14e6, 15e6))
             .unwrap()
             .expect("enabled");
-        set_perf_dir(None);
-        reset_perf();
+        Store::Perf.reset();
 
         let ledger = PerfLedger::load(&dir).expect("load");
         assert_eq!(ledger.entries.len(), 2);
@@ -598,7 +474,7 @@ mod tests {
                 m * 1.1
             ));
         }
-        let path = dir.join(PERF_FILE);
+        let path = dir.join(Store::Perf.file());
         let prior = std::fs::read_to_string(&path).unwrap_or_default();
         std::fs::write(&path, prior + &text).unwrap();
     }
@@ -643,21 +519,6 @@ mod tests {
         let clean = regress(&ledger, 0.5, Some("bench/steady"));
         assert!(clean.regressions.is_empty());
         assert_eq!(clean.checked, vec!["bench/steady".to_string()]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_final_line_is_a_warning_not_an_error() {
-        let dir = temp_dir("torn");
-        synthetic(&dir, "bench/t", &[100.0, 101.0]);
-        let path = dir.join(PERF_FILE);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"type\":\"perf\",\"bench\":\"bench/t\",\"median_n");
-        std::fs::write(&path, text).unwrap();
-        let ledger = PerfLedger::load(&dir).unwrap();
-        assert_eq!(ledger.entries.len(), 2);
-        assert_eq!(ledger.warnings.len(), 1);
-        assert!(ledger.warnings[0].contains("torn"), "{:?}", ledger.warnings);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,13 +4,15 @@
 //! no-JS style as [`flame`](crate::flame)) so two initializers' variance
 //! or gradient-norm curves can be compared straight from the CLI.
 //!
-//! Like [`analyze`](crate::analyze), parsing tolerates a torn final line
-//! (a run killed mid-append) by downgrading it to a warning; corruption
-//! anywhere else is a hard error naming the line.
+//! Parsing follows the [`store`](crate::store) torn-line rule: a torn
+//! final line (a run killed mid-append) is a warning; corruption anywhere
+//! else is a hard error naming the line.
 
 use std::path::{Path, PathBuf};
 
+use crate::flame::xml_escape;
 use crate::json::Json;
+use crate::store::{Header, Store};
 use crate::timeseries::TimeSeries;
 
 /// One parsed `{"type":"run",...}` ledger record.
@@ -44,32 +46,15 @@ impl RunEntry {
     }
 }
 
-fn stringify(j: &Json) -> String {
-    match j {
-        Json::Str(s) => s.clone(),
-        other => other.to_string(),
-    }
-}
-
 fn parse_entry(rec: &Json, dir: &Path) -> Option<RunEntry> {
-    if rec.get("type").and_then(Json::as_str) != Some("run") {
-        return None;
-    }
+    let header = Header::read(rec, "run")?;
     Some(RunEntry {
         id: rec.get("id")?.as_str()?.to_string(),
-        ts_unix: rec.get("ts_unix").and_then(Json::as_f64).unwrap_or(0.0),
+        ts_unix: header.ts_unix,
         command: rec.get("command")?.as_str()?.to_string(),
-        git: rec
-            .get("git")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string(),
+        git: header.git,
         seed: rec.get("seed").and_then(Json::as_f64).map(|s| s as u64),
-        config: rec
-            .get("config")
-            .and_then(Json::as_obj)
-            .map(|pairs| pairs.iter().map(|(k, v)| (k.clone(), stringify(v))).collect())
-            .unwrap_or_default(),
+        config: header.config,
         metrics: rec
             .get("metrics")
             .and_then(Json::as_obj)
@@ -97,31 +82,7 @@ impl Ledger {
     /// Reads `<dir>/ledger.jsonl`. A missing or empty ledger is an error;
     /// a torn final line (crash mid-append) is a warning.
     pub fn load(dir: &Path) -> Result<Ledger, String> {
-        let path = dir.join("ledger.jsonl");
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("{}: {e} (is the ledger enabled? set PLATEAU_LEDGER or --ledger)", path.display()))?;
-        let mut runs = Vec::new();
-        let mut warnings = Vec::new();
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Json::parse(line) {
-                Ok(rec) => {
-                    if let Some(entry) = parse_entry(&rec, dir) {
-                        runs.push(entry);
-                    }
-                }
-                Err(e) if i + 1 == lines.len() => {
-                    warnings.push(format!("truncated final line skipped ({e})"));
-                }
-                Err(e) => return Err(format!("{}: line {}: {e}", path.display(), i + 1)),
-            }
-        }
-        if runs.is_empty() {
-            return Err(format!("{}: no run records", path.display()));
-        }
+        let (runs, warnings) = Store::Ledger.load(dir, |r| parse_entry(r, dir))?;
         Ok(Ledger { dir: dir.to_path_buf(), runs, warnings })
     }
 
@@ -182,23 +143,15 @@ impl Ledger {
 /// points — the observed exponential decay rate of a curve. `None` with
 /// fewer than 3 usable points or a degenerate x range.
 pub fn log_slope(points: &[(f64, f64)]) -> Option<f64> {
-    let pts: Vec<(f64, f64)> = points
+    let (xs, ln_ys): (Vec<f64>, Vec<f64>) = points
         .iter()
         .filter(|(x, y)| x.is_finite() && y.is_finite() && *y > 0.0)
         .map(|&(x, y)| (x, y.ln()))
-        .collect();
-    if pts.len() < 3 {
+        .unzip();
+    if xs.len() < 3 {
         return None;
     }
-    let n = pts.len() as f64;
-    let mean_x = pts.iter().map(|p| p.0).sum::<f64>() / n;
-    let mean_y = pts.iter().map(|p| p.1).sum::<f64>() / n;
-    let sxx: f64 = pts.iter().map(|p| (p.0 - mean_x).powi(2)).sum();
-    if sxx <= 0.0 {
-        return None;
-    }
-    let sxy: f64 = pts.iter().map(|p| (p.0 - mean_x) * (p.1 - mean_y)).sum();
-    Some(sxy / sxx)
+    plateau_stats::fit_line(&xs, &ln_ys).ok().map(|fit| fit.slope)
 }
 
 /// The decay fit of one series column: `slope` is the log-linear rate
@@ -350,20 +303,6 @@ const MARGIN_L: f64 = 64.0;
 const MARGIN_R: f64 = 16.0;
 const MARGIN_T: f64 = 34.0;
 const MARGIN_B: f64 = 40.0;
-
-fn xml_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
 
 /// Deterministic per-label color: FNV-1a hashed into a readable palette.
 fn curve_color(label: &str) -> String {
@@ -567,7 +506,7 @@ pub fn render_show(run: &RunEntry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::{record_run, set_ledger_dir, RunRecord};
+    use crate::ledger::{record_run, RunRecord};
     use crate::test_lock;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -589,7 +528,7 @@ mod tests {
     fn load_list_find_and_latest() {
         let _guard = test_lock();
         let dir = temp_dir("load");
-        set_ledger_dir(Some(&dir));
+        Store::Ledger.set_dir(Some(&dir));
         let id1 = record_run(
             &RunRecord::new("train").seed(1).metric("final_loss", 0.5),
             Some(&decaying_series(-0.5, "grad_norm")),
@@ -599,7 +538,7 @@ mod tests {
         let id2 = record_run(&RunRecord::new("vqe").metric("energy", -7.2), None)
             .unwrap()
             .unwrap();
-        set_ledger_dir(None);
+        Store::Ledger.set_dir(None);
 
         let ledger = Ledger::load(&dir).unwrap();
         assert!(ledger.warnings.is_empty());
@@ -647,26 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_final_line_is_a_warning_not_an_error() {
-        let _guard = test_lock();
-        let dir = temp_dir("torn");
-        set_ledger_dir(Some(&dir));
-        record_run(&RunRecord::new("train"), None).unwrap();
-        set_ledger_dir(None);
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join("ledger.jsonl"))
-            .unwrap();
-        f.write_all(b"{\"type\":\"run\",\"id\":\"tor").unwrap();
-        drop(f);
-        let ledger = Ledger::load(&dir).unwrap();
-        assert_eq!(ledger.runs.len(), 1);
-        assert_eq!(ledger.warnings.len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn log_slope_recovers_exponential_rates() {
         let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, (-0.7 * i as f64).exp())).collect();
         let slope = log_slope(&pts).unwrap();
@@ -680,7 +599,7 @@ mod tests {
     fn comparison_orders_decay_rates_and_renders() {
         let _guard = test_lock();
         let dir = temp_dir("cmp");
-        set_ledger_dir(Some(&dir));
+        Store::Ledger.set_dir(Some(&dir));
         let fast = record_run(
             &RunRecord::new("variance").metric("final_var", 1e-6),
             Some(&decaying_series(-1.0, "variance")),
@@ -693,7 +612,7 @@ mod tests {
         )
         .unwrap()
         .unwrap();
-        set_ledger_dir(None);
+        Store::Ledger.set_dir(None);
 
         let ledger = Ledger::load(&dir).unwrap();
         let cmp = RunComparison::of(ledger.find(&fast).unwrap(), ledger.find(&slow).unwrap());

@@ -30,6 +30,7 @@ use std::sync::{Mutex, Once};
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::store::Record;
 use crate::{level_enabled, metrics_enabled, Level};
 
 /// A dynamically typed field value attached to spans and events.
@@ -312,30 +313,21 @@ impl Drop for Span {
             );
         }
         if self.jsonl {
-            let fields = Json::Obj(
-                self.fields
-                    .iter()
-                    .map(|f| (f.key.to_string(), f.value.to_json()))
-                    .collect(),
-            );
-            let mut record = vec![
-                ("type".to_string(), Json::str("span")),
-                ("name".to_string(), Json::str(self.name)),
-                ("id".to_string(), Json::Num(self.id as f64)),
-                (
-                    "parent".to_string(),
-                    self.parent.map_or(Json::Null, |p| Json::Num(p as f64)),
-                ),
-                ("duration_ns".to_string(), Json::Num(dur_ns as f64)),
-                ("depth".to_string(), Json::from(depth)),
-                ("fields".to_string(), fields),
-            ];
+            let fields = self.fields.iter().map(|f| (f.key.to_string(), f.value.to_json()));
+            let mut record = Record::new("span")
+                .field("name", Json::str(self.name))
+                .field("id", Json::Num(self.id as f64))
+                .field("parent", self.parent.map_or(Json::Null, |p| Json::Num(p as f64)))
+                .field("duration_ns", Json::Num(dur_ns as f64))
+                .field("depth", Json::from(depth))
+                .field("fields", Json::Obj(fields.collect()));
             if let Some(a) = alloc {
-                record.push(("alloc_bytes".to_string(), Json::Num(a.bytes as f64)));
-                record.push(("alloc_count".to_string(), Json::Num(a.count as f64)));
-                record.push(("peak_bytes".to_string(), Json::Num(a.peak_bytes as f64)));
+                record = record
+                    .field("alloc_bytes", Json::Num(a.bytes as f64))
+                    .field("alloc_count", Json::Num(a.count as f64))
+                    .field("peak_bytes", Json::Num(a.peak_bytes as f64));
             }
-            write_jsonl_record(&Json::Obj(record));
+            write_jsonl_record(&record.build());
         }
         if self.metrics {
             crate::metrics::histogram(&format!("span.{}_ns", self.name)).record(dur_ns);
@@ -357,20 +349,12 @@ pub fn emit_event(level: Level, name: &str, make_fields: impl FnOnce() -> Vec<Fi
         log(level, &format!("{}{}", name, fmt_fields(&fields)));
     }
     if jsonl {
-        write_jsonl_record(&Json::Obj(vec![
-            ("type".to_string(), Json::str("event")),
-            ("level".to_string(), Json::str(level.as_str())),
-            ("name".to_string(), Json::str(name)),
-            (
-                "fields".to_string(),
-                Json::Obj(
-                    fields
-                        .iter()
-                        .map(|f| (f.key.to_string(), f.value.to_json()))
-                        .collect(),
-                ),
-            ),
-        ]));
+        let fields = fields.iter().map(|f| (f.key.to_string(), f.value.to_json()));
+        let record = Record::new("event")
+            .field("level", Json::str(level.as_str()))
+            .field("name", Json::str(name))
+            .field("fields", Json::Obj(fields.collect()));
+        write_jsonl_record(&record.build());
     }
 }
 

@@ -21,6 +21,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use crate::json::Json;
+use crate::store::{self, Record};
 
 /// A bounded multi-column time series (see module docs).
 #[derive(Debug, Clone)]
@@ -161,26 +162,18 @@ impl TimeSeries {
     /// NaN/inf serialize as `null` (the [`Json`] writer's behavior).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        let header = Json::Obj(vec![
-            ("type".to_string(), Json::str("series_header")),
-            (
-                "columns".to_string(),
-                Json::Arr(self.columns.iter().map(Json::str).collect()),
-            ),
-            ("pushed".to_string(), Json::from(self.pushed)),
-            ("stride".to_string(), Json::from(self.stride)),
-        ]);
+        let header = Record::new("series_header")
+            .field("columns", Json::Arr(self.columns.iter().map(Json::str).collect()))
+            .field("pushed", Json::from(self.pushed))
+            .field("stride", Json::from(self.stride))
+            .build();
         out.push_str(&header.to_string());
         out.push('\n');
         for (x, row) in self.index.iter().zip(&self.rows) {
-            let rec = Json::Obj(vec![
-                ("type".to_string(), Json::str("sample")),
-                ("x".to_string(), Json::Num(*x)),
-                (
-                    "v".to_string(),
-                    Json::Arr(row.iter().map(|&v| Json::Num(v)).collect()),
-                ),
-            ]);
+            let rec = Record::new("sample")
+                .field("x", Json::Num(*x))
+                .field("v", Json::Arr(row.iter().map(|&v| Json::Num(v)).collect()))
+                .build();
             out.push_str(&rec.to_string());
             out.push('\n');
         }
@@ -198,21 +191,21 @@ impl TimeSeries {
     }
 
     /// Parses a series back from its JSONL text. `null` values become
-    /// NaN. Unknown record types are skipped so the format can grow.
+    /// NaN. Unknown record types are skipped so the format can grow. Any
+    /// malformed line is an error, a torn final one included: a series
+    /// is written whole before its ledger record points at it.
     pub fn parse_jsonl(text: &str) -> Result<TimeSeries, String> {
+        let records = store::parse_jsonl(text)
+            .and_then(store::Jsonl::strict)
+            .map_err(|e| e.to_string())?;
         let mut series: Option<TimeSeries> = None;
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rec = Json::parse(line)
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        for (lineno, rec) in records {
             match rec.get("type").and_then(Json::as_str) {
                 Some("series_header") => {
                     let columns: Vec<String> = rec
                         .get("columns")
                         .and_then(Json::as_arr)
-                        .ok_or_else(|| format!("line {}: header without columns", lineno + 1))?
+                        .ok_or_else(|| format!("line {lineno}: header without columns"))?
                         .iter()
                         .filter_map(|c| c.as_str().map(String::from))
                         .collect();
@@ -224,19 +217,18 @@ impl TimeSeries {
                 Some("sample") => {
                     let s = series
                         .as_mut()
-                        .ok_or_else(|| format!("line {}: sample before header", lineno + 1))?;
+                        .ok_or_else(|| format!("line {lineno}: sample before header"))?;
                     let x = rec
                         .get("x")
                         .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("line {}: sample without x", lineno + 1))?;
+                        .ok_or_else(|| format!("line {lineno}: sample without x"))?;
                     let v = rec
                         .get("v")
                         .and_then(Json::as_arr)
-                        .ok_or_else(|| format!("line {}: sample without v", lineno + 1))?;
+                        .ok_or_else(|| format!("line {lineno}: sample without v"))?;
                     if v.len() != s.columns.len() {
                         return Err(format!(
-                            "line {}: {} values for {} columns",
-                            lineno + 1,
+                            "line {lineno}: {} values for {} columns",
                             v.len(),
                             s.columns.len()
                         ));

@@ -68,10 +68,10 @@ pub fn worker_count(n_items: usize) -> usize {
 /// Maps `f` over `items` in parallel, returning results in input order.
 ///
 /// Spawns up to [`worker_count`] scoped threads; each claims items from a
-/// shared atomic counter, computes `f`, and stashes `(index, result)`
-/// locally. After the join, results are reassembled in input order. With
-/// one worker (or one item) no thread is spawned at all and `f` runs on
-/// the caller's thread.
+/// shared atomic counter, computes `f`, and writes the result into that
+/// index's slot of one pre-sized result vector, so results come back in
+/// input order. With one worker (or one item) no thread is spawned at all
+/// and `f` runs on the caller's thread.
 ///
 /// `f` may itself call `par_map_collect`: nested calls open their own
 /// scope, so there is no pool to exhaust and no deadlock.
@@ -100,63 +100,69 @@ where
     // assigns indices, the mutex slot transfers ownership of the item.
     // Contention is negligible against the per-item work this crate is
     // used for (circuit simulation, not arithmetic).
-    let slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let slots = Mutex::new(slots);
-    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new(items.into_iter().map(Some).collect());
+    fork_join(n, workers, || {
+        |i| {
+            let item = lock(&slots)[i].take().expect("plateau-par: item claimed twice");
+            run_task(&f, item)
+        }
+    })
+}
 
-    let mut buckets: Vec<Vec<(usize, U)>> = Vec::with_capacity(workers);
+/// Locks one of the slot vectors. A panicking task never holds the lock
+/// (each update under it is one `take` or one assignment), so a poisoned
+/// guard still guards valid data; the task's panic propagates from the
+/// join instead.
+fn lock<V>(m: &Mutex<V>) -> std::sync::MutexGuard<'_, V> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Runs `workers` scoped threads that claim indices `0..n` from one
+/// atomic counter. Each worker builds its task once with `worker()` (on
+/// its own thread) and runs it on every index it claims.
+///
+/// Results land in one slot vector sized for all `n` up front, so no
+/// allocation depends on how the workers happened to split the items,
+/// and they come back in input order with no sort. Every worker is
+/// joined before a panic propagates, so the scope never has to re-raise
+/// a second panic while the first is unwinding.
+fn fork_join<U, W, G>(n: usize, workers: usize, worker: W) -> Vec<U>
+where
+    U: Send,
+    W: Fn() -> G + Sync,
+    G: FnMut(usize) -> U,
+{
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<Option<U>>> = Mutex::new((0..n).map(|_| None).collect());
     let mut first_panic = None;
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut local: Vec<(usize, U)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return local;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut task = worker();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return;
+                        }
+                        plateau_obs::gauge!("par.queue_depth").set((n - (i + 1).min(n)) as f64);
+                        let out = task(i);
+                        lock(&results)[i] = Some(out);
                     }
-                    plateau_obs::gauge!("par.queue_depth").set((n - (i + 1).min(n)) as f64);
-                    let item = slots
-                        .lock()
-                        .expect("plateau-par: a sibling worker panicked")[i]
-                        .take()
-                        .expect("plateau-par: item claimed twice");
-                    local.push((i, run_task(&f, item)));
-                }
-            }));
-        }
-        // Join every worker before propagating, so the scope never has to
-        // re-raise a second panic while the first is unwinding.
+                })
+            })
+            .collect();
         for h in handles {
-            match h.join() {
-                Ok(local) => buckets.push(local),
-                Err(payload) if first_panic.is_none() => first_panic = Some(payload),
-                Err(_) => {}
+            if let Err(payload) = h.join() {
+                first_panic.get_or_insert(payload);
             }
         }
     });
     if let Some(payload) = first_panic {
         std::panic::resume_unwind(payload);
     }
-
-    reassemble(buckets, n)
-}
-
-/// Puts the workers' `(index, result)` buckets back in input order.
-///
-/// The pair vector is sized for all `n` results up front: collecting the
-/// flattened buckets would size it from the first bucket and grow it from
-/// there, so the caller thread's allocations would depend on how the
-/// workers happened to split the items.
-fn reassemble<U>(buckets: Vec<Vec<(usize, U)>>, n: usize) -> Vec<U> {
-    let mut pairs: Vec<(usize, U)> = Vec::with_capacity(n);
-    for bucket in buckets {
-        pairs.extend(bucket);
-    }
-    debug_assert_eq!(pairs.len(), n);
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    pairs.into_iter().map(|(_, u)| u).collect()
+    let results = results.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+    results.into_iter().map(|u| u.expect("plateau-par: item never computed")).collect()
 }
 
 /// Runs one task, bumping `par.tasks` and (when metrics are on) timing it
@@ -241,40 +247,11 @@ where
         return (0..n).map(|i| run_task_scratch(&f, &mut scratch, i)).collect();
     }
 
-    let next = AtomicUsize::new(0);
-    let mut buckets: Vec<Vec<(usize, U)>> = Vec::with_capacity(workers);
-    let mut first_panic = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut scratch = init();
-                let mut local: Vec<(usize, U)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return local;
-                    }
-                    plateau_obs::gauge!("par.queue_depth").set((n - (i + 1).min(n)) as f64);
-                    local.push((i, run_task_scratch(&f, &mut scratch, i)));
-                }
-            }));
-        }
-        // Join every worker before propagating, so the scope never has to
-        // re-raise a second panic while the first is unwinding.
-        for h in handles {
-            match h.join() {
-                Ok(local) => buckets.push(local),
-                Err(payload) if first_panic.is_none() => first_panic = Some(payload),
-                Err(_) => {}
-            }
-        }
-    });
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
-    }
-
-    reassemble(buckets, n)
+    fork_join(n, workers, || {
+        let mut scratch = init();
+        let f = &f;
+        move |i| run_task_scratch(f, &mut scratch, i)
+    })
 }
 
 /// [`run_task`] for the scratch-threading form: same `par.tasks` counter

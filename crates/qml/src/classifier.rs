@@ -284,7 +284,7 @@ impl Classifier {
         // ledger run. With the ledger off this block costs nothing.
         let ppl = self.shape.params_per_layer();
         let n_layers = self.shape.layers();
-        let mut series = if plateau_obs::ledger_enabled() {
+        let mut series = if plateau_obs::Store::Ledger.enabled() {
             let mut cols = vec![
                 "loss".to_string(),
                 "grad_norm".to_string(),
@@ -375,7 +375,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("plateau_qml_ledger_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        plateau_obs::set_ledger_dir(Some(&dir));
+        plateau_obs::Store::Ledger.set_dir(Some(&dir));
 
         let m = Classifier::new(2, 1, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
@@ -396,7 +396,7 @@ mod tests {
         assert_eq!(series.len(), 2, "one row per epoch");
         assert!(series.columns().iter().any(|c| c == "layer_var_0"));
 
-        plateau_obs::set_ledger_dir(None);
+        plateau_obs::Store::Ledger.set_dir(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

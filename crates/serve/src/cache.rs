@@ -22,7 +22,7 @@
 //! worker count) but nobody ever waits on a compile while holding the
 //! cache.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use plateau_sim::{compile, Circuit, CompiledCircuit};
 
@@ -61,6 +61,8 @@ struct Slot {
 
 /// An exact-LRU cache of compiled circuit structures.
 pub struct CircuitCache {
+    /// Every lock recovers a poisoned mutex: no code panics while holding
+    /// it, so one panicking request cannot fail every later one.
     slots: Mutex<(Vec<Slot>, u64)>,
     capacity: usize,
     fuse: bool,
@@ -113,7 +115,7 @@ impl CircuitCache {
     }
 
     fn lookup(&self, hash: u64, token: &str) -> Option<Arc<CachedCircuit>> {
-        let mut guard = self.slots.lock().unwrap();
+        let mut guard = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let (slots, clock) = &mut *guard;
         let slot = slots
             .iter_mut()
@@ -124,7 +126,7 @@ impl CircuitCache {
     }
 
     fn insert(&self, hash: u64, entry: Arc<CachedCircuit>) {
-        let mut guard = self.slots.lock().unwrap();
+        let mut guard = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let (slots, clock) = &mut *guard;
         // A racing builder may have inserted the same token meanwhile;
         // keep the existing entry and drop ours.
@@ -157,14 +159,14 @@ impl CircuitCache {
     /// Drops every entry (used by the load generator to re-measure the
     /// cold path).
     pub fn clear(&self) {
-        let mut guard = self.slots.lock().unwrap();
+        let mut guard = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         guard.0.clear();
         plateau_obs::gauge!("serve.cache.entries").set(0.0);
     }
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.slots.lock().unwrap().0.len()
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner).0.len()
     }
 
     /// Whether the cache is empty.

@@ -18,7 +18,7 @@
 //! `serve.queue.rejected` counts 503s.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +36,8 @@ struct Inner<T> {
 
 /// A bounded MPMC queue with blocking pop and close-to-drain shutdown.
 pub struct JobQueue<T> {
+    /// Every lock recovers a poisoned mutex: no code panics while holding
+    /// it, so one panicking request cannot fail every later one.
     inner: Mutex<Inner<T>>,
     ready: Condvar,
     capacity: usize,
@@ -66,7 +68,7 @@ impl<T> JobQueue<T> {
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
     /// [`JobQueue::close`].
     pub fn try_push(&self, job: T) -> Result<(), PushError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.closed {
             return Err(PushError::Closed);
         }
@@ -85,7 +87,7 @@ impl<T> JobQueue<T> {
     /// closed **and drained** (returning `None` — the worker should
     /// exit).
     pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(job) = inner.jobs.pop_front() {
                 plateau_obs::gauge!("serve.queue_depth").set(inner.jobs.len() as f64);
@@ -94,14 +96,14 @@ impl<T> JobQueue<T> {
             if inner.closed {
                 return None;
             }
-            inner = self.ready.wait(inner).unwrap();
+            inner = self.ready.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Stops new pushes; queued jobs continue to be popped until empty,
     /// then every blocked and future [`JobQueue::pop`] returns `None`.
     pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.closed = true;
         drop(inner);
         self.ready.notify_all();
@@ -109,7 +111,7 @@ impl<T> JobQueue<T> {
 
     /// Current occupancy.
     pub fn depth(&self) -> usize {
-        self.inner.lock().unwrap().jobs.len()
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).jobs.len()
     }
 }
 

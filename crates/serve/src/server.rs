@@ -101,6 +101,9 @@ impl ServeConfig {
     }
 }
 
+/// What a worker runs for each job: [`execute`] in production.
+type Executor = dyn Fn(&Request, &CircuitCache, Limits) -> ExecOutcome + Send + Sync;
+
 /// One unit of compute work: the parsed request and where to send the
 /// outcome.
 struct Job {
@@ -129,6 +132,10 @@ impl Server {
     ///
     /// Propagates the bind failure.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
+        Server::start_with(cfg, Arc::new(execute))
+    }
+
+    fn start_with(cfg: ServeConfig, exec: Arc<Executor>) -> std::io::Result<Server> {
         plateau_obs::set_metrics_enabled(true);
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
@@ -145,17 +152,11 @@ impl Server {
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let cache = Arc::clone(&cache);
+                let exec = Arc::clone(&exec);
                 let limits = cfg.limits;
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = queue.pop() {
-                            let outcome = execute(&job.request, &cache, limits);
-                            // A dead reply channel means the connection
-                            // vanished mid-flight; the work is discarded.
-                            let _ = job.reply.send(outcome);
-                        }
-                    })
+                    .spawn(move || work(&queue, &cache, limits, &*exec))
                     .expect("spawn worker")
             })
             .collect();
@@ -243,6 +244,27 @@ impl Server {
         while self.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+}
+
+/// A worker: runs jobs until the queue closes. A panicking job is
+/// answered with a structured 500 and counted in `serve.panics`, and the
+/// worker lives on, so a panic can neither shrink the pool nor leave a
+/// queued request waiting forever.
+fn work(queue: &JobQueue<Job>, cache: &CircuitCache, limits: Limits, exec: &Executor) {
+    while let Some(job) = queue.pop() {
+        let run = std::panic::AssertUnwindSafe(|| exec(&job.request, cache, limits));
+        let outcome = std::panic::catch_unwind(run).unwrap_or_else(|_| {
+            plateau_obs::counter!("serve.panics").inc();
+            ExecOutcome {
+                status: 500,
+                body: error_body("internal", "the request handler panicked"),
+                cache: None,
+            }
+        });
+        // A dead reply channel means the connection vanished mid-flight;
+        // the work is discarded.
+        let _ = job.reply.send(outcome);
     }
 }
 
@@ -467,8 +489,8 @@ fn dispatch(request: Request, queue: &JobQueue<Job>, started: Instant) -> HttpRe
             }
             response
         }
-        // The worker pool died before answering — only reachable if a
-        // handler panicked.
+        // The job was dropped unanswered; workers catch handler panics, so
+        // this is a defensive fallback.
         Err(_) => HttpResponse::json(
             500,
             &error_body("internal", "worker failed to produce a response"),
@@ -529,6 +551,50 @@ mod tests {
         handle.unwrap().join().unwrap();
         assert_eq!(active.load(Ordering::SeqCst), 0);
         assert_eq!(failures(), before + 1);
+    }
+
+    /// One request over a fresh connection; returns the raw response.
+    fn roundtrip(addr: SocketAddr, path: &str, body: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let req = format!(
+            "POST {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(req.as_bytes()).unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_the_worker_lives_on() {
+        let _guard = plateau_obs::test_lock();
+        let panics = || plateau_obs::snapshot().counter("serve.panics").unwrap_or(0);
+        let armed = AtomicBool::new(true);
+        let exec = move |req: &Request, cache: &CircuitCache, limits: Limits| {
+            if armed.swap(false, Ordering::SeqCst) {
+                panic!("injected handler panic");
+            }
+            execute(req, cache, limits)
+        };
+        let server = Server::start_with(
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            Arc::new(exec),
+        )
+        .unwrap();
+        let before = panics();
+        let body = r#"{"circuit":{"qubits":1,"ops":[]},"observable":"global"}"#;
+        let first = roundtrip(server.addr(), "/simulate", body);
+        assert!(first.starts_with("HTTP/1.1 500 "), "{first}");
+        assert!(first.contains("\"code\":\"internal\""), "{first}");
+        assert_eq!(panics(), before + 1);
+        // The one worker survived: the next request is served normally.
+        let second = roundtrip(server.addr(), "/simulate", body);
+        assert!(second.starts_with("HTTP/1.1 200 OK\r\n"), "{second}");
+        server.shutdown();
     }
 
     #[test]

@@ -39,18 +39,21 @@ use plateau_linalg::C64;
 use plateau_par::{par_map_collect, worker_count};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default qubit threshold at which kernels go multi-threaded.
+/// Default qubit threshold at which kernels go multi-threaded: the
+/// measured crossover.
 ///
 /// Measured with the `par_crossover` bench bin (training-ansatz forward
-/// runs, serial vs forced-parallel kernels, 2 workers, 8–20 qubits) on
-/// the split-plane kernels: the parallel path ran at 0.18× serial at 14
-/// qubits, 0.42× at 16, 0.56× at 17 and 0.76× at 18, and first won at 19
-/// (1.33×) — the same crossover as on the interleaved kernels (0.47× at
+/// runs, serial vs forced-parallel split-plane kernels, 2 workers, 8–20
+/// qubits), three scans on a 2-core host: the parallel path ran at
+/// 0.36–0.46× serial at 16 qubits, 0.46–0.71× at 17 and 0.70–1.10× at 18
+/// (median 0.86×), and won at 19 in two scans of three (0.80×, 1.25×,
+/// 1.30×) and at 20 in all three (1.36–1.47×). The first width whose
+/// median ratio exceeds 1 is 19, as on the interleaved kernels (0.47× at
 /// 17, 0.81× at 18, 1.29× at 19). The scoped-thread fork-join per gate
-/// dominates below that. At 17 the paper's 10-qubit workload (and every
-/// tier-1 test size) always takes the serial loops; machines with many
-/// fast cores can lower it via `PLATEAU_SIM_PAR_THRESHOLD`.
-pub const DEFAULT_PAR_THRESHOLD: usize = 17;
+/// dominates below that. At 19 the paper's 10-qubit workload and every
+/// tier-1 test size take the serial loops; machines with many fast cores
+/// can lower it via `PLATEAU_SIM_PAR_THRESHOLD`.
+pub const DEFAULT_PAR_THRESHOLD: usize = 19;
 
 /// Cached threshold: 0 = uninitialized, otherwise `threshold + 1`.
 static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(0);

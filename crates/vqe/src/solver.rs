@@ -120,7 +120,7 @@ pub fn solve(
     let telemetry = TrainTelemetry {
         params_per_layer: Some(ansatz.shape.params_per_layer()),
         series_capacity: 0,
-        record_series: plateau_obs::ledger_enabled(),
+        record_series: plateau_obs::Store::Ledger.enabled(),
         run: None,
     };
     let run = train_instrumented(
@@ -138,7 +138,7 @@ pub fn solve(
         history: run.history,
         exact_energy,
     };
-    if plateau_obs::ledger_enabled() {
+    if plateau_obs::Store::Ledger.enabled() {
         use plateau_obs::json::Json;
         let mut rec = plateau_obs::RunRecord::new("vqe")
             .config("qubits", Json::from(n_qubits))
@@ -225,7 +225,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("plateau_vqe_ledger_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        plateau_obs::set_ledger_dir(Some(&dir));
+        plateau_obs::Store::Ledger.set_dir(Some(&dir));
 
         let h = transverse_field_ising(2, 1.0, 1.0).unwrap();
         let cfg = VqeConfig {
@@ -260,7 +260,7 @@ mod tests {
         assert_eq!(series.len(), 3, "one row per iteration");
         assert!(series.columns().iter().any(|c| c == "layer_var_0"));
 
-        plateau_obs::set_ledger_dir(None);
+        plateau_obs::Store::Ledger.set_dir(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -60,6 +60,21 @@ if [[ -n "${unsafe_violations}" ]]; then
 fi
 echo "every library crate except plateau-obs forbids unsafe code."
 
+echo "=== obs record-store policy check ==="
+# crates/obs/src/store.rs is the only code that knows the on-disk record
+# format: no other non-test code opens a file in append mode or reads the
+# PLATEAU_LEDGER / PLATEAU_PERF switches (DESIGN.md §12). Test code is
+# everything from a file's first #[cfg(test)] on, plus tests/ directories.
+store_violations=$(find crates -path '*/src/*.rs' ! -path crates/obs/src/store.rs \
+    -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + \
+    | grep -E '\.append\(true\)|env::var(_os)?\("PLATEAU_(LEDGER|PERF)"' || true)
+if [[ -n "${store_violations}" ]]; then
+    echo "record-store policy violations (use plateau_obs::store):" >&2
+    echo "${store_violations}" >&2
+    exit 1
+fi
+echo "only crates/obs/src/store.rs appends records or reads the store switches."
+
 echo "=== observability overhead gate ==="
 # With every subscriber disabled, the metrics snapshot must be empty and
 # the variance-harness medians must sit inside the recorded baseline

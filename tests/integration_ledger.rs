@@ -17,7 +17,7 @@ fn ledger_comparison_reproduces_variance_decay_ordering() {
         std::process::id()
     ));
     std::fs::remove_dir_all(&dir).ok();
-    plateau_obs::set_ledger_dir(Some(&dir));
+    plateau_obs::Store::Ledger.set_dir(Some(&dir));
 
     // Reduced-scale version of the paper's sweep (Fig. 3): same circuit
     // ensemble per strategy thanks to the shared master seed.
@@ -31,7 +31,7 @@ fn ledger_comparison_reproduces_variance_decay_ordering() {
     let uniform = variance_scan(&cfg, &[InitStrategy::Random]).expect("uniform scan");
     let reduced = variance_scan(&cfg, &[InitStrategy::XavierUniform]).expect("reduced scan");
 
-    plateau_obs::set_ledger_dir(None);
+    plateau_obs::Store::Ledger.set_dir(None);
 
     // Both scans registered, in order, with their decay-rate metrics.
     let ledger = Ledger::load(&dir).expect("ledger loads");
