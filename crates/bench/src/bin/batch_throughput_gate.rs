@@ -5,9 +5,8 @@
 //! The workload is the paper's ensemble configuration — 200 parameter
 //! vectors over the 10-qubit / 5-layer RX·RY + CZ-chain training ansatz,
 //! the exact shape of one variance-scan cell. The per-circuit loop pays a
-//! fresh `2^10` statevector and a gate-by-gate run for every member (a
-//! one-shot `expectation` walks the op list); the executor compiles once,
-//! runs fused segments, and reuses one scratch state per worker.
+//! fresh `2^10` statevector for every member; the executor runs the same
+//! op-list kernels and reuses one scratch state per worker.
 //!
 //! Three variants share the harness: `per_circuit` is the old loop
 //! (one `expectation` call per member), `batched_serial` pins
@@ -18,7 +17,7 @@
 //! in circuits/sec. On a single-core machine the multi-core comparison is
 //! vacuous and passes with a note; the serial-batched sweep must still
 //! never fall behind the loop it replaced (`PLATEAU_BATCH_SERIAL_TOL`,
-//! default 1.10 — compile-once plus scratch reuse cannot lose).
+//! default 1.10 — scratch reuse cannot lose).
 //!
 //! Run with `--record` to also write the measurement to
 //! `benchmarks/BENCH_batch_throughput.json` (the committed baseline).
@@ -63,9 +62,9 @@ fn main() {
         plateau_bench::json::Json::from(plateau_par::worker_count(usize::MAX)),
     );
     h.note(
-        "per_circuit runs the op list and allocates a fresh 2^10 statevector \
-         per member; BatchExecutor compiles once, runs fused segments and \
-         reuses one scratch state per worker (grad.batch.* counters)",
+        "per_circuit allocates a fresh 2^10 statevector per member; \
+         BatchExecutor runs the same op-list kernels and reuses one scratch \
+         state per worker (grad.batch.* counters)",
     );
     let mut group = h.group("ensemble_sweep");
     group.sample_size(10);

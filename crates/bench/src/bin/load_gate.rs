@@ -18,9 +18,9 @@
 //!    — nothing else, and never a torn response.
 //! 3. **Cache gate**: the same QASM `/simulate` request measured cold
 //!    (cache cleared every iteration) vs LRU-warm. The warm path skips
-//!    QASM parse, circuit build, and fusion compile, so the cold median
-//!    must exceed `warm × PLATEAU_SERVE_CACHE_TOL` (default 1.2) or the
-//!    gate fails (exit 1).
+//!    QASM parse and circuit build (there is no compile step), so the
+//!    cold median must exceed `warm × PLATEAU_SERVE_CACHE_TOL` (default
+//!    1.2) or the gate fails (exit 1).
 //!
 //! Run with `--record` to also write `benchmarks/BENCH_serve.json` (the
 //! committed baseline); `PLATEAU_PERF` flows the medians into the perf
@@ -186,10 +186,10 @@ fn burst_body(path: &str, i: usize) -> String {
     }
 }
 
-/// A parse/compile-heavy QASM simulate request: 6 qubits × 30 layers of
+/// A parse-heavy QASM simulate request: 6 qubits × 30 layers of
 /// baked-angle rotations. The run itself touches only 64 amplitudes, so
 /// the cold-vs-warm gap is dominated by the work the LRU cache elides
-/// (QASM parse + circuit build + fusion compile).
+/// (QASM parse + circuit build).
 fn cache_gate_body() -> String {
     let n = 6usize;
     let layers: usize = std::env::var("PLATEAU_SERVE_GATE_LAYERS")
@@ -378,9 +378,9 @@ fn main() {
     h.config("burst_p99_us", Json::from(p99 as usize));
     h.config("probe_rejected", Json::from(rejected));
     h.note(
-        "simulate_cold clears the compiled-circuit LRU every iteration, so each \
-         request repays QASM parse + build + fusion compile; simulate_warm hits \
-         the cache and goes straight to execution",
+        "simulate_cold clears the parsed-circuit LRU every iteration, so each \
+         request repays QASM parse + build; simulate_warm hits the cache and \
+         goes straight to execution",
     );
     let mut conn = KeepAlive::connect(addr);
     let mut group = h.group("simulate");

@@ -7,9 +7,9 @@
 //! then aggregates the trace and writes a `trace_baseline` document.
 //!
 //! The workload's ensemble members are distinct random-rotations
-//! circuits, each differentiated once, so every gradient walks the op
-//! list and the trace holds no fused-kernel activity (fused kernels count
-//! `sim.fuse.applications.*` rather than opening spans in any case).
+//! circuits, each differentiated once. The op list's fused kernels (CZ
+//! layers, the prologue) count `sim.gate.*` rather than opening spans, so
+//! they leave no trace structure of their own.
 //!
 //! Usage: `cargo run -p plateau-bench --bin obs_trace_baseline -- \
 //!         [benchmarks/OBS_trace_baseline.json]`

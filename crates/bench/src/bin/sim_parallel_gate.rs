@@ -1,7 +1,7 @@
 //! CI gate for the gradient execution layer at the paper's training
-//! workload: the compiled parameter-shift gradient must beat a raw
-//! gate-by-gate evaluation loop, and the pooled gradient must not be
-//! slower than the single-worker one.
+//! workload: the parameter-shift gradient, whose shifted runs share each
+//! parameter's unshifted prefix, must beat a per-job evaluation loop, and
+//! the pooled gradient must not be slower than the single-worker one.
 //!
 //! The workload is the paper's training configuration — a 10-qubit,
 //! 5-layer RX·RY + CZ-chain ansatz (100 parameters), whose full
@@ -12,11 +12,14 @@
 //! textbook per-job loop over the public op-list API (one
 //! `Circuit::run` plus one observable read-out per shifted evaluation,
 //! on the caller's thread); `fused` is `ParameterShift::gradient` — which
-//! compiles the circuit once and shares each parameter's unshifted
-//! prefix — with `PLATEAU_THREADS=1`; and `parallel` is the same
-//! gradient with the pool sized from the machine. The fusion gate runs
-//! on any machine: the fused median must beat `raw /
-//! PLATEAU_SIM_FUSE_TOL` (default 2.0). On a multi-core machine the
+//! shares each parameter's unshifted prefix, so every shifted run walks
+//! only its suffix — with `PLATEAU_THREADS=1`; and `parallel` is the same
+//! gradient with the pool sized from the machine. Both arms run the same
+//! op-list kernels (CZ layers, the `|0…0⟩` prologue), so the `fused` arm
+//! measures prefix sharing alone; its name and `PLATEAU_SIM_FUSE_TOL` are
+//! kept from when it also measured a circuit compiler. That gate runs on
+//! any machine: the fused median must beat `raw / PLATEAU_SIM_FUSE_TOL`
+//! (default 2.0). On a multi-core machine the
 //! parallel gate fails (exit 1) when the parallel median exceeds `fused ×
 //! PLATEAU_SIM_PAR_TOL` (default 1.10 — parallel must at least break
 //! even, with a 10% jitter allowance); on a single-core machine that
@@ -85,8 +88,8 @@ fn main() {
         }
         grad
     });
-    // Fused, one worker: the gradient compiles once and runs all 200
-    // shifted evaluations through the fused segments.
+    // Prefix sharing, one worker: all 200 shifted evaluations resume
+    // from their parameter's shared unshifted prefix.
     std::env::set_var("PLATEAU_THREADS", "1");
     group.bench("fused", || {
         ParameterShift

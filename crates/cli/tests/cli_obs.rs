@@ -114,7 +114,7 @@ fn variance_run_emits_manifest_spans_and_exact_gate_counts() {
 #[test]
 fn train_emits_compression_counters_by_default() {
     let out_path =
-        std::env::temp_dir().join(format!("plateau-cli-fuse-{}.jsonl", std::process::id()));
+        std::env::temp_dir().join(format!("plateau-cli-fused-{}.jsonl", std::process::id()));
     let output = plateau()
         .args([
             "train",
@@ -145,15 +145,14 @@ fn train_emits_compression_counters_by_default() {
             .and_then(|v| v.as_f64())
             .unwrap_or_else(|| panic!("counter {name} missing"))
     };
-    // Training evaluates its loss on one circuit every iteration, so it
-    // compiles with no flag: the compiler ran and compressed — at six
-    // qubits each layer's five-CZ chain becomes one superkernel, so fewer
-    // segments come out than gates go in. (Exact counts are pinned by
-    // unit tests; here we assert the counters are wired end to end
-    // through the binary.)
-    assert!(counter("sim.fuse.gates_in") > 0.0);
-    assert!(counter("sim.fuse.gates_out") > 0.0);
-    assert!(counter("sim.fuse.gates_out") < counter("sim.fuse.gates_in"));
+    // With no flag, every run from |0…0⟩ builds its first rotation layer
+    // as one prologue and sweeps each layer's five-CZ chain as one CZ
+    // layer, so fewer layer sweeps run than CZ gates. (Exact counts are
+    // pinned by unit tests; here we assert the counters are wired end to
+    // end through the binary.)
+    assert!(counter("sim.gate.prologues") > 0.0);
+    assert!(counter("sim.gate.cz_layers") > 0.0);
+    assert!(counter("sim.gate.cz_layers") < counter("sim.gate.fixed"));
 }
 
 #[test]

@@ -478,9 +478,9 @@ pub fn train_instrumented(
     let mut score = PlateauScore::new(BP_SCORE_WINDOW);
     let mut bp_scores = Vec::with_capacity(iterations);
     let mut warned = false;
-    // One compile + one reusable scratch statevector for every loss
-    // evaluation across the whole run (the per-iteration gradient still
-    // goes through `engine`, whose adjoint path owns its own scratch).
+    // One reusable scratch statevector for every loss evaluation across
+    // the whole run (the per-iteration gradient still goes through
+    // `engine`, whose adjoint path owns its own scratch).
     let mut evaluator = BatchExecutor::new(circuit);
     losses.push(evaluator.expectation(&params, observable)?);
 

@@ -307,16 +307,15 @@ fn gradient_sample(
 /// ansatz, whose circuit structure is *shared* by every ensemble member:
 /// members differ only in their parameter draw. That makes the cell a
 /// one-structure/many-parameter-vectors sweep — exactly the
-/// [`BatchExecutor`] shape — so the ansatz is built and compiled once and
-/// the whole ensemble runs through the per-worker scratch pool instead of
+/// [`BatchExecutor`] shape — so the ansatz is built once and the whole
+/// ensemble runs through the per-worker scratch pool instead of
 /// re-deriving circuit and statevector per member.
 ///
 /// Member `i`'s parameters come from the same
 /// `derive_seed(seed, 2 + strategy_idx, q, i)` stream as
-/// [`gradient_sample`]. Each partial is the executor's compiled-form
-/// arithmetic, which agrees with a one-shot [`Adjoint`] or
-/// [`ParameterShift`] `partial_last` on the op list to rounding (pinned
-/// in `tests/integration_gradients.rs`).
+/// [`gradient_sample`]. Each partial is bit-identical to a one-shot
+/// [`Adjoint`] or [`ParameterShift`] `partial_last` (pinned in
+/// `tests/integration_gradients.rs`).
 fn training_cell_gradients(
     config: &VarianceConfig,
     strategy: InitStrategy,

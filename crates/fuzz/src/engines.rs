@@ -14,11 +14,11 @@
 //! | `adjoint-vs-shift` | two exact gradient algorithms | `1e-8` |
 //! | `adjoint-vs-finite-diff` | exact vs `O(ε²)` central differences | `5e-6` |
 //! | `adjoint-partial-vs-gradient` | the adjoint's shortened single-parameter sweep vs its full-gradient entry | exact (`0`, bitwise) |
-//! | `shift-vs-per-job` | the prefix-sharing parameter-shift gradient vs `Σ coeff · E(θ with θ_i += s)`, one full run of the compiled circuit per shifted job | exact (`0`, bitwise) |
-//! | `fused-vs-raw` | compiled circuit (prologue, raw ops, diagonal superkernels) vs the gate-by-gate run | `1e-10` |
-//! | `batched-vs-per-circuit` | `expectation_many` through the batched executor's scratch pool vs one run of the compiled circuit per set | exact (`0`) |
+//! | `shift-vs-per-job` | the prefix-sharing parameter-shift gradient vs `Σ coeff · E(θ with θ_i += s)`, one full `Circuit::run` per shifted job | exact (`0`, bitwise) |
+//! | `prologue-vs-gate-by-gate` | `Circuit::run` (product-state prologue, then the op list) vs `run_on` from `\|0…0⟩` | `1e-10` |
+//! | `batched-vs-per-circuit` | `expectation_many` through the batched executor's scratch pool vs one `Circuit::run` per set | exact (`0`) |
 //! | `mutated-vs-serial` | deliberately broken kernel (self-test only) | `1e-9` |
-//! | `fused-mutated-vs-serial` | product-state prologue folding each wire's ops in reversed order (self-test only) | `1e-9` |
+//! | `prologue-mutated-vs-serial` | the op list's prologue folding each wire's ops in reversed order (self-test only) | `1e-9` |
 //!
 //! An engine error (`Err` from any simulator/gradient call) on a
 //! generator-valid case is itself a divergence: it is reported as a
@@ -62,12 +62,12 @@ pub enum EnginePair {
     /// evaluation as one full `expectation` from `|0…0⟩`, folded with the
     /// textbook shift-rule coefficients.
     ShiftVsPerJob,
-    /// The compiler's segment execution (product-state prologue, raw ops,
-    /// diagonal superkernels) vs the gate-by-gate run of the same circuit.
-    FusedVsRaw,
+    /// `Circuit::run`, whose leading single-qubit ops are one
+    /// product-state prologue, vs `run_on` from `|0…0⟩`, which applies
+    /// them gate by gate.
+    PrologueVsGateByGate,
     /// A parameter-set sweep through the batched executor (reused scratch
-    /// statevectors, single compile) vs one fresh `expectation` call per
-    /// set.
+    /// statevectors) vs one fresh run per set.
     BatchedVsPerCircuit,
     /// The serve wire codec: serialize→parse→re-serialize must be a
     /// fixed point, the parsed circuit must execute identically to the
@@ -78,9 +78,9 @@ pub enum EnginePair {
     /// only scheduled by the mutation self-test, never in normal runs.
     MutatedVsSerial,
     /// A product-state prologue that folds each wire's leading ops in the
-    /// **wrong** order vs the serial engine — only scheduled by the
+    /// **wrong** order vs the gate-by-gate run — only scheduled by the
     /// mutation self-test, never in normal runs.
-    FusedMutatedVsSerial,
+    PrologueMutatedVsSerial,
 }
 
 impl EnginePair {
@@ -96,7 +96,7 @@ impl EnginePair {
         EnginePair::AdjointVsFiniteDiff,
         EnginePair::AdjointPartialVsGradient,
         EnginePair::ShiftVsPerJob,
-        EnginePair::FusedVsRaw,
+        EnginePair::PrologueVsGateByGate,
         EnginePair::BatchedVsPerCircuit,
         EnginePair::ServeCodec,
     ];
@@ -113,11 +113,11 @@ impl EnginePair {
             EnginePair::AdjointVsFiniteDiff => "adjoint-vs-finite-diff",
             EnginePair::AdjointPartialVsGradient => "adjoint-partial-vs-gradient",
             EnginePair::ShiftVsPerJob => "shift-vs-per-job",
-            EnginePair::FusedVsRaw => "fused-vs-raw",
+            EnginePair::PrologueVsGateByGate => "prologue-vs-gate-by-gate",
             EnginePair::BatchedVsPerCircuit => "batched-vs-per-circuit",
             EnginePair::ServeCodec => "serve-codec",
             EnginePair::MutatedVsSerial => "mutated-vs-serial",
-            EnginePair::FusedMutatedVsSerial => "fused-mutated-vs-serial",
+            EnginePair::PrologueMutatedVsSerial => "prologue-mutated-vs-serial",
         }
     }
 
@@ -133,11 +133,11 @@ impl EnginePair {
             EnginePair::AdjointVsFiniteDiff,
             EnginePair::AdjointPartialVsGradient,
             EnginePair::ShiftVsPerJob,
-            EnginePair::FusedVsRaw,
+            EnginePair::PrologueVsGateByGate,
             EnginePair::BatchedVsPerCircuit,
             EnginePair::ServeCodec,
             EnginePair::MutatedVsSerial,
-            EnginePair::FusedMutatedVsSerial,
+            EnginePair::PrologueMutatedVsSerial,
         ]
         .into_iter()
         .find(|p| p.name() == s)
@@ -155,12 +155,11 @@ impl EnginePair {
     /// margin while still catching any real sign/index bug, which shows
     /// up at `O(1)`. QASM round-trips re-execute the identical op
     /// sequence, so they must agree to the last bit of the printed
-    /// angles. Compiled execution folds the leading single-qubit ops into
-    /// a product state and multiplies diagonal runs together before
-    /// touching the state, which reassociates the floating-point work —
-    /// mathematically identical but not bitwise, so unlike
-    /// serial-vs-parallel its budget is `1e-10` rather than zero. The
-    /// batched executor runs the *same* evaluator arithmetic per set as
+    /// angles. The prologue folds the leading single-qubit ops into a
+    /// product state before touching the state, which reassociates the
+    /// floating-point work — mathematically identical but not bitwise, so
+    /// unlike serial-vs-parallel its budget is `1e-10` rather than zero.
+    /// The batched executor runs the *same* arithmetic per set as
     /// the one-at-a-time path (only the statevector's home differs), so
     /// its contract is bitwise and its budget zero. So is an adjoint
     /// partial's: it replays the full gradient's recurrence over the same
@@ -184,9 +183,9 @@ impl EnginePair {
             EnginePair::QasmRoundTrip => 1e-12,
             EnginePair::AdjointVsShift => 1e-8,
             EnginePair::AdjointVsFiniteDiff => 5e-6,
-            EnginePair::FusedVsRaw => 1e-10,
+            EnginePair::PrologueVsGateByGate => 1e-10,
             EnginePair::MutatedVsSerial => 1e-9,
-            EnginePair::FusedMutatedVsSerial => 1e-9,
+            EnginePair::PrologueMutatedVsSerial => 1e-9,
         }
     }
 
@@ -198,11 +197,11 @@ impl EnginePair {
             EnginePair::SerialVsParallel
             | EnginePair::RawVsOptimized
             | EnginePair::QasmRoundTrip
-            | EnginePair::FusedVsRaw
+            | EnginePair::PrologueVsGateByGate
             | EnginePair::BatchedVsPerCircuit
             | EnginePair::ServeCodec
             | EnginePair::MutatedVsSerial
-            | EnginePair::FusedMutatedVsSerial => true,
+            | EnginePair::PrologueMutatedVsSerial => true,
             EnginePair::StateVsUnitary | EnginePair::StateVsDensity => {
                 case.n_qubits <= SMALL_ORACLE_QUBITS
             }
@@ -464,9 +463,6 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 "parameter shift",
                 ParameterShift.gradient(&circuit, &params, &obs)
             );
-            // The gradient runs the compiled form (it evaluates the
-            // circuit 2k times), so the oracle runs it too.
-            let compiled = plateau_sim::compile(&circuit);
             let mut delta = 0.0f64;
             for (i, gi) in g.iter().enumerate() {
                 // Folded in the engine's job order, from +0.0.
@@ -474,7 +470,7 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 for (shift, coeff) in shift_rule(&circuit, i) {
                     let mut theta = params.clone();
                     theta[i] += shift;
-                    let state = engine_try!(pair, "per-job run", compiled.run(&theta));
+                    let state = engine_try!(pair, "per-job run", circuit.run(&theta));
                     let e = engine_try!(pair, "per-job expectation", obs.expectation(&state));
                     oracle += coeff * e;
                 }
@@ -488,18 +484,16 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 format!("parameter-shift gradient diverged from the per-job oracle (max delta {delta:e})"),
             )
         }
-        EnginePair::FusedVsRaw => {
-            let raw = engine_try!(pair, "gate-by-gate run", circuit.run(&params));
-            let compiled = plateau_sim::compile(&circuit);
-            let fused = engine_try!(pair, "fused kernels", compiled.run(&params));
+        EnginePair::PrologueVsGateByGate => {
+            let fused = engine_try!(pair, "prologue run", circuit.run(&params));
+            let raw = engine_try!(pair, "gate-by-gate run", gate_by_gate(&circuit, &params));
             let delta = state_delta(&raw, &fused);
             verdict(
                 pair,
                 delta,
                 format!(
-                    "fused kernels diverged from gate-by-gate run ({} -> {} segments, max amplitude delta {delta:e})",
-                    compiled.gates_in(),
-                    compiled.gates_out()
+                    "the {}-op prologue run diverged from the gate-by-gate run (max amplitude delta {delta:e})",
+                    circuit.prologue_len()
                 ),
             )
         }
@@ -523,12 +517,9 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 "batched executor",
                 plateau_grad::expectation_many(&circuit, &sets, &obs)
             );
-            // The executor compiles once; the oracle runs the same
-            // compiled form once per set.
-            let compiled = plateau_sim::compile(&circuit);
             let mut delta = 0.0f64;
             for (set, b) in sets.iter().zip(&batched) {
-                let state = engine_try!(pair, "per-circuit run", compiled.run(set));
+                let state = engine_try!(pair, "per-circuit run", circuit.run(set));
                 let one = engine_try!(pair, "per-circuit expectation", obs.expectation(&state));
                 delta = delta.max((one - b).abs());
             }
@@ -677,10 +668,10 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 format!("injected off-by-one kernel detected (max amplitude delta {delta:e})"),
             )
         }
-        EnginePair::FusedMutatedVsSerial => {
-            let reference = engine_try!(pair, "serial kernels", circuit.run(&params));
+        EnginePair::PrologueMutatedVsSerial => {
+            let reference = engine_try!(pair, "gate-by-gate run", gate_by_gate(&circuit, &params));
             let mutated =
-                engine_try!(pair, "mutated prologue", fused_mutated_run(&circuit, &params));
+                engine_try!(pair, "mutated prologue", prologue_mutated_run(&circuit, &params));
             let delta = state_delta(&reference, &mutated);
             verdict(
                 pair,
@@ -689,6 +680,14 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
             )
         }
     }
+}
+
+/// `circuit` run from `|0…0⟩` by [`Circuit::run_on`], which applies the
+/// leading single-qubit ops gate by gate instead of as a prologue.
+fn gate_by_gate(circuit: &Circuit, params: &[f64]) -> Result<State, plateau_sim::SimError> {
+    let mut state = State::zero(circuit.n_qubits());
+    circuit.run_on(&mut state, params)?;
+    Ok(state)
 }
 
 /// A deliberately broken statevector engine for the mutation self-test:
@@ -734,16 +733,19 @@ pub fn mutated_run(circuit: &Circuit, params: &[f64]) -> Result<State, plateau_s
 }
 
 /// A deliberately broken product-state prologue for the mutation
-/// self-test. Like [`plateau_sim::CompiledCircuit::run`] it builds the
-/// state left by the circuit's leading single-qubit ops directly, folding
-/// each wire's ops into its `|0⟩` column — but in **reversed** order
-/// (the last op first), the classic gate-fusion mistake. The rest of the
-/// circuit runs through the real kernels. The fold is correct whenever a
+/// self-test. Like [`Circuit::run`] it builds the state left by the
+/// circuit's leading single-qubit ops (`prologue_len()` of them)
+/// directly, folding each wire's ops into its `|0⟩` column — but in
+/// **reversed** order (the last op first), the classic gate-fusion
+/// mistake. The rest of the circuit runs through the op list's sweeps. The fold is correct whenever a
 /// wire's leading ops commute (one op, or repeated same-axis rotations),
 /// so the harness must find two non-commuting leading ops on one wire to
 /// expose it — and the shrinker should reduce any such witness to a
 /// two-gate circuit.
-pub fn fused_mutated_run(circuit: &Circuit, params: &[f64]) -> Result<State, plateau_sim::SimError> {
+pub fn prologue_mutated_run(
+    circuit: &Circuit,
+    params: &[f64],
+) -> Result<State, plateau_sim::SimError> {
     use plateau_linalg::C64;
     let single = |op: &Op| match op {
         Op::Fixed { gate, qubits } if gate.arity() == 1 => Some((qubits[0], gate.entries())),
@@ -751,7 +753,7 @@ pub fn fused_mutated_run(circuit: &Circuit, params: &[f64]) -> Result<State, pla
         _ => None,
     };
     let ops = circuit.ops();
-    let prologue = ops.iter().take_while(|op| single(op).is_some()).count();
+    let prologue = circuit.prologue_len();
     let mut amps = vec![C64::ZERO; 1usize << circuit.n_qubits()];
     amps[0] = C64::ONE;
     let mut len = 1usize;
@@ -772,8 +774,8 @@ pub fn fused_mutated_run(circuit: &Circuit, params: &[f64]) -> Result<State, pla
         len <<= 1;
     }
     let mut state = State::from_amplitudes_unnormalized(amps)?;
-    for op in &ops[prologue..] {
-        op.apply(&mut state, params)?;
+    for (_, sweep) in circuit.sweeps(prologue..ops.len()) {
+        sweep.apply(&mut state, params)?;
     }
     Ok(state)
 }
@@ -788,7 +790,7 @@ mod tests {
     fn pair_names_round_trip() {
         for pair in EnginePair::ALL
             .into_iter()
-            .chain([EnginePair::MutatedVsSerial, EnginePair::FusedMutatedVsSerial])
+            .chain([EnginePair::MutatedVsSerial, EnginePair::PrologueMutatedVsSerial])
         {
             assert_eq!(EnginePair::parse(pair.name()), Some(pair));
         }
@@ -853,7 +855,7 @@ mod tests {
             ],
             obs: crate::gen::ObsSpec::GlobalCost,
         };
-        let m = check_pair(EnginePair::FusedMutatedVsSerial, &case)
+        let m = check_pair(EnginePair::PrologueMutatedVsSerial, &case)
             .expect_err("fold-order bug must be detected");
         assert!(m.delta > 0.01, "delta was {}", m.delta);
 
@@ -877,7 +879,7 @@ mod tests {
             ],
             obs: crate::gen::ObsSpec::GlobalCost,
         };
-        check_pair(EnginePair::FusedMutatedVsSerial, &commuting)
+        check_pair(EnginePair::PrologueMutatedVsSerial, &commuting)
             .expect("commuting run must not trigger the mutant");
     }
 

@@ -98,7 +98,7 @@ impl FuzzReport {
 /// run — the artifact records both numbers.
 pub fn run(config: &FuzzConfig) -> FuzzReport {
     let pairs: &[EnginePair] = if config.mutate {
-        &[EnginePair::MutatedVsSerial, EnginePair::FusedMutatedVsSerial]
+        &[EnginePair::MutatedVsSerial, EnginePair::PrologueMutatedVsSerial]
     } else {
         &EnginePair::ALL
     };
@@ -203,7 +203,7 @@ mod tests {
             "serial-vs-parallel",
             "raw-vs-optimized",
             "qasm-roundtrip",
-            "fused-vs-raw",
+            "prologue-vs-gate-by-gate",
         ] {
             assert_eq!(report.stats[pair].comparisons, 50, "{pair}");
         }
@@ -238,7 +238,7 @@ mod tests {
         );
         // Both injected bugs must fire, and each must shrink to a small
         // reproducer.
-        for pair in [EnginePair::MutatedVsSerial, EnginePair::FusedMutatedVsSerial] {
+        for pair in [EnginePair::MutatedVsSerial, EnginePair::PrologueMutatedVsSerial] {
             let best = report
                 .mismatches
                 .iter()
@@ -251,7 +251,7 @@ mod tests {
         for m in &report.mismatches {
             assert!(matches!(
                 m.pair,
-                EnginePair::MutatedVsSerial | EnginePair::FusedMutatedVsSerial
+                EnginePair::MutatedVsSerial | EnginePair::PrologueMutatedVsSerial
             ));
             assert!(m.shrunk.gate_count() <= m.original_gates);
             // The shrunk case must itself still fail.

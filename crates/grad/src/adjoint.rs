@@ -17,17 +17,17 @@
 //! before that op reaches a tangent. A single partial `∂E/∂θ_i` whose
 //! earliest owning op is `k` of `N` therefore costs one forward pass plus
 //! `N − k` backward steps — for the paper's `θ_last`, only the tail of the
-//! last layer. [`Adjoint`]'s `gradient` and `partial`, the compiled entry
-//! point and the batched sweeps share one recurrence (`sweep`), generic
-//! over the op list and a compiled circuit's segments — each step owns at
-//! most one parameter either way — so a partial is bit-identical to the
-//! matching entry of the full gradient.
+//! last layer. [`Adjoint`]'s `gradient` and `partial`,
+//! [`adjoint_value_and_gradient`] and the batched sweeps share one
+//! recurrence (`sweep`) over the circuit's sweeps — a CZ layer steps back
+//! as one sweep, being its own inverse, and owns no parameter — so a
+//! partial is bit-identical to the matching entry of the full gradient.
 //!
 //! This engine powers the paper's variance analysis at scale
 //! (200 circuits × 6 initializations × 5 qubit counts × deep circuits).
 
-use crate::engine::{check_index, Evaluator, GradientEngine, Step};
-use plateau_sim::{Circuit, Observable, SimError, State};
+use crate::engine::{check_index, GradientEngine};
+use plateau_sim::{Circuit, Observable, Op, SimError, State};
 
 /// The adjoint-differentiation gradient engine.
 ///
@@ -103,10 +103,12 @@ fn refill<'a>(spare: &'a mut Option<State>, phi: &State) -> &'a mut State {
 }
 
 /// Validation and counter/gauge accounting shared by every adjoint entry
-/// point ([`Adjoint::gradient`], [`Adjoint`]'s `partial`, the compiled
-/// and batched paths), so the routes stay indistinguishable in the
-/// metrics. Callers have checked the parameter count.
-pub(crate) fn begin_gradient(n_qubits: usize, obs: &Observable) -> Result<(), SimError> {
+/// point ([`Adjoint::gradient`], [`Adjoint`]'s `partial`,
+/// [`adjoint_value_and_gradient`] and the batched paths), so the routes
+/// stay indistinguishable in the metrics.
+fn begin_gradient(circuit: &Circuit, params: &[f64], obs: &Observable) -> Result<(), SimError> {
+    circuit.check_params(params)?;
+    let n_qubits = circuit.n_qubits();
     if obs.n_qubits() != n_qubits {
         return Err(SimError::ObservableMismatch {
             observable_qubits: obs.n_qubits(),
@@ -123,39 +125,46 @@ pub(crate) fn begin_gradient(n_qubits: usize, obs: &Observable) -> Result<(), Si
     Ok(())
 }
 
-/// The adjoint recurrence over `steps` — the op list or a compiled
-/// circuit's segments, each owning at most one parameter — ending at the
-/// earliest step that owns a parameter in `wrt`. `forward` runs the
-/// whole circuit from `|0…0⟩`; it is skipped when `wrt` owns no step.
-/// Callers have validated the parameter vector and the observable width
-/// and emitted the counters.
-pub(crate) fn sweep<S: Step>(
-    steps: &[S],
-    n_params: usize,
-    forward: impl FnOnce() -> Result<State, SimError>,
+/// The adjoint recurrence over `circuit`'s sweeps, ending at the
+/// earliest op that owns a parameter in `wrt`, with the validation and
+/// accounting of every entry point. `value`, when given, receives the
+/// cost `⟨ψ|H|ψ⟩` of the forward state; without it the forward run is
+/// skipped when `wrt` owns no op.
+pub(crate) fn adjoint(
+    circuit: &Circuit,
     params: &[f64],
     obs: &Observable,
     wrt: Wrt,
+    value: Option<&mut f64>,
 ) -> Result<Vec<f64>, SimError> {
-    let mut grad = vec![0.0; wrt.len(n_params)];
-    let slot_of = |step: &S| step.free_param().and_then(|i| wrt.slot(i));
-    let Some(stop) = steps.iter().position(|step| slot_of(step).is_some()) else {
+    begin_gradient(circuit, params, obs)?;
+    let mut grad = vec![0.0; wrt.len(circuit.n_params())];
+    let ops = circuit.ops();
+    let slot_of = |op: &Op| op.free_param().and_then(|i| wrt.slot(i));
+    let stop = ops.iter().position(|op| slot_of(op).is_some());
+    if stop.is_none() && value.is_none() {
         return Ok(grad);
-    };
+    }
     // Forward pass: φ = U|0⟩.
-    let mut phi = forward()?;
+    let mut phi = circuit.run(params)?;
+    if let Some(v) = value {
+        *v = obs.expectation(&phi)?;
+    }
+    let Some(stop) = stop else { return Ok(grad) };
     // λ = H|ψ⟩ (generally unnormalized).
     let mut lambda = obs.apply_raw(&phi)?;
 
     let mut spare = None;
-    for (k, step) in steps.iter().enumerate().skip(stop).rev() {
-        // φ ← U_k† φ (now the state before step k).
+    for (k, step) in circuit.sweeps(stop..ops.len()).rev() {
+        // φ ← U_k† φ (now the state before sweep k).
         step.apply_inverse(&mut phi, params)?;
-        if let Some(slot) = slot_of(step) {
-            // μ = (∂U_k/∂θ) φ, built in φ itself at the stop step
-            // (nothing reads φ after it).
+        // A parameter's op is a sweep of its own; a CZ layer's first op
+        // owns none.
+        if let Some(slot) = slot_of(&ops[k]) {
+            // μ = (∂U_k/∂θ) φ, built in φ itself at the stop op (nothing
+            // reads φ after it).
             let mu = if k == stop { &mut phi } else { refill(&mut spare, &phi) };
-            step.apply_derivative(mu, params)?;
+            ops[k].apply_derivative(mu, params)?;
             grad[slot] += 2.0 * inner_re(&lambda, mu);
         }
         if k > stop {
@@ -166,12 +175,10 @@ pub(crate) fn sweep<S: Step>(
     Ok(grad)
 }
 
-/// Adjoint gradient over an already-compiled circuit — the warm path for
-/// callers (the serve front-end's LRU, long-lived training loops) that
-/// compile once and differentiate many times. The same validation and
-/// metrics as [`Adjoint::gradient`], which walks the op list instead;
-/// the two agree to rounding, and this one is bit-identical to a
-/// [`crate::BatchExecutor`]'s adjoint sweeps over the same circuit.
+/// The adjoint gradient together with the cost `⟨ψ|H|ψ⟩` of the forward
+/// state, read before `λ = H|ψ⟩` is built: one run of the circuit serves
+/// both, where [`Adjoint::gradient`] followed by a separate run runs it
+/// twice. Both values are bit-identical to that two-run computation.
 ///
 /// # Errors
 ///
@@ -181,67 +188,25 @@ pub(crate) fn sweep<S: Step>(
 /// # Examples
 ///
 /// ```
-/// use plateau_sim::{compile, Circuit, Observable};
+/// use plateau_grad::{adjoint_value_and_gradient, Adjoint, GradientEngine};
+/// use plateau_sim::{Circuit, Observable};
 ///
 /// let mut c = Circuit::new(2)?;
 /// c.ry(0)?.ry(1)?.cz(0, 1)?;
-/// let compiled = compile(&c);
 /// let obs = Observable::global_cost(2);
-/// let g = plateau_grad::adjoint_gradient_compiled(&compiled, &[0.3, -0.7], &obs)?;
-/// assert_eq!(g.len(), 2);
+/// let (value, grad) = adjoint_value_and_gradient(&c, &[0.3, -0.7], &obs)?;
+/// assert_eq!(grad, Adjoint.gradient(&c, &[0.3, -0.7], &obs)?);
+/// assert_eq!(value, obs.expectation(&c.run(&[0.3, -0.7])?)?);
 /// # Ok::<(), plateau_sim::SimError>(())
 /// ```
-pub fn adjoint_gradient_compiled(
-    compiled: &plateau_sim::CompiledCircuit,
-    params: &[f64],
-    obs: &Observable,
-) -> Result<Vec<f64>, SimError> {
-    compiled_sweep(compiled, params, obs, Wrt::All)
-}
-
-/// [`adjoint_gradient_compiled`] that also returns the cost
-/// `⟨ψ|H|ψ⟩` of the forward state, read before `λ = H|ψ⟩` is built. One
-/// run of the circuit serves both, where calling
-/// [`adjoint_gradient_compiled`] and then running the circuit again for
-/// the value runs it twice; the two values are bit-identical.
-///
-/// # Errors
-///
-/// As [`adjoint_gradient_compiled`].
-pub fn adjoint_value_and_gradient_compiled(
-    compiled: &plateau_sim::CompiledCircuit,
+pub fn adjoint_value_and_gradient(
+    circuit: &Circuit,
     params: &[f64],
     obs: &Observable,
 ) -> Result<(f64, Vec<f64>), SimError> {
-    compiled.check_params(params)?;
-    begin_gradient(compiled.n_qubits(), obs)?;
-    let mut value = None;
-    let forward = || {
-        let phi = compiled.run(params)?;
-        value = Some(obs.expectation(&phi)?);
-        Ok(phi)
-    };
-    let grad = sweep(compiled.segments(), compiled.n_params(), forward, params, obs, Wrt::All)?;
-    // The sweep skips its forward run when no segment owns a parameter.
-    let value = match value {
-        Some(v) => v,
-        None => obs.expectation(&compiled.run(params)?)?,
-    };
+    let mut value = 0.0;
+    let grad = adjoint(circuit, params, obs, Wrt::All, Some(&mut value))?;
     Ok((value, grad))
-}
-
-/// [`sweep`] over a compiled circuit's segments, with the validation and
-/// accounting of every adjoint entry point.
-pub(crate) fn compiled_sweep(
-    compiled: &plateau_sim::CompiledCircuit,
-    params: &[f64],
-    obs: &Observable,
-    wrt: Wrt,
-) -> Result<Vec<f64>, SimError> {
-    compiled.check_params(params)?;
-    begin_gradient(compiled.n_qubits(), obs)?;
-    let forward = || compiled.run(params);
-    sweep(compiled.segments(), compiled.n_params(), forward, params, obs, wrt)
 }
 
 impl GradientEngine for Adjoint {
@@ -251,10 +216,7 @@ impl GradientEngine for Adjoint {
         params: &[f64],
         obs: &Observable,
     ) -> Result<Vec<f64>, SimError> {
-        // One gradient runs the circuit O(1) times: walk the op list.
-        // Callers that differentiate one circuit many times compile once
-        // and use `adjoint_gradient_compiled` or a `BatchExecutor`.
-        Evaluator::Raw(circuit).adjoint(params, obs, Wrt::All)
+        adjoint(circuit, params, obs, Wrt::All, None)
     }
 
     /// One forward pass plus the backward sweep from the last op down to
@@ -269,7 +231,7 @@ impl GradientEngine for Adjoint {
         index: usize,
     ) -> Result<f64, SimError> {
         check_index(circuit, index)?;
-        Ok(Evaluator::Raw(circuit).adjoint(params, obs, Wrt::One(index))?[0])
+        Ok(adjoint(circuit, params, obs, Wrt::One(index), None)?[0])
     }
 }
 
@@ -278,7 +240,7 @@ mod tests {
     use super::*;
     use crate::shift::ParameterShift;
     use crate::testkit::{random_case, RandomCase};
-    use plateau_sim::{PauliString, RotationGate};
+    use plateau_sim::{PauliString, RotationGate, Sweep};
 
     fn pseudo_angles(n: usize, seed: f64) -> Vec<f64> {
         (0..n)
@@ -403,21 +365,43 @@ mod tests {
         }
     }
 
+    /// The adjoint recurrence written out op by op — a gate-by-gate
+    /// forward run, every CZ stepped back on its own — as the oracle for
+    /// the sweeps' prologue and CZ layers.
+    fn gate_by_gate_adjoint(c: &Circuit, params: &[f64], obs: &Observable) -> Vec<f64> {
+        let mut phi = State::zero(c.n_qubits());
+        for op in c.ops() {
+            op.apply(&mut phi, params).unwrap();
+        }
+        let mut lambda = obs.apply_raw(&phi).unwrap();
+        let mut grad = vec![0.0; c.n_params()];
+        for op in c.ops().iter().rev() {
+            op.apply_inverse(&mut phi, params).unwrap();
+            if let Some(i) = op.free_param() {
+                let mut mu = phi.clone();
+                op.apply_derivative(&mut mu, params).unwrap();
+                grad[i] += 2.0 * inner_re(&lambda, &mu);
+            }
+            op.apply_inverse(&mut lambda, params).unwrap();
+        }
+        grad
+    }
+
     #[test]
     fn fused_sweep_matches_the_raw_op_walk() {
         // Dozens of state allocations: hold the obs lock so the
         // counter-pinning tests in this binary never see them.
         let _guard = plateau_obs::test_lock();
-        // Six qubits: each five-CZ chain becomes a superkernel, and the
-        // first rotation layer the product-state prologue.
+        // Six qubits: each five-CZ chain is one CZ layer, and the first
+        // rotation layer the product-state prologue.
         let c = hea_circuit(6, 3);
         let params = pseudo_angles(c.n_params(), 0.63);
-        let compiled = plateau_sim::compile(&c);
-        assert_eq!(compiled.superkernels(), 3);
-        assert_eq!(compiled.prologue_len(), 6);
+        assert_eq!(c.prologue_len(), 6);
+        let layers = c.sweeps(0..c.gate_count());
+        assert_eq!(layers.filter(|(_, s)| matches!(s, Sweep::CzLayer(_))).count(), 3);
         for obs in [Observable::global_cost(6), Observable::local_cost(6)] {
-            let raw = Adjoint.gradient(&c, &params, &obs).unwrap();
-            let fused = adjoint_gradient_compiled(&compiled, &params, &obs).unwrap();
+            let fused = Adjoint.gradient(&c, &params, &obs).unwrap();
+            let raw = gate_by_gate_adjoint(&c, &params, &obs);
             for (r, f) in raw.iter().zip(fused.iter()) {
                 assert!((r - f).abs() < 1e-12, "{obs}: {r} vs {f}");
             }
@@ -430,13 +414,14 @@ mod tests {
         let mut c = Circuit::new(3).unwrap();
         c.h(0).unwrap().h(1).unwrap().h(2).unwrap();
         c.push_controlled_rotation(RotationGate::Ry, 0, 1).unwrap();
+        c.cz(0, 2).unwrap().cz(1, 2).unwrap();
         c.rxx(1, 2).unwrap();
         c.rzz(0, 1).unwrap();
         c.ry(2).unwrap();
         let params = pseudo_angles(c.n_params(), 0.41);
         let obs = Observable::global_cost(3);
-        let raw = Adjoint.gradient(&c, &params, &obs).unwrap();
-        let fused = adjoint_gradient_compiled(&plateau_sim::compile(&c), &params, &obs).unwrap();
+        let fused = Adjoint.gradient(&c, &params, &obs).unwrap();
+        let raw = gate_by_gate_adjoint(&c, &params, &obs);
         for (r, f) in raw.iter().zip(fused.iter()) {
             assert!((r - f).abs() < 1e-10, "{r} vs {f}");
         }
@@ -482,14 +467,11 @@ mod tests {
         let obs = Observable::pauli(PauliString::parse("ZXZY").unwrap()).unwrap();
         let raw = Adjoint.gradient(&c, &params, &obs).unwrap();
         let compiled = plateau_sim::compile(&c);
-        let warm = super::adjoint_gradient_compiled(&compiled, &params, &obs).unwrap();
-        assert_eq!(raw.len(), warm.len());
-        for (r, w) in raw.iter().zip(warm.iter()) {
-            assert!((r - w).abs() < 1e-10, "{r} vs {w}");
-        }
+        let warm = crate::adjoint_gradient_compiled(&compiled, &params, &obs).unwrap();
+        assert_eq!(raw, warm);
         // Same validation surface as the engine entry point.
-        assert!(super::adjoint_gradient_compiled(&compiled, &[], &obs).is_err());
-        assert!(super::adjoint_gradient_compiled(
+        assert!(crate::adjoint_gradient_compiled(&compiled, &[], &obs).is_err());
+        assert!(crate::adjoint_gradient_compiled(
             &compiled,
             &params,
             &Observable::global_cost(5)
@@ -526,10 +508,8 @@ mod tests {
         plateau_rng::check::forall(0xad70_1a57, cases, random_case, |case| {
             let RandomCase { circuit, params, obs } = case;
             let p = circuit.n_params();
-            // The recurrence over both forms.
-            check_partials("raw", p, |wrt| Evaluator::Raw(circuit).adjoint(params, obs, wrt))?;
-            let compiled = Evaluator::Fused(plateau_sim::compile(circuit));
-            check_partials("fused", p, |wrt| compiled.adjoint(params, obs, wrt))?;
+            // The recurrence itself.
+            check_partials("sweep", p, |wrt| adjoint(circuit, params, obs, wrt, None))?;
             // And the public engine entry points.
             let full = Adjoint.gradient(circuit, params, obs).map_err(|e| e.to_string())?;
             for (i, g) in full.iter().enumerate() {

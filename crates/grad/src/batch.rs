@@ -1,21 +1,9 @@
-//! Batched ensemble evaluation: compile once, sweep many parameter sets.
+//! Batched ensemble evaluation: one circuit, many parameter sets.
 //!
-//! The paper's experiments are ensembles — 200 independently-initialized
-//! parameter vectors swept over one circuit structure per (strategy,
-//! qubit-count) cell. Before this module, every evaluation in such a sweep
-//! re-derived everything from scratch: a fresh `2^n` statevector per run,
-//! a fresh compile per run, and a materialized copy of the full parameter
-//! vector per shifted evaluation. [`BatchExecutor`] owns all three costs
-//! once:
+//! The paper's experiments are ensembles — 200 parameter vectors swept
+//! over one circuit per (strategy, qubit-count) cell. [`BatchExecutor`]
+//! pays the per-structure costs once:
 //!
-//! - the circuit is compiled a single time, always, and reused for every
-//!   member of the batch — an executor exists to run one circuit many
-//!   times, which is the case the crate's compile rule (see the `engine`
-//!   module) sends to the compiled form. On the paper's §IV-D training
-//!   loop the parameter-shift step reads 10% faster compiled than on the
-//!   op list (the benchmark's `train_ivd` `main_rel`, 1.39 against
-//!   1.54), and one compile costs 30–45 µs on one thread of a 2-vCPU
-//!   host;
 //! - each worker thread owns one reusable scratch [`plateau_sim::State`]
 //!   plus one parameter buffer, reset in place between evaluations;
 //!   shifted sweeps add a second state per worker for the shared prefix
@@ -24,16 +12,18 @@
 //! - shifted evaluations travel as `(param index, shift)` pairs against
 //!   one base vector instead of `O(k)` bytes per job.
 //!
+//! Every evaluation walks the op list exactly as a one-shot call does.
+//!
 //! # Shifted sweeps share prefixes
 //!
 //! Both of `θ_i`'s shifted circuits run the same gates, at the same
 //! angles, before `θ_i`'s first gate. A shifted sweep therefore orders its
-//! jobs by (base vector, prefix cut — that first gate, or first compiled
-//! segment) and walks the unshifted circuit forward once: each job copies
-//! the prefix state into the worker's second scratch state and runs only
-//! the shifted gate and the suffix. One gradient costs one forward walk
-//! per chunk plus `Σ (N − cut)` over its shifted evaluations instead of
-//! `2k · N` gate applications.
+//! jobs by (base vector, prefix cut — that first gate, or `0` when the
+//! prologue holds it) and walks the unshifted circuit forward once: each
+//! job copies the prefix state into the worker's second scratch state and
+//! runs only the shifted gate and the suffix. One gradient costs one
+//! forward walk per chunk plus `Σ (N − cut)` over its shifted evaluations
+//! instead of `2k · N` gate applications.
 //!
 //! The unit of parallel work is a **chunk** of consecutive prefix groups:
 //! at most `SHIFT_CHUNKS` (8) chunks of roughly equal suffix cost, each
@@ -44,10 +34,8 @@
 //! # Determinism contract
 //!
 //! Results are returned in **input order** and are bit-identical to a
-//! serial loop of the same computation over the compiled form —
-//! [`plateau_sim::compile`] once, then [`plateau_sim::CompiledCircuit::run`]
-//! and [`Observable::expectation`] per set, or
-//! [`crate::adjoint_gradient_compiled`] per member — regardless of
+//! serial loop of the same one-shot calls — [`crate::expectation`] per
+//! set, or [`crate::Adjoint`]'s `gradient` per member — regardless of
 //! `PLATEAU_THREADS` and of whether the batch routed serially or in
 //! parallel: every evaluation runs the same arithmetic on its own scratch
 //! state — a shifted evaluation resumes from prefix bits that equal the
@@ -67,8 +55,8 @@
 
 use std::ops::Range;
 
-use crate::adjoint::Wrt;
-use crate::engine::{Evaluator, MIN_PAR_EVALS};
+use crate::adjoint::{adjoint, Wrt};
+use crate::engine::{observe, param_cuts, MIN_PAR_EVALS};
 use plateau_obs::{counter, gauge, histogram};
 use plateau_sim::{Circuit, Observable, SimError, State};
 
@@ -133,18 +121,16 @@ fn chunk_plan(
 
 /// A circuit structure prepared for sweeping many parameter vectors.
 ///
-/// Construction compiles the circuit once; every subsequent evaluation
-/// reuses that compilation plus a pool of per-worker scratch
-/// statevectors. See the [module docs](self) for the allocation and
-/// determinism contracts.
+/// Every evaluation reuses a pool of per-worker scratch statevectors. See
+/// the [module docs](self) for the allocation and determinism contracts.
 ///
 /// # Examples
 ///
 /// Sweep a 200-member ensemble over one ansatz:
 ///
 /// ```
-/// use plateau_grad::BatchExecutor;
-/// use plateau_sim::{compile, Circuit, Observable};
+/// use plateau_grad::{expectation, BatchExecutor};
+/// use plateau_sim::{Circuit, Observable};
 ///
 /// let mut c = Circuit::new(2)?;
 /// c.ry(0)?.ry(1)?.cz(0, 1)?;
@@ -158,35 +144,25 @@ fn chunk_plan(
 /// let energies = ex.expectation_many(&sets, &obs)?;
 /// assert_eq!(energies.len(), 200);
 ///
-/// // Bit-identical to the one-at-a-time loop over the compiled form:
-/// let compiled = compile(&c);
+/// // Bit-identical to the one-at-a-time loop:
 /// for (set, e) in sets.iter().zip(&energies) {
-///     assert_eq!(*e, obs.expectation(&compiled.run(set)?)?);
+///     assert_eq!(*e, expectation(&c, set, &obs)?);
 /// }
 /// # Ok::<(), plateau_sim::SimError>(())
 /// ```
 pub struct BatchExecutor<'c> {
     circuit: &'c Circuit,
-    ev: Evaluator<'c>,
     /// The caller-thread scratch, allocated lazily so a batch that routes
     /// parallel never pays for an unused serial statevector.
     scratch: Option<Scratch>,
 }
 
 impl<'c> BatchExecutor<'c> {
-    /// Prepares `circuit` for batched evaluation, compiling it once. No
-    /// statevector is allocated until the first evaluation runs.
+    /// Prepares `circuit` for batched evaluation. No statevector is
+    /// allocated until the first evaluation runs.
     pub fn new(circuit: &'c Circuit) -> Self {
-        Self::with_evaluator(circuit, Evaluator::Fused(plateau_sim::compile(circuit)))
-    }
-
-    /// An executor over an explicit evaluator form — how the one-shot
-    /// [`crate::ParameterShift`] `partial` keeps the shared prefix walk
-    /// on the raw op list, and how tests drive both forms.
-    pub(crate) fn with_evaluator(circuit: &'c Circuit, ev: Evaluator<'c>) -> Self {
         BatchExecutor {
             circuit,
-            ev,
             scratch: None,
         }
     }
@@ -215,9 +191,8 @@ impl<'c> BatchExecutor<'c> {
     }
 
     /// One cost evaluation `E(θ)` on the executor's reusable scratch —
-    /// the compiled form's [`plateau_sim::CompiledCircuit::run`] plus the
-    /// observable, with [`crate::expectation`]'s `grad.expectation_evals`
-    /// accounting and zero statevector allocation after the first call.
+    /// [`crate::expectation`]'s arithmetic and `grad.expectation_evals`
+    /// accounting, with zero statevector allocation after the first call.
     ///
     /// # Errors
     ///
@@ -228,12 +203,13 @@ impl<'c> BatchExecutor<'c> {
         let scratch = self
             .scratch
             .get_or_insert_with(|| Scratch::new(n_qubits, n_params));
-        self.ev.expectation_into(&mut scratch.state, params, obs)
+        self.circuit.run_into(&mut scratch.state, params, 0..self.circuit.gate_count())?;
+        observe(&scratch.state, obs)
     }
 
     /// Core batched loop: `n_units` units of work, together `n_evals`
-    /// circuit evaluations, each run as `unit(evaluator, scratch, u)`
-    /// against a per-worker scratch holding `states` statevectors. This
+    /// circuit evaluations, each run as `unit(scratch, u)` against a
+    /// per-worker scratch holding `states` statevectors. This
     /// is the **single** serial/parallel routing decision for the crate;
     /// results come back in unit order either way.
     fn route<U, F>(
@@ -245,7 +221,7 @@ impl<'c> BatchExecutor<'c> {
     ) -> Result<Vec<U>, SimError>
     where
         U: Send,
-        F: Fn(&Evaluator<'c>, &mut Scratch, usize) -> Result<U, SimError> + Sync,
+        F: Fn(&mut Scratch, usize) -> Result<U, SimError> + Sync,
     {
         if n_units == 0 {
             return Ok(Vec::new());
@@ -259,14 +235,13 @@ impl<'c> BatchExecutor<'c> {
         gauge!("grad.batch.scratch_states").set((workers * states) as f64);
         gauge!("grad.batch.scratch_bytes")
             .set((workers * (states * (16usize << n_qubits) + 8 * n_params)) as f64);
-        let ev = &self.ev;
         if workers <= 1 {
             // Serial: reuse the executor's own scratch across the whole
             // batch — one set of states no matter the batch size.
             let scratch = self
                 .scratch
                 .get_or_insert_with(|| Scratch::new(n_qubits, n_params));
-            (0..n_units).map(|u| unit(ev, scratch, u)).collect()
+            (0..n_units).map(|u| unit(scratch, u)).collect()
         } else {
             // Parallel: one scratch per worker thread, initialized on that
             // worker, reused for every unit it claims. Results are
@@ -275,7 +250,7 @@ impl<'c> BatchExecutor<'c> {
             plateau_par::par_map_scratch(
                 n_units,
                 || Scratch::new(n_qubits, n_params),
-                |scratch, u| unit(ev, scratch, u),
+                |scratch, u| unit(scratch, u),
             )
             .into_iter()
             .collect()
@@ -283,8 +258,8 @@ impl<'c> BatchExecutor<'c> {
     }
 
     /// Evaluates the cost for many parameter sets against this circuit,
-    /// in input order. Bit-identical to a serial loop over the compiled
-    /// form (see the [module docs](self)).
+    /// in input order. Bit-identical to a serial loop of
+    /// [`crate::expectation`] (see the [module docs](self)).
     ///
     /// # Errors
     ///
@@ -297,9 +272,11 @@ impl<'c> BatchExecutor<'c> {
     ) -> Result<Vec<f64>, SimError> {
         self.check_sets(param_sets)?;
         let n = param_sets.len();
-        self.route(n, n, 1, |ev, scratch, j| {
+        let circuit = self.circuit;
+        self.route(n, n, 1, |scratch, j| {
             scratch.params.copy_from_slice(&param_sets[j]);
-            ev.expectation_into(&mut scratch.state, &scratch.params, obs)
+            circuit.run_into(&mut scratch.state, &scratch.params, 0..circuit.gate_count())?;
+            observe(&scratch.state, obs)
         })
     }
 
@@ -311,10 +288,10 @@ impl<'c> BatchExecutor<'c> {
     ///
     /// Cost: one forward walk of the unshifted circuit per chunk of
     /// shifts (at most 8) plus, per shift, only the gates from `θ_idx`'s
-    /// first gate (or compiled segment) onward — the prefix before it is
-    /// shared and copied, not re-run. Shifts may come in any order and
-    /// repeat indices; results are in input order and bit-identical to
-    /// one full evaluation of this executor's form per job.
+    /// first gate onward — the prefix before it is shared and copied, not
+    /// re-run. Shifts may come in any order and repeat indices; results
+    /// are in input order and bit-identical to one [`crate::expectation`]
+    /// per job.
     ///
     /// # Errors
     ///
@@ -353,8 +330,9 @@ impl<'c> BatchExecutor<'c> {
     where
         J: Fn(usize) -> (usize, usize, f64) + Sync,
     {
-        let steps = self.ev.steps();
-        let cuts = self.ev.param_cuts(self.n_params());
+        let circuit = self.circuit;
+        let steps = circuit.gate_count();
+        let cuts = param_cuts(circuit);
         let group = |j: usize| {
             let (m, i, _) = job(j);
             (m, cuts[i])
@@ -363,7 +341,7 @@ impl<'c> BatchExecutor<'c> {
         order.sort_unstable_by_key(|&j| (group(j), j));
         let chunks = chunk_plan(&order, group, |j| steps - group(j).1);
         let n_qubits = self.n_qubits();
-        let per_chunk = self.route(n_jobs, chunks.len(), 2, |ev, scratch, c| {
+        let per_chunk = self.route(n_jobs, chunks.len(), 2, |scratch, c| {
             let Scratch { state, prefix, params } = scratch;
             // The (base, cut) the prefix state currently holds.
             let mut held = None;
@@ -374,7 +352,7 @@ impl<'c> BatchExecutor<'c> {
                 params.copy_from_slice(bases[m]);
                 params[i] += delta;
                 if cut == 0 {
-                    ev.run_steps(state, params, 0, steps)?;
+                    circuit.run_into(state, params, 0..steps)?;
                 } else {
                     let prefix = prefix.get_or_insert_with(|| State::zero(n_qubits));
                     if held != Some((m, cut)) {
@@ -384,13 +362,13 @@ impl<'c> BatchExecutor<'c> {
                             Some((hm, hc)) if hm == m => hc,
                             _ => 0,
                         };
-                        ev.run_steps(prefix, bases[m], from, cut)?;
+                        circuit.run_into(prefix, bases[m], from..cut)?;
                         held = Some((m, cut));
                     }
                     state.copy_from(prefix);
-                    ev.run_steps(state, params, cut, steps)?;
+                    circuit.run_into(state, params, cut..steps)?;
                 }
-                out.push(ev.observe(state, obs)?);
+                out.push(observe(state, obs)?);
             }
             Ok(out)
         })?;
@@ -405,8 +383,7 @@ impl<'c> BatchExecutor<'c> {
 
     /// One full adjoint gradient per parameter set, in input order — the
     /// same computation (and the same counter accounting) as calling
-    /// [`crate::adjoint_gradient_compiled`] once per member on this
-    /// executor's one compilation.
+    /// [`crate::Adjoint`]'s `gradient` once per member.
     ///
     /// # Errors
     ///
@@ -422,9 +399,8 @@ impl<'c> BatchExecutor<'c> {
 
     /// Adjoint partial `∂E/∂θ_last` for every parameter set, in input
     /// order — the variance scan's quantity, one ensemble at a time. Each
-    /// member is bit-identical to the last entry of
-    /// [`crate::adjoint_gradient_compiled`]: the backward sweep ends at
-    /// `θ_last`'s segment.
+    /// member is bit-identical to the last entry of [`crate::Adjoint`]'s
+    /// `gradient`: the backward sweep ends at `θ_last`'s gate.
     ///
     /// # Errors
     ///
@@ -447,7 +423,8 @@ impl<'c> BatchExecutor<'c> {
     }
 
     /// One adjoint sweep over the parameters in `wrt` per parameter set,
-    /// in input order.
+    /// in input order, routed like every other batch (the adjoint keeps
+    /// its own states, so the scratch goes unused).
     fn adjoint_many(
         &mut self,
         param_sets: &[Vec<f64>],
@@ -455,30 +432,12 @@ impl<'c> BatchExecutor<'c> {
         wrt: Wrt,
     ) -> Result<Vec<Vec<f64>>, SimError> {
         self.check_sets(param_sets)?;
-        let n_jobs = param_sets.len();
-        if n_jobs == 0 {
-            return Ok(Vec::new());
-        }
-        let workers = workers_for(n_jobs, n_jobs);
-        counter!("grad.batch.batches").inc();
-        counter!("grad.batch.jobs").add(n_jobs as u64);
-        histogram!("grad.batch.size").record(n_jobs as u64);
-        gauge!("grad.batch.workers").set(workers as f64);
-        let ev = &self.ev;
-        if workers <= 1 {
-            param_sets
-                .iter()
-                .map(|set| ev.adjoint(set, obs, wrt))
-                .collect()
-        } else {
-            plateau_par::par_map_indexed(n_jobs, |j| ev.adjoint(&param_sets[j], obs, wrt))
-                .into_iter()
-                .collect()
-        }
+        let (circuit, n) = (self.circuit, param_sets.len());
+        self.route(n, n, 0, |_, j| adjoint(circuit, &param_sets[j], obs, wrt, None))
     }
 
     /// Parameter-shift partial `∂E/∂θ_last` for every parameter set, in
-    /// input order — per member, the shift rule's sum of 2 or 4 compiled
+    /// input order — per member, the shift rule's sum of 2 or 4
     /// evaluations folded in job order, with the whole ensemble's shifted
     /// evaluations flattened into one batch so they share the scratch
     /// pool and one routing decision.
@@ -529,11 +488,11 @@ impl<'c> BatchExecutor<'c> {
 mod tests {
     use super::*;
     use crate::testkit::training_shape as ansatz;
-    use plateau_sim::{compile, CompiledCircuit};
+    use crate::{Adjoint, GradientEngine};
 
-    /// The executor's oracle: one full run of the compiled form.
-    fn compiled_expectation(c: &CompiledCircuit, params: &[f64], obs: &Observable) -> f64 {
-        obs.expectation(&c.run(params).unwrap()).unwrap()
+    /// The executor's oracle: one full one-shot run.
+    fn one_shot(c: &Circuit, params: &[f64], obs: &Observable) -> f64 {
+        crate::expectation(c, params, obs).unwrap()
     }
 
     fn sets(n_params: usize, members: usize) -> Vec<Vec<f64>> {
@@ -551,13 +510,12 @@ mod tests {
         let _guard = plateau_obs::test_lock();
         let c = ansatz(3, 2);
         let obs = Observable::global_cost(3);
-        let compiled = compile(&c);
         // Straddle MIN_PAR_EVALS on both sides.
         for members in [1usize, 5, 8, 20] {
             let sets = sets(c.n_params(), members);
             let batch = BatchExecutor::new(&c).expectation_many(&sets, &obs).unwrap();
             for (set, e) in sets.iter().zip(&batch) {
-                assert_eq!(*e, compiled_expectation(&compiled, set, &obs));
+                assert_eq!(*e, one_shot(&c, set, &obs));
             }
         }
     }
@@ -574,11 +532,10 @@ mod tests {
         let batch = BatchExecutor::new(&c)
             .expectation_shifted(&base, &shifts, &obs)
             .unwrap();
-        let compiled = compile(&c);
         for (&(idx, delta), e) in shifts.iter().zip(&batch) {
             let mut p = base.clone();
             p[idx] += delta;
-            assert_eq!(*e, compiled_expectation(&compiled, &p, &obs));
+            assert_eq!(*e, one_shot(&c, &p, &obs));
         }
     }
 
@@ -591,9 +548,8 @@ mod tests {
         let many = BatchExecutor::new(&c)
             .adjoint_gradient_many(&sets, &obs)
             .unwrap();
-        let compiled = compile(&c);
         for (set, g) in sets.iter().zip(&many) {
-            let one = crate::adjoint_gradient_compiled(&compiled, set, &obs).unwrap();
+            let one = Adjoint.gradient(&c, set, &obs).unwrap();
             assert_eq!(*g, one);
         }
     }
@@ -610,19 +566,18 @@ mod tests {
         let shf = BatchExecutor::new(&c)
             .partial_last_many_shift(&sets, &obs)
             .unwrap();
-        let compiled = compile(&c);
         let last = c.n_params() - 1;
         let mut jobs = Vec::new();
         crate::shift::jobs_for_param(&c, last, &mut jobs).unwrap();
         for (i, set) in sets.iter().enumerate() {
-            let grad = crate::adjoint_gradient_compiled(&compiled, set, &obs).unwrap();
+            let grad = Adjoint.gradient(&c, set, &obs).unwrap();
             assert_eq!(adj[i], grad[last]);
             let terms: Vec<f64> = jobs
                 .iter()
                 .map(|job| {
                     let mut p = set.clone();
                     p[last] += job.shift;
-                    job.coeff * compiled_expectation(&compiled, &p, &obs)
+                    job.coeff * one_shot(&c, &p, &obs)
                 })
                 .collect();
             assert_eq!(shf[i], terms.into_iter().sum::<f64>());

@@ -7,10 +7,10 @@
 //!
 //! - [`ParameterShift`] — exact; 2 circuit evaluations per single-qubit
 //!   rotation parameter (4 for controlled rotations). The method the
-//!   paper's PennyLane pipeline exposes. Full gradients compile the
-//!   circuit once and run through [`BatchExecutor`]: each shifted
-//!   evaluation resumes from its parameter's shared unshifted prefix, and
-//!   chunks of parameters fan across the `plateau_par` pool.
+//!   paper's PennyLane pipeline exposes. Full gradients run through
+//!   [`BatchExecutor`]: each shifted evaluation resumes from its
+//!   parameter's shared unshifted prefix, and chunks of parameters fan
+//!   across the `plateau_par` pool.
 //! - [`Adjoint`] — exact; one forward pass plus one backward sweep yields
 //!   **all** parameters. The workhorse for the 200-circuit ensembles.
 //! - [`FiniteDifference`] — approximate oracle used to validate the other
@@ -44,6 +44,7 @@
 mod adjoint;
 mod attribution;
 mod batch;
+mod compat;
 mod engine;
 mod finite_diff;
 mod fisher;
@@ -53,9 +54,10 @@ mod shift;
 #[cfg(test)]
 mod testkit;
 
-pub use adjoint::{adjoint_gradient_compiled, adjoint_value_and_gradient_compiled, Adjoint};
+pub use adjoint::{adjoint_value_and_gradient, Adjoint};
 pub use attribution::{layer_grad_stats, layer_grad_variances_into, LayerGradStats};
 pub use batch::BatchExecutor;
+pub use compat::*;
 pub use engine::{expectation, expectation_many, GradientEngine};
 pub use finite_diff::FiniteDifference;
 pub use fisher::{classical_fisher_information, quantum_fisher_information};

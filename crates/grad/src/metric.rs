@@ -57,13 +57,9 @@ pub fn tangent_state(
         }
         // One derivative insertion at position k.
         let mut state = State::zero(circuit.n_qubits());
-        for (j, other) in circuit.ops().iter().enumerate() {
-            if j == k {
-                other.apply_derivative(&mut state, params)?;
-            } else {
-                other.apply(&mut state, params)?;
-            }
-        }
+        circuit.run_into(&mut state, params, 0..k)?;
+        op.apply_derivative(&mut state, params)?;
+        circuit.run_into(&mut state, params, k + 1..circuit.gate_count())?;
         for (i, t) in total.iter_mut().enumerate() {
             *t += state.amplitude(i);
         }

@@ -25,21 +25,14 @@
 //! and applies only the gates from `θ_i`'s gate onward. A gradient over an
 //! `N`-gate circuit costs one forward walk per chunk (at most 8) plus
 //! `N − p_i` gates per shifted evaluation of `θ_i`, where `p_i` is
-//! `θ_i`'s first gate — on the paper's §IV-D ansatz 15,944 gate
-//! applications instead of `2k · N` = 29,000 — with results
-//! bit-identical to the restart-from-zero evaluation (see
+//! `θ_i`'s first gate (`0` when the product-state prologue holds it) —
+//! on the paper's §IV-D ansatz 16,322 gate applications instead of
+//! `2k · N` = 29,000, with each layer's CZ chain one sweep — and with
+//! results bit-identical to the restart-from-zero evaluation (see
 //! [`crate::BatchExecutor`]).
-//!
-//! A full gradient runs the circuit `2k` times, so it compiles first and
-//! walks compiled segments instead of gates (on the §IV-D ansatz, 145
-//! gates become 105 segments: each layer's CZ chain is one diagonal
-//! superkernel, and the first rotation layer runs as the product-state
-//! prologue). A single `partial` runs it two or four times, so
-//! it walks the op list — the crate's compile rule, stated in the
-//! `engine` module.
 
 use crate::batch::BatchExecutor;
-use crate::engine::{Evaluator, GradientEngine};
+use crate::engine::GradientEngine;
 use plateau_sim::{Circuit, Observable, Op, SimError};
 use std::f64::consts::{FRAC_PI_2, SQRT_2};
 
@@ -63,31 +56,6 @@ use std::f64::consts::{FRAC_PI_2, SQRT_2};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParameterShift;
 
-/// Kind of shift rule a parameter needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShiftRule {
-    /// Single-qubit rotation: two-term rule, shift π/2, coefficient 1/2.
-    TwoTerm,
-    /// Controlled rotation: four-term rule.
-    FourTerm,
-}
-
-pub(crate) fn rule_for_param(circuit: &Circuit, index: usize) -> Result<ShiftRule, SimError> {
-    let op_idx = circuit
-        .op_of_param(index)
-        .ok_or(SimError::ParamOutOfRange {
-            index,
-            n_params: circuit.n_params(),
-        })?;
-    Ok(match &circuit.ops()[op_idx] {
-        // Pauli and Pauli-product generators square to the identity →
-        // exact two-term rule.
-        Op::Rotation { .. } | Op::TwoQubitRotation { .. } => ShiftRule::TwoTerm,
-        Op::ControlledRotation { .. } => ShiftRule::FourTerm,
-        Op::Fixed { .. } => unreachable!("fixed ops own no parameters"),
-    })
-}
-
 /// One shifted-circuit evaluation of the parameter-shift sum:
 /// contributes `coeff · E(θ with θ[param] += shift)` to `∂E/∂θ[param]`.
 #[derive(Debug, Clone, Copy)]
@@ -105,12 +73,18 @@ pub(crate) fn jobs_for_param(
     index: usize,
     jobs: &mut Vec<ShiftJob>,
 ) -> Result<(), SimError> {
-    match rule_for_param(circuit, index)? {
-        ShiftRule::TwoTerm => {
+    let op = circuit.op_of_param(index).ok_or(SimError::ParamOutOfRange {
+        index,
+        n_params: circuit.n_params(),
+    })?;
+    match &circuit.ops()[op] {
+        // Pauli and Pauli-product generators square to the identity →
+        // exact two-term rule.
+        Op::Rotation { .. } | Op::TwoQubitRotation { .. } => {
             jobs.push(ShiftJob { param: index, shift: FRAC_PI_2, coeff: 0.5 });
             jobs.push(ShiftJob { param: index, shift: -FRAC_PI_2, coeff: -0.5 });
         }
-        ShiftRule::FourTerm => {
+        Op::ControlledRotation { .. } => {
             // PennyLane's four-term rule for controlled rotations:
             // c± = (√2 ± 1) / (4√2), shifts π/2 and 3π/2.
             let c1 = (SQRT_2 + 1.0) / (4.0 * SQRT_2);
@@ -120,6 +94,7 @@ pub(crate) fn jobs_for_param(
             jobs.push(ShiftJob { param: index, shift: 3.0 * FRAC_PI_2, coeff: -c2 });
             jobs.push(ShiftJob { param: index, shift: -3.0 * FRAC_PI_2, coeff: c2 });
         }
+        Op::Fixed { .. } => unreachable!("fixed ops own no parameters"),
     }
     Ok(())
 }
@@ -134,8 +109,8 @@ fn push_jobs(circuit: &Circuit, index: usize, jobs: &mut Vec<ShiftJob>) -> Resul
 }
 
 impl ParameterShift {
-    /// The full gradient through `ex`'s evaluator, from a pre-validated
-    /// parameter vector.
+    /// The full gradient through `ex`, from a pre-validated parameter
+    /// vector.
     pub(crate) fn gradient_with(
         ex: &mut BatchExecutor,
         params: &[f64],
@@ -165,8 +140,8 @@ impl ParameterShift {
         Ok(grad)
     }
 
-    /// One partial through `ex`'s evaluator, from a pre-validated
-    /// parameter vector and index.
+    /// One partial through `ex`, from a pre-validated parameter vector
+    /// and index.
     pub(crate) fn partial_with(
         ex: &mut BatchExecutor,
         params: &[f64],
@@ -185,8 +160,8 @@ impl ParameterShift {
 }
 
 impl GradientEngine for ParameterShift {
-    /// `2k` (or `4k`) shifted evaluations of one circuit: compiled once,
-    /// then swept through [`BatchExecutor`].
+    /// `2k` (or `4k`) shifted evaluations of one circuit, swept through
+    /// [`BatchExecutor`].
     fn gradient(
         &self,
         circuit: &Circuit,
@@ -197,8 +172,7 @@ impl GradientEngine for ParameterShift {
         Self::gradient_with(&mut BatchExecutor::new(circuit), params, obs)
     }
 
-    /// Two (or four) shifted evaluations from one shared prefix walk, on
-    /// the op list: too few runs to pay for a compile.
+    /// Two (or four) shifted evaluations from one shared prefix walk.
     fn partial(
         &self,
         circuit: &Circuit,
@@ -208,8 +182,7 @@ impl GradientEngine for ParameterShift {
     ) -> Result<f64, SimError> {
         crate::engine::check_index(circuit, index)?;
         circuit.check_params(params)?;
-        let mut ex = BatchExecutor::with_evaluator(circuit, Evaluator::Raw(circuit));
-        Self::partial_with(&mut ex, params, obs, index)
+        Self::partial_with(&mut BatchExecutor::new(circuit), params, obs, index)
     }
 }
 
@@ -351,21 +324,18 @@ mod tests {
         }
     }
 
-    /// Every shifted-sweep entry point through the executor `ex` against
-    /// the per-job oracle: one full `oracle.expectation` per shifted
+    /// Every shifted-sweep entry point through an executor against the
+    /// per-job oracle: one full [`crate::expectation`] per shifted
     /// parameter vector, folded as `Σ coeff · E(θ with θ_i += s)` in job
     /// order.
-    fn check_against_oracle(
-        what: &str,
-        ex: &mut BatchExecutor,
-        oracle: &Evaluator,
-        sc: &ShiftCase,
-    ) -> Result<(), String> {
+    fn check_against_oracle(sc: &ShiftCase) -> Result<(), String> {
+        let what = "executor";
         let RandomCase { circuit, params, obs } = &sc.case;
+        let ex = &mut BatchExecutor::new(circuit);
         let e = |base: &[f64], i: usize, s: f64| {
             let mut theta = base.to_vec();
             theta[i] += s;
-            oracle.expectation(&theta, obs).map_err(|e| e.to_string())
+            crate::expectation(circuit, &theta, obs).map_err(|e| e.to_string())
         };
         let err = |e: SimError| format!("{what}: {e}");
         let shifted = ex.expectation_shifted(params, &sc.shifts, obs).map_err(err)?;
@@ -409,20 +379,9 @@ mod tests {
         Ok(())
     }
 
-    /// [`check_against_oracle`] through both evaluator forms.
-    fn check_both_forms(sc: &ShiftCase) -> Result<(), String> {
-        let c = &sc.case.circuit;
-        let mut ex = BatchExecutor::with_evaluator(c, Evaluator::Raw(c));
-        check_against_oracle("raw", &mut ex, &Evaluator::Raw(c), sc)?;
-        let compiled = plateau_sim::compile(c);
-        let mut ex = BatchExecutor::with_evaluator(c, Evaluator::Fused(compiled.clone()));
-        check_against_oracle("fused", &mut ex, &Evaluator::Fused(compiled), sc)
-    }
-
     /// The paper's layer shape (RX·RY per wire, then a CZ chain): the
-    /// compiled form's product-state prologue absorbs the whole first
-    /// rotation layer, so those parameters get an empty prefix and the
-    /// rest resume after it.
+    /// product-state prologue absorbs the whole first rotation layer, so
+    /// those parameters get an empty prefix and the rest resume after it.
     fn layered_case() -> ShiftCase {
         let mut c = Circuit::new(3).unwrap();
         for _ in 0..3 {
@@ -431,7 +390,7 @@ mod tests {
             }
             c.cz(0, 1).unwrap().cz(1, 2).unwrap();
         }
-        assert!(plateau_sim::compile(&c).prologue_len() > 0);
+        assert!(c.prologue_len() > 0);
         let n = c.n_params();
         ShiftCase {
             case: RandomCase {
@@ -452,23 +411,20 @@ mod tests {
         let saved = std::env::var("PLATEAU_THREADS").ok();
         for threads in ["1", "2"] {
             std::env::set_var("PLATEAU_THREADS", threads);
-            check_both_forms(&layered_case()).unwrap();
+            check_against_oracle(&layered_case()).unwrap();
             let cases = plateau_rng::check::cases(48);
             plateau_rng::check::forall(0x5b1f_7e55, cases, shift_case, |sc| {
-                check_both_forms(sc)?;
-                // And the public engine entry points: the gradient runs
-                // the compiled form, a single partial the op list.
+                check_against_oracle(sc)?;
+                // And the public engine entry points.
                 let RandomCase { circuit: c, params, obs } = &sc.case;
-                let fused =
-                    || BatchExecutor::with_evaluator(c, Evaluator::Fused(plateau_sim::compile(c)));
-                let raw = || BatchExecutor::with_evaluator(c, Evaluator::Raw(c));
+                let ex = || BatchExecutor::new(c);
                 let err = |e: SimError| e.to_string();
-                let want = ParameterShift::gradient_with(&mut fused(), params, obs).map_err(err)?;
+                let want = ParameterShift::gradient_with(&mut ex(), params, obs).map_err(err)?;
                 let grad = ParameterShift.gradient(c, params, obs).map_err(err)?;
                 for (i, (g, w)) in grad.iter().zip(&want).enumerate() {
                     same(&format!("ParameterShift.gradient[{i}]"), *g, *w)?;
                     let p = ParameterShift.partial(c, params, obs, i).map_err(err)?;
-                    let q = ParameterShift::partial_with(&mut raw(), params, obs, i).map_err(err)?;
+                    let q = ParameterShift::partial_with(&mut ex(), params, obs, i).map_err(err)?;
                     same(&format!("ParameterShift.partial({i})"), p, q)?;
                 }
                 Ok(())
@@ -481,9 +437,11 @@ mod tests {
     }
 
     /// One parameter-shift gradient of the paper's §IV-D ansatz (10
-    /// qubits, 5 layers: N = 145 gates, k = 100 parameters) on the raw op
+    /// qubits, 5 layers: N = 145 gates, k = 100 parameters) on the op
     /// list, counted through the process-global `sim.gate.*` counters —
     /// so it runs alone, from [`raw_shift_gradient_gate_count_is_pinned`].
+    /// Gates count once each whichever kernel runs them: the prologue's
+    /// folded rotations and each CZ layer's nine CZs included.
     #[test]
     #[ignore = "pins process-global counters; run alone by raw_shift_gradient_gate_count_is_pinned"]
     fn raw_shift_gradient_gate_count() {
@@ -495,20 +453,25 @@ mod tests {
         let params: Vec<f64> = (0..c.n_params()).map(|i| 0.05 * i as f64 - 1.0).collect();
         let obs = Observable::global_cost(10);
         let n = c.ops().len() as u64;
-        // Each of θ_i's two shifted runs resumes at θ_i's gate p_i and
-        // runs the suffix: Σ 2·(N − p_i) = 15,500 gates.
+        // Each of θ_i's two shifted runs resumes at θ_i's cut — its gate
+        // p_i, or 0 for layer 0, whose rotations are the prologue — and
+        // runs the suffix: Σ 2·(N − cut_i) = 15,880 gates.
+        let prologue = c.prologue_len();
+        assert_eq!(prologue, 20);
         let suffixes: u64 = (0..c.n_params())
-            .map(|i| 2 * (n - c.op_of_param(i).unwrap() as u64))
+            .map(|i| c.op_of_param(i).unwrap())
+            .map(|p| 2 * (n - if p < prologue { 0 } else { p as u64 }))
             .sum();
-        assert_eq!(suffixes, 15_500);
+        assert_eq!(suffixes, 15_880);
         // The prefix walks: the sweep splits the 100 parameters into 8
-        // chunks of roughly equal suffix cost (≈ 15,500 / 8 each), whose
-        // last cuts fall at ops 6, 13, 30, 39, 58, 69, 94 and 135. Each
-        // chunk walks its own prefix from |0…0⟩ up to its last cut, so
-        // the walks cost 6 + 13 + 30 + 39 + 58 + 69 + 94 + 135 = 444
-        // gates. The plan depends only on the circuit, so the total holds
-        // for every thread count.
-        let prefix_walks = 444u64;
+        // chunks of roughly equal suffix cost (≈ 15,880 / 8 each). The
+        // first holds layer 0's 40 runs, which need no prefix; the last
+        // cuts of the other seven fall at ops 29, 30, 38, 48, 69, 93 and
+        // 135. Each walks its own prefix from |0…0⟩ up to its last cut, so
+        // the walks cost 29 + 30 + 38 + 48 + 69 + 93 + 135 = 442 gates.
+        // The plan depends only on the circuit, so the total holds for
+        // every thread count.
+        let prefix_walks = 442u64;
         let count = |name: &str| plateau_obs::snapshot().counter(name).unwrap_or(0);
         let gates = || -> u64 {
             [
@@ -525,8 +488,7 @@ mod tests {
             std::env::set_var("PLATEAU_THREADS", threads);
             let (gates_before, execs_before) =
                 (gates(), count("grad.executions.parameter_shift"));
-            let mut ex = BatchExecutor::with_evaluator(&c, Evaluator::Raw(&c));
-            ParameterShift::gradient_with(&mut ex, &params, &obs).unwrap();
+            ParameterShift.gradient(&c, &params, &obs).unwrap();
             assert_eq!(gates() - gates_before, suffixes + prefix_walks, "threads={threads}");
             // Executions count evaluations, not gates: still 2k.
             assert_eq!(
@@ -535,8 +497,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-        // The raw form never compiles.
-        assert_eq!(count("sim.fuse.gates_in"), 0);
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! - the per-circuit loop it replaced really does pay one full
 //!   statevector per member (the contrast that makes the bound meaningful);
 //! - a full [`ParameterShift`] gradient allocates `O(k)` bytes of job
-//!   bookkeeping, one compile, and two statevectors per worker (prefix
-//!   and work), not the `O(k²)` of materializing one parameter-vector
-//!   copy per shifted evaluation;
-//! - a compiled adjoint sweep allocates the same bytes whatever the
-//!   number of diagonal superkernels it inverts.
+//!   bookkeeping and two statevectors per worker (prefix and work), not
+//!   the `O(k²)` of materializing one parameter-vector copy per shifted
+//!   evaluation;
+//! - an adjoint sweep allocates the same bytes whatever the number of CZ
+//!   layers it steps back through.
 //!
 //! Everything shares the process-global allocator high-water mark, so it
 //! runs as one sequential test function, like `alloc_profile.rs`.
 
-use plateau_grad::{expectation, BatchExecutor, GradientEngine, ParameterShift};
+use plateau_grad::{expectation, Adjoint, BatchExecutor, GradientEngine, ParameterShift};
 use plateau_obs::alloc::{set_profiling, stats, thread_allocated, CountingAllocator};
 use plateau_sim::{Circuit, Observable};
 
@@ -146,52 +146,27 @@ fn batch_path_allocation_is_flat_and_parameter_shift_is_linear() {
         delta(&mut grad_run),
         "parameter-shift gradient must allocate deterministically"
     );
-    // A full gradient compiles its circuit once per call: one compile's
-    // bytes (the segment list, its op lists and the superkernel
-    // diagonals) ride on top of the sweep's own O(k) bound.
-    let (compile_bytes, _) = delta(&mut || {
-        plateau_sim::compile(&circuit);
-    });
-    // Exactly: the segment list (one slot per source gate, reserved up
-    // front) plus, per layer, the CZ chain's superkernel — its 2^n
-    // diagonal and its nine cloned CZ ops, each with a two-qubit operand
-    // list. The rotations stay in their segment slots.
-    let (layers, chain) = (5u64, 9u64);
-    let segment = std::mem::size_of::<plateau_sim::Segment>() as u64;
-    let op = std::mem::size_of::<plateau_sim::Op>() as u64;
-    let superkernel = state_bytes + chain * (op + 2 * 8);
-    assert_eq!(
-        compile_bytes,
-        circuit.ops().len() as u64 * segment + layers * superkernel,
-        "compile of the 10q/5L ansatz"
-    );
-    assert!(
-        grad_bytes >= compile_bytes,
-        "gradient allocated {grad_bytes} B, less than its one compile ({compile_bytes} B)"
-    );
-    let sweep_bytes = grad_bytes - compile_bytes;
+    // The whole gradient — job bookkeeping and the workers' states —
+    // sits under the O(k) bound.
     let quadratic = (2 * n_params * 8 * n_params) as u64;
     let linear_bound =
         workers * (2 * state_bytes + 8 * n_params as u64) + 64 * n_params as u64 + 8192;
     assert!(
-        sweep_bytes < linear_bound.min(quadratic / 2),
-        "gradient allocated {grad_bytes} B, {sweep_bytes} B beyond its compile; O(k) \
-         bound is {linear_bound} B (the old per-job copies cost ≥ {quadratic} B)"
+        grad_bytes < linear_bound.min(quadratic / 2),
+        "gradient allocated {grad_bytes} B; O(k) bound is {linear_bound} B (the old \
+         per-job copies cost ≥ {quadratic} B)"
     );
 
-    // ── Satellite pin: a compiled adjoint sweep inverts each diagonal
-    // superkernel in place. Layer by layer the ansatz gains one
-    // superkernel, and the sweep gains only its O(k) bookkeeping (the
-    // layer's twenty gradient entries) — never the 2^n conjugated
-    // diagonal an allocating inverse would build twice per superkernel.
+    // ── Satellite pin: an adjoint sweep steps back through each CZ layer
+    // in place. Layer by layer the ansatz gains one CZ layer, and the
+    // sweep gains only its O(k) bookkeeping (the layer's twenty gradient
+    // entries).
     let adjoint_bytes = |layers: usize| {
         let c = training_shape(10, layers);
-        let compiled = plateau_sim::compile(&c);
-        assert_eq!(compiled.superkernels(), layers);
         let params: Vec<f64> = (0..c.n_params()).map(|p| 0.1 + 0.003 * p as f64).collect();
-        plateau_grad::adjoint_gradient_compiled(&compiled, &params, &obs).unwrap(); // warm
+        Adjoint.gradient(&c, &params, &obs).unwrap(); // warm
         delta(&mut || {
-            plateau_grad::adjoint_gradient_compiled(&compiled, &params, &obs).unwrap();
+            Adjoint.gradient(&c, &params, &obs).unwrap();
         })
         .0
     };
@@ -208,14 +183,14 @@ fn batch_path_allocation_is_flat_and_parameter_shift_is_linear() {
     assert_eq!(
         step,
         20 * 8,
-        "each superkernel layer adds {step} B to a compiled adjoint sweep ({per_layer:?})"
+        "each layer adds {step} B to an adjoint sweep ({per_layer:?})"
     );
     // What no layer adds: the sweep's three statevectors (φ, λ and the
     // tangent μ) plus under 1 KB.
     let fixed = per_layer[0] - step;
     assert!(
         (3 * state_bytes..3 * state_bytes + 1024).contains(&fixed),
-        "a compiled adjoint sweep holds φ, λ and μ; by layer it allocated {per_layer:?}"
+        "an adjoint sweep holds φ, λ and μ; by layer it allocated {per_layer:?}"
     );
 
     set_profiling(false);

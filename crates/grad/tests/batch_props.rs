@@ -1,6 +1,6 @@
 //! Property tests for the batched executor's determinism contract:
 //! results are **bit-identical** to a serial one-evaluation-per-set loop
-//! over the same compiled form (the executor always compiles) across
+//! of one-shot calls across
 //! random circuits, batch sizes straddling the parallel threshold, and
 //! thread counts — the order-independence guarantee DESIGN.md §14
 //! promises.
@@ -8,10 +8,10 @@
 //! `PLATEAU_THREADS` is process-global, so everything here serializes on
 //! [`plateau_obs::test_lock`] and restores the variable before returning.
 
-use plateau_grad::{adjoint_gradient_compiled, BatchExecutor, GradientEngine};
+use plateau_grad::{Adjoint, BatchExecutor, GradientEngine};
 use plateau_rng::check::{cases, forall};
 use plateau_rng::{Rng, StdRng};
-use plateau_sim::{compile, Circuit, Observable};
+use plateau_sim::{Circuit, Observable};
 
 /// A generated sweep: one random layered circuit plus a parameter ensemble.
 #[derive(Debug)]
@@ -75,12 +75,11 @@ fn batched_sweep_is_bit_identical_to_serial_loop_across_thread_counts() {
     forall(0xbafc4ed, cases(24), gen_case, |case| {
         let circuit = case.build();
         let obs = Observable::global_cost(case.n_qubits);
-        // The oracle: one fresh run of the compiled form per set, serially.
-        let compiled = compile(&circuit);
+        // The oracle: one fresh run per set, serially.
         let oracle: Vec<f64> = case
             .param_sets
             .iter()
-            .map(|set| obs.expectation(&compiled.run(set).unwrap()).unwrap())
+            .map(|set| obs.expectation(&circuit.run(set).unwrap()).unwrap())
             .collect();
         let mut failure = None;
         with_thread_counts(|threads| {
@@ -141,11 +140,10 @@ fn adjoint_many_is_bit_identical_across_thread_counts() {
     forall(0xad10, cases(12), gen_case, |case| {
         let circuit = case.build();
         let obs = Observable::global_cost(case.n_qubits);
-        let compiled = compile(&circuit);
         let oracle: Vec<Vec<f64>> = case
             .param_sets
             .iter()
-            .map(|set| adjoint_gradient_compiled(&compiled, set, &obs).unwrap())
+            .map(|set| Adjoint.gradient(&circuit, set, &obs).unwrap())
             .collect();
         let mut failure = None;
         with_thread_counts(|threads| {

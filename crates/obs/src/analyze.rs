@@ -418,7 +418,7 @@ impl Analysis {
     }
 
     /// Restricts the analysis to span names starting with `prefix`
-    /// (e.g. `"sim.fuse."`), recomputing the span count over the kept
+    /// (e.g. `"grad."`), recomputing the span count over the kept
     /// names. `total_wall_ns` still measures the whole trace so the
     /// rendered `self%` column keeps its meaning (share of the run, not
     /// share of the filtered subset).
@@ -685,7 +685,7 @@ mod tests {
         let report = f.render_report(0);
         assert!(report.contains("leaf") && !report.contains("root"), "{report}");
         // A prefix matching nothing yields an empty (but renderable) report.
-        let none = a.filter_prefix("sim.fuse.");
+        let none = a.filter_prefix("sim.none.");
         assert_eq!((none.stats.len(), none.span_count), (0, 0));
         none.render_report(0);
     }

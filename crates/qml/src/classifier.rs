@@ -168,8 +168,8 @@ impl Classifier {
     }
 
     /// Decision values for a whole dataset through one batched sweep:
-    /// the circuit is compiled once and every sample's evaluation reuses
-    /// a per-worker scratch statevector instead of allocating its own.
+    /// every sample's evaluation reuses a per-worker scratch statevector
+    /// instead of allocating its own.
     fn decision_values(&self, weights: &[f64], data: &[Sample]) -> Result<Vec<f64>, CoreError> {
         let sets = data
             .iter()
@@ -241,7 +241,7 @@ impl Classifier {
             .iter()
             .map(|s| self.full_params(weights, &s.features))
             .collect::<Result<Vec<_>, _>>()?;
-        // One executor (one compile) feeds both sweeps; the fold below
+        // One executor feeds both sweeps; the fold below
         // runs in sample order so the result matches the old
         // sample-at-a-time loop exactly.
         let mut ex = BatchExecutor::new(&self.circuit);

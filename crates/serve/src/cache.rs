@@ -1,17 +1,17 @@
-//! The compiled-circuit LRU cache — why repeat tenants are fast.
+//! The parsed-circuit LRU cache — why repeat tenants are fast.
 //!
 //! The service's dominant cost for small requests is not the simulation
-//! itself but the per-request setup: parsing QASM (or walking op JSON),
-//! building the [`Circuit`], and compiling it. A tenant polling `/gradient` with fresh parameters
-//! every few milliseconds re-pays that setup on every call unless we
-//! remember the structure.
+//! itself but the per-request setup: parsing QASM (or walking op JSON)
+//! and building the [`Circuit`]. A tenant polling `/gradient` with fresh
+//! parameters every few milliseconds re-pays that setup on every call
+//! unless we remember the structure.
 //!
 //! The cache maps the **raw wire form** of a circuit (the
 //! [`CircuitSpec::cache_token`] string — QASM text or canonical op JSON,
-//! *before* any parsing) to an [`Arc`] of the built circuit plus its
-//! compilation. Keying on the raw form means a warm hit skips the
-//! QASM parser, the builder, and the compiler entirely; the
-//! handler goes straight from HTTP bytes to `CompiledCircuit::run`.
+//! *before* any parsing) to an [`Arc`] of the built circuit. Keying on the
+//! raw form means a warm hit skips the QASM parser and the builder
+//! entirely; the handler goes straight from HTTP bytes to
+//! [`Circuit::run`].
 //!
 //! Entries are found by FNV-64 hash of the token with a full token
 //! equality check behind it, so hash collisions cost a miss, never a
@@ -19,26 +19,22 @@
 //! tens of entries — a scan beats pointer-chasing at this size).
 //! Building happens **outside** the lock: concurrent first requests for
 //! the same circuit may both build (duplicated work, bounded by the
-//! worker count) but nobody ever waits on a compile while holding the
+//! worker count) but nobody ever waits on a build while holding the
 //! cache.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use plateau_sim::{compile, Circuit, CompiledCircuit};
+use plateau_sim::Circuit;
 
 use crate::protocol::{CircuitSpec, ProtocolError};
 
-/// A cached circuit structure: the built circuit and, when the cache
-/// compiles, its compilation.
+/// A cached circuit structure: the built circuit.
 #[derive(Debug)]
 pub struct CachedCircuit {
     /// The exact token this entry was built from (collision guard).
     token: String,
-    /// The built circuit (the parameter-shift path runs this).
+    /// The built circuit.
     pub circuit: Circuit,
-    /// The compilation (the simulate/adjoint paths run this). `None` when
-    /// the cache was built not to compile.
-    pub compiled: Option<CompiledCircuit>,
 }
 
 /// FNV-1a 64-bit — tiny, deterministic, good enough to spread cache
@@ -59,25 +55,28 @@ struct Slot {
     stamp: u64,
 }
 
-/// An exact-LRU cache of compiled circuit structures.
+/// An exact-LRU cache of parsed circuit structures.
 pub struct CircuitCache {
     /// Every lock recovers a poisoned mutex: no code panics while holding
     /// it, so one panicking request cannot fail every later one.
     slots: Mutex<(Vec<Slot>, u64)>,
     capacity: usize,
-    fuse: bool,
 }
 
 impl CircuitCache {
-    /// A cache holding at most `capacity` circuits; `fuse` controls
-    /// whether entries carry a compilation (the server always passes
-    /// `true`).
-    pub fn new(capacity: usize, fuse: bool) -> CircuitCache {
+    /// A cache holding at most `capacity` circuits.
+    pub fn with_capacity(capacity: usize) -> CircuitCache {
         CircuitCache {
             slots: Mutex::new((Vec::with_capacity(capacity.min(64)), 0)),
             capacity: capacity.max(1),
-            fuse,
         }
+    }
+
+    /// [`CircuitCache::with_capacity`]; the flag, which chose whether
+    /// entries were compiled, is ignored. Kept only until a benchmark
+    /// change drops its calls.
+    pub fn new(capacity: usize, _compile: bool) -> CircuitCache {
+        CircuitCache::with_capacity(capacity)
     }
 
     /// Looks up `spec`, building and inserting on a miss. Returns the
@@ -101,15 +100,10 @@ impl CircuitCache {
             return Ok((entry, true));
         }
         plateau_obs::counter!("serve.cache.misses").inc();
-        // Build outside the lock — compiles can take milliseconds and
+        // Build outside the lock — parsing can take milliseconds and
         // must not serialize unrelated tenants.
         let circuit = spec.build()?;
-        let compiled = self.fuse.then(|| compile(&circuit));
-        let entry = Arc::new(CachedCircuit {
-            token,
-            circuit,
-            compiled,
-        });
+        let entry = Arc::new(CachedCircuit { token, circuit });
         self.insert(hash, Arc::clone(&entry));
         Ok((entry, false))
     }
@@ -194,29 +188,27 @@ mod tests {
 
     #[test]
     fn second_lookup_hits_and_shares_the_entry() {
-        let cache = CircuitCache::new(4, true);
+        let cache = CircuitCache::with_capacity(4);
         let (a, hit_a) = cache.get_or_build(&spec(3, 2)).unwrap();
         let (b, hit_b) = cache.get_or_build(&spec(3, 2)).unwrap();
         assert!(!hit_a);
         assert!(hit_b);
         assert!(Arc::ptr_eq(&a, &b));
-        assert!(a.compiled.is_some());
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn distinct_specs_get_distinct_entries() {
-        let cache = CircuitCache::new(4, false);
+        let cache = CircuitCache::with_capacity(4);
         let (a, _) = cache.get_or_build(&spec(3, 2)).unwrap();
         let (b, _) = cache.get_or_build(&spec(4, 2)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
-        assert!(a.compiled.is_none());
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn capacity_evicts_least_recently_used() {
-        let cache = CircuitCache::new(2, false);
+        let cache = CircuitCache::with_capacity(2);
         cache.get_or_build(&spec(2, 1)).unwrap();
         cache.get_or_build(&spec(3, 1)).unwrap();
         // Touch the first so the second is LRU.
@@ -232,7 +224,7 @@ mod tests {
 
     #[test]
     fn qasm_and_ops_forms_cache_independently() {
-        let cache = CircuitCache::new(4, false);
+        let cache = CircuitCache::with_capacity(4);
         let ops_form = spec(2, 1);
         let circuit = ops_form.build().unwrap();
         let qasm = plateau_sim::qasm::to_qasm(&circuit, &vec![0.0; circuit.n_params()]).unwrap();
@@ -244,7 +236,7 @@ mod tests {
 
     #[test]
     fn build_failures_are_not_cached() {
-        let cache = CircuitCache::new(4, false);
+        let cache = CircuitCache::with_capacity(4);
         let bad = CircuitSpec::Qasm("OPENQASM 2.0; nonsense".into());
         assert!(cache.get_or_build(&bad).is_err());
         assert!(cache.is_empty());
@@ -252,7 +244,7 @@ mod tests {
 
     #[test]
     fn clear_forces_cold_rebuild() {
-        let cache = CircuitCache::new(4, true);
+        let cache = CircuitCache::with_capacity(4);
         cache.get_or_build(&spec(3, 1)).unwrap();
         cache.clear();
         let (_, hit) = cache.get_or_build(&spec(3, 1)).unwrap();

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use plateau_grad::GradientEngine;
 use plateau_obs::json::Json;
 use plateau_rng::SeedableRng;
-use plateau_sim::{sample_counts, Observable, State};
+use plateau_sim::{sample_counts, Observable};
 
 use crate::cache::{CachedCircuit, CircuitCache};
 use crate::protocol::{
@@ -48,7 +48,7 @@ pub struct ExecOutcome {
     pub status: u16,
     /// Response body.
     pub body: Json,
-    /// `Some(true)` = compiled-cache hit, `Some(false)` = miss, `None`
+    /// `Some(true)` = circuit-cache hit, `Some(false)` = miss, `None`
     /// for endpoints that don't touch the cache.
     pub cache: Option<bool>,
 }
@@ -107,21 +107,6 @@ fn cached(
     Ok((entry, hit))
 }
 
-/// Runs the circuit to its final state, preferring the compiled form.
-fn run_state(entry: &CachedCircuit, params: &[f64]) -> Result<State, ProtocolError> {
-    match &entry.compiled {
-        Some(compiled) => Ok(compiled.run(params)?),
-        None => Ok(entry.circuit.run(params)?),
-    }
-}
-
-fn expectation(
-    entry: &CachedCircuit,
-    params: &[f64],
-    obs: &Observable,
-) -> Result<f64, ProtocolError> {
-    Ok(obs.expectation(&run_state(entry, params)?)?)
-}
 
 fn simulate(
     r: &SimulateRequest,
@@ -131,7 +116,7 @@ fn simulate(
     let (entry, hit) = cached(&r.circuit, cache, limits)?;
     let n = entry.circuit.n_qubits();
     let obs = r.observable.build(n)?;
-    let state = run_state(&entry, &r.params)?;
+    let state = entry.circuit.run(&r.params)?;
     let expectation = obs.expectation(&state)?;
     let mut pairs = vec![
         ("expectation".to_string(), Json::Num(expectation)),
@@ -166,20 +151,13 @@ fn gradient(
     let (entry, hit) = cached(&r.circuit, cache, limits)?;
     let n = entry.circuit.n_qubits();
     let obs = r.observable.build(n)?;
-    let (expectation, grad) = match (r.engine, &entry.compiled) {
-        // The warm adjoint path: differentiate the cached compilation
-        // directly, skipping the per-call compile, and read the value off
-        // the sweep's own forward state.
-        (EngineSpec::Adjoint, Some(compiled)) => {
-            plateau_grad::adjoint_value_and_gradient_compiled(compiled, &r.params, &obs)?
-        }
-        (EngineSpec::Adjoint, None) => {
-            let grad = plateau_grad::Adjoint.gradient(&entry.circuit, &r.params, &obs)?;
-            (expectation(&entry, &r.params, &obs)?, grad)
-        }
-        (EngineSpec::ParameterShift, _) => {
-            let grad = plateau_grad::ParameterShift.gradient(&entry.circuit, &r.params, &obs)?;
-            (expectation(&entry, &r.params, &obs)?, grad)
+    let circuit = &entry.circuit;
+    let (expectation, grad) = match r.engine {
+        // Read the value off the adjoint sweep's own forward state.
+        EngineSpec::Adjoint => plateau_grad::adjoint_value_and_gradient(circuit, &r.params, &obs)?,
+        EngineSpec::ParameterShift => {
+            let grad = plateau_grad::ParameterShift.gradient(circuit, &r.params, &obs)?;
+            (obs.expectation(&circuit.run(&r.params)?)?, grad)
         }
     };
     let body = Json::obj([
@@ -298,7 +276,7 @@ mod tests {
     use plateau_sim::Circuit;
 
     fn cache() -> CircuitCache {
-        CircuitCache::new(8, true)
+        CircuitCache::with_capacity(8)
     }
 
     fn ring_spec(n: usize) -> CircuitSpec {
@@ -375,10 +353,8 @@ mod tests {
                     let obs = observable.build(n).unwrap();
                     // The old handler: the gradient, then a second run
                     // of the circuit for the value.
-                    let compiled = plateau_sim::compile(&circuit);
-                    let grad =
-                        plateau_grad::adjoint_gradient_compiled(&compiled, &params, &obs).unwrap();
-                    let value = obs.expectation(&compiled.run(&params).unwrap()).unwrap();
+                    let grad = plateau_grad::Adjoint.gradient(&circuit, &params, &obs).unwrap();
+                    let value = obs.expectation(&circuit.run(&params).unwrap()).unwrap();
                     let want = Json::obj([
                         ("expectation", Json::Num(value)),
                         ("gradient", Json::Arr(grad.into_iter().map(Json::Num).collect())),

@@ -14,9 +14,9 @@
 //! | `/healthz`        | GET  | liveness + drain state + queue depth      |
 //!
 //! Circuits arrive as OpenQASM 2.0 or canonical op-list JSON
-//! ([`protocol`]); compiled structures are cached in an LRU keyed on the
-//! raw wire form ([`cache`]) so repeat tenants skip parse + build +
-//! fusion-compile; compute runs on a bounded worker pool behind a
+//! ([`protocol`]); parsed circuits are cached in an LRU keyed on the raw
+//! wire form ([`cache`]) so repeat tenants skip parse + build; compute
+//! runs on a bounded worker pool behind a
 //! backpressuring job queue ([`queue`], 503 + `Retry-After` when full);
 //! and every response body is a deterministic function of the request
 //! body — cache state travels in the `X-Plateau-Cache` header, never the

@@ -32,7 +32,7 @@
 //! baked-in constant.
 //!
 //! The spec deliberately stays *unbuilt* after parsing — the raw QASM
-//! text or op-list JSON is what the compiled-circuit cache hashes, so a
+//! text or op-list JSON is what the circuit cache hashes, so a
 //! cache hit skips circuit construction and fusion compilation entirely
 //! (see `cache.rs`).
 
@@ -121,7 +121,7 @@ pub enum CircuitSpec {
 }
 
 impl CircuitSpec {
-    /// The string the compiled-circuit cache keys on. Distinct specs map
+    /// The string the circuit cache keys on. Distinct specs map
     /// to distinct tokens (the leading tag keeps QASM text from
     /// colliding with op-list JSON).
     pub fn cache_token(&self) -> String {

@@ -145,7 +145,7 @@ impl Server {
         let queue: Arc<JobQueue<Job>> = Arc::new(JobQueue::new(cfg.queue_capacity));
         // Every cached circuit carries its compilation: a cached circuit is
         // one that runs many times.
-        let cache = Arc::new(CircuitCache::new(cfg.cache_capacity, true));
+        let cache = Arc::new(CircuitCache::with_capacity(cfg.cache_capacity));
         let active_connections = Arc::new(AtomicUsize::new(0));
 
         let workers: Vec<JoinHandle<()>> = (0..cfg.workers.max(1))
@@ -217,7 +217,7 @@ impl Server {
         self.local_addr
     }
 
-    /// The shared compiled-circuit cache (the load generator clears it
+    /// The shared parsed-circuit cache (the load generator clears it
     /// to re-measure the cold path).
     pub fn cache(&self) -> &CircuitCache {
         &self.cache

@@ -5,6 +5,9 @@
 //! parameter vectors — exactly the pattern of the paper's experiments,
 //! where one ansatz is re-evaluated under six different initializations.
 //!
+//! Execution walks the op list in [`Sweep`]s — one per op, but one per
+//! run of CZs, after a prologue for runs from `|0…0⟩` ([`crate::fuse`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -26,8 +29,10 @@
 //! ```
 
 use crate::error::SimError;
+use crate::fuse::{product_prologue, single_wire, CzLayer};
 use crate::gate::{FixedGate, RotationGate, TwoQubitRotationGate};
 use crate::state::{State, MAX_QUBITS};
+use std::ops::Range;
 
 /// A parameter slot of a rotation gate: either a trainable index into the
 /// circuit's parameter vector, or a constant angle baked into the circuit.
@@ -108,7 +113,7 @@ impl Op {
     /// Bumps the per-kind `sim.gate.*` application counter. One relaxed
     /// atomic load + branch when metrics are disabled.
     #[inline]
-    fn count_application(&self) {
+    pub(crate) fn count_application(&self) {
         match self {
             Op::Fixed { .. } => plateau_obs::counter!("sim.gate.fixed").inc(),
             Op::Rotation { .. } => plateau_obs::counter!("sim.gate.rotation").inc(),
@@ -251,6 +256,102 @@ impl Op {
     }
 }
 
+/// One sweep of a walk over a circuit: an op, or a whole run of
+/// consecutive CZs applied as one [`CzLayer`].
+#[derive(Debug, Clone, Copy)]
+pub enum Sweep<'c> {
+    /// An op through its own kernel.
+    Op(&'c Op),
+    /// A run of CZs through the sign-table kernel.
+    CzLayer(&'c CzLayer),
+}
+
+/// Each method is the op's own, or the CZ layer's one sweep (a layer is
+/// its own inverse). Errors are the kernels'.
+impl Sweep<'_> {
+    /// Applies the sweep.
+    pub fn apply(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
+        match self {
+            Sweep::Op(op) => op.apply(state, params),
+            Sweep::CzLayer(layer) => {
+                plateau_obs::counter!("sim.gate.cz_layers").inc();
+                plateau_obs::counter!("sim.gate.fixed").add(layer.gates() as u64);
+                state.apply_cz_layer(layer)
+            }
+        }
+    }
+
+    /// Applies the sweep's inverse.
+    pub fn apply_inverse(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
+        match self {
+            Sweep::Op(op) => op.apply_inverse(state, params),
+            Sweep::CzLayer(layer) => {
+                plateau_obs::counter!("sim.gate.cz_layers").inc();
+                plateau_obs::counter!("sim.gate.inverse_applications").add(layer.gates() as u64);
+                state.apply_cz_layer(layer)
+            }
+        }
+    }
+}
+
+/// A run of at least two consecutive CZs: its ops and its layer.
+#[derive(Debug, Clone, PartialEq)]
+struct CzRun {
+    ops: Range<usize>,
+    layer: CzLayer,
+}
+
+/// The sweeps over a range of a circuit's ops, as `(first op index,
+/// sweep)`, from either end. A CZ run lying wholly inside the range is one
+/// sweep; one the range cuts is walked op by op.
+#[derive(Debug, Clone)]
+pub struct Sweeps<'c> {
+    ops: &'c [Op],
+    runs: &'c [CzRun],
+    range: Range<usize>,
+}
+
+impl<'c> Iterator for Sweeps<'c> {
+    type Item = (usize, Sweep<'c>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let k = self.range.start;
+        if k >= self.range.end {
+            return None;
+        }
+        match self.runs.first() {
+            Some(run) if run.ops.start == k => {
+                self.runs = &self.runs[1..];
+                self.range.start = run.ops.end;
+                Some((k, Sweep::CzLayer(&run.layer)))
+            }
+            _ => {
+                self.range.start += 1;
+                Some((k, Sweep::Op(&self.ops[k])))
+            }
+        }
+    }
+}
+
+impl DoubleEndedIterator for Sweeps<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        if self.range.start >= self.range.end {
+            return None;
+        }
+        match self.runs.last() {
+            Some(run) if run.ops.end == self.range.end => {
+                self.runs = &self.runs[..self.runs.len() - 1];
+                self.range.end = run.ops.start;
+                Some((run.ops.start, Sweep::CzLayer(&run.layer)))
+            }
+            _ => {
+                self.range.end -= 1;
+                Some((self.range.end, Sweep::Op(&self.ops[self.range.end])))
+            }
+        }
+    }
+}
+
 /// A quantum circuit: a fixed qubit count, an ordered op list, and a count
 /// of free parameters.
 ///
@@ -263,6 +364,10 @@ pub struct Circuit {
     n_qubits: usize,
     ops: Vec<Op>,
     n_params: usize,
+    /// Leading single-qubit ops: the product-state prologue.
+    prologue: usize,
+    /// Every maximal run of at least two consecutive CZs, in op order.
+    cz_runs: Vec<CzRun>,
 }
 
 impl Circuit {
@@ -283,6 +388,8 @@ impl Circuit {
             n_qubits,
             ops: Vec::new(),
             n_params: 0,
+            prologue: 0,
+            cz_runs: Vec::new(),
         })
     }
 
@@ -290,11 +397,44 @@ impl Circuit {
     /// preserving the parameter space (`n_params` stays authoritative even
     /// if some free indices are no longer referenced).
     pub(crate) fn from_parts(n_qubits: usize, ops: Vec<Op>, n_params: usize) -> Circuit {
-        Circuit {
+        let mut c = Circuit {
             n_qubits,
-            ops,
+            ops: Vec::with_capacity(ops.len()),
             n_params,
+            prologue: 0,
+            cz_runs: Vec::new(),
+        };
+        for op in ops {
+            c.push_op(op);
         }
+        c
+    }
+
+    /// Appends a validated op, extending the prologue or the CZ run it
+    /// continues.
+    #[inline(always)]
+    fn push_op(&mut self, op: Op) {
+        let k = self.ops.len();
+        if self.prologue == k && single_wire(&op).is_some() {
+            self.prologue += 1;
+        }
+        if let Op::Fixed { gate: FixedGate::Cz, qubits } = &op {
+            let (a, b) = (qubits[0], qubits[1]);
+            match (self.cz_runs.last_mut(), self.ops.last()) {
+                (Some(run), _) if run.ops.end == k => {
+                    run.layer.push(a, b);
+                    run.ops.end += 1;
+                }
+                (_, Some(Op::Fixed { gate: FixedGate::Cz, qubits: prev })) => {
+                    let mut layer = CzLayer::empty(self.n_qubits);
+                    layer.push(prev[0], prev[1]);
+                    layer.push(a, b);
+                    self.cz_runs.push(CzRun { ops: k - 1..k + 1, layer });
+                }
+                _ => {}
+            }
+        }
+        self.ops.push(op);
     }
 
     /// Number of qubits.
@@ -359,7 +499,7 @@ impl Circuit {
             [a, b] => self.check_pair(*a, *b)?,
             _ => unreachable!("arity is 1 or 2"),
         }
-        self.ops.push(Op::Fixed {
+        self.push_op(Op::Fixed {
             gate,
             qubits: qubits.to_vec(),
         });
@@ -381,7 +521,7 @@ impl Circuit {
         self.check_qubit(qubit)?;
         let param = Param::Free(self.n_params);
         self.n_params += 1;
-        self.ops.push(Op::Rotation { gate, qubit, param });
+        self.push_op(Op::Rotation { gate, qubit, param });
         Ok(self)
     }
 
@@ -398,7 +538,7 @@ impl Circuit {
         angle: f64,
     ) -> Result<&mut Self, SimError> {
         self.check_qubit(qubit)?;
-        self.ops.push(Op::Rotation {
+        self.push_op(Op::Rotation {
             gate,
             qubit,
             param: Param::Bound(angle),
@@ -420,7 +560,7 @@ impl Circuit {
         self.check_pair(control, target)?;
         let param = Param::Free(self.n_params);
         self.n_params += 1;
-        self.ops.push(Op::ControlledRotation {
+        self.push_op(Op::ControlledRotation {
             gate,
             control,
             target,
@@ -444,7 +584,7 @@ impl Circuit {
         self.check_pair(first, second)?;
         let param = Param::Free(self.n_params);
         self.n_params += 1;
-        self.ops.push(Op::TwoQubitRotation {
+        self.push_op(Op::TwoQubitRotation {
             gate,
             first,
             second,
@@ -611,18 +751,118 @@ impl Circuit {
         Ok(())
     }
 
-    /// Runs the circuit on `|0…0⟩` and returns the final state.
+    fn check_width(&self, state: &State) -> Result<(), SimError> {
+        if state.n_qubits() != self.n_qubits {
+            return Err(SimError::DimensionMismatch {
+                expected: 1 << self.n_qubits,
+                found: state.dim(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Number of leading single-qubit ops, which a run from `|0…0⟩`
+    /// builds as one product state.
+    pub fn prologue_len(&self) -> usize {
+        self.prologue
+    }
+
+    /// The sweeps over ops `range`, from either end (see [`Sweeps`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the op list.
+    pub fn sweeps(&self, range: Range<usize>) -> Sweeps<'_> {
+        assert!(range.end <= self.ops.len(), "sweep range past the op list");
+        let first = self.cz_runs.partition_point(|r| r.ops.start < range.start);
+        let last = self.cz_runs.partition_point(|r| r.ops.end <= range.end);
+        Sweeps {
+            ops: &self.ops,
+            runs: &self.cz_runs[first..last.max(first)],
+            range,
+        }
+    }
+
+    /// Runs the circuit on `|0…0⟩` and returns the final state, starting
+    /// with the product-state prologue.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::WrongParamCount`] on a parameter-length mismatch.
     pub fn run(&self, params: &[f64]) -> Result<State, SimError> {
+        self.check_params(params)?;
         let mut state = State::zero(self.n_qubits);
-        self.run_on(&mut state, params)?;
+        let start = self.prologue_into(&mut state, params, self.ops.len());
+        self.apply_range(&mut state, params, start..self.ops.len())?;
         Ok(state)
     }
 
-    /// Runs the circuit on an existing state in place.
+    /// Runs ops `range` into `state`. From 0 it resets `state` to `|0…0⟩`
+    /// in place and starts with the prologue when the range covers it
+    /// ([`Circuit::run`] without the allocation); a later start continues
+    /// a state holding ops `[0, start)`. A run split outside the prologue
+    /// and the CZ runs repeats the whole run's bits — the prefix a
+    /// parameter-shift sweep shares.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::WrongParamCount`] on a parameter mismatch or
+    /// [`SimError::DimensionMismatch`] if the state width differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the op list.
+    pub fn run_into(
+        &self,
+        state: &mut State,
+        params: &[f64],
+        range: Range<usize>,
+    ) -> Result<(), SimError> {
+        self.check_params(params)?;
+        self.check_width(state)?;
+        let mut start = range.start;
+        if start == 0 {
+            state.reset_zero();
+            start = self.prologue_into(state, params, range.end);
+        }
+        self.apply_range(state, params, start..range.end)
+    }
+
+    /// Builds the prologue into `state`, which holds `|0…0⟩`, when a run
+    /// to `end` reaches past it; returns the op the run continues from.
+    fn prologue_into(&self, state: &mut State, params: &[f64], end: usize) -> usize {
+        if end < self.prologue || self.prologue == 0 {
+            return 0;
+        }
+        let ops = &self.ops[..self.prologue];
+        product_prologue(self.n_qubits, ops, params, state.planes_mut());
+        self.prologue
+    }
+
+    /// Applies ops `range` forward: ops one by one between the CZ runs
+    /// inside the range, each run as its one layer sweep.
+    fn apply_range(
+        &self,
+        state: &mut State,
+        params: &[f64],
+        range: Range<usize>,
+    ) -> Result<(), SimError> {
+        let mut k = range.start;
+        for run in self.sweeps(range.clone()).runs {
+            for op in &self.ops[k..run.ops.start] {
+                op.apply(state, params)?;
+            }
+            Sweep::CzLayer(&run.layer).apply(state, params)?;
+            k = run.ops.end;
+        }
+        for op in &self.ops[k..range.end] {
+            op.apply(state, params)?;
+        }
+        Ok(())
+    }
+
+    /// Runs the circuit on an existing state in place (no prologue: the
+    /// input is arbitrary).
     ///
     /// # Errors
     ///
@@ -630,16 +870,8 @@ impl Circuit {
     /// or [`SimError::DimensionMismatch`] when the state size differs.
     pub fn run_on(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
         self.check_params(params)?;
-        if state.n_qubits() != self.n_qubits {
-            return Err(SimError::DimensionMismatch {
-                expected: 1 << self.n_qubits,
-                found: state.dim(),
-            });
-        }
-        for op in &self.ops {
-            op.apply(state, params)?;
-        }
-        Ok(())
+        self.check_width(state)?;
+        self.apply_range(state, params, 0..self.ops.len())
     }
 
     /// Runs the **inverse** circuit on an existing state in place.
@@ -649,14 +881,9 @@ impl Circuit {
     /// Same conditions as [`Circuit::run_on`].
     pub fn run_inverse_on(&self, state: &mut State, params: &[f64]) -> Result<(), SimError> {
         self.check_params(params)?;
-        if state.n_qubits() != self.n_qubits {
-            return Err(SimError::DimensionMismatch {
-                expected: 1 << self.n_qubits,
-                found: state.dim(),
-            });
-        }
-        for op in self.ops.iter().rev() {
-            op.apply_inverse(state, params)?;
+        self.check_width(state)?;
+        for (_, sweep) in self.sweeps(0..self.ops.len()).rev() {
+            sweep.apply_inverse(state, params)?;
         }
         Ok(())
     }
@@ -676,41 +903,14 @@ impl Circuit {
         }
         let offset = self.n_params;
         for op in &other.ops {
-            let shifted = match op {
-                Op::Rotation {
-                    gate,
-                    qubit,
-                    param: Param::Free(i),
-                } => Op::Rotation {
-                    gate: *gate,
-                    qubit: *qubit,
-                    param: Param::Free(i + offset),
-                },
-                Op::ControlledRotation {
-                    gate,
-                    control,
-                    target,
-                    param: Param::Free(i),
-                } => Op::ControlledRotation {
-                    gate: *gate,
-                    control: *control,
-                    target: *target,
-                    param: Param::Free(i + offset),
-                },
-                Op::TwoQubitRotation {
-                    gate,
-                    first,
-                    second,
-                    param: Param::Free(i),
-                } => Op::TwoQubitRotation {
-                    gate: *gate,
-                    first: *first,
-                    second: *second,
-                    param: Param::Free(i + offset),
-                },
-                other_op => other_op.clone(),
-            };
-            self.ops.push(shifted);
+            let mut op = op.clone();
+            if let Op::Rotation { param: Param::Free(i), .. }
+            | Op::ControlledRotation { param: Param::Free(i), .. }
+            | Op::TwoQubitRotation { param: Param::Free(i), .. } = &mut op
+            {
+                *i += offset;
+            }
+            self.push_op(op);
         }
         self.n_params += other.n_params;
         Ok(self)

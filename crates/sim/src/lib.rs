@@ -12,21 +12,21 @@
 //! - [`state`]: the statevector ([`State`]) with index-arithmetic kernels
 //!   (general single-qubit, controlled, and a CZ diagonal fast path).
 //! - [`circuit`]: the circuit IR ([`Circuit`], [`Op`], [`Param`]) with
-//!   sequential free-parameter allocation and forward/inverse execution.
+//!   sequential free-parameter allocation and forward/inverse execution
+//!   in [`Sweep`]s.
 //! - [`observable`]: Hermitian cost operators ([`Observable`],
 //!   [`PauliString`]) — notably the paper's global cost
 //!   `I − |0…0⟩⟨0…0|` and the local cost of Cerezo et al.
 //! - [`unitary`]: an independent full-matrix oracle ([`circuit_unitary`])
 //!   for cross-validating the kernels.
 //! - [`sampling`]: finite-shot measurement for the shot-noise ablation.
-//! - [`parallel`]: chunked multi-threaded kernel variants engaged above
-//!   the `PLATEAU_SIM_PAR_THRESHOLD` qubit count (default 14), bitwise
-//!   identical to the serial loops regardless of worker count.
-//! - [`fuse`]: the circuit compiler ([`compile`], [`CompiledCircuit`])
-//!   — collapses runs of static diagonal gates into whole-layer
-//!   superkernels and builds the leading single-qubit layer as a product
-//!   state. Callers that run one circuit many times compile it once;
-//!   one-shot calls walk the op list.
+//! - [`parallel`]: chunked multi-threaded kernel variants engaged at and
+//!   above the `PLATEAU_SIM_PAR_THRESHOLD` qubit count (default
+//!   [`DEFAULT_PAR_THRESHOLD`], 19), bitwise identical to the serial loops
+//!   regardless of worker count.
+//! - [`fuse`]: the op list's fused kernels — each run of CZs as one
+//!   [`CzLayer`] sweep, and the leading single-qubit layer of a run from
+//!   `|0…0⟩` built as a product state.
 //!
 //! Qubit ordering is little-endian throughout: qubit `k` is bit `k` of the
 //! amplitude index.
@@ -63,6 +63,7 @@
 #![warn(missing_docs)]
 
 pub mod circuit;
+mod compat;
 pub mod density;
 pub mod diagram;
 pub mod error;
@@ -78,10 +79,11 @@ pub mod sampling;
 pub mod state;
 pub mod unitary;
 
-pub use circuit::{Circuit, Op, Param};
+pub use circuit::{Circuit, Op, Param, Sweep, Sweeps};
+pub use compat::*;
 pub use density::{meyer_wallach, purity, reduced_density_matrix, von_neumann_entropy};
 pub use error::SimError;
-pub use fuse::{compile, CompiledCircuit, Segment, SUPERKERNEL_MAX_QUBITS};
+pub use fuse::CzLayer;
 pub use gate::{FixedGate, RotationGate, TwoQubitRotationGate};
 pub use mixed::{amplitude_damping_kraus, depolarizing_kraus, phase_flip_kraus, DensityMatrix};
 pub use noise::NoiseModel;

@@ -28,10 +28,12 @@
 //! - **Quad kernels** (`apply_two`): same two cases over the larger
 //!   stride, with the block interior decomposed into four quarter slices
 //!   whose 4-way zip is subchunked.
-//! - **Diagonal kernels** (`apply_cz`, `project_qubit`): pure elementwise
-//!   maps, chunked contiguously with the chunk's absolute base index
-//!   carried along for the bit tests.
+//! - **Diagonal kernels** (`apply_cz`, `apply_cz_layer`,
+//!   `project_qubit`): pure elementwise maps, chunked contiguously in
+//!   whole blocks, with the chunk's absolute base index where the bit
+//!   tests need it.
 
+use crate::fuse::CzLayer;
 use crate::state::{
     controlled_halves, controlled_window, project_window, Dense, PairKernel, PlanesMut,
 };
@@ -298,40 +300,13 @@ pub(crate) fn apply_two(
 }
 
 /// Parallel CZ kernel: negates amplitudes where both qubit bits are set.
-/// `s_lo < s_hi` are the two qubit strides.
+/// `s_lo < s_hi` are the two qubit strides. Chunks are whole `2·s_hi`
+/// blocks, so a CZ on the top qubit runs as one task; the paper's CZ
+/// chains take the CZ-layer kernel instead.
 pub(crate) fn apply_cz(amps: PlanesMut<'_>, s_lo: usize, s_hi: usize) {
-    let target = task_target();
-    let period = s_hi << 1;
-    let n_blocks = amps.len() / period;
-    if n_blocks >= target {
-        let chunks = block_chunks(amps, period, target);
-        record(chunks.len());
-        par_map_collect(chunks, |(_, chunk)| cz_window(chunk, s_lo, s_hi));
-    } else {
-        // Few hi-blocks: parallelize inside the hi-set runs. A run starts
-        // at an odd multiple of s_hi, so its low bits are zero and the
-        // within-run offset alone decides the lo-bit test.
-        let per_run = target.div_ceil(n_blocks);
-        let sub = s_hi.div_ceil(per_run);
-        let mut tasks: Vec<(usize, PlanesMut<'_>)> = Vec::new();
-        for (k, run) in amps.chunks_mut(s_hi).enumerate() {
-            if k & 1 == 0 {
-                continue;
-            }
-            for (j, c) in run.chunks_mut(sub).enumerate() {
-                tasks.push((j * sub, c));
-            }
-        }
-        record(tasks.len());
-        par_map_collect(tasks, |(off, chunk)| {
-            for (i, (re, im)) in chunk.re.iter_mut().zip(chunk.im.iter_mut()).enumerate() {
-                if (off + i) & s_lo != 0 {
-                    *re = -*re;
-                    *im = -*im;
-                }
-            }
-        });
-    }
+    let chunks = block_chunks(amps, s_hi << 1, task_target());
+    record(chunks.len());
+    par_map_collect(chunks, |(_, chunk)| cz_window(chunk, s_lo, s_hi));
 }
 
 /// Serial CZ over a `2·s_hi`-aligned window: negates only the quarter of
@@ -375,6 +350,14 @@ fn cz_blocks<const HI: usize>(window: PlanesMut<'_>, s_lo: usize) {
             }
         }
     }
+}
+
+/// Parallel CZ-layer kernel: whole `block`-amplitude blocks (the sign
+/// table's length), each chunk with its absolute base index.
+pub(crate) fn apply_cz_layer(amps: PlanesMut<'_>, layer: &CzLayer, block: usize) {
+    let chunks = block_chunks(amps, block, task_target());
+    record(chunks.len());
+    par_map_collect(chunks, |(base, chunk)| layer.sweep(base, chunk));
 }
 
 /// Parallel projection kernel: zeroes amplitudes where `index & mask !=
@@ -557,7 +540,7 @@ mod tests {
         c.ry(n - 1).unwrap(); // pair kernel, half-split path
         c.rxx(n - 1, n - 2).unwrap(); // quad kernel, quarter-split path
         c.rxx(0, 1).unwrap(); // quad kernel, block-chunk path
-        c.cz(0, n - 1).unwrap(); // cz, run-split path
+        c.cz(0, n - 1).unwrap(); // cz on the top qubit, one block
         c.cz(0, 1).unwrap(); // cz, block-chunk path
         c.cx(n - 1, 0).unwrap(); // controlled kernel
         let params = vec![0.3, -0.8, 1.1, 0.6];

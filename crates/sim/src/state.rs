@@ -8,7 +8,8 @@
 //! Kernels are written index-arithmetic style (no matrix allocation, no
 //! bounds checks beyond the slice's own) and cover the cases the paper's
 //! ansätze need on the hot path: general single-qubit 2×2 application, the
-//! diagonal CZ fast path, and controlled single-qubit application.
+//! diagonal CZ fast path (and the CZ-layer sweep of [`crate::fuse`]), and
+//! controlled single-qubit application.
 //!
 //! # Amplitude layout
 //!
@@ -47,8 +48,7 @@
 //! # The single-qubit kernel
 //!
 //! [`State::apply_single`] is the one single-qubit pair kernel: the op
-//! list, compiled circuits ([`crate::fuse`]) and both task shapes of the
-//! parallel layer run it. Per call it reads the 2×2's zero pattern
+//! list and both task shapes of the parallel layer run it. Per call it reads the 2×2's zero pattern
 //! once and runs one of four loops:
 //!
 //! - **diagonal** `[d0, 0, 0, d1]` — RZ, Phase and their derivatives,
@@ -227,8 +227,8 @@ impl State {
     }
 
     /// Mutable view of both planes, for the kernels here, in
-    /// [`crate::parallel`] and in sibling modules (the fusion compiler's
-    /// product-state prologue writes amplitudes directly).
+    /// [`crate::parallel`] and in sibling modules (the product-state
+    /// prologue of [`crate::fuse`] writes amplitudes directly).
     #[inline]
     pub(crate) fn planes_mut(&mut self) -> PlanesMut<'_> {
         let dim = self.dim();
@@ -383,7 +383,7 @@ impl State {
 
     /// Applies an arbitrary single-qubit gate given its row-major entries
     /// `[m00, m01, m10, m11]` — the one single-qubit kernel, shared by
-    /// the op list, compiled circuits and the parallel layer. The
+    /// the op list and the parallel layer. The
     /// matrix's zero pattern picks the loop (module docs); every loop
     /// gives the dense formula's values.
     ///
@@ -398,53 +398,6 @@ impl State {
             crate::parallel::apply_single(self.planes_mut(), stride, kernel);
         } else {
             kernel.sweep(self.planes_mut(), stride);
-        }
-        Ok(())
-    }
-
-    /// Multiplies the state element-wise by a precomputed full-register
-    /// diagonal, given in a state's plane layout (`2^n` real parts, then
-    /// `2^n` imaginary parts) — the fusion layer's superkernel sweep (one
-    /// contiguous pass).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::DimensionMismatch`] if the diagonal does not
-    /// match the state dimension.
-    pub fn apply_diagonal(&mut self, diag: &[f64]) -> Result<(), SimError> {
-        self.scale_by(diag, |d| d)
-    }
-
-    /// Multiplies the state element-wise by the complex conjugate of a
-    /// full-register diagonal — the inverse of [`State::apply_diagonal`]
-    /// for a unitary diagonal, applied in place without materializing
-    /// the conjugated `2^n` vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::DimensionMismatch`] if the diagonal does not
-    /// match the state dimension.
-    pub fn apply_diagonal_conj(&mut self, diag: &[f64]) -> Result<(), SimError> {
-        self.scale_by(diag, C64::conj)
-    }
-
-    /// `a[i] *= entry(d[i])` over the whole state.
-    fn scale_by(&mut self, diag: &[f64], entry: impl Fn(C64) -> C64) -> Result<(), SimError> {
-        let dim = self.dim();
-        if diag.len() != 2 * dim {
-            return Err(SimError::DimensionMismatch {
-                expected: 2 * dim,
-                found: diag.len(),
-            });
-        }
-        let PlanesMut { re, im } = self.planes_mut();
-        let (dr, di) = diag.split_at(dim);
-        // Equal-length re-slices: no bounds checks inside the loop.
-        let (im, dr, di) = (&mut im[..dim], &dr[..dim], &di[..dim]);
-        for i in 0..dim {
-            let a = C64::new(re[i], im[i]) * entry(C64::new(dr[i], di[i]));
-            re[i] = a.re;
-            im[i] = a.im;
         }
         Ok(())
     }

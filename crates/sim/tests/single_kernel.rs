@@ -1,8 +1,10 @@
 //! The plane kernels against dense reference loops written on interleaved
 //! complex amplitudes: the single-qubit kernel (`State::apply_single`) in
-//! every class on every target qubit, the controlled, two-qubit and CZ
-//! kernels and the diagonal superkernel. Each is compared with `==` and,
-//! serial against forced-parallel, in the bits. A [`CountingAllocator`]
+//! every class on every target qubit, and the controlled, two-qubit and CZ
+//! kernels. Each is compared with `==` and, serial against
+//! forced-parallel, in the bits. The CZ-layer kernel is compared in the
+//! bits with one `apply_cz` per pair, and the product-state prologue with
+//! the gate-by-gate run. A [`CountingAllocator`]
 //! is installed in this test binary for the allocation checks: fixed-gate
 //! application and the state's in-place resets allocate nothing, and a
 //! fresh state allocates exactly its two planes.
@@ -12,8 +14,8 @@ use plateau_obs::alloc::{set_profiling, thread_allocated, CountingAllocator};
 use plateau_rng::check::{cases, forall};
 use plateau_rng::{prop_assert, Rng, StdRng};
 use plateau_sim::{
-    compile, reset_par_threshold, set_par_threshold, Circuit, FixedGate, RotationGate, Segment,
-    State, TwoQubitRotationGate,
+    reset_par_threshold, set_par_threshold, Circuit, CzLayer, FixedGate, RotationGate, State,
+    Sweep, TwoQubitRotationGate,
 };
 use std::f64::consts::{FRAC_PI_2, PI};
 use std::sync::Mutex;
@@ -328,47 +330,121 @@ fn controlled_two_qubit_and_cz_kernels_match_dense_references() {
     );
 }
 
+/// The CZ sets each width's layers are drawn from: a chain, non-adjacent
+/// pairs, repeated pairs, pairs straddling index bits 7/8 and a random
+/// set (none at one qubit).
+fn cz_sets(rng: &mut StdRng, n: usize) -> Vec<Vec<(usize, usize)>> {
+    if n < 2 {
+        return vec![Vec::new()];
+    }
+    let chain: Vec<_> = (0..n - 1).map(|q| (q, q + 1)).collect();
+    let far: Vec<_> = (0..n / 2).map(|q| (q, n - 1 - q)).filter(|(a, b)| a != b).collect();
+    let mut repeated = chain.clone();
+    repeated.extend([(0, 1), (1, 0), (n - 1, 0)]);
+    repeated.extend(chain.iter().rev());
+    let mut sets = vec![chain, far, repeated];
+    if n > 8 {
+        let mut straddle = vec![(7, 8), (3, 8), (7, n - 1), (0, 7), (6, 8)];
+        straddle.extend((n > 9).then_some((8, n - 1)));
+        sets.push(straddle);
+    }
+    sets.push((0..rng.gen_range(1..3 * n)).map(|_| qubit_pair(rng, n)).collect());
+    sets
+}
+
 #[test]
-fn diagonal_superkernel_matches_the_elementwise_product() {
+fn cz_layers_and_the_prologue_match_gate_by_gate() {
     let _guard = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
     forall(
-        0x64696167,
-        cases(40),
+        0x637a6c79,
+        cases(3),
         |rng| {
-            let n = rng.gen_range(2..8usize);
-            // A run of static diagonal ops the compiler folds into one
-            // superkernel: a CZ chain with bound RZ and a T.
-            let mut c = Circuit::new(n).unwrap();
-            for q in 0..n - 1 {
-                c.cz(q, q + 1).unwrap();
-            }
-            c.push_rotation_const(
-                RotationGate::Rz,
-                rng.gen_range(0..n),
-                rng.gen_range(-PI..PI),
-            )
-            .unwrap();
-            c.push_fixed(FixedGate::T, &[rng.gen_range(0..n)]).unwrap();
-            (random_amps(rng, n), c)
-        },
-        |(amps, c)| {
-            let compiled = compile(c);
-            let Some(Segment::Diagonal { diag, .. }) = compiled.segments().first() else {
-                return Err("the diagonal run did not compile to a superkernel".into());
-            };
-            let d = |i: usize| c64(diag[i], diag[amps.len() + i]);
-            let forward: Vec<C64> = amps.iter().enumerate().map(|(i, &a)| a * d(i)).collect();
-            check_kernel("superkernel", amps, &forward, |s| {
-                s.apply_diagonal(diag).unwrap()
-            })?;
-            let inverse: Vec<C64> = amps
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| a * d(i).conj())
+            let widths: Vec<_> = (1..=14usize)
+                .map(|n| (random_amps(rng, n), cz_sets(rng, n), rng.gen_range(-PI..PI)))
                 .collect();
-            check_kernel("inverse superkernel", amps, &inverse, |s| {
-                s.apply_diagonal_conj(diag).unwrap()
-            })
+            widths
+        },
+        |widths| {
+            for (amps, sets, angle) in widths {
+                let n = amps.len().trailing_zeros() as usize;
+                for pairs in sets {
+                    // The reference: one apply_cz per pair.
+                    set_par_threshold(usize::MAX);
+                    let mut expected = State::from_amplitudes_unnormalized(amps.clone()).unwrap();
+                    for &(a, b) in pairs {
+                        expected.apply_cz(a, b).unwrap();
+                    }
+                    let layer = CzLayer::new(n, pairs).unwrap();
+                    for threshold in [usize::MAX, 0] {
+                        set_par_threshold(threshold);
+                        let mut got = State::from_amplitudes_unnormalized(amps.clone()).unwrap();
+                        got.apply_cz_layer(&layer).unwrap();
+                        prop_assert!(
+                            bits(&got.to_amplitudes()) == bits(&expected.to_amplitudes()),
+                            "{n} qubits, threshold {threshold}, pairs {pairs:?}: CZ layer differs \
+                             from one apply_cz per pair"
+                        );
+                    }
+                    reset_par_threshold();
+                }
+                if n < 2 {
+                    continue;
+                }
+                // A CZ run cut by a rotation: two layers, and the ops one
+                // at a time in the bits.
+                let mut c = Circuit::new(n).unwrap();
+                for q in 0..n - 1 {
+                    c.cz(q, q + 1).unwrap();
+                }
+                c.push_rotation_const(RotationGate::Rz, n / 2, *angle).unwrap();
+                c.cz(0, n - 1).unwrap().cz(0, 1).unwrap();
+                let layers = c.sweeps(0..c.gate_count());
+                let layers = layers.filter(|(_, s)| matches!(s, Sweep::CzLayer(_))).count();
+                prop_assert!(layers == 1 + usize::from(n > 2), "{n} qubits: {layers} CZ layers");
+                let mut want = State::from_amplitudes_unnormalized(amps.clone()).unwrap();
+                for op in c.ops() {
+                    op.apply(&mut want, &[]).unwrap();
+                }
+                for threshold in [usize::MAX, 0] {
+                    set_par_threshold(threshold);
+                    let mut got = State::from_amplitudes_unnormalized(amps.clone()).unwrap();
+                    c.run_on(&mut got, &[]).unwrap();
+                    prop_assert!(
+                        bits(&got.to_amplitudes()) == bits(&want.to_amplitudes()),
+                        "{n} qubits, threshold {threshold}: the cut CZ run differs"
+                    );
+                }
+                reset_par_threshold();
+
+                // The prologue (the paper's layer plus fixed gates) against
+                // |0…0⟩ run gate by gate.
+                let mut c = Circuit::new(n).unwrap();
+                for q in 0..n {
+                    c.rx(q).unwrap().ry(q).unwrap();
+                }
+                c.h(0).unwrap().push_fixed(FixedGate::S, &[n - 1]).unwrap();
+                for q in 0..n - 1 {
+                    c.cz(q, q + 1).unwrap();
+                }
+                c.ry(n / 2).unwrap();
+                let params: Vec<f64> = (0..c.n_params()).map(|i| angle + 0.37 * i as f64).collect();
+                let mut reference = State::zero(n);
+                c.run_on(&mut reference, &params).unwrap();
+                let mut runs = Vec::new();
+                for threshold in [usize::MAX, 0] {
+                    set_par_threshold(threshold);
+                    runs.push(c.run(&params).unwrap());
+                }
+                reset_par_threshold();
+                prop_assert!(
+                    bits(&runs[0].to_amplitudes()) == bits(&runs[1].to_amplitudes()),
+                    "{n} qubits: the parallel prologue run differs in the bits"
+                );
+                for (i, (a, b)) in runs[0].to_amplitudes().iter().zip(reference.to_amplitudes()).enumerate() {
+                    prop_assert!(a.approx_eq(b, 1e-12), "{n} qubits, amplitude {i}: {a} vs {b}");
+                }
+            }
+            Ok(())
         },
     );
 }

@@ -75,6 +75,22 @@ if [[ -n "${store_violations}" ]]; then
 fi
 echo "only crates/obs/src/store.rs appends records or reads the store switches."
 
+echo "=== compiled-path shim policy check ==="
+# There is one execution path, the op list (DESIGN.md §11). The removed
+# compiler's names survive only as one-line delegations in the compat.rs
+# shims, kept for the benchmark's calls; no other non-test code may name
+# them. Test code is everything from a file's first #[cfg(test)] on, plus
+# tests/ directories.
+shim_violations=$(find crates -path '*/src/*.rs' ! -name compat.rs \
+    -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + \
+    | grep -E '\bcompile\(|CompiledCircuit|adjoint_gradient_compiled' || true)
+if [[ -n "${shim_violations}" ]]; then
+    echo "compiled-path shim policy violations (run the Circuit directly):" >&2
+    echo "${shim_violations}" >&2
+    exit 1
+fi
+echo "only the compat.rs shims name the removed compiler."
+
 echo "=== observability overhead gate ==="
 # With every subscriber disabled, the metrics snapshot must be empty and
 # the variance-harness medians must sit inside the recorded baseline
@@ -141,24 +157,25 @@ rm -rf "${ledger_dir}"
 echo "=== differential fuzz smoke gate ==="
 # A fixed-seed campaign over the full engine matrix (DESIGN.md §10):
 # serial vs parallel kernels, statevector vs unitary vs density matrix,
-# raw vs pass-optimized, fused vs raw, QASM round-trip, three gradient
+# raw vs pass-optimized, prologue vs gate-by-gate, QASM round-trip, three gradient
 # engines, every adjoint single-parameter partial vs its full-gradient
 # entry (bitwise), and the prefix-sharing parameter-shift gradient vs one
 # full evaluation per shifted job (bitwise). Any divergence fails the gate and leaves a shrunk
 # reproducer under target/fuzz/ (replay with `plateau fuzz --replay
 # <file>`). The mutation self-test then proves the harness still detects
 # — and shrinks — both deliberately broken engines (the off-by-one
-# kernel and the wrong-order fusion merge).
+# kernel and the wrong-order prologue fold).
 cargo run -q --release --offline -p plateau-cli -- fuzz \
     --cases "${PLATEAU_FUZZ_CASES:-500}" --seed 0xfeed
 cargo run -q --release --offline -p plateau-cli -- fuzz \
     --cases 40 --seed 0xfeed --mutate true --artifacts "$(mktemp -d)"
 
-echo "=== sim parallel + fusion speedup gates ==="
-# The 10-qubit 5-layer parameter-shift training step: a raw per-job
-# Circuit::run loop vs the compiled ParameterShift gradient on one worker
-# and pooled. On any machine the fused median must beat raw by at least
-# PLATEAU_SIM_FUSE_TOL (default 2.0); on multi-core machines the pooled
+echo "=== sim parallel + prefix-sharing speedup gates ==="
+# The 10-qubit 5-layer parameter-shift training step: a per-job
+# Circuit::run loop vs ParameterShift::gradient (shared unshifted
+# prefixes) on one worker and pooled. On any machine the `fused` median
+# must beat the per-job loop by at least PLATEAU_SIM_FUSE_TOL (default
+# 2.0); on multi-core machines the pooled
 # median must at least break even with the one-worker one (tolerance
 # PLATEAU_SIM_PAR_TOL, default 1.10). Recorded baseline lives in
 # benchmarks/BENCH_sim_parallel.json (re-record with --record).
@@ -167,7 +184,7 @@ PLATEAU_PERF=target/obs \
 
 echo "=== batch throughput gate ==="
 # The 200-member 10-qubit/5-layer ensemble sweep: the batched executor
-# (compile once, per-worker scratch statevectors) vs the old
+# (per-worker scratch statevectors) vs the old
 # one-expectation-per-member loop. The serial comparison gates on any
 # machine (batched must never lose; PLATEAU_BATCH_SERIAL_TOL, default
 # 1.10); on multi-core machines the pooled sweep must additionally clear
@@ -184,8 +201,8 @@ echo "=== serve smoke gate ==="
 # gate fails on any non-2xx, on a /metrics scrape whose per-endpoint
 # request counters are not EXACTLY the schedule, on any torn or non-200/503
 # response from the 1-worker/1-slot backpressure probe, and unless the
-# cold /simulate median (cache cleared per request: QASM parse + build +
-# fusion compile repaid every time) exceeds the LRU-warm median by
+# cold /simulate median (cache cleared per request: QASM parse + build
+# repaid every time) exceeds the LRU-warm median by
 # PLATEAU_SERVE_CACHE_TOL (default 1.2). Burst p50/p90/p99 land in the
 # bench JSON; medians flow into the perf ledger. Recorded baseline lives
 # in benchmarks/BENCH_serve.json (re-record with --record).

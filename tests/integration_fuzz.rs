@@ -76,7 +76,7 @@ fn mutation_self_test_shrinks_and_replays_from_disk() {
 
     // Both injected bugs — the off-by-one kernel and the wrong-order
     // fusion merge — must be caught independently.
-    for pair in [EnginePair::MutatedVsSerial, EnginePair::FusedMutatedVsSerial] {
+    for pair in [EnginePair::MutatedVsSerial, EnginePair::PrologueMutatedVsSerial] {
         assert!(
             report.mismatches.iter().any(|m| m.pair == pair),
             "{pair} was never caught"

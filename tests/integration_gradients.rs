@@ -95,22 +95,20 @@ fn gradients_agree_for_arbitrary_angles() {
     );
 }
 
-/// Regression pin for adjoint differentiation over fused circuits: on
-/// the paper's Fig 5b training configuration (scaled to a debug-build
-/// size), the compiled adjoint gradient must match gate-by-gate
-/// parameter-shift values (each a one-shot `partial`, which walks the op
-/// list) to 1e-10 for both cost functions.
+/// Regression pin for adjoint differentiation over the fused kernels (CZ
+/// layers stepped back as one sweep, the prologue forward): on the
+/// paper's Fig 5b training configuration (scaled to a debug-build size),
+/// the adjoint gradient must match parameter-shift values (each a
+/// one-shot `partial`) to 1e-10 for both cost functions.
 #[test]
 fn fused_adjoint_matches_parameter_shift_on_fig5b_ansatz() {
     let ansatz = training_ansatz(6, 4).expect("ansatz");
     let params: Vec<f64> = (0..ansatz.circuit.n_params())
         .map(|i| ((i * 41 % 23) as f64) * 0.27 - 2.9)
         .collect();
-    let compiled = plateau_sim::compile(&ansatz.circuit);
     for cost in [CostKind::Global, CostKind::Local] {
         let obs = cost.observable(6);
-        let fused = plateau_grad::adjoint_gradient_compiled(&compiled, &params, &obs)
-            .expect("fused adjoint");
+        let fused = Adjoint.gradient(&ansatz.circuit, &params, &obs).expect("fused adjoint");
         for (i, f) in fused.iter().enumerate() {
             let shift = ParameterShift
                 .partial(&ansatz.circuit, &params, &obs, i)
@@ -123,27 +121,28 @@ fn fused_adjoint_matches_parameter_shift_on_fig5b_ansatz() {
     }
 }
 
-/// Adjoint gradients through a compiled circuit — the form a caller that
-/// differentiates one circuit many times would run.
-struct CompiledAdjoint;
+/// Adjoint gradients read off the one-run value-and-gradient sweep — the
+/// service's `/gradient` path.
+struct ValueAndGradient;
 
-impl GradientEngine for CompiledAdjoint {
+impl GradientEngine for ValueAndGradient {
     fn gradient(
         &self,
         circuit: &plateau_sim::Circuit,
         params: &[f64],
         obs: &plateau_sim::Observable,
     ) -> Result<Vec<f64>, plateau_sim::SimError> {
-        plateau_grad::adjoint_gradient_compiled(&plateau_sim::compile(circuit), params, obs)
+        Ok(plateau_grad::adjoint_value_and_gradient(circuit, params, obs)?.1)
     }
 }
 
 /// The paper's headline artifacts — variance-scan curves and the
 /// `BarrenPlateauAlarm` event stream during training — must not depend on
-/// which form runs. The batched executor behind a Training-ansatz cell
-/// compiles; a one-shot engine call walks the op list. At a fixed seed:
-/// same alarm iterations, and values equal to within the fused kernels'
-/// reassociation slack.
+/// which entry point runs the fused kernels. The batched executor behind
+/// a Training-ansatz cell and a one-shot engine call walk the same op
+/// list, as do the adjoint engine and the one-run value-and-gradient
+/// sweep. At a fixed seed: same alarm iterations and bit-identical
+/// values.
 #[test]
 fn variance_scan_and_plateau_alarm_are_stable_under_fusion() {
     use plateau_core::init::InitStrategy;
@@ -181,15 +180,11 @@ fn variance_scan_and_plateau_alarm_are_stable_under_fusion() {
                 .collect();
             assert_eq!(point.gradients.len(), raw.len());
             for (f, r) in point.gradients.iter().zip(&raw) {
-                assert!((f - r).abs() <= 1e-12, "{strategy} q={q}: fused {f} vs raw {r}");
+                assert_eq!(f.to_bits(), r.to_bits(), "{strategy} q={q}: batched {f} vs one-shot {r}");
             }
-            // Same seed → same circuits → identical statistics up to the
-            // fused kernels' floating-point reassociation.
+            // Same seed → same circuits → identical statistics.
             let (f, r) = (point.variance, plateau_stats::variance(&raw));
-            assert!(
-                (f - r).abs() <= 1e-12 * r.abs().max(1.0),
-                "variance drifted under fusion: {r} vs {f}"
-            );
+            assert_eq!(f.to_bits(), r.to_bits(), "variance drifted: {r} vs {f}");
         }
     }
 
@@ -207,11 +202,10 @@ fn variance_scan_and_plateau_alarm_are_stable_under_fusion() {
             .expect("training")
     };
     let raw_hist = run_training(&Adjoint);
-    let fused_hist = run_training(&CompiledAdjoint);
+    let fused_hist = run_training(&ValueAndGradient);
 
     // Alarm decisions are thresholded bits: the event stream (which
-    // iterations fired) must be *identical*; the recorded norms may only
-    // differ by reassociation slack.
+    // iterations fired) must be *identical*, and so must the norms.
     let raw_alarms = raw_hist.plateau_alarms();
     let fused_alarms = fused_hist.plateau_alarms();
     assert_eq!(
@@ -219,10 +213,10 @@ fn variance_scan_and_plateau_alarm_are_stable_under_fusion() {
         fused_alarms.iter().map(|a| a.iteration).collect::<Vec<_>>()
     );
     for (r, f) in raw_alarms.iter().zip(fused_alarms) {
-        assert!((r.grad_norm - f.grad_norm).abs() <= 1e-12);
+        assert_eq!(r.grad_norm.to_bits(), f.grad_norm.to_bits());
     }
     for (r, f) in raw_hist.losses().iter().zip(fused_hist.losses()) {
-        assert!((r - f).abs() <= 1e-12 * r.abs().max(1.0));
+        assert_eq!(r.to_bits(), f.to_bits());
     }
 }
 

@@ -92,8 +92,6 @@ fn variance_scan_gate_counters_match_analytic_counts() {
     // prefix walk's start); each execution copies the prefix instead.
     assert_eq!(snap.counter("sim.state.allocations"), Some(evals));
     assert_eq!(snap.counter("sim.state.reuses"), Some(evals / 2));
-    // One-shot partials never compile.
-    assert_eq!(snap.counter("sim.fuse.gates_in"), None);
 
     plateau_obs::metrics::reset();
     plateau_obs::set_metrics_enabled(false);
@@ -167,67 +165,63 @@ fn parameter_shift_gradient_runs_each_suffix_once_from_a_shared_prefix() {
     use plateau_core::cost::CostKind;
     use plateau_grad::{GradientEngine, ParameterShift};
 
-    // §IV-D: 10 qubits, 5 layers — 145 gates, k = 100 parameters. A full
-    // gradient runs the circuit 2k times, so it compiles first: per layer
-    // twenty raw rotations (RX·RY per wire, one parameter each) and one
-    // Diagonal superkernel (the CZ chain) — 105 segments, θ_i of layer l
-    // at segment 21l + i mod 20 and the layer's diagonal at 21l + 20.
+    // §IV-D: 10 qubits, 5 layers — 145 gates, k = 100 parameters. Per
+    // layer l, twenty rotations (RX·RY per wire, one parameter each) at
+    // ops 29l … 29l + 19, then the nine-CZ chain, swept as one CZ layer.
     // Runs from |0…0⟩ build layer 0's twenty rotations as one
-    // product-state prologue. (The same gradient on the raw op list
-    // applies 15,944 gates; that pin lives in plateau-grad's shift tests.)
+    // product-state prologue. Gates count once each whichever kernel runs
+    // them. (The total, 16,322 gates, is pinned in plateau-grad's shift
+    // tests.)
     let a = training_ansatz(10, 5).unwrap();
     let c = &a.circuit;
     let params: Vec<f64> = (0..c.n_params()).map(|i| 0.05 * i as f64 - 1.0).collect();
     let obs = CostKind::Global.observable(10);
-    let compiled = plateau_sim::compile(c);
-    assert_eq!((compiled.segments().len(), compiled.prologue_len()), (105, 20));
+    assert_eq!((c.gate_count(), c.prologue_len()), (145, 20));
 
-    // [rotation, diagonal, prologue] applications.
-    let mut want = [0u64; 3];
-    let walk = |want: &mut [u64; 3], from: usize, to: usize| {
-        for s in from..to {
-            want[usize::from(s % 21 == 20)] += 1;
+    // [rotation, fixed, CZ-layer, prologue] counts of one walk: from
+    // |0…0⟩ (the prologue, then ops 20..to) or on from op `from`.
+    let mut want = [0u64; 4];
+    let walk = |want: &mut [u64; 4], from: usize, to: usize| {
+        let from = if from == 0 {
+            want[0] += 20;
+            want[3] += 1;
+            20
+        } else {
+            from
+        };
+        for k in from..to {
+            want[usize::from(k % 29 >= 20)] += 1;
+            want[2] += u64::from(k % 29 == 20);
         }
     };
     // Suffixes. Layer 0's parameters sit inside the prologue, so each of
-    // their 40 shifted runs starts from |0…0⟩: one prologue, then
-    // segments 20..105. θ_i of layer l ≥ 1 resumes from the shared
-    // prefix at its segment 21l + i mod 20 and runs segments from there
-    // to 105.
+    // their 40 shifted runs starts from |0…0⟩. θ_i of layer l ≥ 1
+    // resumes from the shared prefix at its op 29l + i mod 20.
     for i in 0..c.n_params() {
         let (l, j) = (i / 20, i % 20);
         for _shift in 0..2 {
-            if l == 0 {
-                want[2] += 1;
-                walk(&mut want, 20, 105);
-            } else {
-                walk(&mut want, 21 * l + j, 105);
-            }
+            walk(&mut want, if l == 0 { 0 } else { 29 * l + j }, 145);
         }
     }
     // Prefix walks. The sweep splits the jobs into 8 chunks of roughly
-    // equal suffix cost (cost 105 − cut; 11,080 in all), never splitting
+    // equal suffix cost (cost 145 − cut; 15,880 in all), never splitting
     // a prefix group: the first chunk holds the 40 layer-0 runs, which
-    // need no prefix, and the other seven end at segments 21, 22, 29, 39,
-    // 51, 67 and 103. Each of those walks its prefix once from |0…0⟩:
-    // one prologue, then segments 20 up to its last cut.
-    for end in [21, 22, 29, 39, 51, 67, 103] {
-        want[2] += 1;
-        walk(&mut want, 20, end);
+    // need no prefix, and the other seven end at ops 29, 30, 38, 48, 69,
+    // 93 and 135. Each of those walks its prefix once from |0…0⟩.
+    for end in [29, 30, 38, 48, 69, 93, 135] {
+        walk(&mut want, 0, end);
     }
-    assert_eq!(want, [9_859, 613, 47]);
+    assert_eq!(want, [10_805, 5_517, 613, 47]);
 
     let names = [
         "sim.gate.rotation",
-        "sim.fuse.applications.diagonal",
-        "sim.fuse.applications.prologue",
         "sim.gate.fixed",
-        "sim.fuse.gates_in",
+        "sim.gate.cz_layers",
+        "sim.gate.prologues",
         "grad.executions.parameter_shift",
     ];
-    // …plus no CZ outside the superkernels, one compile (145 gates in),
-    // and 2k executions.
-    let expected = [want[0], want[1], want[2], 0, 145, 2 * c.n_params() as u64];
+    // …plus 2k executions.
+    let expected = [want[0], want[1], want[2], want[3], 2 * c.n_params() as u64];
     let saved = std::env::var("PLATEAU_THREADS").ok();
     for threads in ["1", "2", "4"] {
         std::env::set_var("PLATEAU_THREADS", threads);
@@ -297,106 +291,41 @@ fn fused_run_emits_exact_compression_counters() {
     use plateau_core::cost::CostKind;
     use plateau_grad::{expectation_many, BatchExecutor};
 
-    // The paper's training configuration (§IV-D): width 10, depth 5.
-    // Per layer the ansatz is RX·RY on each wire plus a CZ chain, so one
-    // compile sees layers × (3q − 1) input gates and — per the segment
-    // layout pinned in `plateau_sim::fuse` — emits the 2q rotations of
-    // each layer as raw segments plus one diagonal CZ-chain superkernel
-    // per layer.
-    let (q, layers) = (10usize, 5usize);
-    let a = training_ansatz(q, layers).unwrap();
+    // The paper's training configuration (§IV-D): width 10, depth 5. Per
+    // layer the ansatz is RX·RY on each wire plus a nine-CZ chain, which
+    // every walk sweeps as one CZ layer; every run from |0…0⟩ builds
+    // layer 0's 2q rotations as one product-state prologue.
+    let (q, layers) = (10usize, 5u64);
+    let a = training_ansatz(q, layers as usize).unwrap();
     let obs = CostKind::Global.observable(q);
     let members = 3u64;
     let sets = vec![vec![0.1; a.circuit.n_params()]; members as usize];
 
-    // Two independent entries into the compiled hot path, one compile
-    // each: a batched cost evaluation and a batched adjoint sweep.
+    // Two batched entries: a cost evaluation and an adjoint sweep.
     expectation_many(&a.circuit, &sets, &obs).unwrap();
     BatchExecutor::new(&a.circuit).adjoint_gradient_many(&sets, &obs).unwrap();
 
     let snap = plateau_obs::snapshot();
-    let compiles = 2u64;
-    let gates_in = (layers * (3 * q - 1)) as u64;
-    let gates_out = (layers * (2 * q + 1)) as u64;
-    assert_eq!(snap.counter("sim.fuse.gates_in"), Some(compiles * gates_in));
-    assert_eq!(snap.counter("sim.fuse.gates_out"), Some(compiles * gates_out));
+    // Two runs from |0…0⟩ per member — the cost evaluation and the
+    // adjoint's forward pass — each one prologue and one sweep per layer,
+    // counting all 100 rotations and 45 CZs. Each adjoint gradient then
+    // steps back through every gate (φ and λ, but for λ at the stop
+    // rotation, one tangent each), again one sweep per layer for φ and λ.
+    let (rotations, czs) = (2 * q as u64 * layers, (q as u64 - 1) * layers);
+    assert_eq!(snap.counter("sim.gate.prologues"), Some(2 * members));
+    assert_eq!(snap.counter("sim.gate.rotation"), Some(2 * rotations * members));
+    assert_eq!(snap.counter("sim.gate.fixed"), Some(2 * czs * members));
+    assert_eq!(snap.counter("sim.gate.cz_layers"), Some(4 * layers * members));
     assert_eq!(
-        snap.counter("sim.fuse.superkernels"),
-        Some(compiles * layers as u64)
+        snap.counter("sim.gate.inverse_applications"),
+        Some((2 * (rotations + czs) - 1) * members)
     );
-    // Every run from |0…0⟩ — one per cost evaluation, one forward pass
-    // per adjoint gradient — folds layer 0's 2q rotations into the
-    // prologue and applies the other (layers − 1)·2q rotations raw. Each
-    // adjoint gradient then sweeps all 100 rotations back (φ and λ but
-    // for λ at the stop rotation, one tangent each). No CZ runs outside
-    // a superkernel.
-    let rotations = (2 * q * layers) as u64;
-    let forward = (rotations - 2 * q as u64) * 2 * members;
-    let backward = (2 * rotations - 1) * members;
-    assert_eq!(snap.counter("sim.fuse.applications.prologue"), Some(2 * members));
-    assert_eq!(snap.counter("sim.gate.rotation"), Some(forward));
-    assert_eq!(snap.counter("sim.gate.inverse_applications"), Some(backward));
     assert_eq!(
         snap.counter("sim.gate.derivative_applications"),
         Some(rotations * members)
     );
-    // Superkernels: one per layer in each of the two forward runs per
-    // member, and one per layer in each of the φ and λ sweeps back.
-    assert_eq!(
-        snap.counter("sim.fuse.applications.diagonal"),
-        Some(4 * layers as u64 * members)
-    );
-    assert_eq!(snap.counter("sim.gate.fixed"), None);
 
     plateau_obs::metrics::reset();
-    plateau_obs::set_metrics_enabled(false);
-}
-
-#[test]
-fn one_shot_calls_walk_the_op_list_and_repeated_runs_compile_once() {
-    let _guard = plateau_obs::test_lock();
-    plateau_obs::set_metrics_enabled(true);
-
-    use plateau_core::ansatz::{training_ansatz, variance_ansatz};
-    use plateau_core::cost::CostKind;
-    use plateau_grad::{expectation, Adjoint, BatchExecutor, GradientEngine, ParameterShift};
-    use plateau_rng::{rngs::StdRng, SeedableRng};
-
-    let compiled_gates = || counter_value("sim.fuse.gates_in");
-
-    // A Fig 5a ensemble member: a distinct random-rotations circuit,
-    // differentiated once. Its one-shot calls walk the op list.
-    let (q, layers) = (4usize, 50usize);
-    let member = variance_ansatz(q, layers, &mut StdRng::seed_from_u64(5)).unwrap();
-    let c = &member.circuit;
-    let params: Vec<f64> = (0..c.n_params()).map(|i| 0.01 * i as f64).collect();
-    let obs = CostKind::Global.observable(q);
-    let before = compiled_gates();
-    Adjoint.partial_last(c, &params, &obs).unwrap();
-    Adjoint.gradient(c, &params, &obs).unwrap();
-    ParameterShift.partial_last(c, &params, &obs).unwrap();
-    expectation(c, &params, &obs).unwrap();
-    assert_eq!(compiled_gates() - before, 0, "a one-shot call compiled");
-
-    // A call that runs one circuit O(k) or O(batch) times compiles it
-    // exactly once: one full parameter-shift gradient…
-    let a = training_ansatz(q, 3).unwrap();
-    let (c, n_gates) = (&a.circuit, a.circuit.ops().len() as u64);
-    let params: Vec<f64> = (0..c.n_params()).map(|i| 0.03 * i as f64 - 0.5).collect();
-    let before = compiled_gates();
-    ParameterShift.gradient(c, &params, &obs).unwrap();
-    assert_eq!(compiled_gates() - before, n_gates);
-    // …and one executor, however many sweeps it then runs.
-    let before = compiled_gates();
-    let mut ex = BatchExecutor::new(c);
-    assert_eq!(compiled_gates() - before, n_gates);
-    let sets = vec![params.clone(); 9];
-    ex.expectation_many(&sets, &obs).unwrap();
-    ex.adjoint_gradient_many(&sets, &obs).unwrap();
-    ex.partial_last_many_shift(&sets, &obs).unwrap();
-    ex.expectation(&params, &obs).unwrap();
-    assert_eq!(compiled_gates() - before, n_gates);
-
     plateau_obs::set_metrics_enabled(false);
 }
 

@@ -1,6 +1,6 @@
 //! Determinism property: the same request body (same seed) returns a
 //! bit-identical response body across `PLATEAU_THREADS` ∈ {1, 2, 4} and
-//! across cold vs LRU-warm compiled-cache hits.
+//! across cold vs LRU-warm circuit-cache hits.
 //!
 //! Everything runs inside ONE `#[test]` — the thread-count sweep mutates
 //! the process-wide `PLATEAU_THREADS` variable, which must not race
