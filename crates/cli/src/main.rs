@@ -474,19 +474,39 @@ fn cmd_classify(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// The `plateau fuzz` subcommand: differential fuzzing across the engine
-/// matrix (see `plateau-fuzz` crate docs and DESIGN.md §10). Without
-/// `--replay` it runs a seeded campaign and fails on any divergence;
-/// `--mutate true` flips into the mutation self-test, which *succeeds*
-/// only when the deliberately broken kernel is caught and shrunk to a
-/// small reproducer; `--replay PATH` re-runs a written artifact and
-/// fails while the recorded divergence still reproduces.
+/// The default [`plateau_serve::ServeConfig`] with `PLATEAU_SERVE_WORKERS`,
+/// `PLATEAU_SERVE_QUEUE`, `PLATEAU_SERVE_CACHE`, `PLATEAU_SERVE_MAX_BODY`
+/// and `PLATEAU_SERVE_MAX_QUBITS` applied, each looked up through
+/// `lookup` and clamped to a usable value. Unparsable values are ignored.
+fn serve_config_from_env(lookup: impl Fn(&str) -> Option<String>) -> plateau_serve::ServeConfig {
+    let mut cfg = plateau_serve::ServeConfig::default();
+    let read = |name: &str| lookup(name).and_then(|v| v.parse::<usize>().ok());
+    if let Some(w) = read("PLATEAU_SERVE_WORKERS") {
+        cfg.workers = w.max(1);
+    }
+    if let Some(q) = read("PLATEAU_SERVE_QUEUE") {
+        cfg.queue_capacity = q.max(1);
+    }
+    if let Some(c) = read("PLATEAU_SERVE_CACHE") {
+        cfg.cache_capacity = c.max(1);
+    }
+    if let Some(b) = read("PLATEAU_SERVE_MAX_BODY") {
+        cfg.max_body = b.max(1024);
+    }
+    if let Some(m) = read("PLATEAU_SERVE_MAX_QUBITS") {
+        cfg.limits.max_qubits = m.clamp(1, plateau_sim::MAX_QUBITS);
+    }
+    cfg
+}
+
+/// The `plateau serve` subcommand: the HTTP service (DESIGN.md §15),
+/// configured from `PLATEAU_SERVE_*` and then from its flags.
 fn cmd_serve(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     check_flags(
         parsed,
         &["addr", "workers", "queue", "cache", "max-qubits", "duration"],
     )?;
-    let mut cfg = plateau_serve::ServeConfig::from_env();
+    let mut cfg = serve_config_from_env(|name| std::env::var(name).ok());
     cfg.addr = parsed.get_str("addr", "127.0.0.1:8080");
     cfg.workers = parsed.get("workers", cfg.workers)?;
     cfg.queue_capacity = parsed.get("queue", cfg.queue_capacity)?;
@@ -517,6 +537,13 @@ fn cmd_serve(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// The `plateau fuzz` subcommand: differential fuzzing across the engine
+/// matrix (see `plateau-fuzz` crate docs and DESIGN.md §10). Without
+/// `--replay` it runs a seeded campaign and fails on any divergence;
+/// `--mutate true` flips into the mutation self-test, which *succeeds*
+/// only when the deliberately broken kernel is caught and shrunk to a
+/// small reproducer; `--replay PATH` re-runs a written artifact and
+/// fails while the recorded divergence still reproduces.
 fn cmd_fuzz(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     check_flags(parsed, &["cases", "seed", "max-qubits", "artifacts", "mutate", "replay"])?;
     if let Some(path) = parsed.opt_str("replay") {
@@ -882,4 +909,42 @@ fn cmd_analyze(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         println!("{},{q:.6},{kl:.6}", strategy.name());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_env_values_are_clamped() {
+        let cases = [
+            ("WORKERS", "0", 1),
+            ("WORKERS", "7", 7),
+            ("WORKERS", "-3", 2),
+            ("QUEUE", "0", 1),
+            ("QUEUE", "9", 9),
+            ("CACHE", "0", 1),
+            ("CACHE", "5", 5),
+            ("MAX_BODY", "10", 1024),
+            ("MAX_BODY", "4096", 4096),
+            ("MAX_QUBITS", "0", 1),
+            ("MAX_QUBITS", "12", 12),
+            ("MAX_QUBITS", "99", plateau_sim::MAX_QUBITS),
+        ];
+        for (knob, value, want) in cases {
+            let var = format!("PLATEAU_SERVE_{knob}");
+            let cfg = serve_config_from_env(|name| (name == var).then(|| value.to_string()));
+            let got = match knob {
+                "WORKERS" => cfg.workers,
+                "QUEUE" => cfg.queue_capacity,
+                "CACHE" => cfg.cache_capacity,
+                "MAX_BODY" => cfg.max_body,
+                _ => cfg.limits.max_qubits,
+            };
+            assert_eq!(got, want, "{var}={value}");
+        }
+        let unset = serve_config_from_env(|_| None);
+        let default = plateau_serve::ServeConfig::default();
+        assert_eq!(format!("{unset:?}"), format!("{default:?}"));
+    }
 }

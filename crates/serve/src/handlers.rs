@@ -8,7 +8,7 @@
 //!
 //! **Determinism contract:** for a fixed request body (including its
 //! seed) the response *body* is a pure function of the request — cache
-//! state and worker threading must not leak into it. That is why the
+//! state and threading must not leak into it. That is why the
 //! cache disposition travels in the `X-Plateau-Cache` response *header*
 //! (see `server.rs`) and never in the body, and why shot sampling uses a
 //! per-request `StdRng` seeded only from the request.

@@ -15,12 +15,12 @@
 //!
 //! Circuits arrive as OpenQASM 2.0 or canonical op-list JSON
 //! ([`protocol`]); parsed circuits are cached in an LRU keyed on the raw
-//! wire form ([`cache`]) so repeat tenants skip parse + build; compute
-//! runs on a bounded worker pool behind a
-//! backpressuring job queue ([`queue`], 503 + `Retry-After` when full);
-//! and every response body is a deterministic function of the request
-//! body — cache state travels in the `X-Plateau-Cache` header, never the
-//! body ([`handlers`]).
+//! wire form ([`cache`]) so repeat tenants skip parse + build; each
+//! connection thread runs its own compute once an admission gate lets it
+//! ([`server`]: at most `workers` run, at most `queue_capacity` wait, 503 +
+//! `Retry-After` when full); and every response body is a deterministic
+//! function of the request body — cache state travels in the
+//! `X-Plateau-Cache` header, never the body ([`handlers`]).
 //!
 //! ```no_run
 //! use plateau_serve::{ServeConfig, Server};
@@ -28,7 +28,7 @@
 //! let server = Server::start(ServeConfig::default())?;
 //! println!("listening on {}", server.addr());
 //! // ... drive traffic ...
-//! server.shutdown(); // drains accepted jobs, then stops
+//! server.shutdown(); // finishes admitted jobs, then stops
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
@@ -39,7 +39,6 @@ pub mod cache;
 pub mod handlers;
 pub mod http;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 
 pub use cache::{CachedCircuit, CircuitCache};
@@ -49,5 +48,4 @@ pub use protocol::{
     CircuitSpec, EngineSpec, GradientRequest, ObservableSpec, ProtocolError, Request,
     SimulateRequest, TrainRequest, VarianceRequest,
 };
-pub use queue::{JobQueue, PushError};
 pub use server::{ServeConfig, Server};

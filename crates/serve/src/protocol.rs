@@ -32,9 +32,8 @@
 //! baked-in constant.
 //!
 //! The spec deliberately stays *unbuilt* after parsing — the raw QASM
-//! text or op-list JSON is what the circuit cache hashes, so a
-//! cache hit skips circuit construction and fusion compilation entirely
-//! (see `cache.rs`).
+//! text or op-list JSON is what the circuit cache hashes, so a cache hit
+//! skips parsing and circuit construction entirely (see `cache.rs`).
 
 use plateau_obs::json::Json;
 use plateau_sim::{
@@ -221,43 +220,6 @@ impl CircuitSpec {
     }
 }
 
-fn fixed_gate_name(gate: FixedGate) -> &'static str {
-    match gate {
-        FixedGate::X => "x",
-        FixedGate::Y => "y",
-        FixedGate::Z => "z",
-        FixedGate::H => "h",
-        FixedGate::S => "s",
-        FixedGate::Sdg => "sdg",
-        FixedGate::T => "t",
-        FixedGate::Tdg => "tdg",
-        FixedGate::Sx => "sx",
-        FixedGate::Cz => "cz",
-        FixedGate::Cx => "cx",
-        FixedGate::Cy => "cy",
-        FixedGate::Swap => "swap",
-    }
-}
-
-fn parse_fixed_gate(name: &str) -> Option<FixedGate> {
-    Some(match name {
-        "x" => FixedGate::X,
-        "y" => FixedGate::Y,
-        "z" => FixedGate::Z,
-        "h" => FixedGate::H,
-        "s" => FixedGate::S,
-        "sdg" => FixedGate::Sdg,
-        "t" => FixedGate::T,
-        "tdg" => FixedGate::Tdg,
-        "sx" => FixedGate::Sx,
-        "cz" => FixedGate::Cz,
-        "cx" => FixedGate::Cx,
-        "cy" => FixedGate::Cy,
-        "swap" => FixedGate::Swap,
-        _ => return None,
-    })
-}
-
 fn rotation_name(gate: RotationGate) -> &'static str {
     match gate {
         RotationGate::Rx => "rx",
@@ -315,7 +277,7 @@ fn parse_two_qubit(name: &str) -> Option<TwoQubitRotationGate> {
 
 fn op_to_json(op: &Op) -> Json {
     let (name, qubits, param): (&str, Vec<usize>, Option<&Param>) = match op {
-        Op::Fixed { gate, qubits } => (fixed_gate_name(*gate), qubits.clone(), None),
+        Op::Fixed { gate, qubits } => (gate.name(), qubits.clone(), None),
         Op::Rotation { gate, qubit, param } => (rotation_name(*gate), vec![*qubit], Some(param)),
         Op::ControlledRotation {
             gate,
@@ -391,7 +353,7 @@ fn validate_op(v: &Json, n_qubits: usize) -> Result<(), ProtocolError> {
         }
         Ok(())
     };
-    if let Some(gate) = parse_fixed_gate(name) {
+    if let Some(gate) = FixedGate::from_name(name) {
         if has_angle {
             return Err(ProtocolError::invalid(format!(
                 "gate {name:?} takes no angle"
@@ -421,7 +383,7 @@ fn push_op(circuit: &mut Circuit, v: &Json) -> Result<(), ProtocolError> {
         .map(|items| items.iter().filter_map(|q| q.as_f64()).map(|q| q as usize).collect())
         .unwrap_or_default();
     let angle = pairs.get(2).and_then(|(_, v)| v.as_f64());
-    if let Some(gate) = parse_fixed_gate(name) {
+    if let Some(gate) = FixedGate::from_name(name) {
         circuit.push_fixed(gate, &qubits)?;
     } else if let Some(gate) = parse_rotation(name) {
         match angle {

@@ -1,33 +1,33 @@
-//! The server: acceptor + connection threads + a bounded worker pool.
+//! The server: an acceptor, one thread per connection, and an admission
+//! gate in front of the compute.
 //!
 //! Thread layout (all `std::thread`, no async runtime):
 //!
 //! ```text
-//! acceptor ──spawns──▶ connection threads (1 per socket, I/O only)
+//! acceptor ──spawns──▶ connection threads (1 per socket)
 //!                          │  parse HTTP → parse Request
-//!                          │  try_push ──▶ JobQueue (bounded) ──▶ workers (N)
-//!                          │                  503 when full         │ execute()
-//!                          ◀──────────── mpsc reply channel ────────┘
+//!                          │  Gate::enter ── at most `workers` running,
+//!                          │       │         at most `queue_capacity` waiting
+//!                          │       │         (FIFO), 503 when full
+//!                          │  execute() on this thread → write the reply
 //! ```
 //!
-//! Connection threads do I/O and protocol work only; every simulation
-//! runs on one of the `workers` compute threads, so a slow tenant can
-//! occupy at most the queue, never the listener. `/healthz` and
-//! `/metrics` are answered inline by the connection thread — they must
-//! keep working while the compute pool is saturated, that being the
-//! whole point of a health probe.
+//! The connection thread that parsed a request runs it once the gate
+//! admits it, so a slow tenant holds at most a permit or a place in the
+//! wait line, never the listener. `/healthz` and `/metrics` are answered
+//! without a permit — they must keep working while every permit is held,
+//! that being the whole point of a health probe.
 //!
 //! Graceful shutdown ([`Server::shutdown`]): stop accepting, close the
-//! queue (rejecting new pushes), let the workers drain every accepted
-//! job, then wait for connection threads to flush their responses. An
-//! accepted request always gets a complete response; a request that
-//! arrives during drain gets a clean 503.
+//! gate (new requests get 503 `shutting_down`), wait until every admitted
+//! job — running or waiting — has finished, then wait for connection
+//! threads to flush their responses. An admitted request always gets a
+//! complete response.
 
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -37,19 +37,18 @@ use crate::cache::CircuitCache;
 use crate::handlers::{execute, ExecOutcome, Limits};
 use crate::http::{self, HttpResponse, ParseStatus};
 use crate::protocol::{ProtocolError, Request};
-use crate::queue::{JobQueue, PushError};
 
-/// Server configuration. Every knob has a `PLATEAU_SERVE_*` environment
-/// override (see [`ServeConfig::from_env`]).
+/// Server configuration. The `plateau serve` command fills it from its
+/// flags and `PLATEAU_SERVE_*` environment variables.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 asks the OS for an ephemeral port.
     pub addr: String,
-    /// Compute worker threads.
+    /// Most compute requests running at once.
     pub workers: usize,
-    /// Job-queue bound (backpressure point).
+    /// Most compute requests waiting for a run slot (backpressure point).
     pub queue_capacity: usize,
-    /// Compiled-circuit LRU capacity.
+    /// Parsed-circuit LRU capacity.
     pub cache_capacity: usize,
     /// Largest accepted request body in bytes.
     pub max_body: usize,
@@ -73,42 +72,122 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// The default configuration with `PLATEAU_SERVE_WORKERS`,
-    /// `PLATEAU_SERVE_QUEUE`, `PLATEAU_SERVE_CACHE`,
-    /// `PLATEAU_SERVE_MAX_BODY`, and `PLATEAU_SERVE_MAX_QUBITS` applied.
-    pub fn from_env() -> ServeConfig {
-        let mut cfg = ServeConfig::default();
-        let read = |name: &str| -> Option<usize> {
-            std::env::var(name).ok().and_then(|v| v.parse().ok())
-        };
-        if let Some(w) = read("PLATEAU_SERVE_WORKERS") {
-            cfg.workers = w.max(1);
-        }
-        if let Some(q) = read("PLATEAU_SERVE_QUEUE") {
-            cfg.queue_capacity = q.max(1);
-        }
-        if let Some(c) = read("PLATEAU_SERVE_CACHE") {
-            cfg.cache_capacity = c.max(1);
-        }
-        if let Some(b) = read("PLATEAU_SERVE_MAX_BODY") {
-            cfg.max_body = b.max(1024);
-        }
-        if let Some(m) = read("PLATEAU_SERVE_MAX_QUBITS") {
-            cfg.limits.max_qubits = m.clamp(1, plateau_sim::MAX_QUBITS);
-        }
-        cfg
+/// What runs each admitted job: [`execute`] in production.
+type Executor = dyn Fn(&Request, &CircuitCache, Limits) -> ExecOutcome + Send + Sync;
+
+/// The admission gate: at most `workers` jobs run at once and at most
+/// `capacity` wait, admitted in arrival order.
+struct Gate {
+    /// Every lock recovers a poisoned mutex: no code panics while holding
+    /// it, so one panicking request cannot fail every later one.
+    state: Mutex<GateState>,
+    changed: Condvar,
+    workers: usize,
+    capacity: usize,
+}
+
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    /// Waiters take tickets in arrival order and run when `now_serving`
+    /// reaches theirs; a bare condvar race would not keep that order.
+    next_ticket: u64,
+    now_serving: u64,
+    closed: bool,
+}
+
+impl GateState {
+    fn waiting(&self) -> usize {
+        (self.next_ticket - self.now_serving) as usize
     }
 }
 
-/// What a worker runs for each job: [`execute`] in production.
-type Executor = dyn Fn(&Request, &CircuitCache, Limits) -> ExecOutcome + Send + Sync;
+/// Why the gate turned a job away.
+enum Refused {
+    Full,
+    Closed,
+}
 
-/// One unit of compute work: the parsed request and where to send the
-/// outcome.
-struct Job {
-    request: Request,
-    reply: mpsc::Sender<ExecOutcome>,
+/// A run slot; dropping it frees the slot for the next waiter.
+struct Permit<'a>(&'a Gate);
+
+impl Gate {
+    fn new(workers: usize, capacity: usize) -> Gate {
+        Gate {
+            state: Mutex::default(),
+            changed: Condvar::new(),
+            workers: workers.max(1),
+            capacity: capacity.max(1),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admits a job at once when a slot is free and nobody waits, queues
+    /// it behind the earlier waiters when the line has room, and refuses
+    /// it otherwise.
+    fn enter(&self) -> Result<Permit<'_>, Refused> {
+        let mut s = self.lock();
+        if s.closed {
+            return Err(Refused::Closed);
+        }
+        if s.waiting() == 0 && s.running < self.workers {
+            s.running += 1;
+            return Ok(Permit(self));
+        }
+        if s.waiting() >= self.capacity {
+            plateau_obs::counter!("serve.queue.rejected").inc();
+            return Err(Refused::Full);
+        }
+        let ticket = s.next_ticket;
+        s.next_ticket += 1;
+        plateau_obs::gauge!("serve.queue_depth").set(s.waiting() as f64);
+        while ticket != s.now_serving || s.running >= self.workers {
+            s = self.changed.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        s.now_serving += 1;
+        s.running += 1;
+        plateau_obs::gauge!("serve.queue_depth").set(s.waiting() as f64);
+        if s.waiting() > 0 && s.running < self.workers {
+            // Another slot is free: the next ticket may go too.
+            self.changed.notify_all();
+        }
+        Ok(Permit(self))
+    }
+
+    /// Refuses every later [`Gate::enter`]; admitted waiters still run.
+    fn close(&self) {
+        self.lock().closed = true;
+    }
+
+    /// Blocks until no job runs or waits.
+    fn wait_idle(&self) {
+        let mut s = self.lock();
+        while s.running > 0 || s.waiting() > 0 {
+            s = self.changed.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut s = self.0.lock();
+        s.running -= 1;
+        if s.waiting() > 0 || s.closed {
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+/// What the acceptor and every connection thread share.
+struct Shared {
+    cfg: ServeConfig,
+    shutdown: AtomicBool,
+    gate: Gate,
+    cache: CircuitCache,
+    exec: Arc<Executor>,
 }
 
 /// A running server. Dropping it without calling [`Server::shutdown`]
@@ -116,12 +195,9 @@ struct Job {
 /// shut down explicitly.
 pub struct Server {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    queue: Arc<JobQueue<Job>>,
-    cache: Arc<CircuitCache>,
+    shared: Arc<Shared>,
     active_connections: Arc<AtomicUsize>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -141,43 +217,28 @@ impl Server {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let queue: Arc<JobQueue<Job>> = Arc::new(JobQueue::new(cfg.queue_capacity));
-        // Every cached circuit carries its compilation: a cached circuit is
-        // one that runs many times.
-        let cache = Arc::new(CircuitCache::with_capacity(cfg.cache_capacity));
+        let shared = Arc::new(Shared {
+            gate: Gate::new(cfg.workers, cfg.queue_capacity),
+            cache: CircuitCache::with_capacity(cfg.cache_capacity),
+            cfg,
+            shutdown: AtomicBool::new(false),
+            exec,
+        });
         let active_connections = Arc::new(AtomicUsize::new(0));
 
-        let workers: Vec<JoinHandle<()>> = (0..cfg.workers.max(1))
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let cache = Arc::clone(&cache);
-                let exec = Arc::clone(&exec);
-                let limits = cfg.limits;
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || work(&queue, &cache, limits, &*exec))
-                    .expect("spawn worker")
-            })
-            .collect();
-
         let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let queue = Arc::clone(&queue);
+            let shared = Arc::clone(&shared);
             let active = Arc::clone(&active_connections);
-            let cfg = cfg.clone();
             std::thread::Builder::new()
                 .name("serve-acceptor".to_string())
                 .spawn(move || loop {
-                    if shutdown.load(Ordering::SeqCst) {
+                    if shared.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
                     match listener.accept() {
                         Ok((stream, _)) => {
                             plateau_obs::counter!("serve.connections").inc();
-                            let queue = Arc::clone(&queue);
-                            let shutdown = Arc::clone(&shutdown);
-                            let cfg = cfg.clone();
+                            let shared = Arc::clone(&shared);
                             spawn_counted(
                                 &active,
                                 |conn| {
@@ -186,7 +247,7 @@ impl Server {
                                         .spawn(conn)
                                         .map(drop)
                                 },
-                                move || serve_connection(stream, &queue, &shutdown, &cfg),
+                                move || serve_connection(stream, &shared),
                             );
                         }
                         // Poll fine-grained: this sleep bounds the accept
@@ -202,12 +263,9 @@ impl Server {
 
         Ok(Server {
             local_addr,
-            shutdown,
-            queue,
-            cache,
+            shared,
             active_connections,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 
@@ -220,23 +278,21 @@ impl Server {
     /// The shared parsed-circuit cache (the load generator clears it
     /// to re-measure the cold path).
     pub fn cache(&self) -> &CircuitCache {
-        &self.cache
+        &self.shared.cache
     }
 
-    /// Current job-queue depth.
+    /// Compute requests waiting for a run slot.
     pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
+        self.shared.gate.lock().waiting()
     }
 
-    /// Graceful shutdown: drain accepted work, then stop. Returns once
-    /// the workers have exited and connection threads have flushed (or a
-    /// 5-second drain deadline passes).
+    /// Graceful shutdown: finish admitted work, then stop. Returns once
+    /// no admitted job runs or waits and connection threads have flushed
+    /// (or a 5-second deadline for the connection threads passes).
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.gate.close();
+        self.shared.gate.wait_idle();
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
@@ -244,27 +300,6 @@ impl Server {
         while self.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-    }
-}
-
-/// A worker: runs jobs until the queue closes. A panicking job is
-/// answered with a structured 500 and counted in `serve.panics`, and the
-/// worker lives on, so a panic can neither shrink the pool nor leave a
-/// queued request waiting forever.
-fn work(queue: &JobQueue<Job>, cache: &CircuitCache, limits: Limits, exec: &Executor) {
-    while let Some(job) = queue.pop() {
-        let run = std::panic::AssertUnwindSafe(|| exec(&job.request, cache, limits));
-        let outcome = std::panic::catch_unwind(run).unwrap_or_else(|_| {
-            plateau_obs::counter!("serve.panics").inc();
-            ExecOutcome {
-                status: 500,
-                body: error_body("internal", "the request handler panicked"),
-                cache: None,
-            }
-        });
-        // A dead reply channel means the connection vanished mid-flight;
-        // the work is discarded.
-        let _ = job.reply.send(outcome);
     }
 }
 
@@ -296,13 +331,9 @@ fn spawn_counted(
 /// Reads requests off one socket until close, idle timeout, or
 /// shutdown. Keep-alive and pipelining come from the buffer-and-consume
 /// loop: leftover bytes after one request seed the parse of the next.
-fn serve_connection(
-    stream: TcpStream,
-    queue: &JobQueue<Job>,
-    shutdown: &AtomicBool,
-    cfg: &ServeConfig,
-) {
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let mut stream = stream;
+    let cfg = &shared.cfg;
     // Short poll interval so shutdown and the idle deadline are checked
     // even when the peer sends nothing.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
@@ -319,8 +350,8 @@ fn serve_connection(
                     buf.drain(..consumed);
                     idle_since = Instant::now();
                     let close = req.wants_close();
-                    let keep_alive = !close && !shutdown.load(Ordering::SeqCst);
-                    let response = handle_request(&req, queue, shutdown);
+                    let keep_alive = !close && !shared.shutdown.load(Ordering::SeqCst);
+                    let response = handle_request(&req, shared);
                     if response.write_to(&mut stream, keep_alive).is_err() || !keep_alive {
                         return;
                     }
@@ -340,7 +371,7 @@ fn serve_connection(
                 }
             }
         }
-        if shutdown.load(Ordering::SeqCst) && buf.is_empty() {
+        if shared.shutdown.load(Ordering::SeqCst) && buf.is_empty() {
             return;
         }
         if idle_since.elapsed() > cfg.idle_timeout {
@@ -376,23 +407,14 @@ fn count_status(status: u16) {
 }
 
 /// Routes one parsed HTTP request and produces the response.
-fn handle_request(
-    req: &http::HttpRequest,
-    queue: &JobQueue<Job>,
-    shutdown: &AtomicBool,
-) -> HttpResponse {
+fn handle_request(req: &http::HttpRequest, shared: &Shared) -> HttpResponse {
     let started = Instant::now();
-    let response = route(req, queue, shutdown, started);
+    let response = route(req, shared, started);
     count_status(response.status);
     response
 }
 
-fn route(
-    req: &http::HttpRequest,
-    queue: &JobQueue<Job>,
-    shutdown: &AtomicBool,
-    started: Instant,
-) -> HttpResponse {
+fn route(req: &http::HttpRequest, shared: &Shared, started: Instant) -> HttpResponse {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             plateau_obs::counter!("serve.requests.healthz").inc();
@@ -400,9 +422,9 @@ fn route(
                 ("status", Json::str("ok")),
                 (
                     "draining",
-                    Json::Bool(shutdown.load(Ordering::SeqCst)),
+                    Json::Bool(shared.shutdown.load(Ordering::SeqCst)),
                 ),
-                ("queue_depth", Json::from(queue.depth())),
+                ("queue_depth", Json::from(shared.gate.lock().waiting())),
             ]);
             HttpResponse::json(200, &body)
         }
@@ -431,7 +453,7 @@ fn route(
             // Dynamic name: go through the registry, not the per-call-site
             // interning macro (which would pin the first endpoint seen).
             plateau_obs::metrics::counter(&format!("serve.requests.{endpoint}")).inc();
-            dispatch(parsed, queue, started)
+            dispatch(&parsed, shared, started)
         }
         ("POST", _) => HttpResponse::json(
             404,
@@ -454,58 +476,56 @@ fn route(
     }
 }
 
-/// Enqueues a compute request and waits for its outcome.
-fn dispatch(request: Request, queue: &JobQueue<Job>, started: Instant) -> HttpResponse {
-    let endpoint = request.endpoint();
-    let (tx, rx) = mpsc::channel();
-    match queue.try_push(Job {
-        request,
-        reply: tx,
-    }) {
-        Ok(()) => {}
-        Err(PushError::Full) => {
+/// Runs a compute request on this connection thread once the gate admits
+/// it. A panicking job is answered with a structured 500 and counted in
+/// `serve.panics`; its permit is freed and the connection keeps serving.
+fn dispatch(request: &Request, shared: &Shared, started: Instant) -> HttpResponse {
+    let permit = match shared.gate.enter() {
+        Ok(permit) => permit,
+        Err(Refused::Full) => {
             return HttpResponse::json(
                 503,
-                &error_body("overloaded", "job queue is full; retry shortly"),
+                &error_body("overloaded", "too many jobs waiting; retry shortly"),
             )
             .with_header("Retry-After", "1");
         }
-        Err(PushError::Closed) => {
+        Err(Refused::Closed) => {
             return HttpResponse::json(
                 503,
                 &error_body("shutting_down", "server is draining; retry against a peer"),
             )
             .with_header("Retry-After", "1");
         }
-    }
-    match rx.recv() {
-        Ok(outcome) => {
-            let micros = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-            plateau_obs::metrics::histogram(&format!("serve.latency_us.{endpoint}")).record(micros);
-            let mut response = HttpResponse::json(outcome.status, &outcome.body);
-            if let Some(hit) = outcome.cache {
-                response =
-                    response.with_header("X-Plateau-Cache", if hit { "hit" } else { "miss" });
-            }
-            response
+    };
+    let run =
+        std::panic::AssertUnwindSafe(|| (shared.exec)(request, &shared.cache, shared.cfg.limits));
+    let outcome = std::panic::catch_unwind(run).unwrap_or_else(|_| {
+        plateau_obs::counter!("serve.panics").inc();
+        ExecOutcome {
+            status: 500,
+            body: error_body("internal", "the request handler panicked"),
+            cache: None,
         }
-        // The job was dropped unanswered; workers catch handler panics, so
-        // this is a defensive fallback.
-        Err(_) => HttpResponse::json(
-            500,
-            &error_body("internal", "worker failed to produce a response"),
-        ),
+    });
+    drop(permit);
+    let micros = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    let endpoint = request.endpoint();
+    plateau_obs::metrics::histogram(&format!("serve.latency_us.{endpoint}")).record(micros);
+    let mut response = HttpResponse::json(outcome.status, &outcome.body);
+    if let Some(hit) = outcome.cache {
+        response = response.with_header("X-Plateau-Cache", if hit { "hit" } else { "miss" });
     }
+    response
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
+    use std::sync::mpsc;
 
     #[test]
-    fn config_from_env_clamps() {
-        // No env set: defaults.
+    fn config_defaults() {
         let cfg = ServeConfig::default();
         assert_eq!(cfg.workers, 2);
         assert_eq!(cfg.queue_capacity, 64);
@@ -616,5 +636,182 @@ mod tests {
         server.shutdown();
         // The port is released: connecting now fails (or is refused).
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+    }
+
+    /// A server whose executor reports each job's seed on `started`, then
+    /// blocks until the test sends one token on `release`. It records the
+    /// most jobs it saw running at once in `max_running`.
+    struct Blocking {
+        server: Server,
+        started: mpsc::Receiver<u64>,
+        release: mpsc::Sender<()>,
+        max_running: Arc<AtomicUsize>,
+    }
+
+    fn blocking_server(workers: usize, queue_capacity: usize) -> Blocking {
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let running = AtomicUsize::new(0);
+        let max_running = Arc::new(AtomicUsize::new(0));
+        let max = Arc::clone(&max_running);
+        let exec = move |req: &Request, _: &CircuitCache, _: Limits| {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            max.fetch_max(now, Ordering::SeqCst);
+            let Request::Simulate(r) = req else {
+                panic!("the blocking executor takes /simulate only")
+            };
+            started_tx.send(r.seed).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+            running.fetch_sub(1, Ordering::SeqCst);
+            ExecOutcome {
+                status: 200,
+                body: Json::obj([("seed", Json::Num(r.seed as f64))]),
+                cache: None,
+            }
+        };
+        let server = Server::start_with(
+            ServeConfig {
+                workers,
+                queue_capacity,
+                ..ServeConfig::default()
+            },
+            Arc::new(exec),
+        )
+        .unwrap();
+        Blocking {
+            server,
+            started,
+            release,
+            max_running,
+        }
+    }
+
+    fn simulate_body(seed: u64) -> String {
+        format!(r#"{{"circuit":{{"qubits":1,"ops":[]}},"observable":"global","seed":{seed}}}"#)
+    }
+
+    /// Sends one `/simulate` with `seed` from a client thread.
+    fn client(addr: SocketAddr, seed: u64) -> std::thread::JoinHandle<String> {
+        std::thread::spawn(move || roundtrip(addr, "/simulate", &simulate_body(seed)))
+    }
+
+    /// Polls until `depth` jobs wait at the gate. Liveness only: the
+    /// result never depends on how long this takes.
+    fn await_depth(server: &Server, depth: usize) {
+        while server.queue_depth() != depth {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn gate_runs_at_most_workers_and_queues_at_most_capacity() {
+        let rejected = || {
+            plateau_obs::snapshot()
+                .counter("serve.queue.rejected")
+                .unwrap_or(0)
+        };
+        let b = blocking_server(2, 1);
+        let addr = b.server.addr();
+        let before = rejected();
+        let running: Vec<_> = (0..2).map(|seed| client(addr, seed)).collect();
+        let mut seen = [b.started.recv().unwrap(), b.started.recv().unwrap()];
+        seen.sort_unstable();
+        assert_eq!(seen, [0, 1]);
+        let waiter = client(addr, 2);
+        await_depth(&b.server, 1);
+
+        // Both permits are held and the line is full: health still answers.
+        let mut probe = TcpStream::connect(addr).unwrap();
+        probe
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut health = String::new();
+        probe.read_to_string(&mut health).unwrap();
+        assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
+        assert!(health.contains("\"queue_depth\":1"), "{health}");
+
+        for seed in 3..5 {
+            let out = client(addr, seed).join().unwrap();
+            assert!(out.starts_with("HTTP/1.1 503 "), "{out}");
+            assert!(out.contains("\r\nRetry-After: 1\r\n"), "{out}");
+            assert!(out.contains("\"code\":\"overloaded\""), "{out}");
+        }
+        assert!(rejected() >= before + 2);
+
+        for _ in 0..3 {
+            b.release.send(()).unwrap();
+        }
+        for c in running.into_iter().chain([waiter]) {
+            let out = c.join().unwrap();
+            assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+        }
+        assert_eq!(b.started.recv().unwrap(), 2);
+        assert_eq!(b.max_running.load(Ordering::SeqCst), 2);
+        assert_eq!(b.server.queue_depth(), 0);
+        b.server.shutdown();
+    }
+
+    #[test]
+    fn waiters_run_in_arrival_order() {
+        const WAITERS: u64 = 5;
+        let b = blocking_server(1, 64);
+        let addr = b.server.addr();
+        let mut clients = vec![client(addr, 0)];
+        assert_eq!(b.started.recv().unwrap(), 0);
+        for seed in 1..=WAITERS {
+            clients.push(client(addr, seed));
+            await_depth(&b.server, seed as usize);
+        }
+        // Each release finishes the running job; the next one admitted
+        // must be the earliest waiter.
+        for (seed, done) in (0..).zip(clients) {
+            b.release.send(()).unwrap();
+            assert!(done.join().unwrap().starts_with("HTTP/1.1 200 OK\r\n"));
+            if seed < WAITERS {
+                assert_eq!(b.started.recv().unwrap(), seed + 1);
+            }
+        }
+        assert_eq!(b.max_running.load(Ordering::SeqCst), 1);
+        b.server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_finishes_running_and_waiting_jobs_and_refuses_later_ones() {
+        let b = blocking_server(1, 64);
+        let addr = b.server.addr();
+        let running = client(addr, 0);
+        assert_eq!(b.started.recv().unwrap(), 0);
+        // One connection: a job that waits at the gate, then a pipelined
+        // one that reaches the gate only after that job has run.
+        let mut pipelined = TcpStream::connect(addr).unwrap();
+        let body = simulate_body(1);
+        let head = format!(
+            "POST /simulate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        pipelined
+            .write_all(format!("{head}{head}").as_bytes())
+            .unwrap();
+        await_depth(&b.server, 1);
+
+        let shared = Arc::clone(&b.server.shared);
+        let server = b.server;
+        let shutdown = std::thread::spawn(move || server.shutdown());
+        while !shared.gate.lock().closed {
+            std::thread::yield_now();
+        }
+        b.release.send(()).unwrap();
+        assert!(running.join().unwrap().starts_with("HTTP/1.1 200 OK\r\n"));
+        assert_eq!(b.started.recv().unwrap(), 1);
+        b.release.send(()).unwrap();
+
+        let mut out = String::new();
+        pipelined.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+        let (_, second) = out[1..].split_once("HTTP/1.1 ").expect("two responses");
+        assert!(second.starts_with("503 "), "{out}");
+        assert!(second.contains("\"code\":\"shutting_down\""), "{out}");
+        shutdown.join().unwrap();
     }
 }

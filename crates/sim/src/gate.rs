@@ -59,6 +59,49 @@ pub enum FixedGate {
 }
 
 impl FixedGate {
+    /// Every fixed gate, in declaration order; [`FixedGate::from_name`]
+    /// finds only the gates listed here.
+    pub const ALL: [FixedGate; 13] = [
+        FixedGate::X,
+        FixedGate::Y,
+        FixedGate::Z,
+        FixedGate::H,
+        FixedGate::S,
+        FixedGate::Sdg,
+        FixedGate::T,
+        FixedGate::Tdg,
+        FixedGate::Sx,
+        FixedGate::Cz,
+        FixedGate::Cx,
+        FixedGate::Cy,
+        FixedGate::Swap,
+    ];
+
+    /// The gate's lower-case name, the same in OpenQASM 2.0 and the
+    /// service's op-list JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            FixedGate::X => "x",
+            FixedGate::Y => "y",
+            FixedGate::Z => "z",
+            FixedGate::H => "h",
+            FixedGate::S => "s",
+            FixedGate::Sdg => "sdg",
+            FixedGate::T => "t",
+            FixedGate::Tdg => "tdg",
+            FixedGate::Sx => "sx",
+            FixedGate::Cz => "cz",
+            FixedGate::Cx => "cx",
+            FixedGate::Cy => "cy",
+            FixedGate::Swap => "swap",
+        }
+    }
+
+    /// The gate [`FixedGate::name`] calls `name`, if any.
+    pub fn from_name(name: &str) -> Option<FixedGate> {
+        FixedGate::ALL.into_iter().find(|g| g.name() == name)
+    }
+
     /// Number of qubits the gate acts on.
     pub fn arity(self) -> usize {
         match self {
@@ -483,22 +526,21 @@ mod tests {
     const TOL: f64 = 1e-12;
 
     #[test]
+    fn fixed_gate_names_round_trip() {
+        let mut names: Vec<&str> = FixedGate::ALL.iter().map(|g| g.name()).collect();
+        for g in FixedGate::ALL {
+            assert_eq!(FixedGate::from_name(g.name()), Some(g), "{g}");
+        }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FixedGate::ALL.len(), "two gates share a name");
+        assert_eq!(FixedGate::from_name("CX"), None);
+        assert_eq!(FixedGate::from_name("rx"), None);
+    }
+
+    #[test]
     fn all_fixed_gates_are_unitary() {
-        for g in [
-            FixedGate::X,
-            FixedGate::Y,
-            FixedGate::Z,
-            FixedGate::H,
-            FixedGate::S,
-            FixedGate::Sdg,
-            FixedGate::T,
-            FixedGate::Tdg,
-            FixedGate::Sx,
-            FixedGate::Cz,
-            FixedGate::Cx,
-            FixedGate::Cy,
-            FixedGate::Swap,
-        ] {
+        for g in FixedGate::ALL {
             assert!(g.matrix().is_unitary(TOL), "{g} not unitary");
             assert_eq!(g.matrix().rows(), 1 << g.arity());
         }

@@ -92,24 +92,6 @@ impl From<SimError> for ParseQasmError {
     }
 }
 
-fn fixed_gate_name(g: FixedGate) -> &'static str {
-    match g {
-        FixedGate::X => "x",
-        FixedGate::Y => "y",
-        FixedGate::Z => "z",
-        FixedGate::H => "h",
-        FixedGate::S => "s",
-        FixedGate::Sdg => "sdg",
-        FixedGate::T => "t",
-        FixedGate::Tdg => "tdg",
-        FixedGate::Sx => "sx",
-        FixedGate::Cz => "cz",
-        FixedGate::Cx => "cx",
-        FixedGate::Cy => "cy",
-        FixedGate::Swap => "swap",
-    }
-}
-
 fn rotation_name(g: RotationGate) -> &'static str {
     match g {
         RotationGate::Rx => "rx",
@@ -150,10 +132,10 @@ pub fn to_qasm(circuit: &Circuit, params: &[f64]) -> Result<String, SimError> {
         match op {
             Op::Fixed { gate, qubits } => match qubits.as_slice() {
                 [q] => {
-                    let _ = writeln!(out, "{} q[{q}];", fixed_gate_name(*gate));
+                    let _ = writeln!(out, "{} q[{q}];", gate.name());
                 }
                 [a, b] => {
-                    let _ = writeln!(out, "{} q[{a}],q[{b}];", fixed_gate_name(*gate));
+                    let _ = writeln!(out, "{} q[{a}],q[{b}];", gate.name());
                 }
                 _ => unreachable!("fixed gates are 1- or 2-qubit"),
             },
@@ -306,33 +288,17 @@ fn apply_statement(circuit: &mut Circuit, stmt: &str, line: usize) -> Result<(),
         (head, None)
     };
 
-    let fixed = |g: FixedGate| -> Option<FixedGate> { Some(g) };
     if angle.is_none() {
         let gate = match name {
-            "x" => fixed(FixedGate::X),
-            "y" => fixed(FixedGate::Y),
-            "z" => fixed(FixedGate::Z),
-            "h" => fixed(FixedGate::H),
-            "s" => fixed(FixedGate::S),
-            "sdg" => fixed(FixedGate::Sdg),
-            "t" => fixed(FixedGate::T),
-            "tdg" => fixed(FixedGate::Tdg),
-            "sx" => fixed(FixedGate::Sx),
-            "cz" => fixed(FixedGate::Cz),
-            "cx" | "CX" => fixed(FixedGate::Cx),
-            "cy" => fixed(FixedGate::Cy),
-            "swap" => fixed(FixedGate::Swap),
-            "id" => None, // identity: skip
-            _ => {
-                return Err(ParseQasmError::UnsupportedGate {
-                    line,
-                    gate: name.to_string(),
-                })
-            }
+            "id" => return Ok(()), // identity: skip
+            "CX" => Some(FixedGate::Cx),
+            _ => FixedGate::from_name(name),
         };
-        if let Some(g) = gate {
-            circuit.push_fixed(g, &operands)?;
-        }
+        let gate = gate.ok_or_else(|| ParseQasmError::UnsupportedGate {
+            line,
+            gate: name.to_string(),
+        })?;
+        circuit.push_fixed(gate, &operands)?;
         return Ok(());
     }
 

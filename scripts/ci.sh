@@ -75,6 +75,22 @@ if [[ -n "${store_violations}" ]]; then
 fi
 echo "only crates/obs/src/store.rs appends records or reads the store switches."
 
+echo "=== serve environment policy check ==="
+# plateau-serve takes all of its configuration as a ServeConfig value; the
+# `plateau serve` command reads the PLATEAU_SERVE_* variables and its flags
+# at the CLI boundary (DESIGN.md §15). No non-test code under
+# crates/serve/src may read the environment. Test code is everything from
+# a file's first #[cfg(test)] on.
+env_violations=$(find crates/serve/src -name '*.rs' \
+    -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + \
+    | grep -E 'env::var(_os)?\b' || true)
+if [[ -n "${env_violations}" ]]; then
+    echo "serve environment policy violations (take it from ServeConfig):" >&2
+    echo "${env_violations}" >&2
+    exit 1
+fi
+echo "no non-test code under crates/serve/src reads the environment."
+
 echo "=== compiled-path shim policy check ==="
 # There is one execution path, the op list (DESIGN.md §11). The removed
 # compiler's names survive only as one-line delegations in the compat.rs
