@@ -9,8 +9,8 @@
 //! op-list kernels and reuses one scratch state per worker.
 //!
 //! Three variants share the harness: `per_circuit` is the old loop
-//! (one `expectation` call per member), `batched_serial` pins
-//! `PLATEAU_THREADS=1`, and `batched` lets the pool size itself from the
+//! (one `expectation` call per member), `batched_serial` runs inside
+//! `plateau_par::with_threads(1, …)`, and `batched` lets the pool size itself from the
 //! machine. The headline unit is **circuits/sec** (members ÷ median sweep
 //! time). On a multi-core machine the gate fails (exit 1) unless the
 //! batched sweep clears `per_circuit × PLATEAU_BATCH_TOL` (default 3.0)
@@ -51,8 +51,6 @@ fn main() {
         ansatz.circuit.n_params()
     );
 
-    let prior_threads = std::env::var("PLATEAU_THREADS").ok();
-
     let mut h = Harness::new("batch_throughput_gate");
     h.config("qubits", plateau_bench::json::Json::from(n_qubits));
     h.config("layers", plateau_bench::json::Json::from(layers));
@@ -73,16 +71,13 @@ fn main() {
             plateau_grad::expectation(black_box(&ansatz.circuit), set, &obs).expect("expectation");
         }
     });
-    std::env::set_var("PLATEAU_THREADS", "1");
-    group.bench("batched_serial", || {
-        BatchExecutor::new(black_box(&ansatz.circuit))
-            .expectation_many(black_box(&sets), &obs)
-            .expect("batched sweep")
+    plateau_par::with_threads(1, || {
+        group.bench("batched_serial", || {
+            BatchExecutor::new(black_box(&ansatz.circuit))
+                .expectation_many(black_box(&sets), &obs)
+                .expect("batched sweep")
+        })
     });
-    match &prior_threads {
-        Some(v) => std::env::set_var("PLATEAU_THREADS", v),
-        None => std::env::remove_var("PLATEAU_THREADS"),
-    }
     group.bench("batched", || {
         BatchExecutor::new(black_box(&ansatz.circuit))
             .expectation_many(black_box(&sets), &obs)

@@ -3,9 +3,9 @@
 //! loops on this machine.
 //!
 //! For each register width the same training-ansatz forward run is timed
-//! twice — once with `set_par_threshold(usize::MAX)` (serial kernels)
-//! and once with `set_par_threshold(0)` (parallel kernels) — and the
-//! serial/parallel median ratio is printed. The crossover is the first
+//! twice — once into a state forced onto the serial kernels and once into
+//! one forced onto the chunked parallel kernels (`State::set_chunked`) —
+//! and the serial/parallel median ratio is printed. The crossover is the first
 //! width where that ratio exceeds 1. The result backs the
 //! `DEFAULT_PAR_THRESHOLD` constant in `plateau-sim` and the notes field
 //! of `benchmarks/BENCH_sim_parallel.json`.
@@ -21,6 +21,7 @@
 
 use plateau_bench::harness::{black_box, Harness};
 use plateau_core::ansatz::training_ansatz;
+use plateau_sim::State;
 use std::time::{Duration, Instant};
 
 /// Wall-clock cap on the whole scan.
@@ -51,15 +52,16 @@ fn main() {
             .collect();
         let mut group = h.group(&format!("forward_{n}q"));
         group.sample_size(10);
-        plateau_sim::set_par_threshold(usize::MAX);
-        group.bench("serial", || {
-            black_box(ansatz.circuit.run(black_box(&params)).expect("run"))
-        });
-        plateau_sim::set_par_threshold(0);
-        group.bench("parallel", || {
-            black_box(ansatz.circuit.run(black_box(&params)).expect("run"))
-        });
-        plateau_sim::reset_par_threshold();
+        for (id, chunked) in [("serial", false), ("parallel", true)] {
+            let mut state = State::zero(n);
+            state.set_chunked(chunked);
+            let ops = 0..ansatz.circuit.gate_count();
+            group.bench(id, || {
+                let run = ansatz.circuit.run_into(&mut state, black_box(&params), ops.clone());
+                run.expect("run");
+                black_box(state.amplitude(0))
+            });
+        }
         last = width_start.elapsed();
     }
     let reports = h.finish();

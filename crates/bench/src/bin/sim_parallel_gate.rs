@@ -13,7 +13,7 @@
 //! `Circuit::run` plus one observable read-out per shifted evaluation,
 //! on the caller's thread); `fused` is `ParameterShift::gradient` — which
 //! shares each parameter's unshifted prefix, so every shifted run walks
-//! only its suffix — with `PLATEAU_THREADS=1`; and `parallel` is the same
+//! only its suffix — inside `plateau_par::with_threads(1, …)`; and `parallel` is the same
 //! gradient with the pool sized from the machine. Both arms run the same
 //! op-list kernels (CZ layers, the `|0…0⟩` prologue), so the `fused` arm
 //! measures prefix sharing alone; its name and `PLATEAU_SIM_FUSE_TOL` are
@@ -54,7 +54,6 @@ fn main() {
         2 * ansatz.circuit.n_params()
     );
 
-    let prior_threads = std::env::var("PLATEAU_THREADS").ok();
     let mut h = Harness::new("sim_parallel_gate");
     h.config("qubits", plateau_bench::json::Json::from(n_qubits));
     h.config("layers", plateau_bench::json::Json::from(layers));
@@ -90,16 +89,13 @@ fn main() {
     });
     // Prefix sharing, one worker: all 200 shifted evaluations resume
     // from their parameter's shared unshifted prefix.
-    std::env::set_var("PLATEAU_THREADS", "1");
-    group.bench("fused", || {
-        ParameterShift
-            .gradient(black_box(&ansatz.circuit), black_box(&params), &obs)
-            .expect("gradient")
+    plateau_par::with_threads(1, || {
+        group.bench("fused", || {
+            ParameterShift
+                .gradient(black_box(&ansatz.circuit), black_box(&params), &obs)
+                .expect("gradient")
+        })
     });
-    match &prior_threads {
-        Some(v) => std::env::set_var("PLATEAU_THREADS", v),
-        None => std::env::remove_var("PLATEAU_THREADS"),
-    }
     group.bench("parallel", || {
         ParameterShift
             .gradient(black_box(&ansatz.circuit), black_box(&params), &obs)

@@ -98,10 +98,13 @@ fn main() {
     std::env::remove_var("PLATEAU_METRICS");
     std::env::remove_var("PLATEAU_METRICS_OUT");
     std::env::remove_var("PLATEAU_LEDGER");
-    std::env::set_var("PLATEAU_THREADS", "1");
     plateau_obs::set_log_level(plateau_obs::Level::Off);
     plateau_obs::set_metrics_enabled(false);
+    plateau_par::with_threads(1, gate);
+}
 
+/// The checks, run on one worker.
+fn gate() {
     assert!(
         set_profiling(true),
         "the counting allocator is installed in this binary; profiling must engage"

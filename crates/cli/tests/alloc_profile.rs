@@ -38,8 +38,6 @@ fn span_alloc_attribution_is_exact_and_flame_by_alloc_renders_it() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::set_log_level(plateau_obs::Level::Off);
     plateau_obs::set_metrics_enabled(false);
-    // Deterministic allocation stream: serial kernels.
-    plateau_sim::set_par_threshold(usize::MAX);
 
     let trace_path = temp_path("trace.jsonl");
     plateau_obs::span::set_jsonl_path(&trace_path).expect("open trace sink");

@@ -735,9 +735,8 @@ mod tests {
             ..VarianceConfig::default()
         };
         let parallel = variance_scan(&cfg, &[InitStrategy::Random]).unwrap();
-        std::env::set_var("PLATEAU_THREADS", "1");
-        let sequential = variance_scan(&cfg, &[InitStrategy::Random]).unwrap();
-        std::env::remove_var("PLATEAU_THREADS");
+        let sequential =
+            plateau_par::with_threads(1, || variance_scan(&cfg, &[InitStrategy::Random])).unwrap();
         assert_eq!(parallel, sequential);
     }
 }

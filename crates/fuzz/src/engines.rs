@@ -6,7 +6,7 @@
 //!
 //! | pair | oracle principle | tolerance |
 //! |------|------------------|-----------|
-//! | `serial-vs-parallel` | chunked threaded kernels are spec'd bitwise-identical to the serial loops | exact (`0`) |
+//! | `serial-vs-parallel` | chunked threaded kernels are spec'd bitwise-identical to the serial loops: the run, every op's apply/inverse/derivative, a CZ layer, the inverse sweep and projections | exact (bits) |
 //! | `state-vs-unitary` | dense `unitary.rs` matrix product, no shared kernel code | `1e-10` |
 //! | `state-vs-density` | `tr(ρO)` from `mixed.rs` vs `⟨ψ\|O\|ψ⟩` | `1e-9` |
 //! | `raw-vs-optimized` | `passes::simplify` must preserve semantics (states always, full unitary at small n) | `1e-9` |
@@ -29,15 +29,14 @@ use plateau_grad::{Adjoint, FiniteDifference, GradientEngine, ParameterShift};
 use plateau_sim::passes::simplify;
 use plateau_sim::qasm::{from_qasm, to_qasm};
 use plateau_sim::{
-    circuit_unitary, par_threshold, set_par_threshold, Circuit, DensityMatrix, Op, Param, State,
+    circuit_unitary, Circuit, CzLayer, DensityMatrix, Op, Param, SimError, State,
 };
-use std::sync::Mutex;
 
 /// One cross-check of the engine matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnginePair {
-    /// Serial amplitude kernels vs the chunked multi-threaded variants
-    /// (par threshold forced to 0).
+    /// Serial amplitude kernels vs the chunked multi-threaded variants,
+    /// on states whose kernel path is forced each way.
     SerialVsParallel,
     /// Statevector run vs the dense full-circuit unitary applied to
     /// `|0…0⟩` (small registers only).
@@ -230,11 +229,6 @@ pub struct Mismatch {
     pub detail: String,
 }
 
-/// Guards the process-global parallel threshold while the
-/// serial-vs-parallel pair toggles it, so concurrent harness invocations
-/// in one test binary each get a genuine serial-vs-parallel comparison.
-static THRESHOLD_LOCK: Mutex<()> = Mutex::new(());
-
 /// Largest `|aᵢ − bᵢ|` over the amplitude vectors, or `∞` on dimension
 /// mismatch.
 fn state_delta(a: &State, b: &State) -> f64 {
@@ -244,6 +238,43 @@ fn state_delta(a: &State, b: &State) -> f64 {
     (0..a.dim())
         .map(|i| (a.amplitude(i) - b.amplitude(i)).norm())
         .fold(0.0, f64::max)
+}
+
+/// The amplitudes after every kernel of the op list, on a state whose
+/// kernel path is forced: the run from `|0…0⟩` (prologue and CZ layers
+/// included); then, each on a copy of that state, every op's `apply`,
+/// `apply_inverse` and (for rotations) `apply_derivative`, a CZ layer over
+/// the nearest-neighbour chain, a projection of each qubit and the inverse
+/// sweep.
+fn kernel_trail(circuit: &Circuit, params: &[f64], chunked: bool) -> Result<Vec<f64>, SimError> {
+    let n = circuit.n_qubits();
+    let mut psi = State::zero(n);
+    psi.set_chunked(chunked);
+    circuit.run_into(&mut psi, params, 0..circuit.gate_count())?;
+    let mut trail = Vec::new();
+    let mut step = |kernel: &dyn Fn(&mut State) -> Result<(), SimError>| {
+        let mut s = psi.clone();
+        kernel(&mut s)?;
+        trail.extend(s.re().iter().chain(s.im()));
+        Ok::<(), SimError>(())
+    };
+    step(&|_| Ok(()))?;
+    for op in circuit.ops() {
+        step(&|s| op.apply(s, params))?;
+        step(&|s| op.apply_inverse(s, params))?;
+        if !matches!(op, Op::Fixed { .. }) {
+            step(&|s| op.apply_derivative(s, params))?;
+        }
+    }
+    if n >= 2 {
+        let layer = CzLayer::new(n, &(1..n).map(|q| (q - 1, q)).collect::<Vec<_>>())?;
+        step(&|s| s.apply_cz_layer(&layer))?;
+    }
+    for q in 0..n {
+        step(&|s| s.project_qubit(q, q % 2 == 1))?;
+    }
+    step(&|s| circuit.run_inverse_on(s, params))?;
+    Ok(trail)
 }
 
 /// The textbook `(shift, coeff)` terms for `∂E/∂θ_i`: the two-term rule
@@ -318,20 +349,16 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
     let (circuit, params) = engine_try!(pair, "case build", case.build());
     match pair {
         EnginePair::SerialVsParallel => {
-            let _guard = THRESHOLD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            let saved = par_threshold();
-            set_par_threshold(usize::MAX);
-            let serial = circuit.run(&params);
-            set_par_threshold(0);
-            let parallel = circuit.run(&params);
-            set_par_threshold(saved);
-            let serial = engine_try!(pair, "serial kernels", serial);
-            let parallel = engine_try!(pair, "parallel kernels", parallel);
-            let delta = state_delta(&serial, &parallel);
+            let serial = engine_try!(pair, "serial kernels", kernel_trail(&circuit, &params, false));
+            let parallel =
+                engine_try!(pair, "parallel kernels", kernel_trail(&circuit, &params, true));
+            let delta = grad_delta(&serial, &parallel);
+            let same = serial.iter().zip(&parallel).all(|(a, b)| a.to_bits() == b.to_bits());
             verdict(
                 pair,
-                delta,
-                format!("parallel kernels diverged from serial (max amplitude delta {delta:e})"),
+                // Bits that differ only in the sign of a zero still fail.
+                if same { 0.0 } else { delta.max(f64::MIN_POSITIVE) },
+                format!("parallel kernels diverged from serial in the bits (max amplitude delta {delta:e})"),
             )
         }
         EnginePair::StateVsUnitary => {

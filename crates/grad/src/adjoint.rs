@@ -267,7 +267,6 @@ mod tests {
 
     #[test]
     fn single_ry_analytic() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
         let obs = Observable::global_cost(1);
@@ -279,7 +278,6 @@ mod tests {
 
     #[test]
     fn matches_parameter_shift_on_hea() {
-        let _guard = plateau_obs::test_lock();
         for (n, layers, seed) in [(2, 2, 0.3), (3, 3, 0.7), (4, 2, 1.1)] {
             let c = hea_circuit(n, layers);
             let params = pseudo_angles(c.n_params(), seed);
@@ -294,7 +292,6 @@ mod tests {
 
     #[test]
     fn matches_parameter_shift_local_cost_and_pauli() {
-        let _guard = plateau_obs::test_lock();
         let c = hea_circuit(3, 2);
         let params = pseudo_angles(c.n_params(), 0.9);
         for obs in [
@@ -313,7 +310,6 @@ mod tests {
 
     #[test]
     fn handles_fixed_gates_interleaved() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.h(0).unwrap();
         c.rx(1).unwrap();
@@ -331,7 +327,6 @@ mod tests {
 
     #[test]
     fn handles_controlled_rotations() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.h(0).unwrap().h(1).unwrap();
         c.push_controlled_rotation(RotationGate::Rz, 0, 1).unwrap();
@@ -347,7 +342,6 @@ mod tests {
 
     #[test]
     fn handles_two_qubit_rotations() {
-        let _guard = plateau_obs::test_lock();
         // RXX/RYY/RZZ ansatz: parameterized entanglers instead of CZ.
         let mut c = Circuit::new(3).unwrap();
         c.ry(0).unwrap().ry(1).unwrap().ry(2).unwrap();
@@ -391,7 +385,6 @@ mod tests {
     fn fused_sweep_matches_the_raw_op_walk() {
         // Dozens of state allocations: hold the obs lock so the
         // counter-pinning tests in this binary never see them.
-        let _guard = plateau_obs::test_lock();
         // Six qubits: each five-CZ chain is one CZ layer, and the first
         // rotation layer the product-state prologue.
         let c = hea_circuit(6, 3);
@@ -410,7 +403,6 @@ mod tests {
 
     #[test]
     fn fused_sweep_handles_controlled_and_two_qubit_rotations() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(3).unwrap();
         c.h(0).unwrap().h(1).unwrap().h(2).unwrap();
         c.push_controlled_rotation(RotationGate::Ry, 0, 1).unwrap();
@@ -429,7 +421,6 @@ mod tests {
 
     #[test]
     fn gradient_at_zero_params_of_identity_learner_is_zero() {
-        let _guard = plateau_obs::test_lock();
         // At θ = 0 the circuit is the identity, the cost sits at its global
         // minimum (C = 0), so the gradient must vanish.
         let n = 3;
@@ -450,7 +441,6 @@ mod tests {
 
     #[test]
     fn error_paths() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.rx(0).unwrap();
         assert!(Adjoint.gradient(&c, &[], &Observable::global_cost(2)).is_err());
@@ -461,7 +451,6 @@ mod tests {
 
     #[test]
     fn compiled_entry_point_matches_raw_adjoint() {
-        let _guard = plateau_obs::test_lock();
         let c = hea_circuit(4, 3);
         let params = pseudo_angles(c.n_params(), 0.57);
         let obs = Observable::pauli(PauliString::parse("ZXZY").unwrap()).unwrap();
@@ -503,7 +492,6 @@ mod tests {
     fn partial_is_bit_identical_to_the_gradient_entry() {
         // Thousands of state allocations: hold the obs lock so the
         // counter-pinning tests in this binary never see them.
-        let _guard = plateau_obs::test_lock();
         let cases = plateau_rng::check::cases(64);
         plateau_rng::check::forall(0xad70_1a57, cases, random_case, |case| {
             let RandomCase { circuit, params, obs } = case;
@@ -524,7 +512,6 @@ mod tests {
 
     #[test]
     fn partial_errors_match_the_gradient_projection() {
-        let _guard = plateau_obs::test_lock();
         /// The trait's default `partial`: project the full gradient.
         struct Projected;
         impl GradientEngine for Projected {

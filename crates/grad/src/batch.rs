@@ -36,7 +36,7 @@
 //! Results are returned in **input order** and are bit-identical to a
 //! serial loop of the same one-shot calls — [`crate::expectation`] per
 //! set, or [`crate::Adjoint`]'s `gradient` per member — regardless of
-//! `PLATEAU_THREADS` and of whether the batch routed serially or in
+//! the worker count and of whether the batch routed serially or in
 //! parallel: every evaluation runs the same arithmetic on its own scratch
 //! state — a shifted evaluation resumes from prefix bits that equal the
 //! full run's at that cut — and all reductions (the observable fold, the
@@ -507,7 +507,6 @@ mod tests {
 
     #[test]
     fn batched_matches_serial_expectation_loop() {
-        let _guard = plateau_obs::test_lock();
         let c = ansatz(3, 2);
         let obs = Observable::global_cost(3);
         // Straddle MIN_PAR_EVALS on both sides.
@@ -522,7 +521,6 @@ mod tests {
 
     #[test]
     fn shifted_matches_manual_copies() {
-        let _guard = plateau_obs::test_lock();
         let c = ansatz(2, 2);
         let obs = Observable::local_cost(2);
         let base: Vec<f64> = (0..c.n_params()).map(|p| 0.2 + 0.05 * p as f64).collect();
@@ -541,7 +539,6 @@ mod tests {
 
     #[test]
     fn adjoint_many_matches_per_member_engine() {
-        let _guard = plateau_obs::test_lock();
         let c = ansatz(3, 2);
         let obs = Observable::global_cost(3);
         let sets = sets(c.n_params(), 10);
@@ -556,7 +553,6 @@ mod tests {
 
     #[test]
     fn partial_last_many_match_engines() {
-        let _guard = plateau_obs::test_lock();
         let c = ansatz(2, 3);
         let obs = Observable::global_cost(2);
         let sets = sets(c.n_params(), 9);
@@ -612,7 +608,6 @@ mod tests {
 
     #[test]
     fn empty_batches_and_error_paths() {
-        let _guard = plateau_obs::test_lock();
         let c = ansatz(2, 1);
         let obs = Observable::global_cost(2);
         let mut ex = BatchExecutor::new(&c);
@@ -634,39 +629,5 @@ mod tests {
         assert!(BatchExecutor::new(&bare)
             .partial_last_many_shift(&[], &obs1)
             .is_err());
-    }
-
-    #[test]
-    fn serial_batch_reuses_one_scratch_state() {
-        let _guard = plateau_obs::test_lock();
-        plateau_obs::set_metrics_enabled(true);
-        let c = ansatz(3, 2);
-        let obs = Observable::global_cost(3);
-        let sets = sets(c.n_params(), 20);
-        let workers = plateau_par::worker_count(sets.len());
-        let count = |name: &str| plateau_obs::snapshot().counter(name).unwrap_or(0);
-        let before = count("sim.state.allocations");
-        let reuses_before = count("sim.state.reuses");
-        let mut ex = BatchExecutor::new(&c);
-        ex.expectation_many(&sets, &obs).unwrap();
-        // Re-sweeping the same executor must not allocate again (serially);
-        // in parallel each sweep's workers own fresh scratch.
-        ex.expectation_many(&sets, &obs).unwrap();
-        let allocated = count("sim.state.allocations") - before;
-        let reused = count("sim.state.reuses") - reuses_before;
-        plateau_obs::set_metrics_enabled(false);
-        // Every evaluation resets a scratch in place rather than allocating.
-        assert_eq!(reused, 2 * sets.len() as u64);
-        if workers <= 1 {
-            assert_eq!(
-                allocated, 1,
-                "serial batch must allocate exactly one scratch state"
-            );
-        } else {
-            assert!(
-                allocated <= 2 * workers as u64,
-                "parallel batch must allocate at most one scratch per worker per sweep"
-            );
-        }
     }
 }

@@ -73,7 +73,7 @@ pub(crate) const MIN_PAR_EVALS: usize = 8;
 /// gradient and available to harnesses that sweep parameter ensembles.
 ///
 /// Batches of at least 8 evaluations fan out across the [`plateau_par`]
-/// scoped pool (respecting `PLATEAU_THREADS`); smaller batches run
+/// scoped pool (sized by [`plateau_par::worker_count`]); smaller batches run
 /// serially. Results come back in input order and each evaluation is the
 /// same computation as [`expectation`], so the output is bit-identical to
 /// it whichever path runs.

@@ -115,7 +115,6 @@ mod tests {
 
     #[test]
     fn approximates_analytic_derivative() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
         let obs = Observable::global_cost(1);
@@ -125,7 +124,6 @@ mod tests {
 
     #[test]
     fn partial_matches_gradient_entry() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.rx(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap();
         let obs = Observable::local_cost(2);
@@ -141,7 +139,6 @@ mod tests {
 
     #[test]
     fn smaller_step_reduces_truncation_error() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
         let obs = Observable::global_cost(1);

@@ -104,7 +104,6 @@ mod tests {
 
     #[test]
     fn single_ry_hessian_analytic() {
-        let _guard = plateau_obs::test_lock();
         // C(θ) = sin²(θ/2) → C''(θ) = cos(θ)/2.
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
@@ -122,7 +121,6 @@ mod tests {
 
     #[test]
     fn hessian_matches_finite_differences() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.rx(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap().ry(0).unwrap();
         let obs = Observable::global_cost(2);
@@ -156,7 +154,6 @@ mod tests {
 
     #[test]
     fn hessian_is_symmetric() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.ry(0).unwrap().rxx(0, 1).unwrap().rz(1).unwrap();
         let obs = Observable::local_cost(2);
@@ -170,7 +167,6 @@ mod tests {
 
     #[test]
     fn hessian_vanishes_at_global_minimum_off_diagonal_structure() {
-        let _guard = plateau_obs::test_lock();
         // At θ = 0 the identity circuit sits at C = 0; the Hessian there
         // is PSD (it's a minimum).
         let mut c = Circuit::new(2).unwrap();
@@ -190,7 +186,6 @@ mod tests {
 
     #[test]
     fn rejects_controlled_rotation_parameters() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.push_controlled_rotation(RotationGate::Ry, 0, 1).unwrap();
         let obs = Observable::global_cost(2);

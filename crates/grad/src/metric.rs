@@ -120,7 +120,6 @@ mod tests {
 
     #[test]
     fn single_ry_metric_is_quarter() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
         for theta in [0.0, 0.9, -2.0] {
@@ -131,7 +130,6 @@ mod tests {
 
     #[test]
     fn rx_then_ry_block_metric() {
-        let _guard = plateau_obs::test_lock();
         // Known PennyLane example: ψ = RY(b) RX(a) |0⟩ has
         // G = diag(1/4, cos²(a)/4).
         let mut c = Circuit::new(1).unwrap();
@@ -145,7 +143,6 @@ mod tests {
 
     #[test]
     fn tangent_matches_finite_difference() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.rx(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap().rz(0).unwrap();
         let params = [0.4, -0.8, 1.3];
@@ -160,7 +157,6 @@ mod tests {
 
     #[test]
     fn metric_matches_finite_difference_construction() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.ry(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap().rx(0).unwrap().rx(1).unwrap();
         let params = [0.3, 0.7, -0.4, 1.2];
@@ -190,7 +186,6 @@ mod tests {
 
     #[test]
     fn metric_is_symmetric_psd_diagonal_bounded() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(3).unwrap();
         for q in 0..3 {
             c.rx(q).unwrap();
@@ -211,7 +206,6 @@ mod tests {
 
     #[test]
     fn gradient_relates_to_tangent_state() {
-        let _guard = plateau_obs::test_lock();
         // dC/dθ = 2 Re⟨ψ|H|∂ψ⟩ — cross-check tangent against adjoint.
         use crate::{Adjoint, GradientEngine};
         let mut c = Circuit::new(2).unwrap();
@@ -230,7 +224,6 @@ mod tests {
 
     #[test]
     fn error_paths() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.rx(0).unwrap();
         assert!(tangent_state(&c, &[0.1], 5).is_err());

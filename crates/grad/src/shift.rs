@@ -189,13 +189,12 @@ impl GradientEngine for ParameterShift {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{random_case, run_alone, training_shape, RandomCase};
+    use crate::testkit::{random_case, RandomCase};
     use plateau_rng::Rng;
     use plateau_sim::RotationGate;
 
     #[test]
     fn ry_global_cost_analytic() {
-        let _guard = plateau_obs::test_lock();
         // C(θ) = sin²(θ/2), C'(θ) = sin(θ)/2.
         let mut c = Circuit::new(1).unwrap();
         c.ry(0).unwrap();
@@ -208,7 +207,6 @@ mod tests {
 
     #[test]
     fn rx_then_ry_chain_rule() {
-        let _guard = plateau_obs::test_lock();
         // ψ = RY(φ) RX(θ) |0⟩; C = 1 - p0.
         // p0 = |cos(φ/2)cos(θ/2)|² + |sin(φ/2)|²·... compute by finite diff
         // comparison instead (this is the role of FiniteDifference, but do a
@@ -232,7 +230,6 @@ mod tests {
 
     #[test]
     fn entangled_two_qubit_gradient() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.ry(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap().rx(0).unwrap();
         let obs = Observable::global_cost(2);
@@ -252,7 +249,6 @@ mod tests {
 
     #[test]
     fn four_term_rule_for_controlled_rotation() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.h(0).unwrap();
         c.push_controlled_rotation(RotationGate::Ry, 0, 1).unwrap();
@@ -267,7 +263,6 @@ mod tests {
 
     #[test]
     fn partial_last_matches_full_gradient() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(2).unwrap();
         c.rx(0).unwrap().ry(1).unwrap().cz(0, 1).unwrap().rz(0).unwrap();
         let obs = Observable::local_cost(2);
@@ -279,7 +274,6 @@ mod tests {
 
     #[test]
     fn error_paths() {
-        let _guard = plateau_obs::test_lock();
         let mut c = Circuit::new(1).unwrap();
         c.rx(0).unwrap();
         let obs = Observable::global_cost(1);
@@ -405,103 +399,29 @@ mod tests {
 
     #[test]
     fn shifted_sweeps_match_the_per_job_oracle_bit_for_bit() {
-        // Thousands of counted allocations and a process-global thread
-        // knob: hold the obs lock so counter-pinning tests never see them.
-        let _guard = plateau_obs::test_lock();
-        let saved = std::env::var("PLATEAU_THREADS").ok();
-        for threads in ["1", "2"] {
-            std::env::set_var("PLATEAU_THREADS", threads);
-            check_against_oracle(&layered_case()).unwrap();
-            let cases = plateau_rng::check::cases(48);
-            plateau_rng::check::forall(0x5b1f_7e55, cases, shift_case, |sc| {
-                check_against_oracle(sc)?;
-                // And the public engine entry points.
-                let RandomCase { circuit: c, params, obs } = &sc.case;
-                let ex = || BatchExecutor::new(c);
-                let err = |e: SimError| e.to_string();
-                let want = ParameterShift::gradient_with(&mut ex(), params, obs).map_err(err)?;
-                let grad = ParameterShift.gradient(c, params, obs).map_err(err)?;
-                for (i, (g, w)) in grad.iter().zip(&want).enumerate() {
-                    same(&format!("ParameterShift.gradient[{i}]"), *g, *w)?;
-                    let p = ParameterShift.partial(c, params, obs, i).map_err(err)?;
-                    let q = ParameterShift::partial_with(&mut ex(), params, obs, i).map_err(err)?;
-                    same(&format!("ParameterShift.partial({i})"), p, q)?;
-                }
-                Ok(())
+        for threads in [1, 2] {
+            plateau_par::with_threads(threads, || {
+                check_against_oracle(&layered_case()).unwrap();
+                let cases = plateau_rng::check::cases(48);
+                plateau_rng::check::forall(0x5b1f_7e55, cases, shift_case, |sc| {
+                    check_against_oracle(sc)?;
+                    // And the public engine entry points.
+                    let RandomCase { circuit: c, params, obs } = &sc.case;
+                    let ex = || BatchExecutor::new(c);
+                    let err = |e: SimError| e.to_string();
+                    let want =
+                        ParameterShift::gradient_with(&mut ex(), params, obs).map_err(err)?;
+                    let grad = ParameterShift.gradient(c, params, obs).map_err(err)?;
+                    for (i, (g, w)) in grad.iter().zip(&want).enumerate() {
+                        same(&format!("ParameterShift.gradient[{i}]"), *g, *w)?;
+                        let p = ParameterShift.partial(c, params, obs, i).map_err(err)?;
+                        let q = ParameterShift::partial_with(&mut ex(), params, obs, i)
+                            .map_err(err)?;
+                        same(&format!("ParameterShift.partial({i})"), p, q)?;
+                    }
+                    Ok(())
+                });
             });
         }
-        match saved {
-            Some(v) => std::env::set_var("PLATEAU_THREADS", v),
-            None => std::env::remove_var("PLATEAU_THREADS"),
-        }
-    }
-
-    /// One parameter-shift gradient of the paper's §IV-D ansatz (10
-    /// qubits, 5 layers: N = 145 gates, k = 100 parameters) on the op
-    /// list, counted through the process-global `sim.gate.*` counters —
-    /// so it runs alone, from [`raw_shift_gradient_gate_count_is_pinned`].
-    /// Gates count once each whichever kernel runs them: the prologue's
-    /// folded rotations and each CZ layer's nine CZs included.
-    #[test]
-    #[ignore = "pins process-global counters; run alone by raw_shift_gradient_gate_count_is_pinned"]
-    fn raw_shift_gradient_gate_count() {
-        let _guard = plateau_obs::test_lock();
-        plateau_obs::set_metrics_enabled(true);
-        // Per layer, RX·RY on each wire (ops 29l … 29l + 19, one
-        // parameter each) then a 9-gate CZ chain.
-        let c = training_shape(10, 5);
-        let params: Vec<f64> = (0..c.n_params()).map(|i| 0.05 * i as f64 - 1.0).collect();
-        let obs = Observable::global_cost(10);
-        let n = c.ops().len() as u64;
-        // Each of θ_i's two shifted runs resumes at θ_i's cut — its gate
-        // p_i, or 0 for layer 0, whose rotations are the prologue — and
-        // runs the suffix: Σ 2·(N − cut_i) = 15,880 gates.
-        let prologue = c.prologue_len();
-        assert_eq!(prologue, 20);
-        let suffixes: u64 = (0..c.n_params())
-            .map(|i| c.op_of_param(i).unwrap())
-            .map(|p| 2 * (n - if p < prologue { 0 } else { p as u64 }))
-            .sum();
-        assert_eq!(suffixes, 15_880);
-        // The prefix walks: the sweep splits the 100 parameters into 8
-        // chunks of roughly equal suffix cost (≈ 15,880 / 8 each). The
-        // first holds layer 0's 40 runs, which need no prefix; the last
-        // cuts of the other seven fall at ops 29, 30, 38, 48, 69, 93 and
-        // 135. Each walks its own prefix from |0…0⟩ up to its last cut, so
-        // the walks cost 29 + 30 + 38 + 48 + 69 + 93 + 135 = 442 gates.
-        // The plan depends only on the circuit, so the total holds for
-        // every thread count.
-        let prefix_walks = 442u64;
-        let count = |name: &str| plateau_obs::snapshot().counter(name).unwrap_or(0);
-        let gates = || -> u64 {
-            [
-                "sim.gate.rotation",
-                "sim.gate.fixed",
-                "sim.gate.controlled_rotation",
-                "sim.gate.two_qubit_rotation",
-            ]
-            .iter()
-            .map(|name| count(name))
-            .sum()
-        };
-        for threads in ["1", "2", "4"] {
-            std::env::set_var("PLATEAU_THREADS", threads);
-            let (gates_before, execs_before) =
-                (gates(), count("grad.executions.parameter_shift"));
-            ParameterShift.gradient(&c, &params, &obs).unwrap();
-            assert_eq!(gates() - gates_before, suffixes + prefix_walks, "threads={threads}");
-            // Executions count evaluations, not gates: still 2k.
-            assert_eq!(
-                count("grad.executions.parameter_shift") - execs_before,
-                2 * c.n_params() as u64,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn raw_shift_gradient_gate_count_is_pinned() {
-        let _guard = plateau_obs::test_lock();
-        run_alone("shift::tests::raw_shift_gradient_gate_count");
     }
 }

@@ -72,24 +72,3 @@ pub(crate) fn training_shape(n: usize, layers: usize) -> Circuit {
     }
     c
 }
-
-/// Runs the `#[ignore]`d test `name` alone in a child process of this
-/// test binary. Tests that pin the process-global `sim.*` counters use
-/// it: any other test running beside them in this binary would add to
-/// the counts.
-pub(crate) fn run_alone(name: &str) {
-    let exe = std::env::current_exe().expect("path of the test binary");
-    let out = std::process::Command::new(exe)
-        .args([name, "--exact", "--ignored", "--test-threads=1"])
-        .output()
-        .expect("re-run the test binary");
-    let log = format!(
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        out.status.success() && log.contains("1 passed"),
-        "{name} in a child process:\n{log}"
-    );
-}

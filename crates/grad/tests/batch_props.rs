@@ -5,8 +5,8 @@
 //! thread counts — the order-independence guarantee DESIGN.md §14
 //! promises.
 //!
-//! `PLATEAU_THREADS` is process-global, so everything here serializes on
-//! [`plateau_obs::test_lock`] and restores the variable before returning.
+//! Each thread count runs inside a `plateau_par::with_threads` scope, so
+//! the tests need no lock and leave the process default alone.
 
 use plateau_grad::{Adjoint, BatchExecutor, GradientEngine};
 use plateau_rng::check::{cases, forall};
@@ -56,22 +56,15 @@ fn gen_case(rng: &mut StdRng) -> SweepCase {
     SweepCase { n_qubits, layers, gates, param_sets }
 }
 
-/// Runs `body` once per thread-count setting, restoring the env var after.
-fn with_thread_counts(mut body: impl FnMut(&str)) {
-    let saved = std::env::var("PLATEAU_THREADS").ok();
-    for threads in ["1", "2", "4"] {
-        std::env::set_var("PLATEAU_THREADS", threads);
-        body(threads);
-    }
-    match saved {
-        Some(v) => std::env::set_var("PLATEAU_THREADS", v),
-        None => std::env::remove_var("PLATEAU_THREADS"),
+/// Runs `body` once per thread count, each inside its own scope.
+fn with_thread_counts(mut body: impl FnMut(usize)) {
+    for threads in [1, 2, 4] {
+        plateau_par::with_threads(threads, || body(threads));
     }
 }
 
 #[test]
 fn batched_sweep_is_bit_identical_to_serial_loop_across_thread_counts() {
-    let _guard = plateau_obs::test_lock();
     forall(0xbafc4ed, cases(24), gen_case, |case| {
         let circuit = case.build();
         let obs = Observable::global_cost(case.n_qubits);
@@ -90,7 +83,7 @@ fn batched_sweep_is_bit_identical_to_serial_loop_across_thread_counts() {
                 // Bit-identical, not approximately equal.
                 if b.to_bits() != o.to_bits() && failure.is_none() {
                     failure = Some(format!(
-                        "PLATEAU_THREADS={threads}, member {i}: batched {b:?} != serial {o:?}"
+                        "threads={threads}, member {i}: batched {b:?} != serial {o:?}"
                     ));
                 }
             }
@@ -104,7 +97,6 @@ fn batched_sweep_is_bit_identical_to_serial_loop_across_thread_counts() {
 
 #[test]
 fn shifted_gradient_is_bit_identical_across_thread_counts() {
-    let _guard = plateau_obs::test_lock();
     forall(0x51f7ed, cases(16), gen_case, |case| {
         let circuit = case.build();
         let obs = Observable::local_cost(case.n_qubits);
@@ -122,7 +114,7 @@ fn shifted_gradient_is_bit_identical_across_thread_counts() {
             for (i, (a, b)) in g.iter().zip(&oracle).enumerate() {
                 if a.to_bits() != b.to_bits() && failure.is_none() {
                     failure = Some(format!(
-                        "PLATEAU_THREADS={threads}, param {i}: {a:?} != {b:?}"
+                        "threads={threads}, param {i}: {a:?} != {b:?}"
                     ));
                 }
             }
@@ -136,7 +128,6 @@ fn shifted_gradient_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn adjoint_many_is_bit_identical_across_thread_counts() {
-    let _guard = plateau_obs::test_lock();
     forall(0xad10, cases(12), gen_case, |case| {
         let circuit = case.build();
         let obs = Observable::global_cost(case.n_qubits);
@@ -151,7 +142,7 @@ fn adjoint_many_is_bit_identical_across_thread_counts() {
                 .adjoint_gradient_many(&case.param_sets, &obs)
                 .unwrap();
             if many != oracle && failure.is_none() {
-                failure = Some(format!("PLATEAU_THREADS={threads}: batched adjoint diverged"));
+                failure = Some(format!("threads={threads}: batched adjoint diverged"));
             }
         });
         match failure {

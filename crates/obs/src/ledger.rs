@@ -179,8 +179,8 @@ mod tests {
             first.get("metrics").unwrap().get("final_loss").unwrap().as_f64(),
             Some(0.5)
         );
-        // The env capture includes the tracked variables, kernel path too.
-        for key in ["PLATEAU_THREADS", "PLATEAU_PERF", "PLATEAU_SIM_PAR_THRESHOLD"] {
+        // The env capture includes the tracked variables.
+        for key in ["PLATEAU_THREADS", "PLATEAU_PERF"] {
             assert!(first.get("env").unwrap().get(key).is_some(), "env missing {key}");
         }
 

@@ -93,7 +93,6 @@ mod tests {
             "PLATEAU_METRICS_OUT",
             "PLATEAU_LEDGER",
             "PLATEAU_PERF",
-            "PLATEAU_SIM_PAR_THRESHOLD",
         ] {
             assert!(env.get(key).is_some(), "manifest env missing {key}");
         }
@@ -103,15 +102,16 @@ mod tests {
     #[test]
     fn manifest_env_reflects_set_variables() {
         let _guard = test_lock();
-        std::env::set_var("PLATEAU_THREADS", "3");
+        let path = "plateau_manifest_env_test.jsonl";
+        std::env::set_var("PLATEAU_METRICS_OUT", path);
         let m = build_manifest("test env", vec![], None);
-        std::env::remove_var("PLATEAU_THREADS");
+        std::env::remove_var("PLATEAU_METRICS_OUT");
         assert_eq!(
-            m.get("env").unwrap().get("PLATEAU_THREADS").unwrap().as_str(),
-            Some("3")
+            m.get("env").unwrap().get("PLATEAU_METRICS_OUT").unwrap().as_str(),
+            Some(path)
         );
         let m2 = build_manifest("test env", vec![], None);
-        assert_eq!(m2.get("env").unwrap().get("PLATEAU_THREADS"), Some(&Json::Null));
+        assert_eq!(m2.get("env").unwrap().get("PLATEAU_METRICS_OUT"), Some(&Json::Null));
     }
 
     #[test]

@@ -190,8 +190,8 @@ pub fn parse_jsonl(text: &str) -> Result<Jsonl, BadLine> {
     Ok(Jsonl { records, torn })
 }
 
-/// The variables stamped into every manifest and run record: threads,
-/// sinks, and the kernel path.
+/// The variables stamped into every manifest and run record: threads and
+/// sinks.
 pub const TRACKED_ENV: &[&str] = &[
     "PLATEAU_THREADS",
     "PLATEAU_LOG",
@@ -199,7 +199,6 @@ pub const TRACKED_ENV: &[&str] = &[
     "PLATEAU_METRICS_OUT",
     "PLATEAU_LEDGER",
     "PLATEAU_PERF",
-    "PLATEAU_SIM_PAR_THRESHOLD",
 ];
 
 /// `git describe --always --dirty --tags`, or `"unknown"` without git or

@@ -23,9 +23,10 @@
 //!   balances automatically.
 //!
 //! The worker count defaults to the machine's available parallelism and
-//! can be capped with the `PLATEAU_THREADS` environment variable
-//! (`PLATEAU_THREADS=1` forces sequential execution, useful when
-//! profiling or bisecting).
+//! can be capped for the whole process with the `PLATEAU_THREADS`
+//! environment variable (`PLATEAU_THREADS=1` forces sequential execution,
+//! useful when profiling or bisecting), read once per process. Code that
+//! wants another count for one call runs it inside [`with_threads`].
 //!
 //! # Examples
 //!
@@ -39,30 +40,51 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+thread_local! {
+    /// This thread's [`with_threads`] cap, if a scope is open.
+    static SCOPE: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
 /// Number of worker threads a parallel call will use for `n_items`:
-/// `min(available_parallelism, PLATEAU_THREADS, n_items)`, at least 1.
+/// `min(available_parallelism, cap, n_items)`, at least 1, where `cap` is
+/// the innermost [`with_threads`] scope on this thread, or else
+/// `PLATEAU_THREADS`.
 ///
-/// The hardware count is read once per process: asking the OS reads
-/// cgroup files, tens of microseconds per call, and the per-gate kernels
-/// of `plateau-sim` ask on every call. `PLATEAU_THREADS` is re-read on
-/// every call (a fraction of a microsecond), so a change to it takes
-/// effect at the next call.
+/// The hardware count and `PLATEAU_THREADS` are read once per process:
+/// asking the OS reads cgroup files, tens of microseconds per call, and
+/// the per-gate kernels of `plateau-sim` ask on every call.
 pub fn worker_count(n_items: usize) -> usize {
-    static HW: OnceLock<usize> = OnceLock::new();
-    let hw = *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    static LIMITS: OnceLock<(usize, usize)> = OnceLock::new();
+    let (hw, env) = *LIMITS.get_or_init(|| {
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let env = std::env::var("PLATEAU_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or(usize::MAX);
+        (hw, env)
     });
-    let cap = std::env::var("PLATEAU_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(usize::MAX);
-    hw.min(cap).min(n_items).max(1)
+    hw.min(SCOPE.get().unwrap_or(env)).min(n_items).max(1)
+}
+
+/// Runs `f` with [`worker_count`] capped at `n` (at least 1) on this
+/// thread, in place of `PLATEAU_THREADS`. The workers a parallel call
+/// spawns inside `f` inherit the cap, so nested calls keep it too. The
+/// previous cap comes back when `f` returns or unwinds, so scopes nest.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    /// Puts the enclosing cap back, on return and on unwind alike.
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPE.set(self.0);
+        }
+    }
+    let _restore = Restore(SCOPE.replace(Some(n.max(1))));
+    f()
 }
 
 /// Maps `f` over `items` in parallel, returning results in input order.
@@ -118,8 +140,9 @@ fn lock<V>(m: &Mutex<V>) -> std::sync::MutexGuard<'_, V> {
 }
 
 /// Runs `workers` scoped threads that claim indices `0..n` from one
-/// atomic counter. Each worker builds its task once with `worker()` (on
-/// its own thread) and runs it on every index it claims.
+/// atomic counter. Each worker takes the caller's [`with_threads`] cap,
+/// builds its task once with `worker()` (on its own thread) and runs it
+/// on every index it claims.
 ///
 /// Results land in one slot vector sized for all `n` up front, so no
 /// allocation depends on how the workers happened to split the items,
@@ -135,10 +158,12 @@ where
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<U>>> = Mutex::new((0..n).map(|_| None).collect());
     let mut first_panic = None;
+    let cap = SCOPE.get();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    SCOPE.set(cap);
                     let mut task = worker();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);

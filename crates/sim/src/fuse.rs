@@ -193,7 +193,7 @@ impl State {
                 found: self.dim(),
             });
         }
-        if crate::parallel::enabled(self.n_qubits()) {
+        if self.chunked {
             let block = 1 << layer.n_qubits.min(TABLE_BITS);
             crate::parallel::apply_cz_layer(self.planes_mut(), layer, block);
         } else {

@@ -20,9 +20,9 @@
 //! - [`unitary`]: an independent full-matrix oracle ([`circuit_unitary`])
 //!   for cross-validating the kernels.
 //! - [`sampling`]: finite-shot measurement for the shot-noise ablation.
-//! - [`parallel`]: chunked multi-threaded kernel variants engaged at and
-//!   above the `PLATEAU_SIM_PAR_THRESHOLD` qubit count (default
-//!   [`DEFAULT_PAR_THRESHOLD`], 19), bitwise identical to the serial loops
+//! - [`parallel`]: chunked multi-threaded kernel variants, run by states
+//!   of at least [`DEFAULT_PAR_THRESHOLD`] (19) qubits or forced with
+//!   [`State::set_chunked`], bitwise identical to the serial loops
 //!   regardless of worker count.
 //! - [`fuse`]: the op list's fused kernels — each run of CZs as one
 //!   [`CzLayer`] sweep, and the leading single-qubit layer of a run from
@@ -88,9 +88,7 @@ pub use gate::{FixedGate, RotationGate, TwoQubitRotationGate};
 pub use mixed::{amplitude_damping_kraus, depolarizing_kraus, phase_flip_kraus, DensityMatrix};
 pub use noise::NoiseModel;
 pub use observable::{Observable, Pauli, PauliString};
-pub use parallel::{
-    par_threshold, reset_par_threshold, set_par_threshold, DEFAULT_PAR_THRESHOLD,
-};
+pub use parallel::DEFAULT_PAR_THRESHOLD;
 pub use sampling::{estimate_expectation, estimate_probability, sample_counts, sample_index};
 pub use state::{State, MAX_QUBITS};
 pub use unitary::{circuit_unitary, op_matrix};

@@ -1,11 +1,11 @@
 //! Chunked multi-threaded variants of the amplitude kernels.
 //!
-//! Above a configurable qubit threshold (`PLATEAU_SIM_PAR_THRESHOLD`,
-//! default [`DEFAULT_PAR_THRESHOLD`]) the [`crate::State`] kernels split
-//! the `2^n` amplitudes into disjoint chunks — each a `PlanesMut` window
-//! over the same index range of both planes, cut by the same
-//! `split_at_mut`/`chunks_mut` the serial sweeps use — and fan them
-//! across the `plateau-par` pool; below it they fall back to the serial
+//! A [`crate::State`] of at least [`DEFAULT_PAR_THRESHOLD`] qubits (or
+//! one forced with [`crate::State::set_chunked`]) runs its kernels here:
+//! they split the `2^n` amplitudes into disjoint chunks — each a
+//! `PlanesMut` window over the same index range of both planes, cut by
+//! the same `split_at_mut`/`chunks_mut` the serial sweeps use — and fan
+//! them across the `plateau-par` pool. Smaller states run the serial
 //! loops, so small-circuit tests and the variance scan's per-circuit
 //! outer parallelism are unaffected.
 //!
@@ -39,13 +39,12 @@ use crate::state::{
 };
 use plateau_linalg::C64;
 use plateau_par::{par_map_collect, worker_count};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default qubit threshold at which kernels go multi-threaded: the
-/// measured crossover.
+/// The qubit count from which a new [`crate::State`] runs the chunked
+/// multi-threaded kernels: the measured crossover.
 ///
 /// Measured with the `par_crossover` bench bin (training-ansatz forward
-/// runs, serial vs forced-parallel split-plane kernels, 2 workers, 8–20
+/// runs, serial vs forced-chunked split-plane kernels, 2 workers, 8–20
 /// qubits), three scans on a 2-core host: the parallel path ran at
 /// 0.36–0.46× serial at 16 qubits, 0.46–0.71× at 17 and 0.70–1.10× at 18
 /// (median 0.86×), and won at 19 in two scans of three (0.80×, 1.25×,
@@ -53,50 +52,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// median ratio exceeds 1 is 19, as on the interleaved kernels (0.47× at
 /// 17, 0.81× at 18, 1.29× at 19). The scoped-thread fork-join per gate
 /// dominates below that. At 19 the paper's 10-qubit workload and every
-/// tier-1 test size take the serial loops; machines with many fast cores
-/// can lower it via `PLATEAU_SIM_PAR_THRESHOLD`.
+/// tier-1 test size take the serial loops.
 pub const DEFAULT_PAR_THRESHOLD: usize = 19;
-
-/// Cached threshold: 0 = uninitialized, otherwise `threshold + 1`.
-static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(0);
-
-/// The current parallelization threshold in qubits: kernels on states with
-/// at least this many qubits use the chunked multi-threaded paths.
-///
-/// Read once from the `PLATEAU_SIM_PAR_THRESHOLD` environment variable
-/// (default [`DEFAULT_PAR_THRESHOLD`]) and cached; use
-/// [`set_par_threshold`] / [`reset_par_threshold`] to change it at runtime.
-pub fn par_threshold() -> usize {
-    match PAR_THRESHOLD.load(Ordering::Relaxed) {
-        0 => {
-            let t = std::env::var("PLATEAU_SIM_PAR_THRESHOLD")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_PAR_THRESHOLD);
-            PAR_THRESHOLD.store(t.saturating_add(1), Ordering::Relaxed);
-            t
-        }
-        v => v - 1,
-    }
-}
-
-/// Overrides the parallelization threshold for this process. `0` forces
-/// the parallel kernels everywhere; `usize::MAX` forces serial execution.
-pub fn set_par_threshold(threshold: usize) {
-    PAR_THRESHOLD.store(threshold.saturating_add(1), Ordering::Relaxed);
-}
-
-/// Clears the cached threshold so the next kernel re-reads
-/// `PLATEAU_SIM_PAR_THRESHOLD` from the environment.
-pub fn reset_par_threshold() {
-    PAR_THRESHOLD.store(0, Ordering::Relaxed);
-}
-
-/// Whether a state of `n_qubits` should take the parallel kernel paths.
-#[inline]
-pub(crate) fn enabled(n_qubits: usize) -> bool {
-    n_qubits >= par_threshold()
-}
 
 /// Number of tasks a parallel kernel aims to split into — the pool's
 /// worker count, so every worker gets one contiguous chunk.
@@ -363,13 +320,7 @@ pub(crate) fn apply_cz_layer(amps: PlanesMut<'_>, layer: &CzLayer, block: usize)
 /// Parallel projection kernel: zeroes amplitudes where `index & mask !=
 /// want`. Pure elementwise map with absolute indices.
 pub(crate) fn project(amps: PlanesMut<'_>, mask: usize, want: usize) {
-    let target = task_target();
-    let per = amps.len().div_ceil(target);
-    let chunks: Vec<(usize, PlanesMut<'_>)> = amps
-        .chunks_mut(per)
-        .enumerate()
-        .map(|(k, c)| (k * per, c))
-        .collect();
+    let chunks = block_chunks(amps, 1, task_target());
     record(chunks.len());
     par_map_collect(chunks, |(base, chunk)| {
         project_window(base, chunk, mask, want)
@@ -378,17 +329,16 @@ pub(crate) fn project(amps: PlanesMut<'_>, mask: usize, want: usize) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::gate::{FixedGate, RotationGate, TwoQubitRotationGate};
     use crate::state::State;
     use plateau_rng::{Rng, StdRng};
-    use std::sync::Mutex;
 
-    /// Guards the process-global threshold against concurrent mutation by
-    /// other tests in this binary. (A racing reader would still compute
-    /// identical amplitudes — the kernels are bitwise-deterministic — but
-    /// the property below wants a genuine serial-vs-parallel comparison.)
-    static THRESHOLD_LOCK: Mutex<()> = Mutex::new(());
+    /// `|0…0⟩` on `n` qubits with the kernel path forced.
+    fn zero(n: usize, chunked: bool) -> State {
+        let mut s = State::zero(n);
+        s.set_chunked(chunked);
+        s
+    }
 
     /// One random operation of a test circuit.
     #[derive(Debug, Clone)]
@@ -457,7 +407,6 @@ mod tests {
     #[test]
     fn parallel_and_serial_kernels_are_bit_identical() {
         use plateau_rng::check::{cases, forall_shrink, vec_of};
-        let _guard = THRESHOLD_LOCK.lock().unwrap();
         let sizes = [2usize, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16];
         forall_shrink(
             0x70617261,
@@ -490,17 +439,12 @@ mod tests {
                     .collect()
             },
             |(n, ops)| {
-                set_par_threshold(usize::MAX);
-                let mut serial = State::zero(*n);
+                let mut serial = zero(*n, false);
+                let mut parallel = zero(*n, true);
                 for op in ops {
                     apply(&mut serial, op);
-                }
-                set_par_threshold(0);
-                let mut parallel = State::zero(*n);
-                for op in ops {
                     apply(&mut parallel, op);
                 }
-                reset_par_threshold();
                 plateau_rng::prop_assert!(
                     serial == parallel,
                     "parallel kernels diverged from serial at n={n}"
@@ -511,28 +455,9 @@ mod tests {
     }
 
     #[test]
-    fn threshold_env_round_trip() {
-        let _guard = THRESHOLD_LOCK.lock().unwrap();
-        set_par_threshold(3);
-        assert_eq!(par_threshold(), 3);
-        set_par_threshold(usize::MAX);
-        assert_eq!(par_threshold(), usize::MAX - 1);
-        reset_par_threshold();
-        // Whatever the environment says, the cached value must be
-        // re-derived rather than stale.
-        let expect = std::env::var("PLATEAU_SIM_PAR_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_PAR_THRESHOLD);
-        assert_eq!(par_threshold(), expect);
-    }
-
-    #[test]
     fn parallel_paths_cover_every_split_shape() {
         // Deterministic spot checks of each decomposition case against the
-        // dense-matrix oracle, with the threshold forced to 0.
-        let _guard = THRESHOLD_LOCK.lock().unwrap();
-        set_par_threshold(0);
+        // dense-matrix oracle, on a forced-chunked state.
         let n = 5;
         let mut c = crate::circuit::Circuit::new(n).unwrap();
         c.h(0).unwrap();
@@ -544,10 +469,9 @@ mod tests {
         c.cz(0, 1).unwrap(); // cz, block-chunk path
         c.cx(n - 1, 0).unwrap(); // controlled kernel
         let params = vec![0.3, -0.8, 1.1, 0.6];
-        let state = c.run(&params).unwrap();
-        set_par_threshold(usize::MAX);
+        let mut state = zero(n, true);
+        c.run_into(&mut state, &params, 0..c.gate_count()).unwrap();
         let reference = c.run(&params).unwrap();
-        reset_par_threshold();
         assert_eq!(state, reference);
         let u = crate::unitary::circuit_unitary(&c, &params).unwrap();
         let mut oracle = State::zero(n);

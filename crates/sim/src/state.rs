@@ -88,6 +88,7 @@
 
 use crate::error::SimError;
 use crate::gate::{FixedGate, RotationGate};
+use crate::parallel::DEFAULT_PAR_THRESHOLD;
 use plateau_linalg::{CMatrix, C64};
 
 /// Hard cap on qubit count: a 26-qubit statevector is 1 GiB of amplitudes,
@@ -97,11 +98,22 @@ pub const MAX_QUBITS: usize = 26;
 
 /// A pure quantum state of `n` qubits as a dense statevector, stored as a
 /// real and an imaginary plane (module docs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct State {
     n_qubits: usize,
     /// The real plane `[0, 2^n)`, then the imaginary plane `[2^n, 2·2^n)`.
     planes: Vec<f64>,
+    /// Whether the kernels take the chunked multi-threaded paths of
+    /// [`crate::parallel`]: from [`DEFAULT_PAR_THRESHOLD`] qubits up,
+    /// unless [`State::set_chunked`] says otherwise.
+    pub(crate) chunked: bool,
+}
+
+/// Equal width and amplitudes; the kernel path does not count.
+impl PartialEq for State {
+    fn eq(&self, other: &State) -> bool {
+        self.n_qubits == other.n_qubits && self.planes == other.planes
+    }
 }
 
 /// Checks a raw amplitude count: a power of two ≥ 2 within [`MAX_QUBITS`].
@@ -139,10 +151,19 @@ impl State {
         plateau_obs::counter!("sim.state.allocations").inc();
         plateau_obs::gauge!("sim.state.bytes")
             .set((planes.len() * std::mem::size_of::<f64>()) as f64);
+        let n_qubits = (planes.len() >> 1).trailing_zeros() as usize;
         State {
-            n_qubits: (planes.len() >> 1).trailing_zeros() as usize,
+            n_qubits,
             planes,
+            chunked: n_qubits >= DEFAULT_PAR_THRESHOLD,
         }
+    }
+
+    /// Forces the chunked multi-threaded kernels on or off for this state
+    /// and its clones. Both paths give the same bits (module docs of
+    /// [`crate::parallel`]); the choice only moves time.
+    pub fn set_chunked(&mut self, chunked: bool) {
+        self.chunked = chunked;
     }
 
     /// Creates the basis state `|index⟩`.
@@ -206,7 +227,8 @@ impl State {
     }
 
     /// Overwrites this state with `other`'s amplitudes **in place**,
-    /// reusing the existing buffer — a clone without the allocation.
+    /// reusing the existing buffer — a clone without the allocation. The
+    /// kernel path stays this state's own.
     ///
     /// The adjoint sweep refills one tangent buffer from `φ` per
     /// parameter with this instead of cloning `φ` each time. Like
@@ -394,7 +416,7 @@ impl State {
         self.check_qubit(qubit)?;
         let stride = 1usize << qubit;
         let kernel = PairKernel::new(m);
-        if crate::parallel::enabled(self.n_qubits) {
+        if self.chunked {
             crate::parallel::apply_single(self.planes_mut(), stride, kernel);
         } else {
             kernel.sweep(self.planes_mut(), stride);
@@ -418,7 +440,7 @@ impl State {
         let cmask = 1usize << control;
         let stride = 1usize << target;
         let kernel = Dense(*m);
-        if crate::parallel::enabled(self.n_qubits) {
+        if self.chunked {
             crate::parallel::apply_controlled_single(self.planes_mut(), cmask, stride, kernel);
         } else {
             controlled_window(kernel, cmask, 0, self.planes_mut(), stride);
@@ -439,7 +461,7 @@ impl State {
         self.check_qubit(qubit)?;
         let mask = 1usize << qubit;
         let want = if value { mask } else { 0 };
-        if crate::parallel::enabled(self.n_qubits) {
+        if self.chunked {
             crate::parallel::project(self.planes_mut(), mask, want);
         } else {
             project_window(0, self.planes_mut(), mask, want);
@@ -464,7 +486,7 @@ impl State {
         let s_lo = 1usize << first.min(second);
         let s_hi = 1usize << first.max(second);
         let perm = crate::parallel::quad_perm(first > second);
-        if crate::parallel::enabled(self.n_qubits) {
+        if self.chunked {
             crate::parallel::apply_two(self.planes_mut(), s_lo, s_hi, &perm, m);
         } else {
             // Iterate only the quarter of indices with both operand bits
@@ -501,7 +523,7 @@ impl State {
         self.check_distinct(a, b)?;
         let s_lo = 1usize << a.min(b);
         let s_hi = 1usize << a.max(b);
-        if crate::parallel::enabled(self.n_qubits) {
+        if self.chunked {
             crate::parallel::apply_cz(self.planes_mut(), s_lo, s_hi);
         } else {
             // Touch only the quarter of amplitudes with both bits set.

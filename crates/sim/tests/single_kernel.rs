@@ -1,8 +1,8 @@
 //! The plane kernels against dense reference loops written on interleaved
 //! complex amplitudes: the single-qubit kernel (`State::apply_single`) in
 //! every class on every target qubit, and the controlled, two-qubit and CZ
-//! kernels. Each is compared with `==` and, serial against
-//! forced-parallel, in the bits. The CZ-layer kernel is compared in the
+//! kernels. Each is compared with `==` and, unchunked against
+//! forced-chunked, in the bits. The CZ-layer kernel is compared in the
 //! bits with one `apply_cz` per pair, and the product-state prologue with
 //! the gate-by-gate run. A [`CountingAllocator`]
 //! is installed in this test binary for the allocation checks: fixed-gate
@@ -13,18 +13,11 @@ use plateau_linalg::{c64, C64};
 use plateau_obs::alloc::{set_profiling, thread_allocated, CountingAllocator};
 use plateau_rng::check::{cases, forall};
 use plateau_rng::{prop_assert, Rng, StdRng};
-use plateau_sim::{
-    reset_par_threshold, set_par_threshold, Circuit, CzLayer, FixedGate, RotationGate, State,
-    Sweep, TwoQubitRotationGate,
-};
+use plateau_sim::{Circuit, CzLayer, FixedGate, RotationGate, State, Sweep, TwoQubitRotationGate};
 use std::f64::consts::{FRAC_PI_2, PI};
-use std::sync::Mutex;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
-
-/// The tests set the process-wide parallel threshold.
-static THRESHOLD: Mutex<()> = Mutex::new(());
 
 const ROTATIONS: [RotationGate; 4] = [
     RotationGate::Rx,
@@ -102,9 +95,15 @@ fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// A state of `amps` with the kernel path forced.
+fn state_of(amps: &[C64], chunked: bool) -> State {
+    let mut s = State::from_amplitudes_unnormalized(amps.to_vec()).unwrap();
+    s.set_chunked(chunked);
+    s
+}
+
 #[test]
 fn every_loop_matches_the_dense_formula_and_the_parallel_kernel() {
-    let _guard = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
     forall(
         0x6b65726e,
         cases(200),
@@ -116,13 +115,10 @@ fn every_loop_matches_the_dense_formula_and_the_parallel_kernel() {
             let n = amps.len().trailing_zeros() as usize;
             for qubit in 0..n {
                 let expected = dense_reference(amps, qubit, m);
-                set_par_threshold(usize::MAX);
-                let mut serial = State::from_amplitudes_unnormalized(amps.clone()).unwrap();
+                let mut serial = state_of(amps, false);
                 serial.apply_single(qubit, m).unwrap();
-                set_par_threshold(0);
-                let mut parallel = State::from_amplitudes_unnormalized(amps.clone()).unwrap();
+                let mut parallel = state_of(amps, true);
                 parallel.apply_single(qubit, m).unwrap();
-                reset_par_threshold();
                 for (i, (got, want)) in serial.to_amplitudes().iter().zip(&expected).enumerate() {
                     prop_assert!(
                         got.re == want.re && got.im == want.im,
@@ -141,11 +137,7 @@ fn every_loop_matches_the_dense_formula_and_the_parallel_kernel() {
 
 #[test]
 fn fixed_gate_ops_allocate_nothing() {
-    let _guard = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
     plateau_obs::set_metrics_enabled(false);
-    // The parallel path collects its task list; this check is about the
-    // gate, so pin the serial kernels.
-    set_par_threshold(usize::MAX);
     assert!(
         set_profiling(true),
         "counting allocator is installed in this binary; profiling must engage"
@@ -157,6 +149,8 @@ fn fixed_gate_ops_allocate_nothing() {
     for g in [FixedGate::Cz, FixedGate::Cx, FixedGate::Cy, FixedGate::Swap] {
         circuit.push_fixed(g, &[2, 0]).unwrap();
     }
+    // The chunked path collects its task list; this check is about the
+    // gate, so the state runs the serial kernels.
     let mut state = State::zero(3);
     let run = |state: &mut State| {
         for op in circuit.ops() {
@@ -168,7 +162,6 @@ fn fixed_gate_ops_allocate_nothing() {
     let (bytes0, count0) = thread_allocated();
     run(&mut state);
     let (bytes1, count1) = thread_allocated();
-    reset_par_threshold();
     assert_eq!(
         (count1 - count0, bytes1 - bytes0),
         (0, 0),
@@ -188,22 +181,19 @@ fn one_of_each_class(rng: &mut StdRng) -> [[C64; 4]; 4] {
     ]
 }
 
-/// Applies `kernel` to a state of `amps` serially and with every kernel
-/// forced parallel; checks both against `expected` with `==` and against
-/// each other in the bits.
+/// Applies `kernel` to a state of `amps` unchunked and forced-chunked;
+/// checks both against `expected` with `==` and against each other in the
+/// bits.
 fn check_kernel(
     what: &str,
     amps: &[C64],
     expected: &[C64],
     kernel: impl Fn(&mut State),
 ) -> Result<(), String> {
-    set_par_threshold(usize::MAX);
-    let mut serial = State::from_amplitudes_unnormalized(amps.to_vec()).unwrap();
+    let mut serial = state_of(amps, false);
     kernel(&mut serial);
-    set_par_threshold(0);
-    let mut parallel = State::from_amplitudes_unnormalized(amps.to_vec()).unwrap();
+    let mut parallel = state_of(amps, true);
     kernel(&mut parallel);
-    reset_par_threshold();
     let got = serial.to_amplitudes();
     for (i, (g, w)) in got.iter().zip(expected).enumerate() {
         prop_assert!(
@@ -220,7 +210,6 @@ fn check_kernel(
 
 #[test]
 fn every_class_on_every_qubit_matches_the_dense_formula() {
-    let _guard = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
     forall(
         0x636c6173,
         cases(40),
@@ -254,7 +243,6 @@ fn qubit_pair(rng: &mut StdRng, n: usize) -> (usize, usize) {
 
 #[test]
 fn controlled_two_qubit_and_cz_kernels_match_dense_references() {
-    let _guard = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
     forall(
         0x71756164,
         cases(120),
@@ -354,7 +342,6 @@ fn cz_sets(rng: &mut StdRng, n: usize) -> Vec<Vec<(usize, usize)>> {
 
 #[test]
 fn cz_layers_and_the_prologue_match_gate_by_gate() {
-    let _guard = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
     forall(
         0x637a6c79,
         cases(3),
@@ -369,23 +356,20 @@ fn cz_layers_and_the_prologue_match_gate_by_gate() {
                 let n = amps.len().trailing_zeros() as usize;
                 for pairs in sets {
                     // The reference: one apply_cz per pair.
-                    set_par_threshold(usize::MAX);
-                    let mut expected = State::from_amplitudes_unnormalized(amps.clone()).unwrap();
+                    let mut expected = state_of(amps, false);
                     for &(a, b) in pairs {
                         expected.apply_cz(a, b).unwrap();
                     }
                     let layer = CzLayer::new(n, pairs).unwrap();
-                    for threshold in [usize::MAX, 0] {
-                        set_par_threshold(threshold);
-                        let mut got = State::from_amplitudes_unnormalized(amps.clone()).unwrap();
+                    for chunked in [false, true] {
+                        let mut got = state_of(amps, chunked);
                         got.apply_cz_layer(&layer).unwrap();
                         prop_assert!(
                             bits(&got.to_amplitudes()) == bits(&expected.to_amplitudes()),
-                            "{n} qubits, threshold {threshold}, pairs {pairs:?}: CZ layer differs \
+                            "{n} qubits, chunked {chunked}, pairs {pairs:?}: CZ layer differs \
                              from one apply_cz per pair"
                         );
                     }
-                    reset_par_threshold();
                 }
                 if n < 2 {
                     continue;
@@ -405,16 +389,14 @@ fn cz_layers_and_the_prologue_match_gate_by_gate() {
                 for op in c.ops() {
                     op.apply(&mut want, &[]).unwrap();
                 }
-                for threshold in [usize::MAX, 0] {
-                    set_par_threshold(threshold);
-                    let mut got = State::from_amplitudes_unnormalized(amps.clone()).unwrap();
+                for chunked in [false, true] {
+                    let mut got = state_of(amps, chunked);
                     c.run_on(&mut got, &[]).unwrap();
                     prop_assert!(
                         bits(&got.to_amplitudes()) == bits(&want.to_amplitudes()),
-                        "{n} qubits, threshold {threshold}: the cut CZ run differs"
+                        "{n} qubits, chunked {chunked}: the cut CZ run differs"
                     );
                 }
-                reset_par_threshold();
 
                 // The prologue (the paper's layer plus fixed gates) against
                 // |0…0⟩ run gate by gate.
@@ -431,11 +413,12 @@ fn cz_layers_and_the_prologue_match_gate_by_gate() {
                 let mut reference = State::zero(n);
                 c.run_on(&mut reference, &params).unwrap();
                 let mut runs = Vec::new();
-                for threshold in [usize::MAX, 0] {
-                    set_par_threshold(threshold);
-                    runs.push(c.run(&params).unwrap());
+                for chunked in [false, true] {
+                    let mut s = State::zero(n);
+                    s.set_chunked(chunked);
+                    c.run_into(&mut s, &params, 0..c.gate_count()).unwrap();
+                    runs.push(s);
                 }
-                reset_par_threshold();
                 prop_assert!(
                     bits(&runs[0].to_amplitudes()) == bits(&runs[1].to_amplitudes()),
                     "{n} qubits: the parallel prologue run differs in the bits"
@@ -451,7 +434,6 @@ fn cz_layers_and_the_prologue_match_gate_by_gate() {
 
 #[test]
 fn a_state_is_one_allocation_and_resets_in_place() {
-    let _guard = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
     plateau_obs::set_metrics_enabled(false);
     assert!(
         set_profiling(true),

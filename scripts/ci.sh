@@ -14,12 +14,6 @@ cargo build --release --workspace --offline
 echo "=== cargo test -q --offline ==="
 cargo test -q --workspace --offline
 
-echo "=== cargo test with forced-parallel sim kernels ==="
-# Drive the statevector kernels down their chunked multi-threaded paths on
-# every test, whatever the qubit count; results must be bit-identical to
-# the serial run above (DESIGN.md §9).
-PLATEAU_SIM_PAR_THRESHOLD=0 cargo test -q --workspace --offline
-
 # The thread-count matrix: the whole workspace with one, two and four
 # workers, whatever the host's core count. Allocation pins and
 # bitwise-determinism properties must hold however the workers split the
@@ -90,6 +84,28 @@ if [[ -n "${env_violations}" ]]; then
     exit 1
 fi
 echo "no non-test code under crates/serve/src reads the environment."
+
+echo "=== execution-config policy check ==="
+# The kernel path is a State property (State::set_chunked) and a scoped
+# thread count is plateau_par::with_threads (DESIGN.md §9): no
+# process-global knob exists to flip. No file may name the removed
+# threshold variable or setter, no crate or test may write
+# PLATEAU_THREADS, and only plateau-par reads it. Test code is everything
+# from a file's first #[cfg(test)] on.
+# (The patterns are split so this script does not match itself.)
+knob_violations=$({
+    grep -rnE 'PLATEAU_SIM_PAR_''THRESHOLD|set_par_''threshold' crates tests scripts
+    grep -rnE '(set_var|remove_var)\(\s*"PLATEAU_THREADS"' crates tests
+    find crates -path '*/src/*.rs' ! -path crates/par/src/lib.rs \
+        -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + \
+        | grep -E 'env::var(_os)?\(\s*"PLATEAU_THREADS"'
+} || true)
+if [[ -n "${knob_violations}" ]]; then
+    echo "execution-config policy violations (use State::set_chunked or plateau_par::with_threads):" >&2
+    echo "${knob_violations}" >&2
+    exit 1
+fi
+echo "no process-global kernel-path or thread-count knob is written or read outside plateau-par."
 
 echo "=== compiled-path shim policy check ==="
 # There is one execution path, the op list (DESIGN.md §11). The removed

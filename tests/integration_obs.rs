@@ -25,23 +25,23 @@ fn counter_value(name: &str) -> u64 {
 fn par_task_counter_is_exact_across_thread_counts() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::set_metrics_enabled(true);
-    for threads in ["1", "4", "8"] {
-        std::env::set_var("PLATEAU_THREADS", threads);
+    for threads in [1, 4, 8] {
         let before = counter_value("par.tasks");
         let batches_before = counter_value("par.batches");
-        let out = plateau_par::par_map_indexed(97, |i| i * i);
+        let out = plateau_par::with_threads(threads, || {
+            plateau_par::par_map_indexed(97, |i| i * i)
+        });
         assert_eq!(out.len(), 97);
         // Every item is claimed and executed exactly once, regardless of
         // how many workers raced for the queue.
         assert_eq!(counter_value("par.tasks") - before, 97, "threads={threads}");
         assert_eq!(counter_value("par.batches") - batches_before, 1);
         let workers = plateau_obs::snapshot().gauge("par.workers").unwrap();
-        assert!(workers >= 1.0 && workers <= threads.parse::<f64>().unwrap());
+        assert!(workers >= 1.0 && workers <= threads as f64);
         // The timing histogram saw the same 97 tasks.
         let hist = plateau_obs::snapshot();
         assert!(hist.histogram("par.task_ns").unwrap().count >= 97);
     }
-    std::env::remove_var("PLATEAU_THREADS");
     plateau_obs::set_metrics_enabled(false);
 }
 
@@ -102,27 +102,26 @@ fn sim_parallel_counters_are_exact() {
     let _guard = plateau_obs::test_lock();
     plateau_obs::set_metrics_enabled(true);
     plateau_obs::metrics::reset();
-    std::env::set_var("PLATEAU_THREADS", "2");
-    plateau_sim::set_par_threshold(0);
 
-    // On a 6-qubit state every kernel family has plenty of whole blocks,
-    // so each parallel dispatch splits into exactly `t` contiguous chunks
-    // where `t = worker_count` (1 on a single-core machine, else 2 under
-    // the PLATEAU_THREADS=2 cap above).
-    let t = plateau_par::worker_count(usize::MAX) as u64;
+    // On a 6-qubit forced-chunked state every kernel family has plenty of
+    // whole blocks, so each parallel dispatch splits into exactly `t`
+    // contiguous chunks where `t = worker_count` (1 on a single-core
+    // machine, else 2 under the with_threads(2) cap).
     use plateau_sim::{RotationGate, State, TwoQubitRotationGate};
-    let mut s = State::zero(6);
-    s.apply_rotation(RotationGate::Rx, 0, 0.3).unwrap();
-    s.apply_cz(0, 1).unwrap();
-    s.apply_controlled_rotation(RotationGate::Rz, 1, 0, 0.7).unwrap();
-    s.apply_two_qubit_rotation(TwoQubitRotationGate::Rxx, 1, 0, 0.2).unwrap();
+    let t = plateau_par::with_threads(2, || {
+        let mut s = State::zero(6);
+        s.set_chunked(true);
+        s.apply_rotation(RotationGate::Rx, 0, 0.3).unwrap();
+        s.apply_cz(0, 1).unwrap();
+        s.apply_controlled_rotation(RotationGate::Rz, 1, 0, 0.7).unwrap();
+        s.apply_two_qubit_rotation(TwoQubitRotationGate::Rxx, 1, 0, 0.2).unwrap();
+        plateau_par::worker_count(usize::MAX) as u64
+    });
 
     let snap = plateau_obs::snapshot();
     assert_eq!(snap.counter("sim.par.kernels"), Some(4));
     assert_eq!(snap.counter("sim.par.chunks"), Some(4 * t));
 
-    plateau_sim::reset_par_threshold();
-    std::env::remove_var("PLATEAU_THREADS");
     plateau_obs::metrics::reset();
     plateau_obs::set_metrics_enabled(false);
 }
@@ -222,21 +221,15 @@ fn parameter_shift_gradient_runs_each_suffix_once_from_a_shared_prefix() {
     ];
     // …plus 2k executions.
     let expected = [want[0], want[1], want[2], want[3], 2 * c.n_params() as u64];
-    let saved = std::env::var("PLATEAU_THREADS").ok();
-    for threads in ["1", "2", "4"] {
-        std::env::set_var("PLATEAU_THREADS", threads);
+    for threads in [1, 2, 4] {
         let before: Vec<u64> = names.iter().map(|name| counter_value(name)).collect();
-        ParameterShift.gradient(c, &params, &obs).unwrap();
+        plateau_par::with_threads(threads, || ParameterShift.gradient(c, &params, &obs)).unwrap();
         let delta: Vec<u64> = names
             .iter()
             .zip(&before)
             .map(|(name, b)| counter_value(name) - b)
             .collect();
         assert_eq!(delta, expected, "threads={threads}");
-    }
-    match saved {
-        Some(v) => std::env::set_var("PLATEAU_THREADS", v),
-        None => std::env::remove_var("PLATEAU_THREADS"),
     }
 
     plateau_obs::set_metrics_enabled(false);

@@ -1,15 +1,16 @@
 //! Determinism property: the same request body (same seed) returns a
-//! bit-identical response body across `PLATEAU_THREADS` ∈ {1, 2, 4} and
+//! bit-identical response body across thread counts 1, 2 and 4 and
 //! across cold vs LRU-warm circuit-cache hits.
 //!
-//! Everything runs inside ONE `#[test]` — the thread-count sweep mutates
-//! the process-wide `PLATEAU_THREADS` variable, which must not race
-//! other tests in this binary.
+//! The socket check runs at the process's default thread count. The
+//! thread-count sweep calls `plateau_serve::execute` in-process inside
+//! `plateau_par::with_threads` scopes, so nothing here touches the
+//! environment.
 
 #[path = "serve_common.rs"]
 mod serve_common;
 
-use plateau_serve::{ServeConfig, Server};
+use plateau_serve::{execute, CircuitCache, Request, ServeConfig, Server};
 use serve_common::post;
 
 fn bodies() -> Vec<(&'static str, String)> {
@@ -58,11 +59,10 @@ fn responses_are_bit_identical_across_threads_and_cache_state() {
     })
     .expect("bind");
     let addr = server.addr();
-    let prior_threads = std::env::var("PLATEAU_THREADS").ok();
+    let limits = ServeConfig::default().limits;
 
     for (path, body) in bodies() {
-        // Reference response: cold cache, 1 thread.
-        std::env::set_var("PLATEAU_THREADS", "1");
+        // Reference response: cold cache, over the socket.
         server.cache().clear();
         let reference = post(addr, path, &body);
         assert_eq!(reference.status, 200, "{path}: {}", reference.body);
@@ -74,7 +74,7 @@ fn responses_are_bit_identical_across_threads_and_cache_state() {
             );
         }
 
-        // Warm hit, same thread count: identical body, hit header.
+        // Warm hit over the socket: identical body, hit header.
         let warm = post(addr, path, &body);
         assert_eq!(
             warm.body, reference.body,
@@ -84,26 +84,24 @@ fn responses_are_bit_identical_across_threads_and_cache_state() {
             assert_eq!(warm.header("X-Plateau-Cache"), Some("hit"));
         }
 
-        // Thread-count sweep, cold and warm each time.
-        for threads in ["2", "4"] {
-            std::env::set_var("PLATEAU_THREADS", threads);
-            server.cache().clear();
-            let cold = post(addr, path, &body);
-            assert_eq!(
-                cold.body, reference.body,
-                "{path}: PLATEAU_THREADS={threads} cold body diverged"
-            );
-            let warm = post(addr, path, &body);
-            assert_eq!(
-                warm.body, reference.body,
-                "{path}: PLATEAU_THREADS={threads} warm body diverged"
-            );
+        // Thread-count sweep in-process, on a cold and then a warm cache
+        // each time.
+        let request = Request::parse(path, &body).expect("valid request");
+        for threads in [1, 2, 4] {
+            let cache = CircuitCache::with_capacity(8);
+            for (state, hit) in [("cold", false), ("warm", true)] {
+                let out = plateau_par::with_threads(threads, || execute(&request, &cache, limits));
+                assert_eq!(out.status, 200, "{path}: threads={threads} {state}");
+                if path == "/simulate" || path == "/gradient" {
+                    assert_eq!(out.cache, Some(hit), "{path}: threads={threads} {state}");
+                }
+                assert_eq!(
+                    out.body.to_string(),
+                    reference.body,
+                    "{path}: threads={threads} {state} body diverged from the socket reference"
+                );
+            }
         }
-    }
-
-    match prior_threads {
-        Some(v) => std::env::set_var("PLATEAU_THREADS", v),
-        None => std::env::remove_var("PLATEAU_THREADS"),
     }
     server.shutdown();
 }
