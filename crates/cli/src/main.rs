@@ -541,8 +541,8 @@ fn cmd_serve(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 /// matrix (see `plateau-fuzz` crate docs and DESIGN.md §10). Without
 /// `--replay` it runs a seeded campaign and fails on any divergence;
 /// `--mutate true` flips into the mutation self-test, which *succeeds*
-/// only when the deliberately broken kernel is caught and shrunk to a
-/// small reproducer; `--replay PATH` re-runs a written artifact and
+/// only when every deliberately broken engine is caught and the smallest
+/// reproducer shrinks small; `--replay PATH` re-runs a written artifact and
 /// fails while the recorded divergence still reproduces.
 fn cmd_fuzz(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     check_flags(parsed, &["cases", "seed", "max-qubits", "artifacts", "mutate", "replay"])?;
@@ -616,28 +616,40 @@ fn cmd_fuzz(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     }
 
     if config.mutate {
-        // Self-test semantics: the injected bug MUST be found and MUST
+        // Self-test semantics: every injected bug MUST be found and MUST
         // shrink small, or the harness itself is broken.
-        let smallest = report
-            .mismatches
-            .iter()
-            .map(|m| m.shrunk.gate_count())
-            .min();
-        return match smallest {
-            None => Err("mutation self-test FAILED: injected kernel bug was never detected".into()),
-            Some(gates) if gates > 8 => Err(format!(
-                "mutation self-test FAILED: smallest reproducer has {gates} gates (want ≤ 8)"
-            )
-            .into()),
-            Some(gates) => {
-                println!(
-                    "# mutation self-test passed: {} detection(s), smallest reproducer {} gate(s)",
-                    report.mismatches.len(),
-                    gates
-                );
-                Ok(())
+        for pair in plateau_fuzz::EnginePair::MUTANTS {
+            let smallest = report
+                .mismatches
+                .iter()
+                .filter(|m| m.pair == pair)
+                .map(|m| m.shrunk.gate_count())
+                .min();
+            match smallest {
+                None => {
+                    return Err(
+                        format!("mutation self-test FAILED: {pair} was never detected").into()
+                    )
+                }
+                Some(gates) if gates > 8 => {
+                    return Err(format!(
+                        "mutation self-test FAILED: {pair}'s smallest reproducer has {gates} \
+                         gates (want ≤ 8)"
+                    )
+                    .into())
+                }
+                Some(_) => {}
             }
-        };
+        }
+        let smallest = report.mismatches.iter().map(|m| m.shrunk.gate_count()).min();
+        println!(
+            "# mutation self-test passed: {} detection(s) across {} mutants, smallest \
+             reproducer {} gate(s)",
+            report.mismatches.len(),
+            plateau_fuzz::EnginePair::MUTANTS.len(),
+            smallest.unwrap_or(0)
+        );
+        return Ok(());
     }
     if report.clean() {
         println!("# {} comparisons, all clean", report.comparisons());

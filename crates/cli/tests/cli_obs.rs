@@ -33,6 +33,10 @@ fn variance_run_emits_manifest_spans_and_exact_gate_counts() {
             // and this exercises the --engine flag end to end.
             "--engine",
             "parameter-shift",
+            // …resumed from shared prefixes, which the local cost takes
+            // (the global cost takes the rank-one backward walk).
+            "--cost",
+            "local",
             "--log",
             "info",
             "--metrics-out",

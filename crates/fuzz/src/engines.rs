@@ -14,11 +14,13 @@
 //! | `adjoint-vs-shift` | two exact gradient algorithms | `1e-8` |
 //! | `adjoint-vs-finite-diff` | exact vs `O(ε²)` central differences | `5e-6` |
 //! | `adjoint-partial-vs-gradient` | the adjoint's shortened single-parameter sweep vs its full-gradient entry | exact (`0`, bitwise) |
-//! | `shift-vs-per-job` | the prefix-sharing parameter-shift gradient vs `Σ coeff · E(θ with θ_i += s)`, one full `Circuit::run` per shifted job | exact (`0`, bitwise) |
+//! | `shift-vs-per-job` | the prefix-sharing parameter-shift gradient vs `Σ coeff · E(θ with θ_i += s)`, one full `Circuit::run` per shifted job (local cost and Pauli sums) | exact (`0`, bitwise) |
+//! | `overlap-shift-vs-per-job` | the parameter-shift gradient on a rank-one cost (global cost, zero projector), every shifted evaluation an overlap with one backward walk's bra, vs the same per-job oracle | `1e-12` |
 //! | `prologue-vs-gate-by-gate` | `Circuit::run` (product-state prologue, then the op list) vs `run_on` from `\|0…0⟩` | `1e-10` |
 //! | `batched-vs-per-circuit` | `expectation_many` through the batched executor's scratch pool vs one `Circuit::run` per set | exact (`0`) |
 //! | `mutated-vs-serial` | deliberately broken kernel (self-test only) | `1e-9` |
 //! | `prologue-mutated-vs-serial` | the op list's prologue folding each wire's ops in reversed order (self-test only) | `1e-9` |
+//! | `overlap-mutated-vs-per-job` | a rank-one walk whose bra skips the circuit's last sweep vs the per-job oracle (self-test only) | `1e-9` |
 //!
 //! An engine error (`Err` from any simulator/gradient call) on a
 //! generator-valid case is itself a divergence: it is reported as a
@@ -59,8 +61,12 @@ pub enum EnginePair {
     /// The parameter-shift gradient, whose shifted runs resume from a
     /// shared unshifted prefix, vs the per-job oracle: every shifted
     /// evaluation as one full `expectation` from `|0…0⟩`, folded with the
-    /// textbook shift-rule coefficients.
+    /// textbook shift-rule coefficients. Local cost and Pauli sums only.
     ShiftVsPerJob,
+    /// The parameter-shift gradient on a rank-one cost (the global cost or
+    /// the zero projector), whose shifted evaluations are overlaps with
+    /// the bra of one backward walk, vs the same per-job oracle.
+    OverlapShiftVsPerJob,
     /// `Circuit::run`, whose leading single-qubit ops are one
     /// product-state prologue, vs `run_on` from `|0…0⟩`, which applies
     /// them gate by gate.
@@ -80,12 +86,16 @@ pub enum EnginePair {
     /// **wrong** order vs the gate-by-gate run — only scheduled by the
     /// mutation self-test, never in normal runs.
     PrologueMutatedVsSerial,
+    /// A rank-one parameter-shift walk whose bra **skips** the circuit's
+    /// last sweep vs the per-job oracle — only scheduled by the mutation
+    /// self-test, never in normal runs.
+    OverlapMutatedVsPerJob,
 }
 
 impl EnginePair {
     /// The pairs a normal fuzz run schedules (everything except the
-    /// self-test mutant).
-    pub const ALL: [EnginePair; 12] = [
+    /// self-test mutants).
+    pub const ALL: [EnginePair; 13] = [
         EnginePair::SerialVsParallel,
         EnginePair::StateVsUnitary,
         EnginePair::StateVsDensity,
@@ -95,9 +105,18 @@ impl EnginePair {
         EnginePair::AdjointVsFiniteDiff,
         EnginePair::AdjointPartialVsGradient,
         EnginePair::ShiftVsPerJob,
+        EnginePair::OverlapShiftVsPerJob,
         EnginePair::PrologueVsGateByGate,
         EnginePair::BatchedVsPerCircuit,
         EnginePair::ServeCodec,
+    ];
+
+    /// The deliberately broken engines the mutation self-test schedules,
+    /// each of which it must catch.
+    pub const MUTANTS: [EnginePair; 3] = [
+        EnginePair::MutatedVsSerial,
+        EnginePair::PrologueMutatedVsSerial,
+        EnginePair::OverlapMutatedVsPerJob,
     ];
 
     /// Stable name used in reports and artifacts.
@@ -112,34 +131,22 @@ impl EnginePair {
             EnginePair::AdjointVsFiniteDiff => "adjoint-vs-finite-diff",
             EnginePair::AdjointPartialVsGradient => "adjoint-partial-vs-gradient",
             EnginePair::ShiftVsPerJob => "shift-vs-per-job",
+            EnginePair::OverlapShiftVsPerJob => "overlap-shift-vs-per-job",
             EnginePair::PrologueVsGateByGate => "prologue-vs-gate-by-gate",
             EnginePair::BatchedVsPerCircuit => "batched-vs-per-circuit",
             EnginePair::ServeCodec => "serve-codec",
             EnginePair::MutatedVsSerial => "mutated-vs-serial",
             EnginePair::PrologueMutatedVsSerial => "prologue-mutated-vs-serial",
+            EnginePair::OverlapMutatedVsPerJob => "overlap-mutated-vs-per-job",
         }
     }
 
     /// Inverse of [`EnginePair::name`].
     pub fn parse(s: &str) -> Option<EnginePair> {
-        [
-            EnginePair::SerialVsParallel,
-            EnginePair::StateVsUnitary,
-            EnginePair::StateVsDensity,
-            EnginePair::RawVsOptimized,
-            EnginePair::QasmRoundTrip,
-            EnginePair::AdjointVsShift,
-            EnginePair::AdjointVsFiniteDiff,
-            EnginePair::AdjointPartialVsGradient,
-            EnginePair::ShiftVsPerJob,
-            EnginePair::PrologueVsGateByGate,
-            EnginePair::BatchedVsPerCircuit,
-            EnginePair::ServeCodec,
-            EnginePair::MutatedVsSerial,
-            EnginePair::PrologueMutatedVsSerial,
-        ]
-        .into_iter()
-        .find(|p| p.name() == s)
+        EnginePair::ALL
+            .into_iter()
+            .chain(EnginePair::MUTANTS)
+            .find(|p| p.name() == s)
     }
 
     /// Largest acceptable delta for this pair.
@@ -164,13 +171,18 @@ impl EnginePair {
     /// partial's: it replays the full gradient's recurrence over the same
     /// ops in the same order, only ending earlier. And so is a shifted
     /// run's: resuming from a copied prefix repeats the full run's
-    /// arithmetic from the same bits.
+    /// arithmetic from the same bits. A rank-one overlap does not: its
+    /// ket is stepped back through inverse gates and its bra through the
+    /// suffix's, so it agrees with the forward run only to rounding —
+    /// `1e-12` on a cost in `[0, 1]`, four orders above the observed
+    /// `~1e-16` and far below any real bug.
     pub fn tolerance(self) -> f64 {
         match self {
             EnginePair::SerialVsParallel => 0.0,
             EnginePair::BatchedVsPerCircuit => 0.0,
             EnginePair::AdjointPartialVsGradient => 0.0,
             EnginePair::ShiftVsPerJob => 0.0,
+            EnginePair::OverlapShiftVsPerJob => 1e-12,
             // The wire codec transports the op list verbatim, so the
             // rebuilt circuit replays byte-identical arithmetic; and the
             // canonical-form fixed point is a string equality, so there
@@ -185,13 +197,16 @@ impl EnginePair {
             EnginePair::PrologueVsGateByGate => 1e-10,
             EnginePair::MutatedVsSerial => 1e-9,
             EnginePair::PrologueMutatedVsSerial => 1e-9,
+            EnginePair::OverlapMutatedVsPerJob => 1e-9,
         }
     }
 
     /// Whether this pair can run on `case` (oracle cost gates on the
     /// register size; gradient pairs need at least one trainable
-    /// parameter).
+    /// parameter; the two parameter-shift paths split the observables
+    /// between them).
     pub fn applies(self, case: &FuzzCase) -> bool {
+        let rank_one = || case.observable().is_ok_and(|obs| obs.rank_one().is_some());
         match self {
             EnginePair::SerialVsParallel
             | EnginePair::RawVsOptimized
@@ -206,8 +221,11 @@ impl EnginePair {
             }
             EnginePair::AdjointVsShift
             | EnginePair::AdjointVsFiniteDiff
-            | EnginePair::AdjointPartialVsGradient
-            | EnginePair::ShiftVsPerJob => case.free_param_count() > 0,
+            | EnginePair::AdjointPartialVsGradient => case.free_param_count() > 0,
+            EnginePair::ShiftVsPerJob => case.free_param_count() > 0 && !rank_one(),
+            EnginePair::OverlapShiftVsPerJob | EnginePair::OverlapMutatedVsPerJob => {
+                case.free_param_count() > 0 && rank_one()
+            }
         }
     }
 }
@@ -296,6 +314,31 @@ fn shift_rule(circuit: &Circuit, i: usize) -> Vec<(f64, f64)> {
         }
         _ => vec![(FRAC_PI_2, 0.5), (-FRAC_PI_2, -0.5)],
     }
+}
+
+/// How far gradient `g` lies from the per-job oracle: each `∂E/∂θ_i` as
+/// `Σ coeff · E(θ with θ_i += s)`, one full `Circuit::run` per shifted
+/// job, folded in the engine's job order from `+0.0`. Bitwise: any
+/// differing bit counts, even a zero's sign.
+fn per_job_delta(
+    circuit: &Circuit,
+    params: &[f64],
+    obs: &plateau_sim::Observable,
+    g: &[f64],
+) -> Result<f64, SimError> {
+    let mut delta = 0.0f64;
+    for (i, gi) in g.iter().enumerate() {
+        let mut oracle = 0.0;
+        for (shift, coeff) in shift_rule(circuit, i) {
+            let mut theta = params.to_vec();
+            theta[i] += shift;
+            oracle += coeff * obs.expectation(&circuit.run(&theta)?)?;
+        }
+        if oracle.to_bits() != gi.to_bits() {
+            delta = delta.max((oracle - gi).abs().max(f64::MIN_POSITIVE));
+        }
+    }
+    Ok(delta)
 }
 
 /// Largest `|gᵢ − hᵢ|` over two gradient vectors, or `∞` on length
@@ -483,28 +526,14 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 format!("adjoint partials diverged from their gradient entries (max delta {delta:e})"),
             )
         }
-        EnginePair::ShiftVsPerJob => {
+        EnginePair::ShiftVsPerJob | EnginePair::OverlapShiftVsPerJob => {
             let obs = engine_try!(pair, "observable build", case.observable());
             let g = engine_try!(
                 pair,
                 "parameter shift",
                 ParameterShift.gradient(&circuit, &params, &obs)
             );
-            let mut delta = 0.0f64;
-            for (i, gi) in g.iter().enumerate() {
-                // Folded in the engine's job order, from +0.0.
-                let mut oracle = 0.0;
-                for (shift, coeff) in shift_rule(&circuit, i) {
-                    let mut theta = params.clone();
-                    theta[i] += shift;
-                    let state = engine_try!(pair, "per-job run", circuit.run(&theta));
-                    let e = engine_try!(pair, "per-job expectation", obs.expectation(&state));
-                    oracle += coeff * e;
-                }
-                if oracle.to_bits() != gi.to_bits() {
-                    delta = delta.max((oracle - gi).abs().max(f64::MIN_POSITIVE));
-                }
-            }
+            let delta = engine_try!(pair, "per-job oracle", per_job_delta(&circuit, &params, &obs, &g));
             verdict(
                 pair,
                 delta,
@@ -695,6 +724,20 @@ pub fn check_pair(pair: EnginePair, case: &FuzzCase) -> Result<f64, Mismatch> {
                 format!("injected off-by-one kernel detected (max amplitude delta {delta:e})"),
             )
         }
+        EnginePair::OverlapMutatedVsPerJob => {
+            let obs = engine_try!(pair, "observable build", case.observable());
+            let g = engine_try!(
+                pair,
+                "mutated walk",
+                overlap_mutated_gradient(&circuit, &params, &obs)
+            );
+            let delta = engine_try!(pair, "per-job oracle", per_job_delta(&circuit, &params, &obs, &g));
+            verdict(
+                pair,
+                delta,
+                format!("injected bra-walk skip detected (max delta {delta:e})"),
+            )
+        }
         EnginePair::PrologueMutatedVsSerial => {
             let reference = engine_try!(pair, "gate-by-gate run", gate_by_gate(&circuit, &params));
             let mutated =
@@ -759,6 +802,55 @@ pub fn mutated_run(circuit: &Circuit, params: &[f64]) -> Result<State, plateau_s
     Ok(state)
 }
 
+/// A deliberately broken rank-one parameter-shift gradient for the
+/// mutation self-test. Like the engine it evaluates each shifted circuit
+/// as `c0 + c1·|⟨w_k| R_k(θ_i + s) |φ_{k−1}⟩|²`, stepping `φ` back from
+/// the final state and the bra `w` back from `|0…0⟩` — but the bra
+/// **skips** the circuit's last sweep, so every overlap misses it. A
+/// diagonal last op (RZ, a CZ) leaves `|0…0⟩` alone up to a phase and
+/// hides the bug, so the harness must find a case whose last sweep moves
+/// `|0…0⟩` below a parameter's op — two gates suffice (RY(θ), then H).
+///
+/// # Errors
+///
+/// Returns [`SimError`] from the kernels, or
+/// [`SimError::ObservableMismatch`] for an observable that is not
+/// rank-one.
+pub fn overlap_mutated_gradient(
+    circuit: &Circuit,
+    params: &[f64],
+    obs: &plateau_sim::Observable,
+) -> Result<Vec<f64>, SimError> {
+    let (c0, c1) = obs.rank_one().ok_or(SimError::ObservableMismatch {
+        observable_qubits: obs.n_qubits(),
+        state_qubits: circuit.n_qubits(),
+    })?;
+    let mut phi = circuit.run(params)?;
+    let mut bra = State::zero(circuit.n_qubits());
+    let mut grad = vec![0.0; circuit.n_params()];
+    let mut theta = params.to_vec();
+    let sweeps = circuit.sweeps(0..circuit.gate_count()).rev();
+    for (walked, (k, sweep)) in sweeps.enumerate() {
+        sweep.apply_inverse(&mut phi, params)?;
+        let op = &circuit.ops()[k];
+        if let Some(i) = op.free_param() {
+            for (shift, coeff) in shift_rule(circuit, i) {
+                let mut mu = phi.clone();
+                theta[i] = params[i] + shift;
+                op.apply(&mut mu, &theta)?;
+                theta[i] = params[i];
+                grad[i] += coeff * (c0 + c1 * bra.inner(&mu)?.norm_sqr());
+            }
+        }
+        // BUG: the bra must step back through every sweep; this skips
+        // the first one walked, the circuit's last.
+        if walked > 0 {
+            sweep.apply_inverse(&mut bra, params)?;
+        }
+    }
+    Ok(grad)
+}
+
 /// A deliberately broken product-state prologue for the mutation
 /// self-test. Like [`Circuit::run`] it builds the state left by the
 /// circuit's leading single-qubit ops (`prologue_len()` of them)
@@ -815,10 +907,7 @@ mod tests {
 
     #[test]
     fn pair_names_round_trip() {
-        for pair in EnginePair::ALL
-            .into_iter()
-            .chain([EnginePair::MutatedVsSerial, EnginePair::PrologueMutatedVsSerial])
-        {
+        for pair in EnginePair::ALL.into_iter().chain(EnginePair::MUTANTS) {
             assert_eq!(EnginePair::parse(pair.name()), Some(pair));
         }
         assert_eq!(EnginePair::parse("nonsense"), None);
@@ -924,6 +1013,52 @@ mod tests {
         assert!(!EnginePair::AdjointVsFiniteDiff.applies(&case));
         assert!(!EnginePair::AdjointPartialVsGradient.applies(&case));
         assert!(!EnginePair::ShiftVsPerJob.applies(&case));
+        assert!(!EnginePair::OverlapShiftVsPerJob.applies(&case));
         assert!(EnginePair::SerialVsParallel.applies(&case));
+    }
+
+    #[test]
+    fn shift_pairs_split_the_observables() {
+        let ry = crate::gen::GenOp::Rotation {
+            gate: plateau_sim::RotationGate::Ry,
+            qubit: 0,
+            angle: 0.4,
+            free: true,
+        };
+        let case = |obs| FuzzCase { n_qubits: 1, ops: vec![ry.clone()], obs };
+        for obs in [crate::gen::ObsSpec::GlobalCost, crate::gen::ObsSpec::ZeroProjector] {
+            assert!(!EnginePair::ShiftVsPerJob.applies(&case(obs.clone())));
+            assert!(EnginePair::OverlapShiftVsPerJob.applies(&case(obs.clone())));
+            assert!(EnginePair::OverlapMutatedVsPerJob.applies(&case(obs)));
+        }
+        let local = case(crate::gen::ObsSpec::LocalCost);
+        assert!(EnginePair::ShiftVsPerJob.applies(&local));
+        assert!(!EnginePair::OverlapShiftVsPerJob.applies(&local));
+    }
+
+    #[test]
+    fn bra_walk_skip_is_caught() {
+        // RY(θ) then H: the skipped last sweep moves |0⟩, so every
+        // overlap with the unwalked bra is wrong.
+        let case = FuzzCase {
+            n_qubits: 1,
+            ops: vec![
+                crate::gen::GenOp::Rotation {
+                    gate: plateau_sim::RotationGate::Ry,
+                    qubit: 0,
+                    angle: 0.4,
+                    free: true,
+                },
+                crate::gen::GenOp::Fixed {
+                    gate: plateau_sim::FixedGate::H,
+                    qubits: vec![0],
+                },
+            ],
+            obs: crate::gen::ObsSpec::GlobalCost,
+        };
+        check_pair(EnginePair::OverlapShiftVsPerJob, &case).expect("the engine agrees");
+        let m = check_pair(EnginePair::OverlapMutatedVsPerJob, &case)
+            .expect_err("bra-walk skip must be detected");
+        assert!(m.delta > 0.1, "delta was {}", m.delta);
     }
 }

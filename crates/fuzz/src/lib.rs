@@ -47,7 +47,9 @@ pub mod runner;
 pub mod shrink;
 
 pub use artifact::{parse_seed, Artifact};
-pub use engines::{check_pair, prologue_mutated_run, mutated_run, EnginePair, Mismatch};
+pub use engines::{
+    check_pair, mutated_run, overlap_mutated_gradient, prologue_mutated_run, EnginePair, Mismatch,
+};
 pub use gen::{random_case, FuzzCase, GenOp, ObsSpec, MAX_FUZZ_QUBITS, SMALL_ORACLE_QUBITS};
 pub use runner::{replay, run, FoundMismatch, FuzzConfig, FuzzReport, PairStats, ReplayOutcome};
 pub use shrink::{candidates, shrink};

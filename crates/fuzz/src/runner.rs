@@ -22,8 +22,9 @@ pub struct FuzzConfig {
     /// Where reproducers are written; `None` disables artifact output.
     pub artifact_dir: Option<PathBuf>,
     /// Mutation self-test mode: run **only** the deliberately broken
-    /// engines (the off-by-one kernel and the wrong-order prologue fold)
-    /// against the serial engine and expect both to be caught.
+    /// engines ([`EnginePair::MUTANTS`]: the off-by-one kernel, the
+    /// wrong-order prologue fold and the rank-one walk whose bra skips a
+    /// sweep) against their oracles and expect every one to be caught.
     pub mutate: bool,
 }
 
@@ -98,7 +99,7 @@ impl FuzzReport {
 /// run — the artifact records both numbers.
 pub fn run(config: &FuzzConfig) -> FuzzReport {
     let pairs: &[EnginePair] = if config.mutate {
-        &[EnginePair::MutatedVsSerial, EnginePair::PrologueMutatedVsSerial]
+        &EnginePair::MUTANTS
     } else {
         &EnginePair::ALL
     };
@@ -215,6 +216,7 @@ mod tests {
             "adjoint-vs-finite-diff",
             "adjoint-partial-vs-gradient",
             "shift-vs-per-job",
+            "overlap-shift-vs-per-job",
         ] {
             let c = report.stats[pair].comparisons;
             assert!(c > 0 && c <= 50, "{pair}: {c}");
@@ -236,9 +238,9 @@ mod tests {
             !report.mismatches.is_empty(),
             "the injected bugs were never caught"
         );
-        // Both injected bugs must fire, and each must shrink to a small
+        // Every injected bug must fire, and each must shrink to a small
         // reproducer.
-        for pair in [EnginePair::MutatedVsSerial, EnginePair::PrologueMutatedVsSerial] {
+        for pair in EnginePair::MUTANTS {
             let best = report
                 .mismatches
                 .iter()
@@ -249,10 +251,7 @@ mod tests {
             assert!(best <= 8, "{pair}: smallest reproducer had {best} gates");
         }
         for m in &report.mismatches {
-            assert!(matches!(
-                m.pair,
-                EnginePair::MutatedVsSerial | EnginePair::PrologueMutatedVsSerial
-            ));
+            assert!(EnginePair::MUTANTS.contains(&m.pair));
             assert!(m.shrunk.gate_count() <= m.original_gates);
             // The shrunk case must itself still fail.
             assert!(crate::engines::check_pair(m.pair, &m.shrunk).is_err());

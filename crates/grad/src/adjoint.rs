@@ -19,9 +19,11 @@
 //! `N − k` backward steps — for the paper's `θ_last`, only the tail of the
 //! last layer. [`Adjoint`]'s `gradient` and `partial`,
 //! [`adjoint_value_and_gradient`] and the batched sweeps share one
-//! recurrence (`sweep`) over the circuit's sweeps — a CZ layer steps back
-//! as one sweep, being its own inverse, and owns no parameter — so a
-//! partial is bit-identical to the matching entry of the full gradient.
+//! recurrence over the circuit's sweeps — a CZ layer steps back as one
+//! sweep, being its own inverse, and owns no parameter — so a partial is
+//! bit-identical to the matching entry of the full gradient. That walk
+//! (`walk_back`) is also the parameter shift's on a rank-one cost, whose
+//! bra starts at `|0…0⟩` instead of `H|ψ⟩` (see [`crate::BatchExecutor`]).
 //!
 //! This engine powers the paper's variance analysis at scale
 //! (200 circuits × 6 initializations × 5 qubit counts × deep circuits).
@@ -155,24 +157,49 @@ pub(crate) fn adjoint(
     let mut lambda = obs.apply_raw(&phi)?;
 
     let mut spare = None;
-    for (k, step) in circuit.sweeps(stop..ops.len()).rev() {
-        // φ ← U_k† φ (now the state before sweep k).
-        step.apply_inverse(&mut phi, params)?;
-        // A parameter's op is a sweep of its own; a CZ layer's first op
-        // owns none.
+    walk_back(circuit, params, stop, ops.len(), &mut phi, &mut lambda, |k, phi, lambda| {
         if let Some(slot) = slot_of(&ops[k]) {
             // μ = (∂U_k/∂θ) φ, built in φ itself at the stop op (nothing
             // reads φ after it).
-            let mu = if k == stop { &mut phi } else { refill(&mut spare, &phi) };
+            let mu = if k == stop { phi } else { refill(&mut spare, phi) };
             ops[k].apply_derivative(mu, params)?;
-            grad[slot] += 2.0 * inner_re(&lambda, mu);
+            grad[slot] += 2.0 * inner_re(lambda, mu);
         }
+        Ok(())
+    })?;
+    Ok(grad)
+}
+
+/// The backward walk every reverse-mode read-out shares: over `circuit`'s
+/// sweeps from the last down to the one at op `stop`, carrying a ket `φ`
+/// and a bra. `φ` holds the state after ops `[0, phi_end)`, where
+/// `phi_end` is the op count or the start of a sweep; sweeps at or past
+/// `phi_end` leave it alone, and each earlier one steps it back
+/// (`φ ← U_k† φ`) to the state before sweep `k`. Then `read(k, φ, bra)`
+/// runs, with the bra holding `(U_{k+1} ⋯ U_N)†` applied to its start;
+/// then, above `stop`, the bra steps back through sweep `k` too.
+///
+/// A parameter's op is a sweep of its own, so `read` sees every op that
+/// can own one; a CZ layer's first op owns none.
+pub(crate) fn walk_back(
+    circuit: &Circuit,
+    params: &[f64],
+    stop: usize,
+    phi_end: usize,
+    phi: &mut State,
+    bra: &mut State,
+    mut read: impl FnMut(usize, &mut State, &State) -> Result<(), SimError>,
+) -> Result<(), SimError> {
+    for (k, step) in circuit.sweeps(stop..circuit.gate_count()).rev() {
+        if k < phi_end {
+            step.apply_inverse(phi, params)?;
+        }
+        read(k, phi, bra)?;
         if k > stop {
-            // λ ← U_k† λ.
-            step.apply_inverse(&mut lambda, params)?;
+            step.apply_inverse(bra, params)?;
         }
     }
-    Ok(grad)
+    Ok(())
 }
 
 /// The adjoint gradient together with the cost `⟨ψ|H|ψ⟩` of the forward

@@ -6,9 +6,9 @@
 //!
 //! - each worker thread owns one reusable scratch [`plateau_sim::State`]
 //!   plus one parameter buffer, reset in place between evaluations;
-//!   shifted sweeps add a second state per worker for the shared prefix
-//!   (below) — peak statevector allocation is `O(workers · 2^n)`
-//!   regardless of batch size;
+//!   shifted sweeps add a second state per worker for the shared prefix,
+//!   and overlap walks a third for the bra (below) — peak statevector
+//!   allocation is `O(workers · 2^n)` regardless of batch size;
 //! - shifted evaluations travel as `(param index, shift)` pairs against
 //!   one base vector instead of `O(k)` bytes per job.
 //!
@@ -31,6 +31,24 @@
 //! circuit and the shift list, never on the worker count, so gate counts
 //! and results are the same on every host.
 //!
+//! # Rank-one costs share suffixes instead
+//!
+//! On the paper's global cost `I − |0…0⟩⟨0…0|` (and the bare projector),
+//! an evaluation reads one amplitude: with op `k` the only one reading
+//! `θ_i`, `E(θ + δ·e_i) = c0 + c1·|⟨w_k| R_k(θ_i + δ) |φ_{k−1}⟩|²`, where
+//! `φ_{k−1}` is the state before op `k` and `w_k = U_{>k}(θ)† |0…0⟩`
+//! ([`Observable::rank_one`] gives `(c0, c1)`). The ops after `k` never
+//! see the shift, so one backward walk per base — the adjoint's own
+//! (`adjoint::walk_back`), with the bra starting at `|0…0⟩` — serves
+//! every job: `φ` runs forward to the last parameter's op and steps back
+//! from there, and a job at op `k` copies `φ_{k−1}`, applies op `k` at
+//! `θ_i + δ` and takes the overlap with `w_k`. A §IV-D gradient then
+//! costs 335 forward and 279 inverse gate applications instead of the
+//! prefix path's 16,322, in three states (`φ`, `w` and the copy `μ`).
+//! Each base is one parallel unit, so a one-base gradient runs serially
+//! and an ensemble spreads over its members. A circuit that reads some
+//! parameter in two ops keeps the prefix path.
+//!
 //! # Determinism contract
 //!
 //! Results are returned in **input order** and are bit-identical to a
@@ -45,6 +63,14 @@
 //! `batched-vs-per-circuit` and `shift-vs-per-job` fuzz pairs pin this at
 //! tolerance zero.
 //!
+//! An overlap walk steps `φ` back through inverse gates, so its values
+//! match the one-shot [`crate::expectation`] only to rounding (the
+//! `overlap-shift-vs-per-job` fuzz pair holds it to `1e-12`; observed
+//! `~1e-16`). It is still bit-identical to itself across worker counts,
+//! between a batched ensemble partial and the one-shot partial, and
+//! between a partial and its gradient entry: `φ` always starts at the
+//! last parameter's op and the bra at the end, whichever jobs run.
+//!
 //! # Routing
 //!
 //! The serial/parallel decision is made in exactly one place
@@ -53,10 +79,11 @@
 //! smaller batches run on the caller's thread against the executor's own
 //! scratch. Callers never re-derive the predicate.
 
+use std::cmp::Reverse;
 use std::ops::Range;
 
-use crate::adjoint::{adjoint, Wrt};
-use crate::engine::{observe, param_cuts, MIN_PAR_EVALS};
+use crate::adjoint::{adjoint, walk_back, Wrt};
+use crate::engine::{observe, ParamMap, MIN_PAR_EVALS};
 use plateau_obs::{counter, gauge, histogram};
 use plateau_sim::{Circuit, Observable, SimError, State};
 
@@ -66,12 +93,16 @@ const SHIFT_CHUNKS: usize = 8;
 
 /// Per-worker reusable evaluation scratch: one statevector plus one
 /// parameter buffer, both reset in place between evaluations, and the
-/// shifted sweeps' prefix state.
+/// shifted sweeps' extra states, each allocated on first use so plain
+/// sweeps never pay for them.
 struct Scratch {
+    /// The evaluated state; `φ` in an overlap walk.
     state: State,
-    /// The unshifted prefix a shifted sweep copies from, allocated on
-    /// first use so plain sweeps never pay for it.
-    prefix: Option<State>,
+    /// The unshifted prefix a prefix sweep copies from, or the shifted
+    /// copy `μ` of an overlap walk.
+    aux: Option<State>,
+    /// An overlap walk's bra `w`.
+    bra: Option<State>,
     params: Vec<f64>,
 }
 
@@ -79,10 +110,28 @@ impl Scratch {
     fn new(n_qubits: usize, n_params: usize) -> Self {
         Scratch {
             state: State::zero(n_qubits),
-            prefix: None,
+            aux: None,
+            bra: None,
             params: vec![0.0; n_params],
         }
     }
+}
+
+/// Puts per-unit results back in job order: unit `u` evaluated the jobs
+/// `order[units[u]]`, in that order.
+fn scatter(
+    n_jobs: usize,
+    order: &[usize],
+    units: Vec<Range<usize>>,
+    per_unit: Vec<Vec<f64>>,
+) -> Vec<f64> {
+    let mut evals = vec![0.0; n_jobs];
+    for (range, values) in units.into_iter().zip(per_unit) {
+        for (&j, e) in order[range].iter().zip(values) {
+            evals[j] = e;
+        }
+    }
+    evals
 }
 
 /// Workers a batch of `n_evals` evaluations in `n_units` units runs on.
@@ -289,9 +338,12 @@ impl<'c> BatchExecutor<'c> {
     /// Cost: one forward walk of the unshifted circuit per chunk of
     /// shifts (at most 8) plus, per shift, only the gates from `θ_idx`'s
     /// first gate onward — the prefix before it is shared and copied, not
-    /// re-run. Shifts may come in any order and repeat indices; results
-    /// are in input order and bit-identical to one [`crate::expectation`]
-    /// per job.
+    /// re-run. On a rank-one cost ([`Observable::rank_one`]) one backward
+    /// walk serves every shift instead, one gate per shift (see the
+    /// [module docs](self)). Shifts may come in any order and repeat
+    /// indices; results are in input order, bit-identical to one
+    /// [`crate::expectation`] per job for the local cost and Pauli sums,
+    /// and equal to it within rounding for the rank-one costs.
     ///
     /// # Errors
     ///
@@ -311,17 +363,42 @@ impl<'c> BatchExecutor<'c> {
                 return Err(SimError::ParamOutOfRange { index: idx, n_params: n });
             }
         }
-        self.shifted_sweep(&[base], shifts.len(), |j| (0, shifts[j].0, shifts[j].1), obs)
+        let map = ParamMap::new(self.circuit);
+        let job = |j: usize| (0, shifts[j].0, shifts[j].1);
+        self.shifted_sweep(&map, &[base], shifts.len(), job, obs)
     }
 
     /// The shifted-evaluation sweep behind every parameter-shift entry
     /// point: job `j` evaluates `E(bases[m] with θ_i += δ)` for
-    /// `(m, i, δ) = job(j)`, returned in job order. Jobs sharing a base
-    /// and a prefix cut share one walk of the unshifted prefix; chunks of
-    /// such groups are the parallel units (see the [module docs](self)).
-    /// Callers have validated every base and index.
+    /// `(m, i, δ) = job(j)`, returned in job order. On a rank-one cost
+    /// whose parameters are each read by one op, each base's jobs share
+    /// one backward walk ([`Self::overlap_sweep`]); otherwise jobs sharing
+    /// a base and a prefix cut share one walk of the unshifted prefix
+    /// ([`Self::prefix_sweep`]). See the [module docs](self). Callers
+    /// have validated every base and index, and built `map` from this
+    /// executor's circuit.
     pub(crate) fn shifted_sweep<J>(
         &mut self,
+        map: &ParamMap,
+        bases: &[&[f64]],
+        n_jobs: usize,
+        job: J,
+        obs: &Observable,
+    ) -> Result<Vec<f64>, SimError>
+    where
+        J: Fn(usize) -> (usize, usize, f64) + Sync,
+    {
+        match obs.rank_one() {
+            Some(form) if !map.shared() => self.overlap_sweep(map, bases, n_jobs, job, obs, form),
+            _ => self.prefix_sweep(map, bases, n_jobs, job, obs),
+        }
+    }
+
+    /// Shifted evaluations resumed from shared prefixes: jobs ordered by
+    /// (base, prefix cut), chunks of such groups the parallel units.
+    fn prefix_sweep<J>(
+        &mut self,
+        map: &ParamMap,
         bases: &[&[f64]],
         n_jobs: usize,
         job: J,
@@ -332,23 +409,22 @@ impl<'c> BatchExecutor<'c> {
     {
         let circuit = self.circuit;
         let steps = circuit.gate_count();
-        let cuts = param_cuts(circuit);
         let group = |j: usize| {
             let (m, i, _) = job(j);
-            (m, cuts[i])
+            (m, map.cut(i))
         };
         let mut order: Vec<usize> = (0..n_jobs).collect();
         order.sort_unstable_by_key(|&j| (group(j), j));
         let chunks = chunk_plan(&order, group, |j| steps - group(j).1);
         let n_qubits = self.n_qubits();
         let per_chunk = self.route(n_jobs, chunks.len(), 2, |scratch, c| {
-            let Scratch { state, prefix, params } = scratch;
+            let Scratch { state, aux: prefix, params, .. } = scratch;
             // The (base, cut) the prefix state currently holds.
             let mut held = None;
             let mut out = Vec::with_capacity(chunks[c].len());
             for &j in &order[chunks[c].clone()] {
                 let (m, i, delta) = job(j);
-                let cut = cuts[i];
+                let cut = map.cut(i);
                 params.copy_from_slice(bases[m]);
                 params[i] += delta;
                 if cut == 0 {
@@ -372,13 +448,84 @@ impl<'c> BatchExecutor<'c> {
             }
             Ok(out)
         })?;
-        let mut evals = vec![0.0; n_jobs];
-        for (range, values) in chunks.into_iter().zip(per_chunk) {
-            for (&j, e) in order[range].iter().zip(values) {
-                evals[j] = e;
+        Ok(scatter(n_jobs, &order, chunks, per_chunk))
+    }
+
+    /// Shifted evaluations of a rank-one cost `c0 + c1·|0…0⟩⟨0…0|`, one
+    /// backward walk per base. With op `k` the only one reading `θ_i`,
+    ///
+    /// ```text
+    /// E(θ + δ·e_i) = c0 + c1·|⟨w_k| R_k(θ_i + δ) |φ_{k−1}⟩|²,   w_k = U_{>k}(θ)† |0…0⟩
+    /// ```
+    ///
+    /// so [`walk_back`] carries `φ` down from the last parameter's op and
+    /// the bra `w` from `|0…0⟩`, and each job at op `k` copies `φ_{k−1}`,
+    /// applies op `k` at `θ_i + δ` and takes the overlap with `w`. A job
+    /// whose parameter no op reads evaluates the unshifted circuit.
+    fn overlap_sweep<J>(
+        &mut self,
+        map: &ParamMap,
+        bases: &[&[f64]],
+        n_jobs: usize,
+        job: J,
+        obs: &Observable,
+        (c0, c1): (f64, f64),
+    ) -> Result<Vec<f64>, SimError>
+    where
+        J: Fn(usize) -> (usize, usize, f64) + Sync,
+    {
+        let circuit = self.circuit;
+        let n_ops = circuit.gate_count();
+        let op_of = |j: usize| map.op(job(j).1).unwrap_or(n_ops);
+        // By base, then latest op first: the order the walk meets them.
+        let mut order: Vec<usize> = (0..n_jobs).collect();
+        order.sort_unstable_by_key(|&j| (job(j).0, Reverse(op_of(j)), j));
+        let mut units: Vec<Range<usize>> = Vec::new();
+        for (pos, &j) in order.iter().enumerate() {
+            match units.last_mut() {
+                Some(unit) if job(order[unit.start]).0 == job(j).0 => unit.end = pos + 1,
+                _ => units.push(pos..pos + 1),
             }
         }
-        Ok(evals)
+        let n_qubits = self.n_qubits();
+        let per_unit = self.route(n_jobs, units.len(), 3, |scratch, u| {
+            let Scratch { state: phi, aux, bra, params } = scratch;
+            let jobs = &order[units[u].clone()];
+            let base = bases[job(jobs[0]).0];
+            let mu = aux.get_or_insert_with(|| State::zero(n_qubits));
+            let mut out = Vec::with_capacity(jobs.len());
+            let unread = jobs.iter().take_while(|&&j| op_of(j) == n_ops).count();
+            for _ in 0..unread {
+                circuit.run_into(mu, base, 0..n_ops)?;
+                out.push(observe(mu, obs)?);
+            }
+            let Some(&earliest) = jobs.last().filter(|_| unread < jobs.len()) else {
+                return Ok(out);
+            };
+            // φ starts before the last parameter's op whichever jobs run,
+            // so a partial repeats its gradient entry's arithmetic.
+            let phi_end = map.last();
+            circuit.run_into(phi, base, 0..phi_end)?;
+            let bra = bra.get_or_insert_with(|| State::zero(n_qubits));
+            bra.reset_zero();
+            params.copy_from_slice(base);
+            let mut next = unread;
+            walk_back(circuit, base, op_of(earliest), phi_end, phi, bra, |k, phi, bra| {
+                while let Some(&j) = jobs.get(next).filter(|&&j| op_of(j) == k) {
+                    let (_, i, delta) = job(j);
+                    mu.copy_from(phi);
+                    params[i] = base[i] + delta;
+                    circuit.ops()[k].apply(mu, params)?;
+                    params[i] = base[i];
+                    counter!("grad.expectation_evals").inc();
+                    out.push(c0 + c1 * bra.inner(mu)?.norm_sqr());
+                    next += 1;
+                }
+                Ok(())
+            })?;
+            Ok(out)
+        })?;
+        Ok(scatter(n_jobs, &order, units, per_unit))
     }
 
     /// One full adjoint gradient per parameter set, in input order — the
@@ -457,13 +604,15 @@ impl<'c> BatchExecutor<'c> {
             return Err(SimError::ParamOutOfRange { index: 0, n_params: 0 });
         }
         self.check_sets(param_sets)?;
+        let map = ParamMap::new(self.circuit);
         let mut proto = Vec::with_capacity(4);
-        crate::shift::jobs_for_param(self.circuit, n - 1, &mut proto)?;
+        crate::shift::jobs_for_param(self.circuit, &map, n - 1, &mut proto)?;
         let t = proto.len();
         let members = param_sets.len();
         counter!("grad.executions.parameter_shift").add((t * members) as u64);
         let bases: Vec<&[f64]> = param_sets.iter().map(Vec::as_slice).collect();
         let evals = self.shifted_sweep(
+            &map,
             &bases,
             t * members,
             |j| (j / t, n - 1, proto[j % t].shift),
@@ -564,7 +713,7 @@ mod tests {
             .unwrap();
         let last = c.n_params() - 1;
         let mut jobs = Vec::new();
-        crate::shift::jobs_for_param(&c, last, &mut jobs).unwrap();
+        crate::shift::jobs_for_param(&c, &ParamMap::new(&c), last, &mut jobs).unwrap();
         for (i, set) in sets.iter().enumerate() {
             let grad = Adjoint.gradient(&c, set, &obs).unwrap();
             assert_eq!(adj[i], grad[last]);

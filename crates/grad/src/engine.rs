@@ -7,7 +7,9 @@
 //! [`Circuit::sweeps`] (each CZ run one sweep, runs from `|0…0⟩` starting
 //! with the prologue; see `plateau_sim::fuse`). Nothing is compiled, so a
 //! distinct circuit run once pays nothing up front, and a batched result
-//! is bit-identical to the one-shot call it batches.
+//! is bit-identical to the one-shot call it batches. The backward walks —
+//! the adjoint's and the parameter shift's on a rank-one cost — are one
+//! routine (`adjoint::walk_back`) with two read-outs.
 
 use plateau_sim::{Circuit, Observable, SimError, State};
 
@@ -18,21 +20,68 @@ pub(crate) fn observe(state: &State, obs: &Observable) -> Result<f64, SimError> 
     obs.expectation(state)
 }
 
-/// Each parameter's **prefix cut**: the op before which no op reads
-/// `θ_i`, so the state after ops `[0, cut)` is the same for every value
-/// of `θ_i`. That is the first op touching `θ_i`, or `0` when the
-/// product-state prologue holds that op (the prologue runs whole or not
-/// at all). A parameter no op reads gets the op count.
-pub(crate) fn param_cuts(circuit: &Circuit) -> Vec<usize> {
-    let ops = circuit.ops();
-    let mut cuts = vec![ops.len(); circuit.n_params()];
-    for (k, op) in ops.iter().enumerate() {
-        if let Some(i) = op.free_param() {
-            let k = if k < circuit.prologue_len() { 0 } else { k };
-            cuts[i] = cuts[i].min(k);
+/// Which op reads each parameter, from one pass over the op list.
+pub(crate) struct ParamMap {
+    /// The first op reading `θ_i`, or the op count when none does.
+    first: Vec<usize>,
+    n_ops: usize,
+    prologue: usize,
+    /// The last op reading any parameter (`0` when none does).
+    last: usize,
+    /// Whether some parameter is read by more than one op.
+    shared: bool,
+}
+
+impl ParamMap {
+    pub(crate) fn new(circuit: &Circuit) -> ParamMap {
+        let n_ops = circuit.gate_count();
+        let mut map = ParamMap {
+            first: vec![n_ops; circuit.n_params()],
+            n_ops,
+            prologue: circuit.prologue_len(),
+            last: 0,
+            shared: false,
+        };
+        for (k, op) in circuit.ops().iter().enumerate() {
+            if let Some(i) = op.free_param() {
+                if map.first[i] < n_ops {
+                    map.shared = true;
+                } else {
+                    map.first[i] = k;
+                }
+                map.last = k;
+            }
+        }
+        map
+    }
+
+    /// The op reading `θ_i` (its first, when several do), or `None` for an
+    /// index no op reads or past the end.
+    pub(crate) fn op(&self, i: usize) -> Option<usize> {
+        self.first.get(i).copied().filter(|&k| k < self.n_ops)
+    }
+
+    /// `θ_i`'s **prefix cut**: the op before which no op reads `θ_i`, so
+    /// the state after ops `[0, cut)` is the same for every value of
+    /// `θ_i`. That is the first op reading `θ_i`, or `0` when the
+    /// product-state prologue holds that op (the prologue runs whole or
+    /// not at all). A parameter no op reads gets the op count.
+    pub(crate) fn cut(&self, i: usize) -> usize {
+        match self.first[i] {
+            k if k < self.prologue => 0,
+            k => k,
         }
     }
-    cuts
+
+    /// The last op that reads any parameter.
+    pub(crate) fn last(&self) -> usize {
+        self.last
+    }
+
+    /// Whether some parameter is read by more than one op.
+    pub(crate) fn shared(&self) -> bool {
+        self.shared
+    }
 }
 
 /// Evaluates the cost `E(θ) = ⟨0|U†(θ) H U(θ)|0⟩` in one run.
@@ -150,7 +199,8 @@ pub trait GradientEngine {
     /// paper's variance analysis differentiates only the *last* parameter,
     /// so this path matters. [`crate::ParameterShift`] runs only
     /// `θ_index`'s 2 or 4 shifted evaluations, each from one shared walk
-    /// of the gates before `θ_index`'s gate; [`crate::Adjoint`] runs one
+    /// of the gates before `θ_index`'s gate (on a rank-one cost, from one
+    /// backward walk that shares the gates after it); [`crate::Adjoint`] runs one
     /// forward pass plus `N − k` backward steps, where `k` is the earliest
     /// of the circuit's `N` ops owning `θ_index`.
     ///

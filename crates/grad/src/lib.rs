@@ -10,7 +10,9 @@
 //!   paper's PennyLane pipeline exposes. Full gradients run through
 //!   [`BatchExecutor`]: each shifted evaluation resumes from its
 //!   parameter's shared unshifted prefix, and chunks of parameters fan
-//!   across the `plateau_par` pool.
+//!   across the `plateau_par` pool — except on a rank-one cost such as
+//!   the paper's global cost, where one backward walk shares every
+//!   suffix and a gradient costs `O(N)` gate applications.
 //! - [`Adjoint`] — exact; one forward pass plus one backward sweep yields
 //!   **all** parameters. The workhorse for the 200-circuit ensembles.
 //! - [`FiniteDifference`] — approximate oracle used to validate the other

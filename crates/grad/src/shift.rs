@@ -26,13 +26,22 @@
 //! `N`-gate circuit costs one forward walk per chunk (at most 8) plus
 //! `N − p_i` gates per shifted evaluation of `θ_i`, where `p_i` is
 //! `θ_i`'s first gate (`0` when the product-state prologue holds it) —
-//! on the paper's §IV-D ansatz 16,322 gate applications instead of
-//! `2k · N` = 29,000, with each layer's CZ chain one sweep — and with
-//! results bit-identical to the restart-from-zero evaluation (see
-//! [`crate::BatchExecutor`]).
+//! on the paper's §IV-D ansatz under the local cost 16,322 gate
+//! applications instead of `2k · N` = 29,000, with each layer's CZ chain
+//! one sweep — and with results bit-identical to the restart-from-zero
+//! evaluation (see [`crate::BatchExecutor`]).
+//!
+//! On a rank-one cost — the paper's global cost `I − |0…0⟩⟨0…0|` of both
+//! experiments, or the bare projector — the gates *after* `θ_i`'s gate
+//! are shared too: each shifted value is the overlap of one shifted gate's
+//! output with a bra that one backward walk carries, as in the adjoint
+//! method. The §IV-D gradient then costs 335 forward and 279 inverse gate
+//! applications — `O(N)` rather than `O(k·N)` — on one thread, and agrees
+//! with the restart-from-zero evaluation to rounding (`~1e-16`). The shift
+//! rule, its coefficients and the fold below are the same on both paths.
 
 use crate::batch::BatchExecutor;
-use crate::engine::GradientEngine;
+use crate::engine::{GradientEngine, ParamMap};
 use plateau_sim::{Circuit, Observable, Op, SimError};
 use std::f64::consts::{FRAC_PI_2, SQRT_2};
 
@@ -70,10 +79,11 @@ pub(crate) struct ShiftJob {
 /// across a whole ensemble and bumps the counter itself.
 pub(crate) fn jobs_for_param(
     circuit: &Circuit,
+    map: &ParamMap,
     index: usize,
     jobs: &mut Vec<ShiftJob>,
 ) -> Result<(), SimError> {
-    let op = circuit.op_of_param(index).ok_or(SimError::ParamOutOfRange {
+    let op = map.op(index).ok_or(SimError::ParamOutOfRange {
         index,
         n_params: circuit.n_params(),
     })?;
@@ -101,9 +111,14 @@ pub(crate) fn jobs_for_param(
 
 /// Appends the shift jobs for one parameter and bumps the execution
 /// counter by the number of circuit evaluations they will cost.
-fn push_jobs(circuit: &Circuit, index: usize, jobs: &mut Vec<ShiftJob>) -> Result<(), SimError> {
+fn push_jobs(
+    circuit: &Circuit,
+    map: &ParamMap,
+    index: usize,
+    jobs: &mut Vec<ShiftJob>,
+) -> Result<(), SimError> {
     let before = jobs.len();
-    jobs_for_param(circuit, index, jobs)?;
+    jobs_for_param(circuit, map, index, jobs)?;
     plateau_obs::counter!("grad.executions.parameter_shift").add((jobs.len() - before) as u64);
     Ok(())
 }
@@ -118,21 +133,23 @@ impl ParameterShift {
     ) -> Result<Vec<f64>, SimError> {
         plateau_obs::counter!("grad.gradients.parameter_shift").inc();
         let n = ex.n_params();
+        let map = ParamMap::new(ex.circuit());
         let mut jobs = Vec::with_capacity(2 * n);
         for i in 0..n {
-            push_jobs(ex.circuit(), i, &mut jobs)?;
+            push_jobs(ex.circuit(), &map, i, &mut jobs)?;
         }
         // Every job is an independent circuit evaluation, so a gradient
         // with k parameters exposes 2k (4k for controlled rotations)
         // evaluations. The batched executor owns the serial/parallel
-        // routing, the per-worker scratch states and the shared prefixes;
+        // routing, the per-worker scratch states and what the jobs share
+        // (prefixes, or on a rank-one cost one backward walk);
         // the jobs travel as (index, shift) pairs against the one base
         // vector — O(k) bytes — instead of 2k materialized copies of
         // `params`. Every route evaluates identical parameter vectors and
         // the fold below runs in job order, so the result does not depend
         // on which path ran.
         let job = |j: usize| (0, jobs[j].param, jobs[j].shift);
-        let evals = ex.shifted_sweep(&[params], jobs.len(), job, obs)?;
+        let evals = ex.shifted_sweep(&map, &[params], jobs.len(), job, obs)?;
         let mut grad = vec![0.0; n];
         for (j, e) in jobs.iter().zip(&evals) {
             grad[j.param] += j.coeff * e;
@@ -148,9 +165,11 @@ impl ParameterShift {
         obs: &Observable,
         index: usize,
     ) -> Result<f64, SimError> {
+        let map = ParamMap::new(ex.circuit());
         let mut jobs = Vec::with_capacity(4);
-        push_jobs(ex.circuit(), index, &mut jobs)?;
-        let evals = ex.shifted_sweep(&[params], jobs.len(), |j| (0, index, jobs[j].shift), obs)?;
+        push_jobs(ex.circuit(), &map, index, &mut jobs)?;
+        let job = |j: usize| (0, index, jobs[j].shift);
+        let evals = ex.shifted_sweep(&map, &[params], jobs.len(), job, obs)?;
         Ok(jobs
             .iter()
             .zip(&evals)
@@ -172,7 +191,9 @@ impl GradientEngine for ParameterShift {
         Self::gradient_with(&mut BatchExecutor::new(circuit), params, obs)
     }
 
-    /// Two (or four) shifted evaluations from one shared prefix walk.
+    /// Two (or four) shifted evaluations from one shared prefix walk (on a
+    /// rank-one cost, from one backward walk, bit-identical to the
+    /// gradient's entry).
     fn partial(
         &self,
         circuit: &Circuit,
@@ -292,8 +313,20 @@ mod tests {
         members: Vec<Vec<f64>>,
     }
 
-    fn shift_case(rng: &mut plateau_rng::StdRng) -> ShiftCase {
-        let case = random_case(rng);
+    /// A shift case on the prefix path (`rank_one` false: a drawn
+    /// rank-one cost becomes the local cost, so the draws are the same) or
+    /// on the overlap walk (the global cost or the zero projector).
+    fn shift_case(rng: &mut plateau_rng::StdRng, rank_one: bool) -> ShiftCase {
+        let mut case = random_case(rng);
+        let n = case.circuit.n_qubits();
+        if rank_one {
+            case.obs = match rng.gen_range(0..2u32) {
+                0 => Observable::global_cost(n),
+                _ => Observable::zero_projector(n),
+            };
+        } else if case.obs.rank_one().is_some() {
+            case.obs = Observable::local_cost(n);
+        }
         let n = case.circuit.n_params();
         let shifts = match n {
             0 => Vec::new(),
@@ -318,6 +351,23 @@ mod tests {
         }
     }
 
+    /// Agreement within rounding, with both values in the message.
+    fn close(what: &str, got: f64, want: f64) -> Result<(), String> {
+        if (got - want).abs() <= 1e-12 {
+            Ok(())
+        } else {
+            Err(format!("{what}: {got:e} vs oracle {want:e}"))
+        }
+    }
+
+    /// The per-job oracle: one full [`crate::expectation`] of `base` with
+    /// `θ_i += s`.
+    fn per_job(case: &RandomCase, base: &[f64], i: usize, s: f64) -> Result<f64, String> {
+        let mut theta = base.to_vec();
+        theta[i] += s;
+        crate::expectation(&case.circuit, &theta, &case.obs).map_err(|e| e.to_string())
+    }
+
     /// Every shifted-sweep entry point through an executor against the
     /// per-job oracle: one full [`crate::expectation`] per shifted
     /// parameter vector, folded as `Σ coeff · E(θ with θ_i += s)` in job
@@ -326,11 +376,7 @@ mod tests {
         let what = "executor";
         let RandomCase { circuit, params, obs } = &sc.case;
         let ex = &mut BatchExecutor::new(circuit);
-        let e = |base: &[f64], i: usize, s: f64| {
-            let mut theta = base.to_vec();
-            theta[i] += s;
-            crate::expectation(circuit, &theta, obs).map_err(|e| e.to_string())
-        };
+        let e = |base: &[f64], i: usize, s: f64| per_job(&sc.case, base, i, s);
         let err = |e: SimError| format!("{what}: {e}");
         let shifted = ex.expectation_shifted(params, &sc.shifts, obs).map_err(err)?;
         for (&(i, s), got) in sc.shifts.iter().zip(&shifted) {
@@ -341,7 +387,7 @@ mod tests {
         let mut want = vec![0.0; n];
         for i in 0..n {
             let mut jobs = Vec::new();
-            jobs_for_param(circuit, i, &mut jobs).map_err(err)?;
+            jobs_for_param(circuit, &ParamMap::new(circuit), i, &mut jobs).map_err(err)?;
             let mut sum = Vec::new();
             for job in &jobs {
                 let term = job.coeff * e(params, i, job.shift)?;
@@ -362,7 +408,7 @@ mod tests {
         }
         let many = ex.partial_last_many_shift(&sc.members, obs).map_err(err)?;
         let mut jobs = Vec::new();
-        jobs_for_param(circuit, n - 1, &mut jobs).map_err(err)?;
+        jobs_for_param(circuit, &ParamMap::new(circuit), n - 1, &mut jobs).map_err(err)?;
         for (m, (member, got)) in sc.members.iter().zip(&many).enumerate() {
             let mut terms = Vec::new();
             for job in &jobs {
@@ -403,7 +449,8 @@ mod tests {
             plateau_par::with_threads(threads, || {
                 check_against_oracle(&layered_case()).unwrap();
                 let cases = plateau_rng::check::cases(48);
-                plateau_rng::check::forall(0x5b1f_7e55, cases, shift_case, |sc| {
+                let gen = |rng: &mut plateau_rng::StdRng| shift_case(rng, false);
+                plateau_rng::check::forall(0x5b1f_7e55, cases, gen, |sc| {
                     check_against_oracle(sc)?;
                     // And the public engine entry points.
                     let RandomCase { circuit: c, params, obs } = &sc.case;
@@ -423,5 +470,65 @@ mod tests {
                 });
             });
         }
+    }
+
+    /// Every shifted-sweep entry point on a rank-one cost: within `1e-12`
+    /// of the per-job oracle, each partial bit-identical to its gradient
+    /// entry and each batched ensemble partial to the one-shot partial.
+    /// Returns every value computed, for comparison across thread counts.
+    fn check_overlap(sc: &ShiftCase) -> Result<Vec<f64>, String> {
+        let RandomCase { circuit, params, obs } = &sc.case;
+        assert!(obs.rank_one().is_some());
+        let ex = &mut BatchExecutor::new(circuit);
+        let err = |e: SimError| e.to_string();
+        let mut values = ex.expectation_shifted(params, &sc.shifts, obs).map_err(err)?;
+        for (&(i, s), got) in sc.shifts.iter().zip(&values) {
+            let want = per_job(&sc.case, params, i, s)?;
+            close(&format!("expectation_shifted ({i}, {s})"), *got, want)?;
+        }
+        let n = circuit.n_params();
+        let grad = ParameterShift::gradient_with(ex, params, obs).map_err(err)?;
+        let map = ParamMap::new(circuit);
+        for (i, g) in grad.iter().enumerate() {
+            let mut jobs = Vec::new();
+            jobs_for_param(circuit, &map, i, &mut jobs).map_err(err)?;
+            let mut want = 0.0;
+            for job in &jobs {
+                want += job.coeff * per_job(&sc.case, params, i, job.shift)?;
+            }
+            close(&format!("gradient[{i}]"), *g, want)?;
+            let p = ParameterShift.partial(circuit, params, obs, i).map_err(err)?;
+            same(&format!("partial({i}) vs its gradient entry"), p, *g)?;
+        }
+        values.extend(&grad);
+        if n > 0 {
+            let many = ex.partial_last_many_shift(&sc.members, obs).map_err(err)?;
+            for (m, (member, got)) in sc.members.iter().zip(&many).enumerate() {
+                let one = ParameterShift.partial_last(circuit, member, obs).map_err(err)?;
+                same(&format!("partial_last_many[{m}] vs one-shot"), *got, one)?;
+            }
+            values.extend(many);
+        }
+        Ok(values)
+    }
+
+    #[test]
+    fn overlap_sweeps_match_the_per_job_oracle_and_themselves_bit_for_bit() {
+        let mut layered = layered_case();
+        layered.case.obs = Observable::global_cost(3);
+        let across_threads = |sc: &ShiftCase| {
+            let base = plateau_par::with_threads(1, || check_overlap(sc))?;
+            for threads in [2, 4] {
+                let got = plateau_par::with_threads(threads, || check_overlap(sc))?;
+                for (k, (g, b)) in got.iter().zip(&base).enumerate() {
+                    same(&format!("value {k} at {threads} threads"), *g, *b)?;
+                }
+            }
+            Ok(())
+        };
+        across_threads(&layered).unwrap();
+        let gen = |rng: &mut plateau_rng::StdRng| shift_case(rng, true);
+        let cases = plateau_rng::check::cases(48);
+        plateau_rng::check::forall(0x0e71_a9b5, cases, gen, across_threads);
     }
 }

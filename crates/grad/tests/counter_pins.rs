@@ -25,11 +25,23 @@ fn count(name: &str) -> u64 {
     plateau_obs::snapshot().counter(name).unwrap_or(0)
 }
 
+/// The `sim.gate.*` forward applications, whichever kernel runs them:
+/// the prologue's folded rotations and each CZ layer's CZs included.
+fn gates() -> u64 {
+    [
+        "sim.gate.rotation",
+        "sim.gate.fixed",
+        "sim.gate.controlled_rotation",
+        "sim.gate.two_qubit_rotation",
+    ]
+    .iter()
+    .map(|name| count(name))
+    .sum()
+}
+
 /// One parameter-shift gradient of the paper's §IV-D ansatz (10 qubits,
-/// 5 layers: N = 145 gates, k = 100 parameters) on the op list, counted
-/// through the `sim.gate.*` counters. Gates count once each whichever
-/// kernel runs them: the prologue's folded rotations and each CZ layer's
-/// nine CZs included.
+/// 5 layers: N = 145 gates, k = 100 parameters) on the local cost, which
+/// takes the prefix path, counted through the `sim.gate.*` counters.
 #[test]
 fn raw_shift_gradient_gate_count_is_pinned() {
     let _guard = plateau_obs::test_lock();
@@ -38,7 +50,7 @@ fn raw_shift_gradient_gate_count_is_pinned() {
     // each) then a 9-gate CZ chain.
     let c = training_shape(10, 5);
     let params: Vec<f64> = (0..c.n_params()).map(|i| 0.05 * i as f64 - 1.0).collect();
-    let obs = Observable::global_cost(10);
+    let obs = Observable::local_cost(10);
     let n = c.ops().len() as u64;
     // Each of θ_i's two shifted runs resumes at θ_i's cut — its gate p_i,
     // or 0 for layer 0, whose rotations are the prologue — and runs the
@@ -58,17 +70,6 @@ fn raw_shift_gradient_gate_count_is_pinned() {
     // 29 + 30 + 38 + 48 + 69 + 93 + 135 = 442 gates. The plan depends only
     // on the circuit, so the total holds for every thread count.
     let prefix_walks = 442u64;
-    let gates = || -> u64 {
-        [
-            "sim.gate.rotation",
-            "sim.gate.fixed",
-            "sim.gate.controlled_rotation",
-            "sim.gate.two_qubit_rotation",
-        ]
-        .iter()
-        .map(|name| count(name))
-        .sum()
-    };
     for threads in [1, 2, 4] {
         let (gates_before, execs_before) = (gates(), count("grad.executions.parameter_shift"));
         plateau_par::with_threads(threads, || ParameterShift.gradient(&c, &params, &obs))
@@ -80,6 +81,54 @@ fn raw_shift_gradient_gate_count_is_pinned() {
             2 * c.n_params() as u64,
             "threads={threads}"
         );
+    }
+    plateau_obs::set_metrics_enabled(false);
+}
+
+/// The same gradient on the paper's global cost, a rank-one observable:
+/// one backward walk serves all 2k shifted evaluations.
+#[test]
+fn rank_one_shift_gradient_gate_count_is_pinned() {
+    let _guard = plateau_obs::test_lock();
+    plateau_obs::set_metrics_enabled(true);
+    let c = training_shape(10, 5);
+    let params: Vec<f64> = (0..c.n_params()).map(|i| 0.05 * i as f64 - 1.0).collect();
+    let n = c.ops().len() as u64;
+    let k = c.n_params() as u64;
+    // The walk runs φ forward to the last parameter's op, P = 135 (layer
+    // 4's last RY), and steps it back through ops P − 1 … 0: P forward
+    // and P inverse applications. The bra starts at |0…0⟩ and steps back
+    // through every op but op 0, where the walk stops: N − 1 = 144
+    // inverses. Each of the 2k = 200 shifted evaluations applies its own
+    // op once to a copy of φ. So 135 + 200 = 335 forward applications
+    // and 135 + 144 = 279 inverse ones, against 16,322 forward ones on
+    // the prefix path.
+    let last = c.ops().iter().rposition(|op| op.free_param().is_some()).unwrap() as u64;
+    assert_eq!(last, 135);
+    let (forward, inverse) = (last + 2 * k, last + (n - 1));
+    assert_eq!((forward, inverse), (335, 279));
+    for obs in [Observable::global_cost(10), Observable::zero_projector(10)] {
+        for threads in [1, 2, 4] {
+            let before = (
+                gates(),
+                count("sim.gate.inverse_applications"),
+                count("grad.executions.parameter_shift"),
+                count("grad.expectation_evals"),
+            );
+            plateau_par::with_threads(threads, || ParameterShift.gradient(&c, &params, &obs))
+                .unwrap();
+            let after = (
+                gates(),
+                count("sim.gate.inverse_applications"),
+                count("grad.executions.parameter_shift"),
+                count("grad.expectation_evals"),
+            );
+            assert_eq!(after.0 - before.0, forward, "{obs} threads={threads}");
+            assert_eq!(after.1 - before.1, inverse, "{obs} threads={threads}");
+            // Still 2k evaluations, each one cost read-out.
+            assert_eq!(after.2 - before.2, 2 * k, "{obs} threads={threads}");
+            assert_eq!(after.3 - before.3, 2 * k, "{obs} threads={threads}");
+        }
     }
     plateau_obs::set_metrics_enabled(false);
 }

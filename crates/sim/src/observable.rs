@@ -343,6 +343,27 @@ impl Observable {
         }
     }
 
+    /// `Some((c0, c1))` when the observable is `c0·I + c1·|0…0⟩⟨0…0|`:
+    /// `(1, −1)` for the global cost and `(0, 1)` for the zero projector.
+    /// Its expectation then reads one amplitude, `c0 + c1·|⟨0…0|ψ⟩|²`.
+    /// `None` for the local cost and Pauli sums.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use plateau_sim::Observable;
+    ///
+    /// assert_eq!(Observable::global_cost(3).rank_one(), Some((1.0, -1.0)));
+    /// assert_eq!(Observable::local_cost(3).rank_one(), None);
+    /// ```
+    pub fn rank_one(&self) -> Option<(f64, f64)> {
+        match self {
+            Observable::GlobalCost { .. } => Some((1.0, -1.0)),
+            Observable::ZeroProjector { .. } => Some((0.0, 1.0)),
+            Observable::PauliSum { .. } | Observable::LocalCost { .. } => None,
+        }
+    }
+
     fn check_state(&self, state: &State) -> Result<(), SimError> {
         if state.n_qubits() != self.n_qubits() {
             Err(SimError::ObservableMismatch {
@@ -497,6 +518,33 @@ mod tests {
     use crate::gate::FixedGate;
 
     const TOL: f64 = 1e-12;
+
+    #[test]
+    fn rank_one_form_matches_the_matrix() {
+        let n = 2;
+        let zz = Observable::pauli(PauliString::parse("ZZ").unwrap()).unwrap();
+        for obs in [
+            Observable::global_cost(n),
+            Observable::zero_projector(n),
+            Observable::local_cost(n),
+            zz,
+        ] {
+            // Is the matrix c0·I + c1·|00⟩⟨00| with c0 = m[1][1]?
+            let m = obs.matrix();
+            let c0 = m[(1, 1)];
+            let affine = (0..4).all(|r| {
+                (0..4).all(|c| r == 0 && c == 0 || m[(r, c)] == if r == c { c0 } else { C64::ZERO })
+            });
+            match obs.rank_one() {
+                Some((c0, c1)) => {
+                    assert!(affine, "{obs}");
+                    assert_eq!(m[(1, 1)], C64::real(c0), "{obs}");
+                    assert_eq!(m[(0, 0)], C64::real(c0 + c1), "{obs}");
+                }
+                None => assert!(!affine, "{obs}"),
+            }
+        }
+    }
 
     #[test]
     fn pauli_string_construction() {

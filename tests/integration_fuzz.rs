@@ -74,9 +74,10 @@ fn mutation_self_test_shrinks_and_replays_from_disk() {
         "shrinking stalled: smallest reproducer has {smallest} gates"
     );
 
-    // Both injected bugs — the off-by-one kernel and the wrong-order
-    // fusion merge — must be caught independently.
-    for pair in [EnginePair::MutatedVsSerial, EnginePair::PrologueMutatedVsSerial] {
+    // Every injected bug — the off-by-one kernel, the wrong-order
+    // prologue fold and the rank-one walk whose bra skips a sweep — must
+    // be caught independently.
+    for pair in EnginePair::MUTANTS {
         assert!(
             report.mismatches.iter().any(|m| m.pair == pair),
             "{pair} was never caught"

@@ -63,6 +63,9 @@ fn variance_scan_gate_counters_match_analytic_counts() {
         // The analytic counts below assume the parameter-shift rule; the
         // scan's default engine is Adjoint.
         engine: GradEngineKind::ParameterShift,
+        // …resumed from shared prefixes: the default global cost takes
+        // the rank-one walk, pinned in plateau-grad's counter pins.
+        cost: plateau_core::cost::CostKind::Local,
         ..VarianceConfig::default()
     };
     variance_scan(&cfg, &[InitStrategy::Random]).unwrap();
@@ -169,12 +172,13 @@ fn parameter_shift_gradient_runs_each_suffix_once_from_a_shared_prefix() {
     // ops 29l … 29l + 19, then the nine-CZ chain, swept as one CZ layer.
     // Runs from |0…0⟩ build layer 0's twenty rotations as one
     // product-state prologue. Gates count once each whichever kernel runs
-    // them. (The total, 16,322 gates, is pinned in plateau-grad's shift
-    // tests.)
+    // them. (The total, 16,322 gates, is pinned in plateau-grad's counter
+    // pins.) The local cost takes the prefix path; the global cost, a
+    // rank-one observable, the backward walk pinned beside it there.
     let a = training_ansatz(10, 5).unwrap();
     let c = &a.circuit;
     let params: Vec<f64> = (0..c.n_params()).map(|i| 0.05 * i as f64 - 1.0).collect();
-    let obs = CostKind::Global.observable(10);
+    let obs = CostKind::Local.observable(10);
     assert_eq!((c.gate_count(), c.prologue_len()), (145, 20));
 
     // [rotation, fixed, CZ-layer, prologue] counts of one walk: from
