@@ -68,7 +68,6 @@ fn run_instrumented(w: &Workload, iterations: usize, record: bool) -> TrainRun {
         // No decimation in the measured window: capacity covers every row.
         series_capacity: iterations.max(2),
         record_series: record,
-        run: None,
     };
     train_instrumented(
         &w.circuit,
@@ -94,10 +93,9 @@ fn factor_env(name: &str, default: f64) -> f64 {
 
 fn main() {
     // The gate measures the telemetry seam itself: metrics registry off,
-    // ledger off, single-threaded so allocation counts are deterministic.
+    // single-threaded so allocation counts are deterministic.
     std::env::remove_var("PLATEAU_METRICS");
     std::env::remove_var("PLATEAU_METRICS_OUT");
-    std::env::remove_var("PLATEAU_LEDGER");
     plateau_obs::set_log_level(plateau_obs::Level::Off);
     plateau_obs::set_metrics_enabled(false);
     plateau_par::with_threads(1, gate);

@@ -214,9 +214,9 @@ impl Harness {
     /// Appends one perf-ledger record per report when `PLATEAU_PERF` is
     /// on. Peak bytes ride along when the counting allocator is live.
     fn record_perf_ledger(&self) {
-        if !plateau_obs::Store::Perf.enabled() {
+        let Some(dir) = plateau_obs::Store::Perf.from_env() else {
             return;
-        }
+        };
         let peak = match plateau_obs::alloc::profiling_active() {
             true => Some(plateau_obs::alloc::stats().peak_bytes),
             false => None,
@@ -231,8 +231,8 @@ impl Harness {
             if let Some(bytes) = peak {
                 rec = rec.peak_bytes(bytes);
             }
-            match plateau_obs::perf::record_perf(&rec) {
-                Ok(path) => appended_to = path,
+            match plateau_obs::perf::record_perf(&dir, &rec) {
+                Ok(path) => appended_to = Some(path),
                 Err(e) => plateau_obs::warn!("perf ledger append failed for {}: {e}", r.name),
             }
         }

@@ -27,9 +27,10 @@
 //! plateau help
 //! ```
 //!
-//! Every subcommand also accepts `--ledger DIR|on|off`: with the ledger
-//! on, experiments (train, vqe, classify, variance) append a run record
-//! plus a gradient-dynamics time series under the ledger directory, which
+//! Every subcommand also accepts `--ledger DIR|on|off` (else
+//! `PLATEAU_LEDGER`): with the ledger on, this binary appends one run
+//! record per experiment (train, vqe, classify, variance) plus its
+//! gradient-dynamics time series under the ledger directory, which
 //! `plateau obs runs` then lists, shows, and compares.
 
 mod args;
@@ -43,7 +44,10 @@ use plateau_core::landscape::{landscape_grid, LandscapeConfig};
 use plateau_core::optim::{Adam, AdaGrad, GradientDescent, Momentum, Optimizer, RmsProp};
 use plateau_core::train::{train_instrumented, TrainTelemetry};
 use plateau_core::variance::{variance_scan, GradEngineKind, VarianceConfig};
+use plateau_obs::store::{parse_dir, Store, DEFAULT_DIR};
+use plateau_obs::{RunRecord, TimeSeries};
 use std::error::Error;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -73,11 +77,6 @@ fn init_observability(parsed: &ParsedArgs, argv: &[String]) -> Result<(), Box<dy
     plateau_obs::init(level, metrics_out.as_deref())
         .map_err(|e| format!("failed to open --metrics-out sink: {e}"))?;
 
-    // --ledger takes the PLATEAU_LEDGER grammar and wins over it.
-    if let Some(raw) = parsed.opt_str("ledger") {
-        plateau_obs::Store::Ledger.set_dir(plateau_obs::store::parse_dir(&raw).as_deref());
-    }
-
     let command = format!("plateau {}", argv.join(" "));
     let config = parsed
         .options()
@@ -97,21 +96,24 @@ fn run(argv: Vec<String>) -> Result<(), Box<dyn Error>> {
         other => other?,
     };
     init_observability(&parsed, &argv)?;
+    // --ledger takes the PLATEAU_LEDGER grammar and wins over it.
+    let ledger = parsed.opt_str("ledger").map_or_else(|| Store::Ledger.from_env(), |raw| parse_dir(&raw));
+    let ledger = ledger.as_deref();
     // Only the `obs` family takes positional arguments; everywhere else a
     // bare token is a typo and must stay fatal.
     if parsed.command != "obs" {
         parsed.expect_no_positionals()?;
     }
     let result = match parsed.command.as_str() {
-        "variance" => cmd_variance(&parsed),
-        "obs" => cmd_obs(&parsed),
-        "train" => cmd_train(&parsed),
+        "variance" => cmd_variance(&parsed, ledger),
+        "obs" => cmd_obs(&parsed, ledger),
+        "train" => cmd_train(&parsed, ledger),
         "landscape" => cmd_landscape(&parsed),
         "analyze" => cmd_analyze(&parsed),
         "export" => cmd_export(&parsed),
         "diagram" => cmd_diagram(&parsed),
-        "vqe" => cmd_vqe(&parsed),
-        "classify" => cmd_classify(&parsed),
+        "vqe" => cmd_vqe(&parsed, ledger),
+        "classify" => cmd_classify(&parsed, ledger),
         "fuzz" => cmd_fuzz(&parsed),
         "serve" => cmd_serve(&parsed),
         "help" | "--help" | "-h" => {
@@ -233,7 +235,17 @@ fn check_flags(parsed: &ParsedArgs, known: &[&str]) -> Result<(), Box<dyn Error>
     }
 }
 
-fn cmd_variance(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+/// Appends `record` and its series to the ledger at `dir`, when one is
+/// configured; returns the run id. A failed write only warns: the
+/// experiment's result stands without its record.
+fn record_run(dir: Option<&Path>, record: &RunRecord, series: &TimeSeries) -> Option<String> {
+    let dir = dir?;
+    plateau_obs::record_run(dir, record, Some(series))
+        .map_err(|e| plateau_obs::warn!("{}: ledger write failed: {e}", dir.display()))
+        .ok()
+}
+
+fn cmd_variance(parsed: &ParsedArgs, ledger: Option<&Path>) -> Result<(), Box<dyn Error>> {
     check_flags(
         parsed,
         &["qubits", "layers", "circuits", "cost", "fan", "engine", "seed", "strategies"],
@@ -264,6 +276,8 @@ fn cmd_variance(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     };
 
     let scan = variance_scan(&config, &strategies)?;
+    let (record, series) = scan.run_record();
+    record_run(ledger, &record, &series);
     println!("strategy,{}", config.qubit_counts.iter().map(|q| format!("q{q}")).collect::<Vec<_>>().join(","));
     for curve in &scan.curves {
         let vars: Vec<String> = curve.points.iter().map(|p| format!("{:.6e}", p.variance)).collect();
@@ -282,7 +296,7 @@ fn cmd_variance(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_train(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+fn cmd_train(parsed: &ParsedArgs, ledger: Option<&Path>) -> Result<(), Box<dyn Error>> {
     check_flags(
         parsed,
         &["qubits", "layers", "iterations", "strategy", "optimizer", "lr", "fan", "seed"],
@@ -316,22 +330,11 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         ansatz.circuit.gate_count(),
         ansatz.circuit.n_params()
     );
-    // With the ledger on, run the instrumented loop so the run is
-    // registered with its gradient-dynamics series; otherwise this is
-    // exactly `train`.
-    let telemetry = if plateau_obs::Store::Ledger.enabled() {
-        use plateau_obs::json::Json;
-        let rec = plateau_obs::RunRecord::new("train")
-            .config("qubits", Json::from(n_qubits))
-            .config("layers", Json::from(layers))
-            .config("iterations", Json::from(iterations))
-            .config("strategy", Json::str(strategy.name()))
-            .config("optimizer", Json::str(opt_name.as_str()))
-            .config("lr", Json::from(lr))
-            .seed(seed);
-        TrainTelemetry::for_run(rec, ansatz.shape.params_per_layer())
-    } else {
-        TrainTelemetry::default()
+    // With the ledger on, record the gradient-dynamics series for the
+    // run's record; otherwise this is exactly `train`.
+    let telemetry = match ledger {
+        Some(_) => TrainTelemetry::for_run(ansatz.shape.params_per_layer()),
+        None => TrainTelemetry::default(),
     };
     let run = train_instrumented(
         &ansatz.circuit,
@@ -344,6 +347,18 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         telemetry,
     )?;
     let hist = &run.history;
+    let run_id = run.series.as_ref().and_then(|series| {
+        use plateau_obs::json::Json;
+        let record = RunRecord::new("train")
+            .config("qubits", Json::from(n_qubits))
+            .config("layers", Json::from(layers))
+            .config("iterations", Json::from(iterations))
+            .config("strategy", Json::str(strategy.name()))
+            .config("optimizer", Json::str(opt_name.as_str()))
+            .config("lr", Json::from(lr))
+            .seed(seed);
+        record_run(ledger, &hist.run_metrics(record), series)
+    });
     println!("iteration,loss,grad_norm");
     for (i, loss) in hist.losses().iter().enumerate() {
         let g = if i == 0 {
@@ -354,7 +369,7 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         println!("{i},{loss:.6e},{g}");
     }
     println!("# final cost: {:.6e}", hist.final_loss());
-    if let Some(id) = &run.run_id {
+    if let Some(id) = run_id {
         println!("# ledger run: {id}");
     }
     Ok(())
@@ -422,7 +437,7 @@ fn cmd_diagram(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_vqe(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+fn cmd_vqe(parsed: &ParsedArgs, ledger: Option<&Path>) -> Result<(), Box<dyn Error>> {
     check_flags(parsed, &["qubits", "layers", "iterations", "strategy", "j", "h", "seed"])?;
     let n_qubits = parsed.get("qubits", 6usize)?;
     let strategy = parse_strategy(&parsed.get_str("strategy", "xavier_normal"))?;
@@ -438,6 +453,7 @@ fn cmd_vqe(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         ..plateau_vqe::VqeConfig::default()
     };
     let r = plateau_vqe::solve(&hamiltonian, strategy, &cfg)?;
+    record_run(ledger, &r.run_record(n_qubits, strategy, &cfg), &r.series);
     println!("iteration,energy");
     for (i, e) in r.history.losses().iter().enumerate() {
         println!("{i},{e:.8}");
@@ -447,7 +463,7 @@ fn cmd_vqe(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_classify(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+fn cmd_classify(parsed: &ParsedArgs, ledger: Option<&Path>) -> Result<(), Box<dyn Error>> {
     check_flags(parsed, &["qubits", "layers", "samples", "epochs", "strategy", "noise", "seed"])?;
     let n_qubits = parsed.get("qubits", 3usize)?;
     let layers = parsed.get("layers", 3usize)?;
@@ -465,6 +481,7 @@ fn cmd_classify(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let w0 = model.init_weights(strategy, FanMode::TensorShape, &mut rng)?;
     let mut adam = Adam::new(0.1)?;
     let fit = model.fit(w0, &train_set, &mut adam, epochs)?;
+    record_run(ledger, &model.run_record(&fit, train_set.len()), &fit.series);
     println!("epoch,train_mse");
     for (i, l) in fit.losses.iter().enumerate() {
         println!("{i},{l:.6}");
@@ -674,7 +691,7 @@ fn cmd_fuzz(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 /// flamegraph (and optionally collapsed stacks), `diff` compares two
 /// traces/baselines and fails on regressions, `baseline` freezes a trace's
 /// aggregation into a committable document.
-fn cmd_obs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+fn cmd_obs(parsed: &ParsedArgs, ledger: Option<&Path>) -> Result<(), Box<dyn Error>> {
     use plateau_obs::analyze::{Analysis, Trace};
 
     let required_trace = || -> Result<Trace, Box<dyn Error>> {
@@ -711,7 +728,7 @@ fn cmd_obs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             print!("{}", analysis.render_report(top));
             Ok(())
         }
-        "runs" => cmd_obs_runs(parsed),
+        "runs" => cmd_obs_runs(parsed, ledger),
         "perf" => cmd_obs_perf(parsed),
         "flame" => {
             check_flags(parsed, &["trace", "out", "collapsed", "by"])?;
@@ -777,6 +794,13 @@ fn write_out(path: &str, contents: String) -> Result<(), Box<dyn Error>> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}").into())
 }
 
+/// Where `obs runs|perf` read: `--dir`, else the store's configured
+/// directory, else [`DEFAULT_DIR`].
+fn read_dir(parsed: &ParsedArgs, configured: Option<&Path>) -> PathBuf {
+    let dir = parsed.opt_str("dir").map(PathBuf::from);
+    dir.unwrap_or_else(|| configured.unwrap_or(Path::new(DEFAULT_DIR)).to_path_buf())
+}
+
 /// Reports a reader's warnings (e.g. a skipped torn line) on stderr, so
 /// stdout stays machine-parseable.
 fn warn_all(source: &str, warnings: &[String]) {
@@ -792,10 +816,9 @@ fn warn_all(source: &str, warnings: &[String]) {
 /// and exits nonzero beyond `--threshold`.
 fn cmd_obs_perf(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     use plateau_obs::perf::{regress, render_trend, trend_svg, trends, PerfLedger};
-    use plateau_obs::Store;
     check_flags(parsed, &["dir", "svg", "threshold", "bench"])?;
 
-    let dir = parsed.opt_str("dir").map_or_else(|| Store::Perf.read_dir(), Into::into);
+    let dir = read_dir(parsed, Store::Perf.from_env().as_deref());
     let ledger = PerfLedger::load(&dir)?;
     warn_all(&dir.display().to_string(), &ledger.warnings);
     let bench = parsed.opt_str("bench");
@@ -840,12 +863,11 @@ fn cmd_obs_perf(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 /// metric deltas and per-column gradient-decay slopes between two runs
 /// (default: the two most recent). `--svg` additionally renders the
 /// series as a self-contained SVG line plot.
-fn cmd_obs_runs(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+fn cmd_obs_runs(parsed: &ParsedArgs, ledger: Option<&Path>) -> Result<(), Box<dyn Error>> {
     use plateau_obs::runs::{render_show, series_svg, Ledger, RunComparison};
-    use plateau_obs::Store;
     check_flags(parsed, &["dir", "svg"])?;
 
-    let dir = parsed.opt_str("dir").map_or_else(|| Store::Ledger.read_dir(), Into::into);
+    let dir = read_dir(parsed, ledger);
     let ledger = Ledger::load(&dir)?;
     warn_all(&dir.display().to_string(), &ledger.warnings);
 

@@ -159,6 +159,29 @@ fn train_emits_compression_counters_by_default() {
     assert!(counter("sim.gate.cz_layers") < counter("sim.gate.fixed"));
 }
 
+/// The manifest's `env` stamps the tracked variables the process was
+/// started with: a set one as its value, an unset one as `null`.
+#[test]
+fn manifest_env_reflects_set_variables() {
+    let out_path =
+        std::env::temp_dir().join(format!("plateau-cli-manifest-env-{}.jsonl", std::process::id()));
+    let output = plateau()
+        .env("PLATEAU_THREADS", "1")
+        .env_remove("PLATEAU_PERF")
+        .args(["diagram", "--qubits", "2", "--metrics-out"])
+        .arg(&out_path)
+        .output()
+        .expect("spawn plateau");
+    assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+    let raw = std::fs::read_to_string(&out_path).expect("metrics sink written");
+    std::fs::remove_file(&out_path).ok();
+    let manifest = Json::parse(raw.lines().next().expect("manifest line")).expect("valid JSON");
+    assert_eq!(manifest.get("type").and_then(Json::as_str), Some("manifest"));
+    let env = manifest.get("env").expect("env object");
+    assert_eq!(env.get("PLATEAU_THREADS").and_then(Json::as_str), Some("1"));
+    assert_eq!(env.get("PLATEAU_PERF"), Some(&Json::Null));
+}
+
 #[test]
 fn silent_by_default_with_no_log_flag_or_env() {
     let output = plateau()

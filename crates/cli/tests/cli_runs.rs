@@ -1,7 +1,7 @@
-//! End-to-end acceptance for the experiment ledger read side: `plateau
-//! train --ledger` registering runs, then `plateau obs runs
-//! list|show|compare` over the resulting registry, plus the
-//! `obs report --filter` prefix view. Everything is parsed back through
+//! End-to-end acceptance for the experiment ledger: `plateau
+//! train|variance|vqe|classify --ledger` each registering one run, then
+//! `plateau obs runs list|show|compare` over the resulting registry, plus
+//! the `obs report --filter` prefix view. Everything is parsed back through
 //! the in-repo JSON parser — no external test dependencies.
 
 use plateau_obs::json::Json;
@@ -143,6 +143,66 @@ fn train_registers_runs_and_obs_runs_lists_shows_compares() {
     assert!(svg.trim_end().ends_with("</svg>"));
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs one experiment command with `--ledger` and returns its one record
+/// and the column names of the series it points at.
+fn single_record(tag: &str, args: &[&str]) -> (Json, Vec<String>) {
+    let dir = temp_dir(tag);
+    let output = plateau().args(args).arg("--ledger").arg(&dir).output().expect("spawn plateau");
+    assert!(output.status.success(), "{args:?}: {}", String::from_utf8_lossy(&output.stderr));
+    let raw = std::fs::read_to_string(dir.join("ledger.jsonl")).expect("ledger written");
+    let records: Vec<Json> = raw.lines().map(|l| Json::parse(l).expect("ledger line parses")).collect();
+    assert_eq!(records.len(), 1, "{args:?}: one record per command");
+    let rel = records[0].get("series").and_then(Json::as_str).expect("series pointer");
+    let series = plateau_obs::TimeSeries::read_jsonl(&dir.join(rel)).expect("series parses");
+    std::fs::remove_dir_all(&dir).ok();
+    (records[0].clone(), series.columns().to_vec())
+}
+
+fn keys(rec: &Json, field: &str) -> Vec<String> {
+    let obj = rec.get(field).and_then(Json::as_obj).unwrap_or_else(|| panic!("no {field} object"));
+    obj.iter().map(|(k, _)| k.clone()).collect()
+}
+
+/// `variance`, `vqe` and `classify` each write one record: its command,
+/// config keys in order, seed, metric keys and series columns.
+#[test]
+fn variance_vqe_and_classify_register_one_record_each() {
+    // (command line, config keys, seed, metric keys, series columns)
+    type Case<'a> = (&'a str, &'a [&'a str], Option<f64>, &'a [&'a str], &'a [&'a str]);
+    let cases: [Case; 3] = [
+        (
+            "variance --qubits 2,3 --layers 3 --circuits 6 --seed 5 --strategies random,xavier_normal",
+            &["qubits", "layers", "circuits", "cost", "ansatz", "engine", "strategies"],
+            Some(5.0),
+            &["decay_rate_random", "r_squared_random", "decay_rate_xavier_normal", "r_squared_xavier_normal"],
+            &["random", "xavier_normal"],
+        ),
+        (
+            "vqe --qubits 2 --layers 1 --iterations 10 --seed 2",
+            &["qubits", "layers", "iterations", "strategy"],
+            Some(2.0),
+            &["energy", "exact_energy", "abs_error", "initial_energy", "plateau_alarms", "bp_score_final"],
+            &["loss", "grad_norm", "bp_score", "layer_var_0"],
+        ),
+        (
+            "classify --qubits 2 --layers 2 --samples 20 --epochs 3 --seed 4",
+            &["qubits", "layers", "features", "epochs", "samples"],
+            None,
+            &["initial_loss", "final_loss"],
+            &["loss", "grad_norm", "bp_score", "layer_var_0", "layer_var_1"],
+        ),
+    ];
+    for (line, config, seed, metrics, columns) in cases {
+        let args: Vec<&str> = line.split(' ').collect();
+        let (rec, got_columns) = single_record(args[0], &args);
+        assert_eq!(rec.get("command").and_then(Json::as_str), Some(args[0]), "{line}");
+        assert_eq!(keys(&rec, "config"), config, "{line}: config keys");
+        assert_eq!(rec.get("seed").and_then(Json::as_f64), seed, "{line}: seed");
+        assert_eq!(keys(&rec, "metrics"), metrics, "{line}: metric keys");
+        assert_eq!(got_columns, columns, "{line}: series columns");
+    }
 }
 
 #[test]

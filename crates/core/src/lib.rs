@@ -71,8 +71,8 @@ pub use qng::{train_qng, QngConfig};
 pub use spsa::{train_spsa, SpsaConfig};
 pub use theory::{is_two_design_rate, near_identity_gradient_variance, two_design_decay_rate};
 pub use train::{
-    train, train_instrumented, train_with_engine, PlateauScore, TrainRun, TrainTelemetry,
-    TrainingHistory,
+    train, train_instrumented, train_with_engine, DynamicsRecorder, PlateauScore, TrainRun,
+    TrainTelemetry, TrainingHistory,
 };
 pub use variance::{
     variance_scan, AnsatzKind, GradEngineKind, Improvement, StrategyCurve, VarianceConfig,

@@ -20,10 +20,12 @@
 //!
 //! [`train_instrumented`] extends the loop with gradient-dynamics
 //! telemetry: a bounded [`TimeSeries`] of loss / gradient norm / BP score
-//! / per-layer gradient variances, and an experiment-ledger record (see
-//! `plateau_obs::ledger`) tying the run's config, seed, and final metrics
-//! to that series. Both are strictly opt-in: with telemetry off the loop
-//! allocates nothing beyond what [`train`] always did.
+//! / per-layer gradient variances, kept by the [`DynamicsRecorder`] that
+//! VQE and the classifier share. It is strictly opt-in: with telemetry off
+//! the loop allocates nothing beyond what [`train`] always did. The loop
+//! writes nothing to disk; [`TrainingHistory::run_metrics`] gives the
+//! final metrics of an experiment-ledger record (see `plateau_obs::ledger`)
+//! that the `plateau` CLI writes.
 //!
 //! # Examples
 //!
@@ -292,6 +294,73 @@ impl TrainingHistory {
     pub fn improvement(&self) -> f64 {
         self.initial_loss() - self.final_loss()
     }
+
+    /// `run` with the run's final metrics added, in ledger order:
+    /// `initial_loss`, `final_loss`, `final_grad_norm`, `plateau_alarms`
+    /// and, once the score has matured, `bp_score_final`.
+    pub fn run_metrics(&self, run: RunRecord) -> RunRecord {
+        let run = run
+            .metric("initial_loss", self.initial_loss())
+            .metric("final_loss", self.final_loss())
+            .metric("final_grad_norm", self.grad_norms.last().copied().unwrap_or(f64::NAN))
+            .metric("plateau_alarms", self.plateau_alarms.len() as f64);
+        match self.final_bp_score() {
+            Some(bp) => run.metric("bp_score_final", bp),
+            None => run,
+        }
+    }
+}
+
+/// The gradient-dynamics series of one optimization run, shared by
+/// training, VQE and the classifier: one row per step holding the
+/// pre-step loss, the gradient norm, the [`PlateauScore`] and, given a
+/// layer width, each layer's gradient-component variance
+/// (`layer_var_<i>`). Pushing a row allocates only the row itself.
+#[derive(Debug)]
+pub struct DynamicsRecorder {
+    series: TimeSeries,
+    params_per_layer: Option<usize>,
+    row: Vec<f64>,
+    layer_vars: Vec<f64>,
+}
+
+impl DynamicsRecorder {
+    const DEFAULT_CAPACITY: usize = 256;
+
+    /// A recorder for `n_params` gradient components, with per-layer
+    /// columns when `params_per_layer` is set, retaining at most
+    /// `capacity` rows (0 → the 256-row default; longer runs are
+    /// decimated, never truncated).
+    pub fn new(n_params: usize, params_per_layer: Option<usize>, capacity: usize) -> DynamicsRecorder {
+        let ppl = params_per_layer.filter(|&p| p > 0);
+        let n_layers = ppl.map_or(0, |p| n_params.div_ceil(p));
+        let mut columns = vec!["loss".to_string(), "grad_norm".to_string(), "bp_score".to_string()];
+        columns.extend((0..n_layers).map(|i| format!("layer_var_{i}")));
+        let capacity = if capacity == 0 { Self::DEFAULT_CAPACITY } else { capacity };
+        DynamicsRecorder {
+            series: TimeSeries::new(columns, capacity),
+            params_per_layer: ppl,
+            row: Vec::with_capacity(3 + n_layers),
+            layer_vars: Vec::with_capacity(n_layers),
+        }
+    }
+
+    /// Records step `step`: its pre-step `loss`, `grad_norm`, `bp_score`
+    /// and the per-layer variances of `grad`.
+    pub fn push(&mut self, step: usize, loss: f64, grad_norm: f64, bp_score: f64, grad: &[f64]) {
+        self.row.clear();
+        self.row.extend_from_slice(&[loss, grad_norm, bp_score]);
+        if let Some(p) = self.params_per_layer {
+            layer_grad_variances_into(grad, p, &mut self.layer_vars);
+            self.row.extend_from_slice(&self.layer_vars);
+        }
+        self.series.push(step as f64, &self.row);
+    }
+
+    /// The recorded series.
+    pub fn finish(self) -> TimeSeries {
+        self.series
+    }
 }
 
 /// Trains `circuit` against `observable` for `iterations` steps using the
@@ -368,8 +437,8 @@ pub fn train_with_alarm(
 
 /// Opt-in telemetry configuration for [`train_instrumented`].
 ///
-/// The default is fully off: no time series, no ledger record, and the
-/// training hot loop allocates exactly what [`train`] always did.
+/// The default is fully off: no time series, and the training hot loop
+/// allocates exactly what [`train`] always did.
 #[derive(Debug, Default)]
 pub struct TrainTelemetry {
     /// Layer width of the ansatz's parameter vector. When set, the time
@@ -380,50 +449,35 @@ pub struct TrainTelemetry {
     /// Maximum retained rows in the time series (0 → the 256-row
     /// default). Longer runs are decimated, never truncated.
     pub series_capacity: usize,
-    /// Record the time series even when no ledger record is requested
-    /// (it is then only returned in [`TrainRun::series`]).
+    /// Record the time series, returned in [`TrainRun::series`].
     pub record_series: bool,
-    /// When set *and* the ledger is enabled, one run record with these
-    /// config/seed fields plus the loop's final metrics is appended to
-    /// the experiment ledger, pointing at the recorded series.
-    pub run: Option<RunRecord>,
 }
 
 impl TrainTelemetry {
-    const DEFAULT_SERIES_CAPACITY: usize = 256;
-
-    /// Telemetry that records a series and a ledger entry for `run`
-    /// (ledger permitting), with per-layer attribution at `ppl`.
-    pub fn for_run(run: RunRecord, params_per_layer: usize) -> TrainTelemetry {
+    /// Telemetry that records a series with per-layer attribution at
+    /// `params_per_layer`.
+    pub fn for_run(params_per_layer: usize) -> TrainTelemetry {
         TrainTelemetry {
             params_per_layer: Some(params_per_layer),
             series_capacity: 0,
             record_series: true,
-            run: Some(run),
         }
     }
 }
 
 /// Everything [`train_instrumented`] produces: the ordinary history plus
-/// the recorded series and the ledger id (when telemetry asked for them).
+/// the recorded series (when telemetry asked for it).
 #[derive(Debug)]
 pub struct TrainRun {
     /// The training trajectory, exactly as [`train_with_alarm`] returns.
     pub history: TrainingHistory,
     /// The recorded gradient-dynamics series, when recording was on.
     pub series: Option<TimeSeries>,
-    /// The ledger run id, when a record was requested and the ledger is
-    /// enabled.
-    pub run_id: Option<String>,
 }
 
 /// [`train_with_alarm`] plus gradient-dynamics telemetry (see
 /// [`TrainTelemetry`]). This is the single real training loop; the
 /// simpler entry points delegate here with telemetry off.
-///
-/// Ledger/series IO failures never fail the training run: the science
-/// result is the history, so write errors are demoted to a `plateau-obs`
-/// warning ([`CoreError`] deliberately has no IO variant).
 ///
 /// # Errors
 ///
@@ -444,32 +498,9 @@ pub fn train_instrumented(
 
     let _span = plateau_obs::span!("train", iterations = iterations, params = params.len());
 
-    let recording = telemetry.record_series
-        || (telemetry.run.is_some() && plateau_obs::Store::Ledger.enabled());
-    let ppl = telemetry.params_per_layer.filter(|&p| p > 0);
-    let n_layers = ppl.map_or(0, |p| params.len().div_ceil(p));
-    let mut series = if recording {
-        let mut columns = vec![
-            "loss".to_string(),
-            "grad_norm".to_string(),
-            "bp_score".to_string(),
-        ];
-        for i in 0..n_layers {
-            columns.push(format!("layer_var_{i}"));
-        }
-        let capacity = if telemetry.series_capacity == 0 {
-            TrainTelemetry::DEFAULT_SERIES_CAPACITY
-        } else {
-            telemetry.series_capacity
-        };
-        Some(TimeSeries::new(columns, capacity))
-    } else {
-        None
-    };
-    // Scratch buffers for the recording path, allocated once up front so
-    // the per-iteration work is push-only.
-    let mut row: Vec<f64> = Vec::with_capacity(if recording { 3 + n_layers } else { 0 });
-    let mut layer_vars: Vec<f64> = Vec::with_capacity(if recording { n_layers } else { 0 });
+    let mut recorder = telemetry.record_series.then(|| {
+        DynamicsRecorder::new(params.len(), telemetry.params_per_layer, telemetry.series_capacity)
+    });
 
     let mut losses = Vec::with_capacity(iterations + 1);
     let mut grad_norms = Vec::with_capacity(iterations);
@@ -515,16 +546,8 @@ pub fn train_instrumented(
                 );
             }
         }
-        if let Some(series) = series.as_mut() {
-            row.clear();
-            row.push(losses[it]);
-            row.push(norm);
-            row.push(bp);
-            if let Some(p) = ppl {
-                layer_grad_variances_into(&grad, p, &mut layer_vars);
-                row.extend_from_slice(&layer_vars);
-            }
-            series.push(it as f64, &row);
+        if let Some(recorder) = recorder.as_mut() {
+            recorder.push(it, losses[it], norm, bp, &grad);
         }
         optimizer.step(&mut params, &grad)?;
         plateau_obs::counter!("train.optimizer_steps").inc();
@@ -535,29 +558,9 @@ pub fn train_instrumented(
     hist.plateau_alarms = alarms;
     hist.bp_scores = bp_scores;
 
-    let mut run_id = None;
-    if let Some(run) = telemetry.run {
-        let mut run = run
-            .metric("initial_loss", hist.initial_loss())
-            .metric("final_loss", hist.final_loss())
-            .metric(
-                "final_grad_norm",
-                hist.grad_norms.last().copied().unwrap_or(f64::NAN),
-            )
-            .metric("plateau_alarms", hist.plateau_alarms.len() as f64);
-        if let Some(bp) = hist.final_bp_score() {
-            run = run.metric("bp_score_final", bp);
-        }
-        match plateau_obs::record_run(&run, series.as_ref()) {
-            Ok(id) => run_id = id,
-            Err(e) => plateau_obs::warn!("train: ledger write failed: {e}"),
-        }
-    }
-
     Ok(TrainRun {
         history: hist,
-        series,
-        run_id,
+        series: recorder.map(DynamicsRecorder::finish),
     })
 }
 
@@ -779,19 +782,14 @@ mod tests {
 
     #[test]
     fn instrumented_run_records_series_and_ledger_entry() {
-        let _guard = plateau_obs::test_lock();
         let dir = std::env::temp_dir().join(format!("plateau_train_ledger_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        plateau_obs::Store::Ledger.set_dir(Some(&dir));
 
         let (c, theta) = setup(3, 2, InitStrategy::XavierNormal, 9);
         let ppl = c.n_params() / 2; // training ansatz: layer-major, 2 layers
         let obs = CostKind::Global.observable(3);
         let mut gd = GradientDescent::new(0.1).unwrap();
-        let telemetry = TrainTelemetry::for_run(
-            RunRecord::new("train").seed(9),
-            ppl,
-        );
+        let telemetry = TrainTelemetry::for_run(ppl);
         let run = train_instrumented(&c, &obs, theta, &mut gd, 10, &Adjoint, &Default::default(), telemetry)
             .unwrap();
 
@@ -805,20 +803,25 @@ mod tests {
         // Row i carries the pre-step loss, i.e. history.losses()[i].
         assert_eq!(losses[0].1, run.history.initial_loss());
 
-        let id = run.run_id.expect("ledger enabled → id");
+        // The run's ledger record: the caller's config and seed, then the
+        // loop's final metrics in ledger order.
+        let rec = run.history.run_metrics(RunRecord::new("train").seed(9));
+        let id = plateau_obs::record_run(&dir, &rec, Some(series)).unwrap();
         let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
-        assert!(text.contains(&id));
-        assert!(text.contains("\"final_loss\""));
+        let line = plateau_obs::json::Json::parse(text.lines().next().unwrap()).unwrap();
+        let metrics = line.get("metrics").and_then(|m| m.as_obj()).unwrap();
+        let keys: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["initial_loss", "final_loss", "final_grad_norm", "plateau_alarms", "bp_score_final"]
+        );
+        assert_eq!(metrics[1].1.as_f64(), Some(run.history.final_loss()));
         assert!(dir.join("runs").join(format!("{id}.jsonl")).exists());
-
-        plateau_obs::Store::Ledger.set_dir(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn telemetry_off_records_nothing() {
-        let _guard = plateau_obs::test_lock();
-        plateau_obs::Store::Ledger.set_dir(None);
         let (c, theta) = setup(2, 1, InitStrategy::Random, 10);
         let obs = CostKind::Global.observable(2);
         let mut gd = GradientDescent::new(0.1).unwrap();
@@ -834,10 +837,6 @@ mod tests {
         )
         .unwrap();
         assert!(run.series.is_none());
-        assert!(run.run_id.is_none());
-        // A ledger-bearing run with the ledger disabled stays silent too
-        // unless the series itself was requested.
-        plateau_obs::Store::Ledger.reset();
     }
 
     #[test]

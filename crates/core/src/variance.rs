@@ -36,6 +36,8 @@ use crate::cost::CostKind;
 use crate::error::CoreError;
 use crate::init::{FanMode, InitStrategy};
 use plateau_grad::{Adjoint, BatchExecutor, GradientEngine, ParameterShift};
+use plateau_obs::json::Json;
+use plateau_obs::{RunRecord, TimeSeries};
 use plateau_stats::{decay_improvement_percent, fit_exponential_decay, variance, ExpDecayFit};
 use plateau_par::par_map_indexed;
 use plateau_rng::{derive_seed, rngs::StdRng, SeedableRng};
@@ -267,6 +269,39 @@ impl VarianceScan {
         }
         Ok(out)
     }
+
+    /// The scan's experiment-ledger record: a `"variance"` run with the
+    /// fitted decay rates as metrics, and a series with `x` = qubit count
+    /// and one column per strategy — the exact data behind Fig 5a,
+    /// replayable via `plateau obs runs`. A strategy whose fit is
+    /// ill-posed contributes no metrics.
+    pub fn run_record(&self) -> (RunRecord, TimeSeries) {
+        let cfg = &self.config;
+        let names = || self.curves.iter().map(|c| c.strategy.name());
+        let mut series = TimeSeries::new(names().collect(), cfg.qubit_counts.len());
+        for (qi, &q) in cfg.qubit_counts.iter().enumerate() {
+            let row: Vec<f64> = self.curves.iter().map(|c| c.points[qi].variance).collect();
+            series.push(q as f64, &row);
+        }
+        let mut run = RunRecord::new("variance")
+            .config("qubits", Json::Arr(cfg.qubit_counts.iter().map(|&q| Json::from(q)).collect()))
+            .config("layers", Json::from(cfg.layers))
+            .config("circuits", Json::from(cfg.n_circuits))
+            .config("cost", Json::str(cfg.cost.to_string()))
+            .config("ansatz", Json::str(format!("{:?}", cfg.ansatz)))
+            .config("engine", Json::str(format!("{:?}", cfg.engine)))
+            .config("strategies", Json::Arr(names().map(Json::str).collect()))
+            .seed(cfg.seed);
+        for curve in &self.curves {
+            if let Ok(fit) = curve.decay_fit() {
+                let name = curve.strategy.name();
+                run = run
+                    .metric(&format!("decay_rate_{name}"), fit.rate)
+                    .metric(&format!("r_squared_{name}"), fit.r_squared);
+            }
+        }
+        (run, series)
+    }
 }
 
 /// Computes one [`AnsatzKind::RandomRotations`] gradient sample: build
@@ -400,67 +435,10 @@ pub fn variance_scan(
         curves.push(StrategyCurve { strategy, points });
     }
 
-    let scan = VarianceScan {
+    Ok(VarianceScan {
         config: config.clone(),
         curves,
-    };
-    record_scan_ledger(&scan);
-    Ok(scan)
-}
-
-/// Appends the scan to the experiment ledger (when enabled): a
-/// `"variance"` run record with the fitted decay rates as metrics, plus a
-/// time series with `x` = qubit count and one column per strategy — the
-/// exact data behind Fig 5a, replayable via `plateau obs runs`.
-///
-/// Telemetry must never fail the science: IO errors only warn.
-fn record_scan_ledger(scan: &VarianceScan) {
-    if !plateau_obs::Store::Ledger.enabled() {
-        return;
-    }
-    use plateau_obs::json::Json;
-    let cfg = &scan.config;
-    let columns: Vec<String> =
-        scan.curves.iter().map(|c| c.strategy.name().to_string()).collect();
-    let mut series = plateau_obs::TimeSeries::new(columns, cfg.qubit_counts.len());
-    let mut row = Vec::with_capacity(scan.curves.len());
-    for (qi, &q) in cfg.qubit_counts.iter().enumerate() {
-        row.clear();
-        for curve in &scan.curves {
-            row.push(curve.points[qi].variance);
-        }
-        series.push(q as f64, &row);
-    }
-    let mut run = plateau_obs::RunRecord::new("variance")
-        .config(
-            "qubits",
-            Json::Arr(cfg.qubit_counts.iter().map(|&q| Json::from(q)).collect()),
-        )
-        .config("layers", Json::from(cfg.layers))
-        .config("circuits", Json::from(cfg.n_circuits))
-        .config("cost", Json::str(cfg.cost.to_string()))
-        .config("ansatz", Json::str(format!("{:?}", cfg.ansatz)))
-        .config("engine", Json::str(format!("{:?}", cfg.engine)))
-        .config(
-            "strategies",
-            Json::Arr(
-                scan.curves
-                    .iter()
-                    .map(|c| Json::str(c.strategy.name()))
-                    .collect(),
-            ),
-        )
-        .seed(cfg.seed);
-    for curve in &scan.curves {
-        if let Ok(fit) = curve.decay_fit() {
-            run = run
-                .metric(&format!("decay_rate_{}", curve.strategy.name()), fit.rate)
-                .metric(&format!("r_squared_{}", curve.strategy.name()), fit.r_squared);
-        }
-    }
-    if let Err(e) = plateau_obs::record_run(&run, Some(&series)) {
-        plateau_obs::warn!("variance: ledger write failed: {e}");
-    }
+    })
 }
 
 #[cfg(test)]
@@ -671,11 +649,9 @@ mod tests {
 
     #[test]
     fn scan_appends_ledger_record_with_per_strategy_columns() {
-        let _guard = plateau_obs::test_lock();
         let dir = std::env::temp_dir()
             .join(format!("plateau_variance_ledger_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        plateau_obs::Store::Ledger.set_dir(Some(&dir));
 
         let cfg = VarianceConfig {
             qubit_counts: vec![2, 3],
@@ -683,24 +659,15 @@ mod tests {
             n_circuits: 10,
             ..VarianceConfig::default()
         };
-        variance_scan(&cfg, &[InitStrategy::Random, InitStrategy::XavierUniform]).unwrap();
+        let scan = variance_scan(&cfg, &[InitStrategy::Random, InitStrategy::XavierUniform]).unwrap();
+        let (run, series) = scan.run_record();
+        plateau_obs::record_run(&dir, &run, Some(&series)).unwrap();
 
-        // Scans in concurrently running tests may append to the same
-        // ledger while it is enabled, so find this scan's own record.
         let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
-        let rec = text
-            .lines()
-            .map(|line| plateau_obs::json::Json::parse(line).unwrap())
-            .find(|rec| {
-                let strategies = rec.get("config").and_then(|c| c.get("strategies"));
-                let names: Vec<&str> = strategies
-                    .and_then(|s| s.as_arr())
-                    .map(|s| s.iter().filter_map(|n| n.as_str()).collect())
-                    .unwrap_or_default();
-                names == ["random", "xavier_uniform"]
-            })
-            .expect("this scan's ledger record");
+        let rec = Json::parse(text.lines().next().unwrap()).unwrap();
         assert_eq!(rec.get("command").unwrap().as_str(), Some("variance"));
+        let strategies = rec.get("config").and_then(|c| c.get("strategies")).unwrap();
+        assert_eq!(strategies, &Json::Arr(vec![Json::str("random"), Json::str("xavier_uniform")]));
         assert!(rec.get("metrics").unwrap().get("decay_rate_random").is_some());
         let rel = rec.get("series").unwrap().as_str().unwrap().to_string();
         let series = plateau_obs::TimeSeries::read_jsonl(&dir.join(rel)).unwrap();
@@ -711,7 +678,6 @@ mod tests {
         assert_eq!(col[0].0, 2.0);
         assert_eq!(col[1].0, 3.0);
 
-        plateau_obs::Store::Ledger.set_dir(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

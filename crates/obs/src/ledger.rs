@@ -1,17 +1,20 @@
 //! The experiment ledger: an append-only registry of runs.
 //!
-//! Every instrumented experiment (training, VQE, classification, the
-//! variance scan) appends exactly one `{"type":"run",...}` record to
+//! [`record_run`] appends one `{"type":"run",...}` record to
 //! `<dir>/ledger.jsonl` describing what ran — command, config, seed,
 //! tracked `PLATEAU_*` environment, git revision, final metrics — plus a
 //! pointer to the run's [`TimeSeries`](crate::timeseries::TimeSeries)
 //! JSONL under `<dir>/runs/<id>.jsonl`. Records only ever append, so
 //! `plateau obs runs list|show|compare` can race two initializers
-//! recorded days apart. The [`Store::Ledger`] switch (`PLATEAU_LEDGER` or
-//! `--ledger`) is off by default and checked once per *run*, never per
-//! iteration.
+//! recorded days apart.
+//!
+//! The experiments themselves (training, VQE, classification, the variance
+//! scan) write nothing: each returns its [`RunRecord`] fields and series,
+//! and the `plateau` CLI, which resolves `--ledger` or `PLATEAU_LEDGER`
+//! once, writes the one record per command into the directory it passes.
 
 use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use crate::json::Json;
@@ -21,9 +24,9 @@ use crate::timeseries::TimeSeries;
 /// Per-process sequence number, disambiguating runs within one millisecond.
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Everything a run contributes to its ledger record. Built by the
-/// experiment drivers (training loop, VQE solver, classifier, variance
-/// scan); the ledger adds the id, timestamp, git revision, and tracked
+/// Everything a run contributes to its ledger record. Each experiment
+/// (training, VQE solver, classifier, variance scan) returns the fields it
+/// knows; [`record_run`] adds the id, timestamp, git revision, and tracked
 /// environment itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
@@ -77,12 +80,8 @@ fn next_run_id() -> String {
 
 /// Appends one run record to `<dir>/ledger.jsonl`, writing the time
 /// series (when given) to `<dir>/runs/<id>.jsonl` first so the ledger
-/// record never points at a missing file. Returns the run id, or
-/// `Ok(None)` when the ledger is disabled.
-pub fn record_run(record: &RunRecord, series: Option<&TimeSeries>) -> io::Result<Option<String>> {
-    let Some(dir) = Store::Ledger.dir() else {
-        return Ok(None);
-    };
+/// record never points at a missing file. Returns the run id.
+pub fn record_run(dir: &Path, record: &RunRecord, series: Option<&TimeSeries>) -> io::Result<String> {
     let id = next_run_id();
 
     let series_rel = match series {
@@ -106,15 +105,14 @@ pub fn record_run(record: &RunRecord, series: Option<&TimeSeries>) -> io::Result
         .field("metrics", Json::Obj(metrics.collect()))
         .field("series", series_rel)
         .build();
-    store::append(&dir, Store::Ledger.file(), &doc)?;
+    store::append(dir, Store::Ledger.file(), &doc)?;
     crate::debug!("ledger: recorded run {id} ({})", record.command);
-    Ok(Some(id))
+    Ok(id)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_lock;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -126,31 +124,16 @@ mod tests {
         d
     }
 
-    #[test]
-    fn disabled_by_default_and_records_nothing() {
-        let _guard = test_lock();
-        std::env::remove_var("PLATEAU_LEDGER");
-        Store::Ledger.reset();
-        assert!(!Store::Ledger.enabled());
-        let id = record_run(&RunRecord::new("train"), None).unwrap();
-        assert_eq!(id, None);
-    }
-
+    /// The directory a `--ledger` value or `PLATEAU_LEDGER` names.
     #[test]
     fn env_switch_and_explicit_dir_parse() {
-        let _guard = test_lock();
-        std::env::set_var("PLATEAU_LEDGER", "/tmp/somewhere");
-        Store::Ledger.reset();
-        assert_eq!(Store::Ledger.dir(), Some(PathBuf::from("/tmp/somewhere")));
-        std::env::remove_var("PLATEAU_LEDGER");
-        Store::Ledger.reset();
+        assert_eq!(store::parse_dir("/tmp/somewhere"), Some(PathBuf::from("/tmp/somewhere")));
+        assert_eq!(store::parse_dir("off"), None);
     }
 
     #[test]
     fn record_run_appends_and_points_at_series() {
-        let _guard = test_lock();
         let dir = temp_dir("append");
-        Store::Ledger.set_dir(Some(&dir));
 
         let mut series = TimeSeries::new(vec!["loss"], 8);
         series.push(0.0, &[1.0]);
@@ -159,8 +142,8 @@ mod tests {
             .config("qubits", Json::from(4usize))
             .seed(7)
             .metric("final_loss", 0.5);
-        let id1 = record_run(&rec, Some(&series)).unwrap().unwrap();
-        let id2 = record_run(&RunRecord::new("vqe"), None).unwrap().unwrap();
+        let id1 = record_run(&dir, &rec, Some(&series)).unwrap();
+        let id2 = record_run(&dir, &RunRecord::new("vqe"), None).unwrap();
         assert_ne!(id1, id2);
 
         let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
@@ -191,7 +174,6 @@ mod tests {
         let second = Json::parse(lines[1]).unwrap();
         assert_eq!(second.get("series"), Some(&Json::Null));
 
-        Store::Ledger.set_dir(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -20,7 +20,7 @@
 //!   decimation) for per-iteration loss, gradient norm and per-layer
 //!   gradient variance.
 //! - [`ledger`]: the append-only run registry (`ledger.jsonl`): one record
-//!   per experiment, pointing at the run's time series.
+//!   per CLI experiment command, pointing at the run's time series.
 //! - [`perf`]: the append-only bench history (`perf.jsonl`) and its read
 //!   side, `plateau obs perf list|trend|regress`.
 //!
@@ -31,10 +31,11 @@
 //! lists, shows and compares ledger runs with decay fits and SVG plots.
 //!
 //! Under traces, the ledger and the perf history sits one record store,
-//! [`store`]: the directory switch shared by `PLATEAU_LEDGER`,
+//! [`store`]: the directory grammar shared by `PLATEAU_LEDGER`,
 //! `PLATEAU_PERF` and `--ledger`, the one line-atomic appender, the one
 //! JSONL reader with its torn-line rule, and the record header (`type`,
-//! `ts_unix`, `git`, `config`, tracked env, `cores`).
+//! `ts_unix`, `git`, `config`, tracked env, `cores`). Its writers take the
+//! directory, which the `plateau` CLI and the bench harness resolve.
 //!
 //! # Configuration
 //!
@@ -46,13 +47,13 @@
 //! | `PLATEAU_LOG`         | stderr level: `off`/`error`/`warn`/`info`/`debug`/`trace` (default `warn`) |
 //! | `PLATEAU_METRICS`     | an on-word enables the metrics registry        |
 //! | `PLATEAU_METRICS_OUT` | path for the JSONL event stream (bench bins; the CLI uses `--metrics-out`) |
-//! | `PLATEAU_LEDGER`      | on-word → ledger at `target/obs`; off-word → disabled; anything else → that directory |
+//! | `PLATEAU_LEDGER`      | read by the `plateau` CLI when `--ledger` is absent: on-word → ledger at `target/obs`; off-word → disabled; anything else → that directory |
 //! | `PLATEAU_ALLOC_PROFILE` | an on-word enables allocation profiling (needs a [`alloc::CountingAllocator`] installed) |
-//! | `PLATEAU_PERF`        | same grammar as `PLATEAU_LEDGER`, for the perf ledger |
+//! | `PLATEAU_PERF`        | same grammar as `PLATEAU_LEDGER`, for the perf ledger the bench harness appends to |
 //!
 //! Programmatic overrides ([`set_log_level`], [`set_metrics_enabled`],
-//! [`init`], [`Store::set_dir`], [`alloc::set_profiling`]) always win over
-//! the environment.
+//! [`init`], [`alloc::set_profiling`]) always win over the environment;
+//! the record writers take their directory as an argument.
 
 pub mod alloc;
 pub mod analyze;
@@ -318,8 +319,10 @@ macro_rules! trace {
     ($($arg:tt)*) => { $crate::log_at!($crate::Level::Trace, $($arg)*) };
 }
 
-/// Serializes access to the process-global observability state from tests
-/// (the registry, level, and sinks are shared across the whole test binary).
+/// Serializes access to the process-global observability state from tests:
+/// the metrics registry and its counters, the log level, the JSONL sink and
+/// the allocation profiler are shared across the whole test binary. The
+/// record stores are not: their writers take a directory.
 pub fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())

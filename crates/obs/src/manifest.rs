@@ -100,21 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn manifest_env_reflects_set_variables() {
-        let _guard = test_lock();
-        let path = "plateau_manifest_env_test.jsonl";
-        std::env::set_var("PLATEAU_METRICS_OUT", path);
-        let m = build_manifest("test env", vec![], None);
-        std::env::remove_var("PLATEAU_METRICS_OUT");
-        assert_eq!(
-            m.get("env").unwrap().get("PLATEAU_METRICS_OUT").unwrap().as_str(),
-            Some(path)
-        );
-        let m2 = build_manifest("test env", vec![], None);
-        assert_eq!(m2.get("env").unwrap().get("PLATEAU_METRICS_OUT"), Some(&Json::Null));
-    }
-
-    #[test]
     fn finish_run_writes_snapshot_then_closes() {
         let _guard = test_lock();
         set_log_level(crate::Level::Error);

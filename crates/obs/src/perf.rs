@@ -1,7 +1,8 @@
 //! The perf ledger: an append-only history of benchmark results.
 //!
-//! With the [`Store::Perf`] switch on (`PLATEAU_PERF`; off by default so
-//! test runs never pollute the history), every bench bin appends one
+//! With the [`Store::Perf`] switch on (`PLATEAU_PERF`, which the bench
+//! harness resolves once; off by default so test runs never pollute the
+//! history), every bench bin appends one
 //! `{"type":"perf",...}` record per benchmark to `<dir>/perf.jsonl`: git
 //! revision, bench id, config, median and p90 wall time, peak heap bytes
 //! (when a [`CountingAllocator`](crate::alloc::CountingAllocator) is
@@ -58,12 +59,8 @@ impl PerfRecord {
     }
 }
 
-/// Appends one record to `<dir>/perf.jsonl`. Returns the file path, or
-/// `Ok(None)` when the perf ledger is disabled.
-pub fn record_perf(record: &PerfRecord) -> io::Result<Option<PathBuf>> {
-    let Some(dir) = Store::Perf.dir() else {
-        return Ok(None);
-    };
+/// Appends one record to `<dir>/perf.jsonl`. Returns the file path.
+pub fn record_perf(dir: &Path, record: &PerfRecord) -> io::Result<PathBuf> {
     let doc = Record::new("perf")
         .ts_unix(1000)
         .field("bench", Json::str(&record.bench))
@@ -74,9 +71,9 @@ pub fn record_perf(record: &PerfRecord) -> io::Result<Option<PathBuf>> {
         .field("peak_bytes", record.peak_bytes.map_or(Json::Null, |b| Json::Num(b as f64)))
         .cores()
         .build();
-    let path = store::append(&dir, Store::Perf.file(), &doc)?;
+    let path = store::append(dir, Store::Perf.file(), &doc)?;
     crate::debug!("perf ledger: recorded {} ({})", record.bench, fmt_duration(record.median_ns as u64));
-    Ok(Some(path))
+    Ok(path)
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +402,6 @@ pub fn regress(ledger: &PerfLedger, threshold: f64, filter: Option<&str>) -> Reg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_lock;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("plateau_perf_{tag}_{}", std::process::id()));
@@ -414,32 +410,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_by_default_and_env_grammar_parses() {
-        let _guard = test_lock();
-        std::env::remove_var("PLATEAU_PERF");
-        Store::Perf.reset();
-        assert!(!Store::Perf.enabled());
-        assert_eq!(record_perf(&PerfRecord::new("x", 1.0, 2.0)).unwrap(), None);
-        std::env::set_var("PLATEAU_PERF", "/tmp/perfdir");
-        Store::Perf.reset();
-        assert_eq!(Store::Perf.dir(), Some(PathBuf::from("/tmp/perfdir")));
-        std::env::remove_var("PLATEAU_PERF");
-        Store::Perf.reset();
-    }
-
-    #[test]
     fn record_append_and_load_round_trip() {
-        let _guard = test_lock();
         let dir = temp_dir("roundtrip");
-        Store::Perf.set_dir(Some(&dir));
         let rec = PerfRecord::new("training_step/serial", 35e6, 37e6)
             .config("qubits", Json::from(10usize))
             .peak_bytes(1 << 20);
-        record_perf(&rec).unwrap().expect("enabled");
-        record_perf(&PerfRecord::new("training_step/fused", 14e6, 15e6))
-            .unwrap()
-            .expect("enabled");
-        Store::Perf.reset();
+        let path = record_perf(&dir, &rec).unwrap();
+        assert_eq!(path, dir.join(Store::Perf.file()));
+        record_perf(&dir, &PerfRecord::new("training_step/fused", 14e6, 15e6)).unwrap();
 
         let ledger = PerfLedger::load(&dir).expect("load");
         assert_eq!(ledger.entries.len(), 2);

@@ -507,7 +507,6 @@ pub fn render_show(run: &RunEntry) -> String {
 mod tests {
     use super::*;
     use crate::ledger::{record_run, RunRecord};
-    use crate::test_lock;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir()
@@ -526,19 +525,14 @@ mod tests {
 
     #[test]
     fn load_list_find_and_latest() {
-        let _guard = test_lock();
         let dir = temp_dir("load");
-        Store::Ledger.set_dir(Some(&dir));
         let id1 = record_run(
+            &dir,
             &RunRecord::new("train").seed(1).metric("final_loss", 0.5),
             Some(&decaying_series(-0.5, "grad_norm")),
         )
-        .unwrap()
         .unwrap();
-        let id2 = record_run(&RunRecord::new("vqe").metric("energy", -7.2), None)
-            .unwrap()
-            .unwrap();
-        Store::Ledger.set_dir(None);
+        let id2 = record_run(&dir, &RunRecord::new("vqe").metric("energy", -7.2), None).unwrap();
 
         let ledger = Ledger::load(&dir).unwrap();
         assert!(ledger.warnings.is_empty());
@@ -597,22 +591,19 @@ mod tests {
 
     #[test]
     fn comparison_orders_decay_rates_and_renders() {
-        let _guard = test_lock();
         let dir = temp_dir("cmp");
-        Store::Ledger.set_dir(Some(&dir));
         let fast = record_run(
+            &dir,
             &RunRecord::new("variance").metric("final_var", 1e-6),
             Some(&decaying_series(-1.0, "variance")),
         )
-        .unwrap()
         .unwrap();
         let slow = record_run(
+            &dir,
             &RunRecord::new("variance").metric("final_var", 1e-3),
             Some(&decaying_series(-0.3, "variance")),
         )
-        .unwrap()
         .unwrap();
-        Store::Ledger.set_dir(None);
 
         let ledger = Ledger::load(&dir).unwrap();
         let cmp = RunComparison::of(ledger.find(&fast).unwrap(), ledger.find(&slow).unwrap());

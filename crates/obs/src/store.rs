@@ -3,8 +3,10 @@
 //!
 //! - **Switch.** `PLATEAU_LEDGER`, `PLATEAU_PERF` and the CLI's `--ledger`
 //!   share [`parse_dir`]; `PLATEAU_METRICS` and `PLATEAU_ALLOC_PROFILE`
-//!   share its on-words via [`is_on`]. [`Store::set_dir`] beats the
-//!   environment, which is read lazily on first use.
+//!   share its on-words via [`is_on`]. [`Store::from_env`] is the one read
+//!   of the two variables; a boundary (the CLI, the bench harness) calls
+//!   it once and hands the directory to the writers. No directory is kept
+//!   in process-global state.
 //! - **Appender.** [`append`] writes a record as one `write` on an
 //!   `O_APPEND` file, so concurrent writers never interleave a line.
 //! - **Reader.** [`parse_jsonl`] skips blank lines and treats a malformed
@@ -17,7 +19,7 @@
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::Json;
@@ -60,9 +62,6 @@ pub enum Store {
     Perf,
 }
 
-/// Per store: `None` = environment not read yet, `Some(dir)` = decided.
-static DIRS: Mutex<[Option<Option<PathBuf>>; 2]> = Mutex::new([None, None]);
-
 impl Store {
     fn var(self) -> &'static str {
         ["PLATEAU_LEDGER", "PLATEAU_PERF"][self as usize]
@@ -73,34 +72,10 @@ impl Store {
         ["ledger.jsonl", "perf.jsonl"][self as usize]
     }
 
-    fn slot<R>(self, f: impl FnOnce(&mut Option<Option<PathBuf>>) -> R) -> R {
-        f(&mut DIRS.lock().unwrap_or_else(PoisonError::into_inner)[self as usize])
-    }
-
-    /// The directory records append to; `None` when the store is off.
-    pub fn dir(self) -> Option<PathBuf> {
-        let from_env = || std::env::var(self.var()).ok().and_then(|v| parse_dir(&v));
-        self.slot(|slot| slot.get_or_insert_with(from_env).clone())
-    }
-
-    /// Turns the store on at `dir`, or off with `None`.
-    pub fn set_dir(self, dir: Option<&Path>) {
-        self.slot(|slot| *slot = Some(dir.map(PathBuf::from)));
-    }
-
-    /// Forgets any override; the next query re-reads the environment.
-    pub fn reset(self) {
-        self.slot(|slot| *slot = None);
-    }
-
-    /// Whether records would be written.
-    pub fn enabled(self) -> bool {
-        self.dir().is_some()
-    }
-
-    /// Where a reader looks: the configured directory, else [`DEFAULT_DIR`].
-    pub fn read_dir(self) -> PathBuf {
-        self.dir().unwrap_or_else(|| PathBuf::from(DEFAULT_DIR))
+    /// The directory the store's variable switches on ([`parse_dir`]
+    /// grammar); `None` when it is unset or an off-word.
+    pub fn from_env(self) -> Option<PathBuf> {
+        std::env::var(self.var()).ok().and_then(|v| parse_dir(&v))
     }
 
     /// Reads `<dir>/<file>` into entries through `entry` (which skips
@@ -311,7 +286,6 @@ mod tests {
     use crate::analyze::{Trace, TraceError};
     use crate::perf::PerfLedger;
     use crate::runs::Ledger;
-    use crate::test_lock;
     use crate::timeseries::TimeSeries;
 
     /// Every reader of the store, fed the same damage: `R` stands for a
@@ -363,11 +337,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `PLATEAU_LEDGER`, `PLATEAU_PERF` and the CLI's `--ledger` (which
-    /// hands its value to [`parse_dir`]) accept the same values.
+    /// `PLATEAU_LEDGER`, `PLATEAU_PERF` and the CLI's `--ledger` accept
+    /// the same values: [`Store::from_env`] and the flag both hand theirs
+    /// to [`parse_dir`]. (`cli_runs` drives the variable and the flag end
+    /// to end.)
     #[test]
     fn ledger_perf_and_flag_share_one_grammar() {
-        let _guard = test_lock();
         let default = Some(PathBuf::from(DEFAULT_DIR));
         let table: &[(&str, Option<PathBuf>)] = &[
             ("", None),
@@ -385,21 +360,9 @@ mod tests {
             (" rel/dir ", Some(PathBuf::from("rel/dir"))),
         ];
         for (raw, want) in table {
-            assert_eq!(&parse_dir(raw), want, "--ledger {raw:?}");
-            for store in [Store::Ledger, Store::Perf] {
-                std::env::set_var(store.var(), raw);
-                store.reset();
-                assert_eq!(&store.dir(), want, "{}={raw:?}", store.var());
-            }
+            assert_eq!(&parse_dir(raw), want, "{raw:?}");
             assert_eq!(is_on(raw), want.as_deref() == Some(Path::new(DEFAULT_DIR)), "{raw:?}");
         }
-        for store in [Store::Ledger, Store::Perf] {
-            std::env::remove_var(store.var());
-            store.reset();
-            assert_eq!(store.dir(), None, "unset {} is off", store.var());
-            store.set_dir(Some(Path::new("x")));
-            assert_eq!(store.dir(), Some(PathBuf::from("x")), "the override wins");
-            store.reset();
-        }
+        assert_eq!([Store::Ledger.var(), Store::Perf.var()], ["PLATEAU_LEDGER", "PLATEAU_PERF"]);
     }
 }

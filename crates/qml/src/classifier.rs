@@ -32,7 +32,10 @@ use crate::dataset::Sample;
 use plateau_core::error::CoreError;
 use plateau_core::init::{FanMode, InitStrategy, LayerShape};
 use plateau_core::optim::Optimizer;
+use plateau_core::train::{DynamicsRecorder, PlateauScore, BP_SCORE_WINDOW};
 use plateau_grad::BatchExecutor;
+use plateau_obs::json::Json;
+use plateau_obs::{RunRecord, TimeSeries};
 use plateau_sim::{Circuit, Observable, Pauli, PauliString};
 use plateau_rng::Rng;
 
@@ -58,6 +61,9 @@ pub struct FitResult {
     /// Mean-squared-error loss after each epoch (`epochs + 1` entries,
     /// starting with the untrained loss).
     pub losses: Vec<f64>,
+    /// The gradient-dynamics series (loss, weight-gradient norm, BP score,
+    /// per-layer weight-gradient variances), one row per epoch.
+    pub series: TimeSeries,
 }
 
 impl Classifier {
@@ -278,63 +284,35 @@ impl Classifier {
         let mut losses = Vec::with_capacity(epochs + 1);
         losses.push(self.loss(&weights, data)?);
 
-        // Gradient-dynamics telemetry, only when the experiment ledger is
-        // on: per-epoch loss / weight-gradient norm / BP score /
-        // per-layer weight-gradient variances, recorded as a `"classify"`
-        // ledger run. With the ledger off this block costs nothing.
-        let ppl = self.shape.params_per_layer();
-        let n_layers = self.shape.layers();
-        let mut series = if plateau_obs::Store::Ledger.enabled() {
-            let mut cols = vec![
-                "loss".to_string(),
-                "grad_norm".to_string(),
-                "bp_score".to_string(),
-            ];
-            for i in 0..n_layers {
-                cols.push(format!("layer_var_{i}"));
-            }
-            Some(plateau_obs::TimeSeries::new(cols, 256))
-        } else {
-            None
-        };
-        let mut score =
-            plateau_core::train::PlateauScore::new(plateau_core::train::BP_SCORE_WINDOW);
-        let mut row: Vec<f64> = Vec::new();
-        let mut layer_vars: Vec<f64> = Vec::new();
-
+        let mut recorder =
+            DynamicsRecorder::new(self.n_weights(), Some(self.shape.params_per_layer()), 0);
+        let mut score = PlateauScore::new(BP_SCORE_WINDOW);
         for epoch in 0..epochs {
             let grad = self.loss_gradient(&weights, data)?;
-            if let Some(series) = series.as_mut() {
-                let norm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
-                let bp = score.observe(&grad);
-                row.clear();
-                row.push(losses[epoch]);
-                row.push(norm);
-                row.push(bp);
-                plateau_grad::layer_grad_variances_into(&grad, ppl, &mut layer_vars);
-                row.extend_from_slice(&layer_vars);
-                series.push(epoch as f64, &row);
-            }
+            let norm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
+            recorder.push(epoch, losses[epoch], norm, score.observe(&grad), &grad);
             optimizer.step(&mut weights, &grad)?;
             losses.push(self.loss(&weights, data)?);
         }
+        Ok(FitResult {
+            weights,
+            losses,
+            series: recorder.finish(),
+        })
+    }
 
-        let result = FitResult { weights, losses };
-        if let Some(series) = series {
-            use plateau_obs::json::Json;
-            let rec = plateau_obs::RunRecord::new("classify")
-                .config("qubits", Json::from(self.circuit.n_qubits()))
-                .config("layers", Json::from(n_layers))
-                .config("features", Json::from(self.n_features))
-                .config("epochs", Json::from(epochs))
-                .config("samples", Json::from(data.len()))
-                .metric("initial_loss", result.losses[0])
-                .metric("final_loss", *result.losses.last().unwrap());
-            if let Err(e) = plateau_obs::record_run(&rec, Some(&series)) {
-                plateau_obs::warn!("classify: ledger write failed: {e}");
-            }
-        }
-        Ok(result)
+    /// The experiment-ledger record of `fit`, trained on `samples`
+    /// samples: a `"classify"` run with the initial and final loss as
+    /// metrics. Its series is [`FitResult::series`].
+    pub fn run_record(&self, fit: &FitResult, samples: usize) -> RunRecord {
+        RunRecord::new("classify")
+            .config("qubits", Json::from(self.circuit.n_qubits()))
+            .config("layers", Json::from(self.shape.layers()))
+            .config("features", Json::from(self.n_features))
+            .config("epochs", Json::from(fit.losses.len() - 1))
+            .config("samples", Json::from(samples))
+            .metric("initial_loss", fit.losses[0])
+            .metric("final_loss", fit.losses[fit.losses.len() - 1])
     }
 }
 
@@ -371,11 +349,9 @@ mod tests {
 
     #[test]
     fn fit_appends_classify_ledger_record() {
-        let _guard = plateau_obs::test_lock();
         let dir =
             std::env::temp_dir().join(format!("plateau_qml_ledger_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        plateau_obs::Store::Ledger.set_dir(Some(&dir));
 
         let m = Classifier::new(2, 1, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
@@ -383,10 +359,15 @@ mod tests {
         let w = vec![0.1; m.n_weights()];
         let mut adam = Adam::new(0.1).unwrap();
         let fitted = m.fit(w, &data, &mut adam, 2).unwrap();
+        plateau_obs::record_run(&dir, &m.run_record(&fitted, data.len()), Some(&fitted.series))
+            .unwrap();
 
         let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
-        let rec = plateau_obs::json::Json::parse(text.lines().next().unwrap()).unwrap();
+        let rec = Json::parse(text.lines().next().unwrap()).unwrap();
         assert_eq!(rec.get("command").unwrap().as_str(), Some("classify"));
+        let config = rec.get("config").and_then(Json::as_obj).unwrap();
+        let keys: Vec<&str> = config.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["qubits", "layers", "features", "epochs", "samples"]);
         assert_eq!(
             rec.get("metrics").unwrap().get("final_loss").unwrap().as_f64(),
             fitted.losses.last().copied()
@@ -396,7 +377,6 @@ mod tests {
         assert_eq!(series.len(), 2, "one row per epoch");
         assert!(series.columns().iter().any(|c| c == "layer_var_0"));
 
-        plateau_obs::Store::Ledger.set_dir(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -42,11 +42,12 @@ const MAX_SHRINK_STEPS: usize = 10_000;
 /// runs every opted-in property at 500 cases. Unparseable or zero values
 /// are ignored.
 pub fn cases(default: usize) -> usize {
-    std::env::var("PLATEAU_CHECK_CASES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
+    parse_cases(std::env::var("PLATEAU_CHECK_CASES").ok().as_deref(), default)
+}
+
+/// [`cases`] for a given `PLATEAU_CHECK_CASES` value (`None` when unset).
+fn parse_cases(raw: Option<&str>, default: usize) -> usize {
+    raw.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0).unwrap_or(default)
 }
 
 /// Runs `prop` against `cases` values drawn by `gen` from a generator
@@ -262,17 +263,11 @@ mod tests {
 
     #[test]
     fn cases_env_override() {
-        // This is the only test in the binary touching the variable, so
-        // set/remove cannot race another reader.
-        std::env::remove_var("PLATEAU_CHECK_CASES");
-        assert_eq!(cases(64), 64);
-        std::env::set_var("PLATEAU_CHECK_CASES", "500");
-        assert_eq!(cases(64), 500);
-        std::env::set_var("PLATEAU_CHECK_CASES", "0");
-        assert_eq!(cases(64), 64, "zero must be ignored");
-        std::env::set_var("PLATEAU_CHECK_CASES", "not a number");
-        assert_eq!(cases(64), 64, "garbage must be ignored");
-        std::env::remove_var("PLATEAU_CHECK_CASES");
+        assert_eq!(parse_cases(None, 64), 64);
+        assert_eq!(parse_cases(Some("500"), 64), 500);
+        assert_eq!(parse_cases(Some(" 500 "), 64), 500);
+        assert_eq!(parse_cases(Some("0"), 64), 64, "zero must be ignored");
+        assert_eq!(parse_cases(Some("not a number"), 64), 64, "garbage must be ignored");
     }
 
     #[test]

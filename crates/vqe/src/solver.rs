@@ -30,6 +30,8 @@ use plateau_core::train::{
     train_instrumented, BarrenPlateauAlarm, TrainTelemetry, TrainingHistory,
 };
 use plateau_grad::Adjoint;
+use plateau_obs::json::Json;
+use plateau_obs::{RunRecord, TimeSeries};
 use plateau_sim::Observable;
 use plateau_rng::rngs::StdRng;
 use plateau_rng::SeedableRng;
@@ -68,6 +70,9 @@ pub struct VqeResult {
     pub history: TrainingHistory,
     /// Exact ground-state energy from dense diagonalization.
     pub exact_energy: f64,
+    /// The gradient-dynamics series (energy, gradient norm, BP score,
+    /// per-layer variances), one row per iteration.
+    pub series: TimeSeries,
 }
 
 impl VqeResult {
@@ -96,6 +101,27 @@ impl VqeResult {
         }
         Ok(self.absolute_error() / self.exact_energy.abs())
     }
+
+    /// The run's experiment-ledger record: a `"vqe"` run on `n_qubits`
+    /// qubits from `strategy` under `config`, with the final, exact and
+    /// initial energies as metrics. Its series is [`Self::series`].
+    pub fn run_record(&self, n_qubits: usize, strategy: InitStrategy, config: &VqeConfig) -> RunRecord {
+        let rec = RunRecord::new("vqe")
+            .config("qubits", Json::from(n_qubits))
+            .config("layers", Json::from(config.layers))
+            .config("iterations", Json::from(config.iterations))
+            .config("strategy", Json::str(strategy.name()))
+            .seed(config.seed)
+            .metric("energy", self.energy())
+            .metric("exact_energy", self.exact_energy)
+            .metric("abs_error", self.absolute_error())
+            .metric("initial_energy", self.history.initial_loss())
+            .metric("plateau_alarms", self.history.plateau_alarms().len() as f64);
+        match self.history.final_bp_score() {
+            Some(bp) => rec.metric("bp_score_final", bp),
+            None => rec,
+        }
+    }
 }
 
 /// Runs VQE on `hamiltonian` with the paper's training ansatz and Adam,
@@ -114,15 +140,6 @@ pub fn solve(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let theta0 = strategy.sample_params(&ansatz.shape, config.fan_mode, &mut rng)?;
     let mut adam = Adam::new(config.learning_rate)?;
-    // Record the gradient-dynamics series only when the experiment ledger
-    // is on; the run record itself is written here (not by the training
-    // loop) so it can carry VQE-specific metrics like the exact energy.
-    let telemetry = TrainTelemetry {
-        params_per_layer: Some(ansatz.shape.params_per_layer()),
-        series_capacity: 0,
-        record_series: plateau_obs::Store::Ledger.enabled(),
-        run: None,
-    };
     let run = train_instrumented(
         &ansatz.circuit,
         hamiltonian,
@@ -131,34 +148,13 @@ pub fn solve(
         config.iterations,
         &Adjoint,
         &BarrenPlateauAlarm::default(),
-        telemetry,
+        TrainTelemetry::for_run(ansatz.shape.params_per_layer()),
     )?;
-    let exact_energy = ground_state_energy(hamiltonian)?;
-    let result = VqeResult {
+    Ok(VqeResult {
         history: run.history,
-        exact_energy,
-    };
-    if plateau_obs::Store::Ledger.enabled() {
-        use plateau_obs::json::Json;
-        let mut rec = plateau_obs::RunRecord::new("vqe")
-            .config("qubits", Json::from(n_qubits))
-            .config("layers", Json::from(config.layers))
-            .config("iterations", Json::from(config.iterations))
-            .config("strategy", Json::str(strategy.name()))
-            .seed(config.seed)
-            .metric("energy", result.energy())
-            .metric("exact_energy", result.exact_energy)
-            .metric("abs_error", result.absolute_error())
-            .metric("initial_energy", result.history.initial_loss())
-            .metric("plateau_alarms", result.history.plateau_alarms().len() as f64);
-        if let Some(bp) = result.history.final_bp_score() {
-            rec = rec.metric("bp_score_final", bp);
-        }
-        if let Err(e) = plateau_obs::record_run(&rec, run.series.as_ref()) {
-            plateau_obs::warn!("vqe: ledger write failed: {e}");
-        }
-    }
-    Ok(result)
+        exact_energy: ground_state_energy(hamiltonian)?,
+        series: run.series.expect("telemetry records a series"),
+    })
 }
 
 #[cfg(test)]
@@ -221,11 +217,9 @@ mod tests {
 
     #[test]
     fn vqe_appends_ledger_record_with_series() {
-        let _guard = plateau_obs::test_lock();
         let dir =
             std::env::temp_dir().join(format!("plateau_vqe_ledger_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        plateau_obs::Store::Ledger.set_dir(Some(&dir));
 
         let h = transverse_field_ising(2, 1.0, 1.0).unwrap();
         let cfg = VqeConfig {
@@ -234,23 +228,15 @@ mod tests {
             ..VqeConfig::default()
         };
         let r = solve(&h, InitStrategy::XavierNormal, &cfg).unwrap();
+        let rec = r.run_record(2, InitStrategy::XavierNormal, &cfg);
+        plateau_obs::record_run(&dir, &rec, Some(&r.series)).unwrap();
 
-        // Other tests in this binary call `solve()` concurrently and append
-        // to the same ledger while it is set, so find this run's record by
-        // its command and config, skipping torn lines and other tests' runs.
         let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
-        let ours = |rec: &plateau_obs::json::Json| {
-            let config = |key: &str| rec.get("config").and_then(|c| c.get(key));
-            rec.get("command").and_then(|c| c.as_str()) == Some("vqe")
-                && config("strategy").and_then(|v| v.as_str()) == Some("xavier_normal")
-                && config("iterations").and_then(|v| v.as_f64()) == Some(3.0)
-                && config("layers").and_then(|v| v.as_f64()) == Some(1.0)
-        };
-        let rec = text
-            .lines()
-            .filter_map(|line| plateau_obs::json::Json::parse(line).ok())
-            .find(ours)
-            .expect("this run's ledger record");
+        let rec = Json::parse(text.lines().next().unwrap()).unwrap();
+        assert_eq!(rec.get("command").and_then(Json::as_str), Some("vqe"));
+        let config = rec.get("config").and_then(Json::as_obj).unwrap();
+        let keys: Vec<&str> = config.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["qubits", "layers", "iterations", "strategy"]);
         assert_eq!(
             rec.get("metrics").unwrap().get("exact_energy").unwrap().as_f64(),
             Some(r.exact_energy)
@@ -260,7 +246,6 @@ mod tests {
         assert_eq!(series.len(), 3, "one row per iteration");
         assert!(series.columns().iter().any(|c| c == "layer_var_0"));
 
-        plateau_obs::Store::Ledger.set_dir(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

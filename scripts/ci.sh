@@ -57,17 +57,27 @@ echo "every library crate except plateau-obs forbids unsafe code."
 echo "=== obs record-store policy check ==="
 # crates/obs/src/store.rs is the only code that knows the on-disk record
 # format: no other non-test code opens a file in append mode or reads the
-# PLATEAU_LEDGER / PLATEAU_PERF switches (DESIGN.md §12). Test code is
-# everything from a file's first #[cfg(test)] on, plus tests/ directories.
-store_violations=$(find crates -path '*/src/*.rs' ! -path crates/obs/src/store.rs \
-    -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + \
-    | grep -E '\.append\(true\)|env::var(_os)?\("PLATEAU_(LEDGER|PERF)"' || true)
+# PLATEAU_LEDGER / PLATEAU_PERF switches (DESIGN.md §12). Records are
+# written only where a run is configured: outside crates/{obs,cli,bench}/src
+# no non-test code (examples included) names Store::, record_run or
+# record_perf, so the science crates return what a record needs and never
+# write one. Test code is everything from a file's first #[cfg(test)] on,
+# plus tests/ directories.
+store_violations=$({
+    find crates -path '*/src/*.rs' ! -path crates/obs/src/store.rs \
+        -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + \
+        | grep -E '\.append\(true\)|env::var(_os)?\("PLATEAU_(LEDGER|PERF)"'
+    find crates examples -path 'crates/*/src/*.rs' -o -path 'examples/*.rs' \
+        | grep -vE '^crates/(obs|cli|bench)/src/' \
+        | xargs awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+        | grep -E '\bStore::|\brecord_(run|perf)\b'
+} || true)
 if [[ -n "${store_violations}" ]]; then
-    echo "record-store policy violations (use plateau_obs::store):" >&2
+    echo "record-store policy violations (use plateau_obs::store; write records at the CLI or bench boundary):" >&2
     echo "${store_violations}" >&2
     exit 1
 fi
-echo "only crates/obs/src/store.rs appends records or reads the store switches."
+echo "only crates/obs/src/store.rs appends records or reads the store switches; only obs, cli and bench name the writers."
 
 echo "=== serve environment policy check ==="
 # plateau-serve takes all of its configuration as a ServeConfig value; the
@@ -189,14 +199,19 @@ rm -rf "${ledger_dir}"
 echo "=== differential fuzz smoke gate ==="
 # A fixed-seed campaign over the full engine matrix (DESIGN.md §10):
 # serial vs parallel kernels, statevector vs unitary vs density matrix,
-# raw vs pass-optimized, prologue vs gate-by-gate, QASM round-trip, three gradient
-# engines, every adjoint single-parameter partial vs its full-gradient
-# entry (bitwise), and the prefix-sharing parameter-shift gradient vs one
-# full evaluation per shifted job (bitwise). Any divergence fails the gate and leaves a shrunk
-# reproducer under target/fuzz/ (replay with `plateau fuzz --replay
-# <file>`). The mutation self-test then proves the harness still detects
-# — and shrinks — both deliberately broken engines (the off-by-one
-# kernel and the wrong-order prologue fold).
+# raw vs pass-optimized, prologue vs gate-by-gate, QASM round-trip, three
+# gradient engines, every adjoint single-parameter partial vs its
+# full-gradient entry (bitwise), the prefix-sharing parameter-shift
+# gradient vs one full evaluation per shifted job on local costs and Pauli
+# sums (bitwise), the overlap bra-walk gradient vs the same per-job oracle
+# on the global cost and the zero projector (overlap-shift-vs-per-job),
+# batched vs per-circuit execution, and the serve codec round-trip. Any
+# divergence fails the gate and leaves a shrunk reproducer under
+# target/fuzz/ (replay with `plateau fuzz --replay <file>`). The mutation
+# self-test then proves the harness still detects — and shrinks — each of
+# the three deliberately broken engines in EnginePair::MUTANTS (the
+# off-by-one kernel, the wrong-order prologue fold and the bra walk that
+# skips its last sweep).
 cargo run -q --release --offline -p plateau-cli -- fuzz \
     --cases "${PLATEAU_FUZZ_CASES:-500}" --seed 0xfeed
 cargo run -q --release --offline -p plateau-cli -- fuzz \

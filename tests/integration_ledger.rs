@@ -11,13 +11,11 @@ use plateau_obs::runs::{Ledger, RunComparison};
 
 #[test]
 fn ledger_comparison_reproduces_variance_decay_ordering() {
-    let _guard = plateau_obs::test_lock();
     let dir = std::env::temp_dir().join(format!(
         "plateau_ledger_ordering_{}",
         std::process::id()
     ));
     std::fs::remove_dir_all(&dir).ok();
-    plateau_obs::Store::Ledger.set_dir(Some(&dir));
 
     // Reduced-scale version of the paper's sweep (Fig. 3): same circuit
     // ensemble per strategy thanks to the shared master seed.
@@ -30,8 +28,10 @@ fn ledger_comparison_reproduces_variance_decay_ordering() {
     };
     let uniform = variance_scan(&cfg, &[InitStrategy::Random]).expect("uniform scan");
     let reduced = variance_scan(&cfg, &[InitStrategy::XavierUniform]).expect("reduced scan");
-
-    plateau_obs::Store::Ledger.set_dir(None);
+    for scan in [&uniform, &reduced] {
+        let (record, series) = scan.run_record();
+        plateau_obs::record_run(&dir, &record, Some(&series)).expect("ledger write");
+    }
 
     // Both scans registered, in order, with their decay-rate metrics.
     let ledger = Ledger::load(&dir).expect("ledger loads");
